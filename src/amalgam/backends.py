@@ -92,9 +92,9 @@ def linear_order_class() -> AmalgamationClass:
         members=members,
         size_of=lambda M: M.size,
         task_pairs=lambda bound: _structure_pairs(members(bound), bound),
-        embeddings=lambda A, M: enumerate_embeddings(A, M),
+        embeddings=lambda A, M, touching=None: enumerate_embeddings(
+            A, M, touching=touching),
         embedding_key=lambda e: e.key(),
-        touches=lambda e, fresh: bool(set(e.mapping.values()) & fresh),
         extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(
             B, M, fixed={inc(a): f(a) for a in A.universe}, first_only=True
         )), None),
@@ -144,9 +144,9 @@ def graph_class() -> AmalgamationClass:
         members=_all_graphs,
         size_of=lambda M: M.size,
         task_pairs=lambda bound: _structure_pairs(_all_graphs(bound), bound),
-        embeddings=lambda A, M: enumerate_embeddings(A, M),
+        embeddings=lambda A, M, touching=None: enumerate_embeddings(
+            A, M, touching=touching),
         embedding_key=lambda e: e.key(),
-        touches=lambda e, fresh: bool(set(e.mapping.values()) & fresh),
         extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(
             B, M, fixed={inc(a): f(a) for a in A.universe}, first_only=True
         )), None),

@@ -9,6 +9,11 @@ loop: tasks are discovered whenever the chain grows, queued first-in
 first-out, and resolved either by finding an extension in the current
 top or by amalgamating the missing extension on disjointly.
 
+Discovery after a growth step asks the ``embeddings`` hook only for the
+embeddings that touch an id the new top added (its ``touching``
+argument), so the search never revisits an embedding into an earlier
+top, and no ledger of seen embeddings is kept.
+
 Everything is deterministic: enumeration orders are fixed, and the run
 seed only perturbs tie-breaking among tasks discovered at the same stage,
 so distinct seeds give different but equivalent generics.
@@ -46,10 +51,12 @@ class AmalgamationClass:
     """Hooks defining one amalgamation class.
 
     ``task_pairs(bound)`` returns triples (A, B, inclusion) with B of size
-    at most the bound; ``embeddings(A, M)`` lists embeddings as stable
-    keys plus opaque embedding objects; ``extend`` searches for an
-    extension of f along the inclusion; ``amalgamate`` must return the
-    extended model (the previous top embeds by ids).
+    at most the bound; ``embeddings(A, M, touching=None)`` lists the
+    embeddings A -> M, and with a set ``touching`` only those with some
+    image in it (``embedding_key`` gives each a stable key); ``extend``
+    searches for an extension of f along the inclusion; ``amalgamate``
+    must return the extended model (the previous top embeds by ids, and
+    ``new_ids`` lists the ids it adds, which are never reused).
     """
 
     name: str
@@ -57,9 +64,8 @@ class AmalgamationClass:
     members: Callable[[int], list]
     size_of: Callable[[Any], int]
     task_pairs: Callable[[int], list[tuple[Any, Any, Any]]]
-    embeddings: Callable[[Any, Any], list[Any]]
+    embeddings: Callable[..., list[Any]]
     embedding_key: Callable[[Any], tuple]
-    touches: Callable[[Any, set], bool]
     extend: Callable[[Any, Any, Any, Any, Any], Optional[Any]]
     amalgamate: Callable[[Any, Any, Any, Any, Any], Any]
     new_ids: Callable[[Any, Any], set]
@@ -155,22 +161,14 @@ def build_generic(
     chain = [start if start is not None else cls.seed_model()]
     tasks: list[Task] = []
     queue: list[int] = []
-    seen: set[tuple] = set()
     task_objects: dict[int, tuple] = {}
     rng = random.Random(seed)
 
     def discover(stage: int, fresh: Optional[set]):
-        batch = []
         top = chain[-1]
-        for pair_index, (A, B, inc) in enumerate(pairs):
-            for f in cls.embeddings(A, top):
-                key = (pair_index, cls.embedding_key(f))
-                if key in seen:
-                    continue
-                if fresh is not None and not cls.touches(f, fresh):
-                    continue
-                seen.add(key)
-                batch.append((key, f))
+        batch = [((pair_index, cls.embedding_key(f)), f)
+                 for pair_index, (A, _, _) in enumerate(pairs)
+                 for f in cls.embeddings(A, top, touching=fresh)]
         batch.sort(key=lambda item: (item[0][0], item[0][1]))
         if seed:
             rng.shuffle(batch)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from ..errors import InvalidEmbedding
 from .freepart import ONE, ZERO, FreeFn, conj, neg, rename, var
@@ -133,10 +133,6 @@ def _pull_back(choice: DChoice, inv_atom: dict[int, int],
     return DChoice("point", point=tuple(sorted(point.items())))
 
 
-def identity_transport(M: K1Structure) -> TransportMap:
-    return TransportMap()
-
-
 # ---------------------------------------------------------------------------
 # Match embeddings between class members
 # ---------------------------------------------------------------------------
@@ -159,14 +155,16 @@ class MatchEmbedding:
 
 def _generator_lists(A: K1Structure, B: K1Structure,
                      p0_map: dict[int, int], p2_map: dict[int, int]):
+    """The values generated by the mapped ids of A, and their images in B,
+    positionwise.  Validity does not depend on the order of the pairs."""
     src, tgt = [], []
-    for a in A.p0:
+    for a, b in p0_map.items():
         src.append(A.g1[a])
-        tgt.append(B.g1[p0_map[a]])
-    for c in A.p2:
+        tgt.append(B.g1[b])
+    for c, d in p2_map.items():
         for n in range(A.trunc):
             src.append(A.f[(n, c)])
-            tgt.append(B.f[(n, p2_map[c])])
+            tgt.append(B.f[(n, d)])
     return src, tgt
 
 
@@ -203,31 +201,48 @@ def _match_simple(A: K1Structure, B: K1Structure,
             shape_t.append(seen_t.setdefault(gt, len(seen_t)))
     if shape_s != shape_t:
         return False
-    shape = shape_s
+    # A sign vector (bit i: under value i) is a realized free vector iff
+    # it reads 0 at the zero values and is constant on each generator's
+    # positions.
+    zero_bits = 0
+    groups: dict[int, int] = {}
+    for i, s in enumerate(shape_s):
+        if s == -1:
+            zero_bits |= 1 << i
+        else:
+            groups[s] = groups.get(s, 0) | 1 << i
 
-    def consistent_with_free(v) -> bool:
-        # v is a realized free sign vector iff it factors through an
-        # assignment of the distinct generators and reads 0 at zero values
-        seen: dict[int, int] = {}
-        for s, val in zip(shape, v):
-            if s == -1:
-                if val:
-                    return False
-            elif seen.setdefault(s, val) != val:
-                return False
-        return True
+    def consistent_with_free(v: int) -> bool:
+        return not v & zero_bits and all(v & g in (0, g)
+                                         for g in groups.values())
 
-    atom_vectors_s = {
-        tuple(1 if x.atomic & (1 << a) else 0 for x in src)
-        for a in A.atom_ids
-    }
-    atom_vectors_t = {
-        tuple(1 if x.atomic & (1 << b) else 0 for x in tgt)
-        for b in B.atom_ids
-    }
+    atom_vectors_s = _atom_sign_vectors(A.ctx.full_mask, src)
+    atom_vectors_t = _atom_sign_vectors(B.ctx.full_mask, tgt)
     pure_s = {v for v in atom_vectors_s if not consistent_with_free(v)}
     pure_t = {v for v in atom_vectors_t if not consistent_with_free(v)}
     return pure_s == pure_t
+
+
+def _atom_sign_vectors(atoms: int, values: Sequence[P1Element]) -> set[int]:
+    """Sign vectors of the atoms in the mask ``atoms`` over ``values``:
+    bit i of an atom's vector is set when the atom lies under values[i].
+
+    The atom mask is refined one value at a time into blocks of atoms
+    with equal vectors so far, so the cost follows the number of
+    distinct vectors rather than the number of atoms.
+    """
+    blocks = [(0, atoms)] if atoms else []
+    for i, x in enumerate(values):
+        bit, mask = 1 << i, x.atomic
+        refined = []
+        for v, block in blocks:
+            inside = block & mask
+            if inside:
+                refined.append((v | bit, inside))
+            if inside != block:
+                refined.append((v, block ^ inside))
+        blocks = refined
+    return {v for v, _ in blocks}
 
 
 def _match_general(A: K1Structure, B: K1Structure,
@@ -281,7 +296,12 @@ def is_valid_match(A: K1Structure, B: K1Structure,
         return False
     if A.trunc != B.trunc:
         return False
-    src, tgt = _generator_lists(A, B, p0_map, p2_map)
+    return _values_match(A, B, *_generator_lists(A, B, p0_map, p2_map))
+
+
+def _values_match(A: K1Structure, B: K1Structure,
+                  src: list[P1Element], tgt: list[P1Element]) -> bool:
+    """Do the positionwise paired values generate matched subalgebras?"""
     fast = _match_simple(A, B, src, tgt)
     if fast is not None:
         return fast
@@ -291,9 +311,17 @@ def is_valid_match(A: K1Structure, B: K1Structure,
 def enumerate_matches(A: K1Structure, B: K1Structure,
                       fixed_p0: dict[int, int] | None = None,
                       fixed_p2: dict[int, int] | None = None,
-                      first_only: bool = False) -> list[MatchEmbedding]:
+                      first_only: bool = False,
+                      touching: Optional[Collection[int]] = None,
+                      ) -> list[MatchEmbedding]:
     """All structure embeddings A -> B (as P0/P2 injections), lexicographic
-    in target id order, honoring pinned assignments."""
+    in target id order, honoring pinned assignments.
+
+    With ``touching``, only the embeddings with some P0 or P2 image in
+    it: when the search reaches the last free slot that can take an id
+    from ``touching`` and no image is in it yet, that slot takes its
+    candidates from ``touching`` alone.
+    """
     fixed_p0 = dict(fixed_p0 or {})
     fixed_p2 = dict(fixed_p2 or {})
     if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2):
@@ -303,17 +331,19 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     free_p0 = [a for a in A.p0 if a not in fixed_p0]
     free_p2 = [c for c in A.p2 if c not in fixed_p2]
 
-    def candidates_p2(c, used):
-        for d in B.p2:
-            if d in used:
-                continue
-            yield d
-
-    def candidates_p0(a, used):
-        for b in B.p0:
-            if b in used:
-                continue
-            yield b
+    # the slot where pinning applies, as an index into free_p0 or free_p2
+    pin_p0 = pin_p2 = -1
+    touch_p0: list[int] = []
+    touch_p2: list[int] = []
+    if touching is not None and not _touches(touching, fixed_p0, fixed_p2):
+        touch_p0 = [b for b in B.p0 if b in touching]
+        touch_p2 = [d for d in B.p2 if d in touching]
+        if free_p0 and touch_p0:
+            pin_p0 = len(free_p0) - 1
+        elif free_p2 and touch_p2:
+            pin_p2 = len(free_p2) - 1
+        else:
+            return []
 
     def fill_p0(i, p0_map, p2_map):
         if i == len(free_p0):
@@ -325,7 +355,12 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
             return False
         a = free_p0[i]
         used = set(p0_map.values())
-        for b in candidates_p0(a, used):
+        pool = B.p0
+        if i == pin_p0 and not _touches(touching, p0_map, p2_map):
+            pool = touch_p0
+        for b in pool:
+            if b in used:
+                continue
             p0_map[a] = b
             if _p0_profile_ok(A, B, a, b, p2_map) and fill_p0(i + 1, p0_map, p2_map):
                 return True
@@ -337,7 +372,12 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
             return fill_p0(0, dict(fixed_p0), p2_map)
         c = free_p2[j]
         used = set(p2_map.values())
-        for d in candidates_p2(c, used):
+        pool = B.p2
+        if j == pin_p2 and not _touches(touching, p2_map):
+            pool = touch_p2
+        for d in pool:
+            if d in used:
+                continue
             p2_map[c] = d
             if _p2_profile_ok(A, B, c, d) and fill_p2(j + 1, p2_map):
                 return True
@@ -346,6 +386,10 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
 
     fill_p2(0, dict(fixed_p2))
     return results
+
+
+def _touches(touching: Collection[int], *maps: dict[int, int]) -> bool:
+    return any(v in touching for m in maps for v in m.values())
 
 
 def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:

@@ -9,7 +9,13 @@ from typing import Optional
 from ..fraisse import AmalgamationClass, GenericApproximation, build_generic
 from ..report import CheckReport
 from .checks import check_K1, compose_free_witnesses
-from .embeddings import MatchEmbedding, TransportMap, enumerate_matches, extend_match
+from .embeddings import (
+    TransportMap,
+    _generator_lists,
+    _values_match,
+    enumerate_matches,
+    extend_match,
+)
 from .ops import amalgamate_free, derive_free_witness
 from .structure import (
     DEFAULT_TRUNC,
@@ -73,11 +79,9 @@ def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationCla
         members=members,
         size_of=lambda M: M.size,
         task_pairs=task_pairs,
-        embeddings=lambda A, M: enumerate_matches(A, M),
+        embeddings=lambda A, M, touching=None: enumerate_matches(
+            A, M, touching=touching),
         embedding_key=lambda e: e.key(),
-        touches=lambda e, fresh: bool(
-            {b for _, b in e.p0_map} & fresh or {d for _, d in e.p2_map} & fresh
-        ),
         extend=extend,
         amalgamate=amalgamate,
         new_ids=lambda old, new: (set(new.p0) | set(new.p2)) -
@@ -138,8 +142,6 @@ def k1_position_valid(M: K1Structure, N: K1Structure,
                       pos_m: tuple, pos_n: tuple) -> bool:
     """Game-position validity: the picked ids generate matched
     substructures under the positionwise correspondence."""
-    from .embeddings import _match_general, _match_simple
-
     p0_map, p2_map = {}, {}
     for x, y in zip(pos_m, pos_n):
         if (x in M.p0) != (y in N.p0):
@@ -153,18 +155,7 @@ def k1_position_valid(M: K1Structure, N: K1Structure,
     if len(set(p0_map.values())) != len(p0_map) or \
             len(set(p2_map.values())) != len(p2_map):
         return False
-    src, tgt = [], []
-    for a, b in p0_map.items():
-        src.append(M.g1[a])
-        tgt.append(N.g1[b])
-    for c, d in p2_map.items():
-        for n in range(M.trunc):
-            src.append(M.f[(n, c)])
-            tgt.append(N.f[(n, d)])
-    fast = _match_simple(M, N, src, tgt)
-    if fast is not None:
-        return fast
-    return _match_general(M, N, src, tgt)
+    return _values_match(M, N, *_generator_lists(M, N, p0_map, p2_map))
 
 
 def nonoise_check(M: K1Structure, floor: int = 0) -> CheckReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .errors import ClosureDiverges, InvalidEmbedding, VocabularyMismatch
 
@@ -282,11 +282,16 @@ def _consistent_so_far(A: FiniteStructure, B: FiniteStructure,
 
 def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
                          fixed: dict[int, int] | None = None,
-                         first_only: bool = False) -> list[Embedding]:
+                         first_only: bool = False,
+                         touching: Optional[Collection[int]] = None,
+                         ) -> list[Embedding]:
     """All embeddings A -> B by backtracking over the ordered universes.
 
-    ``fixed`` pins part of the map (used for extension tasks).  Results
-    come in lexicographic order of the image sequence.
+    ``fixed`` pins part of the map (used for extension tasks).  With
+    ``touching``, only the embeddings with some image in it: when the
+    search reaches the last free element and no image is in ``touching``
+    yet, that element takes its candidates from ``touching`` alone.
+    Results come in lexicographic order of the image sequence.
     """
     if A.vocabulary != B.vocabulary:
         raise VocabularyMismatch("cannot embed across vocabularies")
@@ -314,6 +319,15 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
         if not _consistent_so_far(A, B, mapping, x):
             return []
 
+    pin = -1  # the index into ``order`` where pinning applies
+    touch: list[int] = []
+    if touching is not None and not any(y in touching
+                                        for y in mapping.values()):
+        if not order:
+            return []
+        pin = len(order) - 1
+        touch = [y for y in B.universe if y in touching]
+
     def search(i: int) -> bool:
         if i == len(order):
             e = Embedding(A, B, dict(mapping))
@@ -323,7 +337,10 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
             return False
         x = order[i]
         used = set(mapping.values())
-        for y in B.universe:
+        pool = B.universe
+        if i == pin and not any(y in touching for y in used):
+            pool = touch
+        for y in pool:
             if y in used:
                 continue
             mapping[x] = y

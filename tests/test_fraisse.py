@@ -60,7 +60,6 @@ def test_jep_counterexample_with_incompatible_constants():
         task_pairs=lambda bound: [],
         embeddings=lambda A, M: enumerate_embeddings(A, M),
         embedding_key=lambda e: e.key(),
-        touches=lambda e, fresh: True,
         extend=lambda A, B, inc, f, M: None,
         amalgamate=no_amalgam,
         new_ids=lambda old, new: set(),
@@ -102,7 +101,6 @@ def test_disjoint_ap_counterexample_on_truncated_class():
         ],
         embeddings=base.embeddings,
         embedding_key=base.embedding_key,
-        touches=base.touches,
         extend=base.extend,
         amalgamate=amalgamate,
         new_ids=base.new_ids,
@@ -206,7 +204,6 @@ def test_separability_unknown_when_fragment_hides_distinctions():
         task_pairs=lambda bound: [],
         embeddings=lambda X, M: enumerate_embeddings(X, M),
         embedding_key=lambda e: e.key(),
-        touches=lambda e, fresh: True,
         extend=lambda *args: None,
         amalgamate=lambda *args: (_ for _ in ()).throw(AmalgamationFailed("")),
         new_ids=lambda old, new: set(),

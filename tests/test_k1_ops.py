@@ -105,14 +105,13 @@ def test_amalgamate_adds_one_designated_atom():
 
 def test_amalgamate_with_new_name_and_trace_demand():
     # N2 adds a designated atom sitting under a head value of the base name
-    M1 = member(1, 1, 1, [[((0,), True)]])
-    N1 = member(1, 1, 1, [[((0,), True)]], start=30)
+    M1 = member(1, 1, 2, [[((0,), True), ((0,), True)]])
+    N1 = member(1, 1, 2, [[((0,), True), ((0,), True)]], start=30)
     N2 = member(2, 1, 2, [[((0,), True), ((0, 1), True)]], start=50)
     inc_big = inclusion_of(N1, M1)
-    inc_small = enumerate_matches(N1, N2, first_only=True)
-    if not inc_small:
-        pytest.skip("no embedding for this corpus pair")
-    result = amalgamate_free(M1, N1, N2, inc_big, inc_small[0])
+    inc_small = inclusion_of(N1, N2)
+    result = amalgamate_free(M1, N1, N2, inc_big, inc_small)
+    assert len(result.new_atoms) == 1
     M2 = result.amalgam
     assert check_Kminus1(M2).passed
     rw = check_free_extension(M1, M2, result.witness, result.big_transport)

@@ -1,0 +1,246 @@
+"""Embedding search with ``touching``: pinned enumeration against
+filtered and brute-force oracles, the block-refined leaf check against
+the per-atom one, and identical builder ledgers with and without
+pinning."""
+
+import itertools
+import random
+
+import pytest
+
+from amalgam.backends import graph_class, linear_order_class
+from amalgam.fraisse import build_generic
+from amalgam.k1 import enumerate_matches, is_valid_match, minimal_model
+from amalgam.k1.embeddings import _atom_sign_vectors, _generator_lists
+from amalgam.k1.engine import build_generic_k1, k1_class
+from amalgam.k1.freepart import ZERO
+from amalgam.k1.p1 import P1Element
+from amalgam.structures import Embedding, enumerate_embeddings
+
+TRUNC = 6
+
+
+def match_images(e):
+    return {b for _, b in e.p0_map} | {d for _, d in e.p2_map}
+
+
+def brute_force_matches(A, B):
+    out = []
+    for p2_img in itertools.permutations(B.p2, len(A.p2)):
+        p2_map = dict(zip(A.p2, p2_img))
+        for p0_img in itertools.permutations(B.p0, len(A.p0)):
+            p0_map = dict(zip(A.p0, p0_img))
+            if is_valid_match(A, B, p0_map, p2_map):
+                out.append((tuple(sorted(p0_map.items())),
+                            tuple(sorted(p2_map.items()))))
+    return out
+
+
+def brute_force_embeddings(A, B):
+    out = []
+    for img in itertools.permutations(B.universe, A.size):
+        e = Embedding(A, B, dict(zip(A.universe, img)))
+        if e.is_valid():
+            out.append(e.key())
+    return out
+
+
+def touching_sets(ids, rng):
+    """The empty set, every singleton and a few random subsets."""
+    ids = sorted(ids)
+    sets = [set()] + [{x} for x in ids]
+    for _ in range(3):
+        sets.append({x for x in ids if rng.random() < 0.4})
+    return sets
+
+
+def check_k1_pinning(A, M, touching_options):
+    full = enumerate_matches(A, M)
+    for S in touching_options:
+        pinned = enumerate_matches(A, M, touching=S)
+        assert pinned == [e for e in full if match_images(e) & S]
+    return full
+
+
+def check_structure_pinning(A, M, touching_options):
+    full = enumerate_embeddings(A, M)
+    for S in touching_options:
+        pinned = enumerate_embeddings(A, M, touching=S)
+        assert [e.key() for e in pinned] == \
+            [e.key() for e in full if set(e.mapping.values()) & S]
+    return full
+
+
+@pytest.fixture(scope="module")
+def k1_head_chain():
+    g = build_generic_k1(12, bound=3, trunc=TRUNC, seed=0, max_n_star=1)
+    return g.approximation.chain
+
+
+# ---------------------------------------------------------------------------
+# enumerate_matches
+# ---------------------------------------------------------------------------
+
+
+def test_pinned_matches_on_task_pairs_equal_filtered_and_brute_force():
+    rng = random.Random(3)
+    pairs = k1_class(TRUNC, 1).task_pairs(3)
+    assert pairs
+    for A, B, _ in pairs:
+        full = check_k1_pinning(A, B, touching_sets(B.p0 + B.p2, rng))
+        assert sorted(e.key() for e in full) == \
+            sorted(brute_force_matches(A, B))
+
+
+def test_pinned_matches_into_head_build_tops(k1_head_chain):
+    chain = k1_head_chain
+    assert len(chain) > 4
+    members = k1_class(TRUNC, 1).members(3)
+    rng = random.Random(5)
+    for old, top in zip(chain, chain[1:]):
+        fresh = (set(top.p0) | set(top.p2)) - (set(old.p0) | set(old.p2))
+        assert fresh
+        for A in members:
+            options = [fresh] + touching_sets(top.p0 + top.p2, rng)[:4]
+            full = check_k1_pinning(A, top, options)
+            if top.size <= 7:
+                assert sorted(e.key() for e in full) == \
+                    sorted(brute_force_matches(A, top))
+
+
+def test_pinned_matches_with_fixed_assignments(k1_head_chain):
+    top = k1_head_chain[-1]
+    for A, B, inc in k1_class(TRUNC, 1).task_pairs(3):
+        for f in enumerate_matches(A, top)[:3]:
+            fixed_p0 = {inc.p0(a): f.p0(a) for a, _ in inc.p0_map}
+            fixed_p2 = {inc.p2(c): f.p2(c) for c, _ in inc.p2_map}
+            full = enumerate_matches(B, top, fixed_p0, fixed_p2)
+            for S in (match_images(f), {top.p0[-1]}, {top.p2[-1]}):
+                pinned = enumerate_matches(B, top, fixed_p0, fixed_p2,
+                                           touching=S)
+                assert pinned == [e for e in full if match_images(e) & S]
+
+
+def test_no_free_slot_yields_only_touching_embeddings():
+    m = minimal_model(TRUNC)
+    M = k1_class(TRUNC, 1).members(3)[-1]
+    assert enumerate_matches(m, M) != []
+    assert enumerate_matches(m, M, touching=set(M.p0)) == []
+
+
+# ---------------------------------------------------------------------------
+# enumerate_embeddings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_cls, steps", [(linear_order_class, 30),
+                                             (graph_class, 12)])
+def test_pinned_embeddings_into_generic_tops(make_cls, steps):
+    cls = make_cls()
+    chain = build_generic(cls, steps, 3, seed=1).chain
+    assert len(chain) > 3
+    members = cls.members(3)
+    rng = random.Random(7)
+    for old, top in zip(chain, chain[1:]):
+        fresh = set(top.universe) - set(old.universe)
+        for A in members:
+            options = [fresh] + touching_sets(top.universe, rng)[:4]
+            full = check_structure_pinning(A, top, options)
+            if top.size <= 6:
+                assert sorted(e.key() for e in full) == \
+                    sorted(brute_force_embeddings(A, top))
+
+
+# ---------------------------------------------------------------------------
+# Leaf check: block refinement against the per-atom vectors
+# ---------------------------------------------------------------------------
+
+
+def per_atom_vectors(atom_ids, values):
+    """The per-atom sign vectors, one tuple per atom, as ints."""
+    vectors = {tuple(1 if x.atomic & (1 << a) else 0 for x in values)
+               for a in atom_ids}
+    return {sum(bit << i for i, bit in enumerate(v)) for v in vectors}
+
+
+def test_refined_sign_vectors_equal_per_atom_vectors(k1_head_chain):
+    top = k1_head_chain[-1]
+    checked = 0
+    for A, B, _ in k1_class(TRUNC, 1).task_pairs(3):
+        for target in (B, top):
+            for e in enumerate_matches(A, target):
+                src, tgt = _generator_lists(A, target, dict(e.p0_map),
+                                            dict(e.p2_map))
+                for S, values in ((A, src), (target, tgt)):
+                    assert _atom_sign_vectors(S.ctx.full_mask, values) == \
+                        per_atom_vectors(S.atom_ids, values)
+                    checked += 1
+    assert checked > 100
+
+
+def test_refined_sign_vectors_on_random_masks():
+    rng = random.Random(13)
+    for _ in range(200):
+        atom_ids = sorted(rng.sample(range(40), rng.randint(0, 12)))
+        values = [P1Element(rng.getrandbits(40), ZERO)
+                  for _ in range(rng.randint(0, 8))]
+        mask = sum(1 << a for a in atom_ids)
+        assert _atom_sign_vectors(mask, values) == \
+            per_atom_vectors(atom_ids, values)
+
+
+# ---------------------------------------------------------------------------
+# Builder ledgers with and without pinning
+# ---------------------------------------------------------------------------
+
+
+def unpinned(cls, images):
+    """The class with an ``embeddings`` hook that ignores ``touching`` in
+    the search and filters the full list afterwards.
+
+    The hook also asserts that no embedding it returns was returned for
+    an earlier top: the builder keeps no set of seen embeddings, so such
+    a repeat would enter the ledger twice.
+    """
+    hook = cls.embeddings
+    first_top: dict[tuple, int] = {}
+
+    def embeddings(A, M, touching=None):
+        found = hook(A, M)
+        if touching is not None:
+            found = [e for e in found if images(e) & touching]
+        for e in found:
+            key = (id(A), cls.embedding_key(e))
+            assert first_top.setdefault(key, id(M)) == id(M)
+        return found
+
+    cls.embeddings = embeddings
+    return cls
+
+
+@pytest.mark.parametrize("max_n_star, steps", [(0, 400), (1, 40)])
+@pytest.mark.parametrize("seed", range(4))
+def test_k1_ledgers_identical_with_and_without_pinning(max_n_star, steps,
+                                                       seed):
+    runs = []
+    for cls in (k1_class(TRUNC, max_n_star),
+                unpinned(k1_class(TRUNC, max_n_star), match_images)):
+        approx = build_generic(cls, steps, 3, seed)
+        runs.append(([t.to_dict() for t in approx.tasks],
+                     approx.top.canonical_key(), len(approx.chain)))
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 1
+
+
+@pytest.mark.parametrize("make_cls", [linear_order_class, graph_class])
+def test_structure_ledgers_identical_with_and_without_pinning(make_cls):
+    def images(e):
+        return set(e.mapping.values())
+
+    for seed in range(2):
+        runs = []
+        for cls in (make_cls(), unpinned(make_cls(), images)):
+            approx = build_generic(cls, 40, 3, seed)
+            runs.append(([t.to_dict() for t in approx.tasks],
+                         approx.top.canonical_key()))
+        assert runs[0] == runs[1]
