@@ -162,11 +162,20 @@ def graph_class() -> AmalgamationClass:
 
 def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     """The picked tuples generate isomorphic substructures under the
-    positionwise correspondence (functions propagate the match)."""
+    positionwise correspondence (functions propagate the match).  The
+    constants belong to both generated substructures, so each constant
+    of M starts out matched to the same-named constant of N."""
     from .structures import generate_substructure
 
-    mapping = dict(zip(pos_m, pos_n))
     if len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
+        return False
+    mapping: dict[int, int] = {}
+    pairs = [(value, N.constants.get(name))
+             for name, value in M.constants.items()]
+    for x, y in pairs + list(zip(pos_m, pos_n)):
+        if y is None or mapping.setdefault(x, y) != y:
+            return False
+    if len(set(mapping.values())) != len(mapping):
         return False
     sub_m = generate_substructure(M, set(pos_m))
     sub_n = generate_substructure(N, set(pos_n))

@@ -235,53 +235,50 @@ def back_and_forth_check(
     positions are tuples generating partially matched substructures?
 
     ``position_valid`` decides whether the picked tuples generate
-    isomorphic substructures under the positionwise correspondence.
-    """
-    memo: dict = {}
+    isomorphic substructures under the positionwise correspondence.  It
+    must depend only on the set of (M-point, N-point) pairs, not on the
+    order in which they were played: each pair set is checked once, and
+    the game value is memoised per pair set.
 
-    def survive(pos_m: tuple, pos_n: tuple, remaining: int) -> bool:
-        key = (pos_m, pos_n, remaining)
-        if key in memo:
-            return memo[key]
-        if remaining == 0:
-            memo[key] = True
-            return True
-        ok = True
-        for c in elements(M):
-            if c in pos_m:
-                continue
-            response = False
-            for d in elements(N):
-                if d in pos_n:
-                    continue
-                if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
-                        survive(pos_m + (c,), pos_n + (d,), remaining - 1):
-                    response = True
-                    break
-            if not response:
-                ok = False
-                break
-        if ok:
-            for d in elements(N):
-                if d in pos_n:
-                    continue
-                response = False
-                for c in elements(M):
-                    if c in pos_m:
-                        continue
-                    if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
-                            survive(pos_m + (c,), pos_n + (d,), remaining - 1):
-                        response = True
-                        break
-                if not response:
-                    ok = False
-                    break
+    A position is keyed by an int with one bit per pair: bit
+    ``i * |N| + j`` stands for the i-th element of M against the j-th
+    element of N.  The rounds left follow from the key (``depth`` minus
+    its number of pairs), so the key alone indexes both caches.
+    """
+    ms, ns = list(elements(M)), list(elements(N))
+    width = len(ns)
+    valid: dict[int, bool] = {}
+    memo: dict[int, bool] = {}
+
+    def answered(pos_m: tuple, pos_n: tuple, key: int, i: int, j: int,
+                 remaining: int) -> bool:
+        """Is the position extended by the pair (ms[i], ns[j]) valid, with
+        the duplicator surviving the ``remaining - 1`` rounds after it?"""
+        child = key | 1 << (i * width + j)
+        ok = valid.get(child)
+        if ok is None:
+            ok = valid[child] = position_valid(M, N, pos_m + (ms[i],),
+                                               pos_n + (ns[j],))
+        return ok and (remaining == 1 or
+                       survive(pos_m + (ms[i],), pos_n + (ns[j],), child,
+                               remaining - 1))
+
+    def survive(pos_m: tuple, pos_n: tuple, key: int, remaining: int) -> bool:
+        ok = memo.get(key)
+        if ok is not None:
+            return ok
+        free_m = [i for i, c in enumerate(ms) if c not in pos_m]
+        free_n = [j for j, d in enumerate(ns) if d not in pos_n]
+        ok = all(any(answered(pos_m, pos_n, key, i, j, remaining)
+                     for j in free_n) for i in free_m) and \
+            all(any(answered(pos_m, pos_n, key, i, j, remaining)
+                    for i in free_m) for j in free_n)
         memo[key] = ok
         return ok
 
     if not position_valid(M, N, (), ()):
         return False
-    return survive((), (), depth)
+    return depth == 0 or survive((), (), 0, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,13 @@ class FiniteStructure:
         for name, tuples in self.relations.items():
             arity = self.vocabulary.relation_arity(name)
             for t in tuples:
-                if len(t) != arity or not set(t) <= elems:
+                if len(t) != arity or not elems.issuperset(t):
                     raise ValueError(f"bad tuple {t} for relation {name}")
         for name, table in self.functions.items():
             arity = self.vocabulary.function_arity(name)
             for args, value in table.items():
-                if len(args) != arity or not set(args) <= elems or value not in elems:
+                if len(args) != arity or not elems.issuperset(args) \
+                        or value not in elems:
                     raise ValueError(f"bad entry {args}->{value} for function {name}")
         for name in self.constants:
             if name not in self.vocabulary.constants:
@@ -137,12 +138,12 @@ class FiniteStructure:
         keep = set(subset)
         universe = tuple(x for x in self.universe if x in keep)
         relations = {
-            name: {t for t in tuples if set(t) <= keep}
+            name: {t for t in tuples if keep.issuperset(t)}
             for name, tuples in self.relations.items()
         }
         functions = {
             name: {args: v for args, v in table.items()
-                   if set(args) <= keep and v in keep}
+                   if keep.issuperset(args) and v in keep}
             for name, table in self.functions.items()
         }
         constants = dict(self.constants)

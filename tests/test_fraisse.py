@@ -166,9 +166,6 @@ def test_back_and_forth_reflexive_and_between_generics():
 
 
 def test_back_and_forth_detects_atomic_difference():
-    M = chain_structure(2)
-    N = FiniteStructure(GRAPH_VOCAB, (0, 1), {"adj": set()})
-    # same vocabulary needed: compare two graphs instead
     G1 = FiniteStructure(GRAPH_VOCAB, (0, 1), {"adj": {(0, 1), (1, 0)}})
     G2 = FiniteStructure(GRAPH_VOCAB, (0, 1), {"adj": set()})
     elements = lambda S: list(S.universe)

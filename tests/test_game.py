@@ -1,0 +1,182 @@
+"""The bounded back-and-forth game: the memoised game against an
+unmemoised reference, classical bounds for chains, and position checks
+for vocabularies with constants."""
+
+import itertools
+import random
+
+import pytest
+
+from amalgam.backends import (
+    GRAPH_VOCAB,
+    ORDER_VOCAB,
+    chain_structure,
+    structure_position_valid,
+)
+from amalgam.fraisse import back_and_forth_check
+from amalgam.structures import FiniteStructure, Vocabulary
+
+UNARY_VOCAB = Vocabulary.make(relations={"p": 1}, functions={"f": 1})
+CONSTANT_ORDER_VOCAB = Vocabulary.make(relations={"lt": 2}, constants=("c",))
+
+
+def elements(S):
+    return list(S.universe)
+
+
+def reference_game(M, N, depth, elements, position_valid):
+    """The game without pair-set memoisation: positions are keyed by the
+    picked tuples in order of play, so a pair set reached in several
+    orders is checked once per order."""
+    memo = {}
+
+    def survive(pos_m, pos_n, remaining):
+        key = (pos_m, pos_n, remaining)
+        if key in memo:
+            return memo[key]
+        if remaining == 0:
+            memo[key] = True
+            return True
+        ok = True
+        for c in elements(M):
+            if c in pos_m:
+                continue
+            response = False
+            for d in elements(N):
+                if d in pos_n:
+                    continue
+                if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
+                        survive(pos_m + (c,), pos_n + (d,), remaining - 1):
+                    response = True
+                    break
+            if not response:
+                ok = False
+                break
+        if ok:
+            for d in elements(N):
+                if d in pos_n:
+                    continue
+                response = False
+                for c in elements(M):
+                    if c in pos_m:
+                        continue
+                    if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
+                            survive(pos_m + (c,), pos_n + (d,), remaining - 1):
+                        response = True
+                        break
+                if not response:
+                    ok = False
+                    break
+        memo[key] = ok
+        return ok
+
+    if not position_valid(M, N, (), ()):
+        return False
+    return survive((), (), depth)
+
+
+def counting(checked):
+    """``structure_position_valid`` that appends each checked pair set."""
+    def position_valid(M, N, pos_m, pos_n):
+        checked.append(frozenset(zip(pos_m, pos_n)))
+        return structure_position_valid(M, N, pos_m, pos_n)
+    return position_valid
+
+
+def random_order(rng, n):
+    universe = rng.sample(range(10), n)
+    rank = rng.sample(universe, n)
+    lt = {(x, y) for i, x in enumerate(rank) for y in rank[i + 1:]}
+    return FiniteStructure(ORDER_VOCAB, universe, {"lt": lt})
+
+
+def random_graph(rng, n):
+    universe = rng.sample(range(10), n)
+    edges = set()
+    for x, y in itertools.combinations(universe, 2):
+        if rng.random() < 0.5:
+            edges |= {(x, y), (y, x)}
+    return FiniteStructure(GRAPH_VOCAB, universe, {"adj": edges})
+
+
+def relabelled(rng, S):
+    """An isomorphic copy of S on fresh ids."""
+    rename = dict(zip(S.universe, rng.sample(range(10, 20), S.size)))
+    return FiniteStructure(
+        S.vocabulary, [rename[x] for x in S.universe],
+        {name: {tuple(rename[x] for x in t) for t in tuples}
+         for name, tuples in S.relations.items()},
+        {name: {tuple(rename[x] for x in args): rename[v]
+                for args, v in table.items()}
+         for name, table in S.functions.items()})
+
+
+def random_unary(rng, n):
+    """A unary predicate and a partial unary function."""
+    universe = rng.sample(range(10), n)
+    p = {(x,) for x in universe if rng.random() < 0.5}
+    f = {(x,): rng.choice(universe) for x in universe if rng.random() < 0.6}
+    return FiniteStructure(UNARY_VOCAB, universe, {"p": p}, {"f": f})
+
+
+@pytest.mark.parametrize("make", [random_order, random_graph, random_unary])
+def test_memoised_game_agrees_with_reference_and_checks_each_pair_set_once(
+        make):
+    rng = random.Random(make.__name__)
+    outcomes = set()
+    for _ in range(24):
+        M = make(rng, rng.randint(1, 4))
+        N = relabelled(rng, M) if rng.random() < 0.5 else \
+            make(rng, rng.randint(1, 4))
+        for depth in range(4):
+            checked, reference_checked = [], []
+            got = back_and_forth_check(M, N, depth, elements,
+                                       counting(checked))
+            want = reference_game(M, N, depth, elements,
+                                  counting(reference_checked))
+            assert got == want, (M, N, depth)
+            assert len(checked) == len(set(checked)), (M, N, depth)
+            assert set(checked) <= set(reference_checked)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_memoised_game_checks_fewer_positions_than_reference():
+    M, N = chain_structure(5), chain_structure(5, start=10)
+    checked, reference_checked = [], []
+    assert back_and_forth_check(M, N, 3, elements, counting(checked))
+    assert reference_game(M, N, 3, elements, counting(reference_checked))
+    assert len(checked) == len(set(reference_checked))
+    assert len(checked) < len(reference_checked)
+
+
+@pytest.mark.parametrize("k, sizes", [(1, range(4)), (2, range(6)),
+                                      (3, range(9))])
+def test_chains_equivalent_iff_equal_or_both_long(k, sizes):
+    long = 2 ** k - 1
+    for n, m in itertools.combinations_with_replacement(sizes, 2):
+        held = back_and_forth_check(chain_structure(n),
+                                    chain_structure(m, start=20), k,
+                                    elements, structure_position_valid)
+        assert held == (n == m or min(n, m) >= long), (k, n, m)
+
+
+def constant_chain(c):
+    """Three-point order 0 < 1 < 2 with the constant ``c`` at ``c``."""
+    return FiniteStructure(CONSTANT_ORDER_VOCAB, (0, 1, 2),
+                           {"lt": {(0, 1), (0, 2), (1, 2)}}, constants={"c": c})
+
+
+def test_constants_are_matched_in_every_position():
+    middle, bottom = constant_chain(1), constant_chain(0)
+    assert structure_position_valid(middle, middle, (), ())
+    assert structure_position_valid(middle, bottom, (), ())
+    assert back_and_forth_check(middle, middle, 2, elements,
+                                structure_position_valid)
+    # The constant may be picked, but only against its namesake.
+    assert structure_position_valid(middle, bottom, (1,), (0,))
+    assert not structure_position_valid(middle, bottom, (1,), (2,))
+    assert not structure_position_valid(middle, bottom, (0,), (0,))
+    # Below the middle constant there is a point, below the bottom one none.
+    assert not back_and_forth_check(middle, bottom, 1, elements,
+                                    structure_position_valid)

@@ -97,6 +97,19 @@ def test_frugal_impossible_when_one_part_covers_union():
         frugal_amalgamate(KConfiguration((M,)))
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_no_amalgam_at_the_dimension_boundary(r):
+    # r+2 points, every (r+1)-subset a class-0 part: the parts fix every
+    # tuple and define no witness, so the r+2 points are independent in
+    # the only candidate, which membership forbids.
+    parts = tuple(all_class_zero(r, subset)
+                  for subset in itertools.combinations(range(r + 2), r + 1))
+    config = KConfiguration(parts)
+    with pytest.raises(NoAmalgam):
+        frugal_amalgamate(config)
+    assert completion_solutions(config) == []
+
+
 def test_two_disjoint_singletons_amalgamate():
     A = all_class_zero(1, [0])
     B = all_class_zero(1, [1])
