@@ -5,7 +5,6 @@ and serve as counterpoints to the witnessed classes."""
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from .errors import AmalgamationFailed
 from .fraisse import AmalgamationClass, DiagramDescriptor
@@ -71,36 +70,44 @@ def _merge_orders(M: FiniteStructure, A: FiniteStructure, B: FiniteStructure,
     return FiniteStructure(ORDER_VOCAB, tuple(rank), {"lt": lt})
 
 
-def _structure_pairs(members, bound):
-    pairs = []
-    for B in members:
-        for A in members:
-            if A.size >= B.size:
-                continue
-            for inc in enumerate_embeddings(A, B):
-                pairs.append((A, B, inc))
-    return pairs
+def _structure_class(name, seed_model, members, amalgamate) -> AmalgamationClass:
+    """A class of plain finite structures: embeddings are those of
+    ``enumerate_embeddings``, and the tasks are the embeddings between
+    members of different sizes."""
 
-
-def linear_order_class() -> AmalgamationClass:
-    def members(bound: int):
-        return [chain_structure(n) for n in range(bound + 1)]
+    def task_pairs(bound: int):
+        pairs = []
+        fragment = members(bound)
+        for B in fragment:
+            for A in fragment:
+                if A.size >= B.size:
+                    continue
+                for inc in enumerate_embeddings(A, B):
+                    pairs.append((A, B, inc))
+        return pairs
 
     return AmalgamationClass(
-        name="linear-orders",
-        seed_model=lambda: chain_structure(0),
+        name=name,
+        seed_model=seed_model,
         members=members,
         size_of=lambda M: M.size,
-        task_pairs=lambda bound: _structure_pairs(members(bound), bound),
+        task_pairs=task_pairs,
         embeddings=lambda A, M, touching=None: enumerate_embeddings(
             A, M, touching=touching),
         embedding_key=lambda e: e.key(),
         extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(
             B, M, fixed={inc(a): f(a) for a in A.universe}, first_only=True
         )), None),
-        amalgamate=lambda M, A, B, f, inc: _merge_orders(M, A, B, f, inc),
+        amalgamate=amalgamate,
         new_ids=lambda old, new: set(new.universe) - set(old.universe),
     )
+
+
+def linear_order_class() -> AmalgamationClass:
+    return _structure_class(
+        "linear-orders", lambda: chain_structure(0),
+        lambda bound: [chain_structure(n) for n in range(bound + 1)],
+        _merge_orders)
 
 
 def _all_graphs(bound: int) -> list[FiniteStructure]:
@@ -138,21 +145,9 @@ def _merge_graphs(M, A, B, f, inc):
 
 
 def graph_class() -> AmalgamationClass:
-    return AmalgamationClass(
-        name="graphs",
-        seed_model=lambda: FiniteStructure(GRAPH_VOCAB, ()),
-        members=_all_graphs,
-        size_of=lambda M: M.size,
-        task_pairs=lambda bound: _structure_pairs(_all_graphs(bound), bound),
-        embeddings=lambda A, M, touching=None: enumerate_embeddings(
-            A, M, touching=touching),
-        embedding_key=lambda e: e.key(),
-        extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(
-            B, M, fixed={inc(a): f(a) for a in A.universe}, first_only=True
-        )), None),
-        amalgamate=_merge_graphs,
-        new_ids=lambda old, new: set(new.universe) - set(old.universe),
-    )
+    return _structure_class(
+        "graphs", lambda: FiniteStructure(GRAPH_VOCAB, ()), _all_graphs,
+        _merge_graphs)
 
 
 # ---------------------------------------------------------------------------

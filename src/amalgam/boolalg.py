@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ImproperIdeal,
@@ -48,21 +48,13 @@ def bits(x: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class FiniteBooleanAlgebra:
-    """Power-set algebra on ``atom_count`` atoms.
-
-    ``designated`` marks a distinguished atom subset (used by structures
-    whose atomic part must be tracked separately from representation
-    artifacts); it plays no role in the algebra operations themselves.
-    """
+    """Power-set algebra on ``atom_count`` atoms."""
 
     atom_count: int
-    designated: int = 0
 
     def __post_init__(self):
         if self.atom_count < 0:
             raise ValueError("atom_count must be >= 0")
-        if self.designated & ~self.full:
-            raise ValueError("designated atoms must be a subset of the atoms")
 
     @property
     def full(self) -> int:
@@ -174,10 +166,6 @@ class BAEmbedding:
         for i in bits(x):
             img |= self.atom_images[i]
         return img
-
-    def image_algebra_blocks(self) -> list[int]:
-        """Atoms of the range subalgebra (= the atom images themselves)."""
-        return sorted(self.atom_images)
 
     def preimage(self, y: int) -> int | None:
         """The source element mapping to y, or None if y is off the range."""

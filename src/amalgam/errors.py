@@ -60,10 +60,6 @@ class AmalgamationFailed(AmalgamError):
         super().__init__(message)
 
 
-class NotMember(AmalgamError):
-    """The structure is not a member of the class."""
-
-
 class WitnessAlignmentFailed(AmalgamError):
     """Witness indices of nested structures could not be aligned."""
 

@@ -22,7 +22,7 @@ so distinct seeds give different but equivalent generics.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import AmalgamationFailed, EnumerationOverflow
@@ -69,7 +69,6 @@ class AmalgamationClass:
     extend: Callable[[Any, Any, Any, Any, Any], Optional[Any]]
     amalgamate: Callable[[Any, Any, Any, Any, Any], Any]
     new_ids: Callable[[Any, Any], set]
-    is_member: Optional[Callable[[Any], bool]] = None
 
 
 @dataclass

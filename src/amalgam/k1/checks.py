@@ -8,8 +8,9 @@ violating one clause fails exactly that clause.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
+from ..boolalg import popcount
 from ..errors import OverlappingH
 from ..report import CheckReport
 from .freepart import SupportOverflow, var
@@ -29,12 +30,8 @@ from .structure import (
 )
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _is_designated_atom(M: K1Structure, x: P1Element) -> bool:
-    return x.free.is_zero and _popcount(x.atomic) == 1 and \
+    return x.free.is_zero and popcount(x.atomic) == 1 and \
         (x.atomic & M.ctx.full_mask) == x.atomic
 
 

@@ -10,7 +10,7 @@ Two kinds of maps:
   certify chain inclusions.
 
 * match embeddings: a pair of injections (P0, P2) between class members
-  whose element map is forced on generators., Validity is decided by
+  whose element map is forced on generators.  Validity is decided by
   comparing realized sign-pattern sets of the generator lists, with a
   three-way classification (zero / purely atomic / has free content) that
   captures relation preservation and the reflection of the atomic-ideal
@@ -20,13 +20,12 @@ Two kinds of maps:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Collection, Optional, Sequence
 
 from ..errors import InvalidEmbedding
-from .freepart import ONE, ZERO, FreeFn, conj, neg, rename, var
-from .p1 import P1Context, P1Element
+from .freepart import FreeFn, _expand, rename
+from .p1 import P1Element
 from .structure import K1Structure
 
 
@@ -36,7 +35,7 @@ class DChoice:
     of an atom, or the point of the free factor given by a sparse 0/1
     generator assignment (unlisted generators read 0)."""
 
-    kind: str  # "atom" | "point"
+    kind: str  # "atom" | "point" | "never" (holds of no element)
     atom_id: int = -1
     point: tuple[tuple[int, int], ...] = ()
 
@@ -252,16 +251,14 @@ def _match_general(A: K1Structure, B: K1Structure,
     Tables are materialized over each side's own support window, so meets
     are single big-int ANDs.
     """
-    from .p1 import _free_values
-
     sig_s = tuple(sorted({g for x in src for g in x.free.support}))
     sig_t = tuple(sorted({g for x in tgt for g in x.free.support}))
     if len(sig_s) > 20 or len(sig_t) > 20:
         raise InvalidEmbedding("support window too large for the match search")
     full_s = (1 << (1 << len(sig_s))) - 1
     full_t = (1 << (1 << len(sig_t))) - 1
-    tab_s = [_free_values(x.free, sig_s) for x in src]
-    tab_t = [_free_values(x.free, sig_t) for x in tgt]
+    tab_s = [_expand(x.free, sig_s) for x in src]
+    tab_t = [_expand(x.free, sig_t) for x in tgt]
     mask_s = [x.atomic for x in src]
     mask_t = [x.atomic for x in tgt]
     amask_s = A.ctx.full_mask
@@ -407,8 +404,6 @@ def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
         if ks[0] == "var":
             if seen_s.setdefault(ks[1], n) != seen_t.setdefault(kt[1], n):
                 return False
-        # atomic trace sizes must agree positionwise for a bijective-P0 map
-        # only as a weak filter: skip (P0 subsets may differ)
     return True
 
 

@@ -137,10 +137,6 @@ def signed(a: FreeFn, sign: int) -> FreeFn:
     return a if sign else neg(a)
 
 
-def implies(a: FreeFn, b: FreeFn) -> bool:
-    return conj(a, neg(b)).is_zero
-
-
 def rename(a: FreeFn, mapping: Mapping[int, int]) -> FreeFn:
     """Substitute generator ids (must stay injective on the support)."""
     new_support = tuple(mapping.get(g, g) for g in a.support)

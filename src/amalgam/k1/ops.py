@@ -1,5 +1,5 @@
-"""Constructive operations: free amalgamation, disjoint amalgamation,
-trace-element adjunction, and labeling of good sequences.
+"""Constructive operations: free amalgamation, trace-element adjunction,
+and labeling of good sequences.
 
 The amalgamation follows the four-step recipe: (1) extend the big
 structure's element algebra by one fresh designated atom per new atom of
@@ -297,18 +297,6 @@ def _extra_atom_splits(M1, N1, into_big, pairs1, pairs2, gen_rename):
     return tuple(splits)
 
 
-def disjoint_amalgamate_k1(
-    M0: K1Structure,
-    M1: K1Structure,
-    M2: K1Structure,
-    into_first: MatchEmbedding,
-    into_second: MatchEmbedding,
-) -> AmalgamResult:
-    """Disjoint amalgam of two member extensions of a common member: run
-    the free amalgamation of (M0 <= M2) onto M1 over M0's image."""
-    return amalgamate_free(M1, M0, M2, into_first, into_second)
-
-
 # ---------------------------------------------------------------------------
 # Trace-element adjunction
 # ---------------------------------------------------------------------------
@@ -341,7 +329,6 @@ def adjoin_trace_element(
 
 def check_good_sequence(
     chain: Sequence[K1Structure],
-    witnesses: Sequence[FreeExtensionWitness],
     b_seq: Sequence[P1Element],
     surplus: int = 2,
     slack: int = 1,
@@ -411,7 +398,7 @@ def label_good_sequence(
     sharp bottom witness: relative to the chain bottom the whole column is
     fresh, so its tail threshold is 0.
     """
-    report = check_good_sequence(chain, witnesses, b_seq, surplus, slack)
+    report = check_good_sequence(chain, b_seq, surplus, slack)
     if not report.passed:
         raise PreconditionFailed("good-sequence", str(report.failing()))
     top = chain[-1]

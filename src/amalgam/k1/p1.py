@@ -14,7 +14,6 @@ clusters are ever expanded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,8 +23,9 @@ from .freepart import (
     ZERO,
     FreeFn,
     SupportOverflow,
+    _expand,
+    _reduce,
     conj,
-    conj_is_zero,
     conj_many,
     disj,
     neg,
@@ -96,38 +96,39 @@ class P1Context:
     def le(self, x: P1Element, y: P1Element) -> bool:
         return (x.atomic & ~y.atomic) == 0 and conj(x.free, neg(y.free)).is_zero
 
-    def meet_many(self, xs: Iterable[P1Element]) -> P1Element:
-        atomic = self.full_mask
-        fns = []
-        for x in xs:
-            atomic &= x.atomic
-            fns.append(x.free)
-        return P1Element(atomic, conj_many(fns))
-
-    def join_many(self, xs: Iterable[P1Element]) -> P1Element:
-        out = BOTTOM
-        for x in xs:
-            out = self.join(out, x)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Finite point space over a support window
 # ---------------------------------------------------------------------------
 
 
-def _free_values(fn: FreeFn, sigma: tuple[int, ...]) -> int:
-    """Truth table of fn over the window (vars off fn's support ignored)."""
-    positions = [sigma.index(g) for g in fn.support]
-    out = 0
+def _signature_blocks(
+    ctx: P1Context,
+    elements: Sequence[P1Element],
+    extra_support: Iterable[int],
+    cap: int,
+) -> tuple[tuple[int, ...], Iterable[list[int]]]:
+    """The support window of ``elements`` widened by ``extra_support``,
+    and the points grouped by their signature over ``elements``: one
+    [atom mask, window point table] pair per block, designated atoms and
+    free minterms over the window side by side."""
+    sigma = sorted({g for e in elements for g in e.free.support} | set(extra_support))
+    if len(sigma) > cap:
+        raise SupportOverflow(
+            f"joint support {len(sigma)} exceeds the window cap {cap}"
+        )
+    sigma = tuple(sigma)
+    tables = [_expand(e.free, sigma) for e in elements]
+    blocks: dict[tuple[bool, ...], list[int]] = {}
+    for a in ctx.atom_ids:
+        sig = tuple(bool(e.atomic & (1 << a)) for e in elements)
+        entry = blocks.setdefault(sig, [0, 0])
+        entry[0] |= 1 << a
     for p in range(1 << len(sigma)):
-        q = 0
-        for i, pos in enumerate(positions):
-            if p & (1 << pos):
-                q |= 1 << i
-        if (fn.table >> q) & 1:
-            out |= 1 << p
-    return out
+        sig = tuple(bool(t & (1 << p)) for t in tables)
+        entry = blocks.setdefault(sig, [0, 0])
+        entry[1] |= 1 << p
+    return sigma, blocks.values()
 
 
 def point_blocks(
@@ -143,27 +144,8 @@ def point_blocks(
     merge when no generator element separates them.  Complete because
     every element in play is constant outside the window.
     """
-    sigma = sorted({g for e in elements for g in e.free.support} | set(extra_support))
-    if len(sigma) > cap:
-        raise SupportOverflow(
-            f"joint support {len(sigma)} exceeds the window cap {cap}"
-        )
-    sigma = tuple(sigma)
-    tables = [_free_values(e.free, sigma) for e in elements]
-    signatures: dict[tuple[bool, ...], list] = {}
-    for a in ctx.atom_ids:
-        sig = tuple(bool(e.atomic & (1 << a)) for e in elements)
-        entry = signatures.setdefault(sig, [0, 0])
-        entry[0] |= 1 << a
-    for p in range(1 << len(sigma)):
-        sig = tuple(bool(t & (1 << p)) for t in tables)
-        entry = signatures.setdefault(sig, [0, 0])
-        entry[1] |= 1 << p
-    from .freepart import _reduce
-    blocks = []
-    for atomic, table in signatures.values():
-        blocks.append(P1Element(atomic, _reduce(sigma, table)))
-    return blocks
+    sigma, blocks = _signature_blocks(ctx, elements, extra_support, cap)
+    return [P1Element(atomic, _reduce(sigma, table)) for atomic, table in blocks]
 
 
 def subalgebra_contains(
@@ -172,27 +154,10 @@ def subalgebra_contains(
     """x lies in <gens> iff every generated block is inside x or disjoint
     from it, on both coordinates.  Works on raw point tables over the
     joint support window."""
-    gens = list(gens)
-    sigma = sorted({g for e in gens for g in e.free.support} |
-                   set(x.free.support))
-    if len(sigma) > cap:
-        raise SupportOverflow(
-            f"joint support {len(sigma)} exceeds the window cap {cap}"
-        )
-    sigma = tuple(sigma)
-    tables = [_free_values(e.free, sigma) for e in gens]
-    x_table = _free_values(x.free, sigma)
+    sigma, blocks = _signature_blocks(ctx, gens, x.free.support, cap)
+    x_table = _expand(x.free, sigma)
     full_bits = (1 << (1 << len(sigma))) - 1
-    blocks: dict[tuple[bool, ...], list[int]] = {}
-    for a in ctx.atom_ids:
-        sig = tuple(bool(e.atomic & (1 << a)) for e in gens)
-        entry = blocks.setdefault(sig, [0, 0])
-        entry[0] |= 1 << a
-    for p in range(1 << len(sigma)):
-        sig = tuple(bool(t & (1 << p)) for t in tables)
-        entry = blocks.setdefault(sig, [0, 0])
-        entry[1] |= 1 << p
-    for atomic, bits in blocks.values():
+    for atomic, bits in blocks:
         hits = (atomic & x.atomic) or (bits & x_table)
         escapes = (atomic & ~x.atomic & ctx.full_mask) or \
             (bits & ~x_table & full_bits)
@@ -311,7 +276,7 @@ def materialize(
         for i, a in enumerate(ctx.atom_ids):
             if e.atomic & (1 << a):
                 m |= 1 << i
-        m |= _free_values(e.free, sigma) << k
+        m |= _expand(e.free, sigma) << k
         masks.append(m)
     return B, masks, sigma
 
@@ -357,8 +322,6 @@ def unmaterialize(
     ctx: P1Context, sigma: tuple[int, ...], mask: int
 ) -> P1Element:
     """Inverse of ``materialize`` for one flat element."""
-    from .freepart import _reduce
-
     atomic = 0
     for i, a in enumerate(ctx.atom_ids):
         if mask & (1 << i):

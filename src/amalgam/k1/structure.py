@@ -11,10 +11,10 @@ extensions transport elements by explicit maps instead of re-indexing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .freepart import ONE, ZERO, FreeFn, var
+from .freepart import ZERO, var
 from .p1 import BOTTOM, P1Context, P1Element
 
 DEFAULT_TRUNC = 6
@@ -55,17 +55,10 @@ class K1Structure:
         """Generator count: structures are generated by P0 and P2."""
         return len(self.p0) + len(self.p2)
 
-    def b_star_true(self) -> P1Element:
-        """Join of the designated atoms (the derived atomic top)."""
-        return self.ctx.b_star
-
     def trace(self, b: P1Element) -> frozenset[int]:
         """R(. , b): the P0 elements whose designated atom sits below b."""
         ctx = self.ctx
         return frozenset(a for a in self.p0 if ctx.le(self.g1[a], b))
-
-    def f_values(self, c: int) -> list[P1Element]:
-        return [self.f[(n, c)] for n in range(self.trunc) if (n, c) in self.f]
 
     def generator_elements(self) -> list[P1Element]:
         """G1 values and F values in canonical order (the generating set of

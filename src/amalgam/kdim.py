@@ -53,15 +53,10 @@ class KrStructure:
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(self.universe, repeat=self.r + 1)
 
-    def value(self, m: int, t: tuple[int, ...]) -> Optional[int]:
-        n = self.classes.get(t)
-        if n is None:
-            return None
-        if m >= n:
-            return t[0]
-        return self.values.get((m, t))
-
     def to_structure(self) -> FiniteStructure:
+        """The flat form: f_m(t) is the stored value, else the head at and
+        above the class index.  A stored value at or above the class index
+        is written as it is, so the flat form keeps that incoherence."""
         vocab = kr_vocabulary(self.r, self.trunc)
         relations = {name: set() for name in indexed_names("R", self.trunc)}
         functions = {name: {} for name in indexed_names("f", self.trunc)}
@@ -69,7 +64,7 @@ class KrStructure:
             if n < self.trunc:
                 relations[f"R{n}"].add(t)
             for m in range(self.trunc):
-                v = self.value(m, t)
+                v = self.values.get((m, t), t[0] if m >= n else None)
                 if v is not None:
                     functions[f"f{m}"][t] = v
         return FiniteStructure(vocab, self.universe, relations, functions)
@@ -172,48 +167,43 @@ def check_membership(M: KrStructure) -> CheckReport:
 
 
 def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
-    """Membership for the flat form: the partition condition is checked on
-    the explicit relation sets (a tuple may sit in several or none there),
-    the rest via the compact form."""
-    report = CheckReport("kr-membership")
-    counts: dict[tuple, int] = {}
-    for n in range(M.vocabulary.index_bound or DEFAULT_TRUNC):
-        for t in M.relations.get(f"R{n}", ()):
-            counts[t] = counts.get(t, 0) + 1
-    total = len(M.universe) ** (r + 1)
-    over = [t for t, c in counts.items() if c > 1]
-    partition_ok = not over and len(counts) == total
-    report.add("kr0.partition", partition_ok,
-               "" if partition_ok else
-               f"{len(over)} tuples multiply classified, "
-               f"{total - len(counts)} unclassified")
+    """Membership for the flat form, by ``check_membership`` on the
+    compact form plus the two faults that vanish in the compact form: a
+    tuple in several classes (the compact form keeps the last; a tuple in
+    none stays unclassified there) and a value other than the head at or
+    above the class index (the compact form stores only the values below
+    it).  Either fault fails its clause and guards out the independence
+    clause."""
     compact = KrStructure.from_structure(M, r)
-    # coherence on the flat form: every function must return the head at
-    # and above the class index
-    coherent = True
-    detail = ""
-    for t, n in compact.classes.items():
-        for m in range(compact.trunc):
-            v = M.functions.get(f"f{m}", {}).get(t)
-            if m >= n:
-                if v is not None and v != t[0]:
-                    coherent = False
-                    detail = f"f{m}{t} must return the head"
-            else:
-                if v is None:
-                    coherent = False
-                    detail = f"f{m}{t} missing below the class index"
-        if not coherent:
-            break
-    report.add("kr0.coherence", coherent, detail)
-    if partition_ok and coherent:
-        top = max_independent_size(compact, r + 2)
-        report.add("kr0.independence_bound", top <= r + 1,
-                   "" if top <= r + 1 else
-                   f"independent subset of size {top} found")
-    else:
-        report.skip("kr0.independence_bound")
-    return report
+    classified: set[tuple[int, ...]] = set()
+    several = []
+    for n in range(compact.trunc):
+        for t in M.relations.get(f"R{n}", ()):
+            if t in classified:
+                several.append(t)
+            classified.add(t)
+    off_head = [f"f{m}{t}" for m in range(compact.trunc)
+                for t, v in M.functions.get(f"f{m}", {}).items()
+                if t in compact.classes and m >= compact.classes[t]
+                and v != t[0]]
+    faults = {}
+    if several:
+        faults["kr0.partition"] = f"tuples in several classes {several[:3]}"
+    if off_head:
+        faults["kr0.coherence"] = f"{off_head[0]} must return the head"
+    report = check_membership(compact)
+    if not faults:
+        return report
+    out = CheckReport(report.subject)
+    for item in report.items:
+        if item.key in faults:
+            out.add(item.key, False,
+                    "; ".join(d for d in (faults[item.key], item.detail) if d))
+        elif item.key == "kr0.independence_bound":
+            out.skip(item.key)
+        else:
+            out.items.append(item)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +268,6 @@ def _interior_owner(config: KConfiguration, t: tuple[int, ...]) -> Optional[int]
 
 def _completions(
     config: KConfiguration,
-    first_only: bool,
     class_cap: Optional[int] = None,
 ) -> Iterator[KrStructure]:
     """Backtracking over the cross tuples: classes in increasing index,
@@ -340,7 +329,7 @@ def frugal_amalgamate(config: KConfiguration,
             raise PreconditionFailed("membership", str(report.failing()))
     if not _agreement_ok(config):
         raise PreconditionFailed("overlap", "parts disagree on shared tuples")
-    for solution in _completions(config, first_only=True, class_cap=class_cap):
+    for solution in _completions(config, class_cap):
         return solution
     raise NoAmalgam("completion search exhausted")
 
@@ -349,7 +338,7 @@ def completion_solutions(config: KConfiguration,
                          class_cap: Optional[int] = None) -> list[KrStructure]:
     """Exhaustive completion oracle: every member completion on the union
     universe, in search order."""
-    return list(_completions(config, first_only=False, class_cap=class_cap))
+    return list(_completions(config, class_cap))
 
 
 # ---------------------------------------------------------------------------

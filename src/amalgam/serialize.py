@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .boolalg import FiniteBooleanAlgebra
 from .structures import FiniteStructure, Vocabulary
 
 STRUCTURE_SCHEMA = "amalgam/structure@1"
-ALGEBRA_SCHEMA = "amalgam/algebra@1"
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -70,19 +68,3 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
         dict(doc.get("constants", {})),
     )
 
-
-def algebra_to_dict(B: FiniteBooleanAlgebra,
-                    named: dict[str, int] | None = None) -> dict:
-    return {
-        "schema": ALGEBRA_SCHEMA,
-        "atom_count": B.atom_count,
-        "designated": B.designated,
-        "named_elements": dict(sorted((named or {}).items())),
-    }
-
-
-def algebra_from_dict(doc: dict) -> tuple[FiniteBooleanAlgebra, dict[str, int]]:
-    if doc.get("schema") != ALGEBRA_SCHEMA:
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    B = FiniteBooleanAlgebra(doc["atom_count"], doc.get("designated", 0))
-    return B, dict(doc.get("named_elements", {}))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import ClosureDiverges, InvalidEmbedding, VocabularyMismatch
 

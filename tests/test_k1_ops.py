@@ -153,7 +153,7 @@ def test_good_sequence_and_labeling_roundtrip():
         chain.append(N)
         witnesses.append(w)
         b_seq.append(b)
-    report = check_good_sequence(chain, witnesses, b_seq)
+    report = check_good_sequence(chain, b_seq)
     assert report.passed, report.failing()
 
     labeled, c_label, new_witnesses, bottom = label_good_sequence(chain, witnesses, b_seq)
@@ -183,7 +183,7 @@ def test_labeling_with_rebase_through_combination():
                           conj(neg(x.free), y.free)))  # symmetric difference
     chain.append(N)
     witnesses = [w_names]
-    report = check_good_sequence(chain, witnesses, [b], surplus=2)
+    report = check_good_sequence(chain, [b], surplus=2)
     assert report.passed, report.failing()
     labeled, c_label, new_witnesses, bottom = label_good_sequence(
         chain, witnesses, [b]
@@ -201,7 +201,7 @@ def test_bad_sequence_rejected():
     chain = [member(0, 1, 0)]
     N, w = extend_with_names(chain[0], 1)  # below the surplus threshold
     chain.append(N)
-    report = check_good_sequence(chain, [w], [w.independent[0]], surplus=2)
+    report = check_good_sequence(chain, [w.independent[0]], surplus=2)
     assert not report.passed
     assert report.failing() == ["good.surplus"]
     with pytest.raises(PreconditionFailed):
@@ -214,5 +214,5 @@ def test_self_dependent_b_fails_freeness():
     chain.append(N)
     # b drawn from the bottom structure's own algebra
     b = chain[0].f[(0, chain[0].p2[0])]
-    report = check_good_sequence(chain, [w], [b])
+    report = check_good_sequence(chain, [b])
     assert "good.freeness" in report.failing()

@@ -184,3 +184,51 @@ def test_overlap_pattern_changes_outcome_shape():
     table = survey_k_disjoint_ap(1, 2, 3, budget=30, trunc=TRUNC, seed=11,
                                  class_cap=2)
     assert len(table.rows) >= 2
+
+
+def _mutants(M, rng):
+    """Copies of M with a class dropped (with its witness values), a
+    witness value deleted, and a value added at or above the class."""
+    def copy():
+        return KrStructure(M.r, M.trunc, M.universe, dict(M.classes),
+                           dict(M.values))
+
+    tuples = sorted(M.classes)
+    dropped = copy()
+    t = rng.choice(tuples)
+    n = dropped.classes.pop(t)
+    for m in range(n):
+        dropped.values.pop((m, t), None)
+    out = [dropped]
+    witnessed = sorted(M.values)
+    if witnessed:
+        deleted = copy()
+        del deleted.values[rng.choice(witnessed)]
+        out.append(deleted)
+    added = copy()
+    t = rng.choice(tuples)
+    others = [x for x in M.universe if x != t[0]]
+    added.values[(rng.randrange(M.classes[t], M.trunc), t)] = rng.choice(others)
+    out.append(added)
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_flat_checker_agrees_with_compact_checker(r):
+    rng = random.Random(r)
+    members = [M for M in (random_member(rng, r, TRUNC, range(3), class_cap=3)
+                           for _ in range(8)) if M is not None]
+    assert len(members) >= 4
+    outcomes = set()
+    for M in members:
+        for K in [M] + _mutants(M, rng):
+            compact = check_membership(K)
+            flat = check_structure_membership(K.to_structure(), r)
+            assert [(i.key, i.passed) for i in flat.items] == \
+                [(i.key, i.passed) for i in compact.items]
+            outcomes.add(tuple(compact.failing()))
+    # the members pass, and the mutants reach both the partition and the
+    # coherence clause
+    assert () in outcomes
+    assert any("kr0.partition" in o for o in outcomes)
+    assert any("kr0.coherence" in o for o in outcomes)
