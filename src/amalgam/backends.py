@@ -176,6 +176,11 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     sub_n = generate_substructure(N, set(pos_n))
     if sub_m.size != sub_n.size:
         return False
+    # the mapped entries of sub_m must cover every entry of sub_n, or N
+    # defines a function value that M leaves undefined
+    if any(len(table) != len(sub_n.functions[name])
+           for name, table in sub_m.functions.items()):
+        return False
     # propagate function images until the map closes
     changed = True
     while changed:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    INDEPENDENCE_CAP,
+    CapExceeded,
     ImproperIdeal,
     InvalidEmbedding,
     NoBasisThrough,
@@ -26,10 +28,6 @@ from .errors import (
     PreconditionFailed,
     TrivialElement,
 )
-
-# Independence checks enumerate 2^|Y| sign patterns; beyond this the caller
-# is holding the algebra wrong.
-INDEPENDENCE_CAP = 12
 
 
 def popcount(x: int) -> int:
@@ -228,7 +226,6 @@ def is_independent_mod_ideal(
     Y: Iterable[int],
     X: Iterable[int],
     I: PrincipalIdeal,
-    cap: int = INDEPENDENCE_CAP,
 ) -> bool:
     """Is Y independent from X modulo the ideal I?
 
@@ -245,8 +242,8 @@ def is_independent_mod_ideal(
     zero ideal when I = (0).  Y = empty set is vacuously independent.
     """
     ys = sorted(set(Y))
-    if len(ys) > cap:
-        raise PreconditionFailed("independence-cap", f"|Y| = {len(ys)} exceeds {cap}")
+    if len(ys) > INDEPENDENCE_CAP:
+        raise CapExceeded("INDEPENDENCE_CAP", len(ys))
     test_elements = [a for a in B.subalgebra_blocks(X) if a not in I]
     comps = [B.complement(y) for y in ys]
     for pattern in range(1 << len(ys)):

@@ -1,8 +1,31 @@
-"""Exception hierarchy for the amalgam package.
+"""Exception hierarchy and size caps for the amalgam package.
 
-Every operational failure mode gets its own class so callers (and the CLI)
-can react to, or assert on, the precise contract that was breached.
+Every operational failure mode gets its own class so callers can react
+to, or assert on, the precise contract that was breached.
+
+Every bounded search in the package checks its size against one of the
+caps below and raises ``CapExceeded`` past it.  No other module defines
+a cap, and no function takes one as a parameter.
 """
+
+# Width w of any 2^w truth table over a support window.
+WINDOW_CAP = 18
+# Size of a family whose 2^|Y| sign patterns are enumerated.
+INDEPENDENCE_CAP = 14
+# Elements of a generated substructure.
+CLOSURE_CAP = 512
+# Member pairs that ``fraisse.check_jep`` may enumerate.
+JEP_BUDGET = 10000
+# Embeddings that ``fraisse.check_disjoint_ap`` may try.
+AP_BUDGET = 20000
+
+_LIMITS = {
+    "WINDOW_CAP": WINDOW_CAP,
+    "INDEPENDENCE_CAP": INDEPENDENCE_CAP,
+    "CLOSURE_CAP": CLOSURE_CAP,
+    "JEP_BUDGET": JEP_BUDGET,
+    "AP_BUDGET": AP_BUDGET,
+}
 
 
 class AmalgamError(Exception):
@@ -13,8 +36,16 @@ class VocabularyMismatch(AmalgamError):
     """Two structures were combined but declare different vocabularies."""
 
 
-class ClosureDiverges(AmalgamError):
-    """Substructure closure exceeded the configured element cap."""
+class CapExceeded(AmalgamError):
+    """A bounded search met an input past one of the caps above.
+
+    ``cap`` names the cap, ``limit`` is its value and ``seen`` the size
+    that exceeded it.
+    """
+
+    def __init__(self, cap: str, seen: int):
+        self.cap, self.limit, self.seen = cap, _LIMITS[cap], seen
+        super().__init__(f"{seen} exceeds {cap} = {self.limit}")
 
 
 class InvalidEmbedding(AmalgamError):
@@ -46,10 +77,6 @@ class PreconditionFailed(AmalgamError):
     def __init__(self, clause: str, detail: str = ""):
         self.clause = clause
         super().__init__(f"{clause}: {detail}" if detail else clause)
-
-
-class EnumerationOverflow(AmalgamError):
-    """A class enumeration exceeded its configured budget."""
 
 
 class AmalgamationFailed(AmalgamError):

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import AmalgamationFailed, EnumerationOverflow
+from .errors import AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded
 
 
 @dataclass
@@ -97,12 +97,12 @@ class GenericApproximation:
         }
 
 
-def check_jep(cls: AmalgamationClass, bound: int, budget: int = 10000):
+def check_jep(cls: AmalgamationClass, bound: int):
     """Joint embedding on the enumerated fragment: every pair of members
     embeds into the amalgam of the two over the seed model."""
     members = cls.members(bound)
-    if len(members) ** 2 > budget:
-        raise EnumerationOverflow(f"{len(members)}^2 pairs exceed the budget")
+    if len(members) ** 2 > JEP_BUDGET:
+        raise CapExceeded("JEP_BUDGET", len(members) ** 2)
     seed = cls.seed_model()
     witnesses = []
     for i, M1 in enumerate(members):
@@ -128,7 +128,7 @@ def check_jep(cls: AmalgamationClass, bound: int, budget: int = 10000):
     return True, witnesses
 
 
-def check_disjoint_ap(cls: AmalgamationClass, bound: int, budget: int = 20000):
+def check_disjoint_ap(cls: AmalgamationClass, bound: int):
     """Disjoint amalgamation over the enumerated fragment: for tasks
     A <= B and embeddings A -> C, amalgamate and verify both ranges meet
     only in the base image."""
@@ -139,8 +139,8 @@ def check_disjoint_ap(cls: AmalgamationClass, bound: int, budget: int = 20000):
         for C in members:
             for f in cls.embeddings(A, C):
                 checked += 1
-                if checked > budget:
-                    raise EnumerationOverflow("AP search exceeded the budget")
+                if checked > AP_BUDGET:
+                    raise CapExceeded("AP_BUDGET", checked)
                 try:
                     cls.amalgamate(C, A, B, f, inc)
                 except AmalgamationFailed:

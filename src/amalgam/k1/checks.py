@@ -3,17 +3,19 @@
 Reports carry one entry per clause under stable descriptive keys.  Checks
 whose meaning depends on an earlier clause are guarded: when the earlier
 clause fails they report as skipped rather than failed, so a mutant
-violating one clause fails exactly that clause.
+violating one clause fails exactly that clause.  A clause whose evaluation
+meets a size cap is reported as not evaluated, with the cap named in its
+detail; a report with such a clause does not pass.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..boolalg import popcount
-from ..errors import OverlappingH
+from ..errors import CapExceeded, OverlappingH
 from ..report import CheckReport
-from .freepart import SupportOverflow, var
+from .freepart import var
 from .p1 import (
     P1Element,
     independent_from_mod_atomic,
@@ -28,6 +30,19 @@ from .structure import (
     K1Structure,
     K1Witness,
 )
+
+
+def _add_capped(r: CheckReport, key: str, holds: Callable[[], bool],
+                failure: str) -> None:
+    """Add clause ``key`` with the value of ``holds()``; when a size cap
+    stops the evaluation, the clause is recorded as not evaluated and its
+    detail names the cap."""
+    try:
+        ok = holds()
+    except CapExceeded as err:
+        r.add(key, None, f"{err}; not evaluated")
+        return
+    r.add(key, ok, "" if ok else failure)
 
 
 def _is_designated_atom(M: K1Structure, x: P1Element) -> bool:
@@ -128,18 +143,9 @@ def check_Kminus1(M: K1Structure) -> CheckReport:
 
     gens = _level_generators(M, M.trunc) + \
         [P1Element(0, var(g)) for g in M.named_gens]
-    generation_ok: Optional[bool] = True
-    try:
-        for g in M.gen_ids:
-            if not spans_generator(M.ctx, gens, g):
-                generation_ok = False
-                break
-    except SupportOverflow:
-        generation_ok = None
-    r.add("km1.generation", generation_ok,
-          "window cap exceeded; not evaluated" if generation_ok is None else
-          "" if generation_ok else
-          "the values and named generators do not generate the algebra")
+    _add_capped(r, "km1.generation",
+                lambda: all(spans_generator(M.ctx, gens, g) for g in M.gen_ids),
+                "the values and named generators do not generate the algebra")
     return r
 
 
@@ -148,7 +154,7 @@ def check_K1(M: K1Structure, w: Optional[K1Witness] = None) -> CheckReport:
     base = check_Kminus1(M)
     r = CheckReport("membership:witnessed")
     r.items = list(base.items)
-    if not base.passed:
+    if base.failing():
         for key in ("k0.b_star", "k0.chain", "k0.base_free", "k0.union",
                     "k0.f_distinct", "k0.tail_free", "k0.level_generation"):
             r.skip(key, "base membership failed")
@@ -165,46 +171,33 @@ def check_K1(M: K1Structure, w: Optional[K1Witness] = None) -> CheckReport:
     if levels is None:
         r.add("k0.chain", True, "canonical chain is nested by construction")
     else:
-        chain_ok = len(levels) == M.trunc - w.n_star + 1
-        for i in range(len(levels) - 1):
-            for x in levels[i]:
-                try:
-                    if not subalgebra_contains(M.ctx, list(levels[i + 1]), x):
-                        chain_ok = False
-                except SupportOverflow:
-                    chain_ok = None
-        r.add("k0.chain", chain_ok,
-              "" if chain_ok else "stored levels are not increasing")
+        _add_capped(r, "k0.chain", lambda: (
+            len(levels) == M.trunc - w.n_star + 1 and
+            all(subalgebra_contains(M.ctx, list(levels[i + 1]), x)
+                for i in range(len(levels) - 1) for x in levels[i])),
+            "stored levels are not increasing")
 
     base_gens = list(levels[0]) if levels is not None else \
         _level_generators(M, w.n_star)
-    try:
+
+    def base_free() -> bool:
         blocks = point_blocks(M.ctx, base_gens)
         quotient_atoms = sum(1 for b in blocks if not b.free.is_zero)
-        base_free = quotient_atoms & (quotient_atoms - 1) == 0 and quotient_atoms > 0
-        detail = "" if base_free else (
-            f"{quotient_atoms} blocks off the atomic ideal: not a power of two,"
-            " so the base level is not free over the atomic ideal"
-        )
-    except SupportOverflow:
-        base_free, detail = None, "window cap exceeded; not evaluated"
-    r.add("k0.base_free", base_free, detail)
+        return quotient_atoms & (quotient_atoms - 1) == 0 and quotient_atoms > 0
 
-    union_ok: Optional[bool] = True
+    _add_capped(r, "k0.base_free", base_free,
+                "the number of blocks off the atomic ideal is not a power of "
+                "two, so the base level is not free over the atomic ideal")
+
+    union_failure = "the level chain does not exhaust the algebra"
     if M.named_gens:
-        union_ok = False
+        r.add("k0.union", False, union_failure)
     else:
         gens = _level_generators(M, M.trunc)
-        try:
-            for g in M.gen_ids:
-                if not spans_generator(M.ctx, gens, g):
-                    union_ok = False
-                    break
-        except SupportOverflow:
-            union_ok = None
-    r.add("k0.union", union_ok,
-          "window cap exceeded; not evaluated" if union_ok is None else
-          "" if union_ok else "the level chain does not exhaust the algebra")
+        _add_capped(r, "k0.union",
+                    lambda: all(spans_generator(M.ctx, gens, g)
+                                for g in M.gen_ids),
+                    union_failure)
 
     distinct_ok = True
     for c in M.p2:
@@ -219,35 +212,23 @@ def check_K1(M: K1Structure, w: Optional[K1Witness] = None) -> CheckReport:
     if not tail_disjoint:
         r.add("k0.tail_free", False, "a tail value meets the atomic top")
     else:
-        try:
-            # nonzero signed minterms, and freeness from the base level
-            # against its elements off the atomic ideal (test elements d
-            # with d meet b* = 0)
-            minterms_ok = zero_atomic_minterms_nonzero(M.ctx, tails)
-            free_from_base = independent_from_mod_atomic(tails, base_gens)
-            ok = minterms_ok and free_from_base
-            r.add("k0.tail_free", ok,
-                  "" if ok else
-                  "the tail family is not free from the base level")
-        except SupportOverflow:
-            r.add("k0.tail_free", None, "window cap exceeded; not evaluated")
+        # nonzero signed minterms, and freeness from the base level
+        # against its elements off the atomic ideal (test elements d
+        # with d meet b* = 0)
+        _add_capped(r, "k0.tail_free",
+                    lambda: zero_atomic_minterms_nonzero(M.ctx, tails) and
+                    independent_from_mod_atomic(tails, base_gens),
+                    "the tail family is not free from the base level")
 
     if levels is None:
         r.add("k0.level_generation", True,
               "canonical levels contain their generators by construction")
     else:
-        ok: Optional[bool] = True
-        for i, level in enumerate(levels):
-            n = w.n_star + i
-            for c in M.p2:
-                for m in range(min(n, M.trunc)):
-                    try:
-                        if not subalgebra_contains(M.ctx, list(level), M.f[(m, c)]):
-                            ok = False
-                    except SupportOverflow:
-                        ok = None
-        r.add("k0.level_generation", ok,
-              "" if ok else "a level misses a value it must generate")
+        _add_capped(r, "k0.level_generation", lambda: all(
+            subalgebra_contains(M.ctx, list(level), M.f[(m, c)])
+            for i, level in enumerate(levels) for c in M.p2
+            for m in range(min(w.n_star + i, M.trunc))),
+            "a level misses a value it must generate")
     return r
 
 
@@ -273,42 +254,28 @@ def check_free_extension(
     image_gens = [t.apply(x) for x in M1.generator_elements()]
     image_support = {g for x in image_gens for g in x.free.support}
 
-    ideal_free = all(not i.free.is_zero for i in w.independent)
-    outside = True
-    for i in w.independent:
-        if set(i.free.support) <= image_support:
-            try:
-                if subalgebra_contains(M2.ctx, image_gens, i):
-                    outside = False
-            except SupportOverflow:
-                pass
-    r.add("fr.witness_domain", ideal_free and outside,
-          "" if ideal_free and outside else
-          "an independence witness element lies in the atomic ideal or in "
-          "the extended-from algebra")
+    def witness_domain() -> bool:
+        return all(not i.free.is_zero for i in w.independent) and not any(
+            set(i.free.support) <= image_support and
+            subalgebra_contains(M2.ctx, image_gens, i)
+            for i in w.independent)
+
+    _add_capped(r, "fr.witness_domain", witness_domain,
+                "an independence witness element lies in the atomic ideal "
+                "or in the extended-from algebra")
 
     span = list(w.independent) + image_gens + \
         [M2.ctx.atom(a) for a in M2.atom_ids]
-    generation: Optional[bool] = True
-    for g in M2.gen_ids:
-        try:
-            if not spans_generator(M2.ctx, span, g, cap=16):
-                generation = False
-                break
-        except SupportOverflow:
-            generation = None
-    r.add("fr.generation", generation,
-          "window cap exceeded; not evaluated" if generation is None else
-          "" if generation else
-          "I with the old algebra and the atomic ideal fails to generate")
+    _add_capped(r, "fr.generation",
+                lambda: all(spans_generator(M2.ctx, span, g)
+                            for g in M2.gen_ids),
+                "I with the old algebra and the atomic ideal fails to generate")
 
-    try:
-        indep = independent_from_mod_atomic(list(w.independent), image_gens)
-        r.add("fr.independence", indep,
-              "" if indep else
-              "I is not independent from the old algebra modulo the atomic ideal")
-    except SupportOverflow:
-        r.add("fr.independence", None, "window cap exceeded; not evaluated")
+    _add_capped(r, "fr.independence",
+                lambda: independent_from_mod_atomic(list(w.independent),
+                                                    image_gens),
+                "I is not independent from the old algebra modulo the "
+                "atomic ideal")
 
     old_p2 = {t.p2(c) for c in M1.p2}
     new_p2 = [c for c in M2.p2 if c not in old_p2]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from ..errors import InvalidEmbedding
+from ..errors import WINDOW_CAP, CapExceeded, InvalidEmbedding
 from .freepart import FreeFn, _expand, rename
 from .p1 import P1Element
 from .structure import K1Structure
@@ -253,8 +253,9 @@ def _match_general(A: K1Structure, B: K1Structure,
     """
     sig_s = tuple(sorted({g for x in src for g in x.free.support}))
     sig_t = tuple(sorted({g for x in tgt for g in x.free.support}))
-    if len(sig_s) > 20 or len(sig_t) > 20:
-        raise InvalidEmbedding("support window too large for the match search")
+    width = max(len(sig_s), len(sig_t))
+    if width > WINDOW_CAP:
+        raise CapExceeded("WINDOW_CAP", width)
     full_s = (1 << (1 << len(sig_s))) - 1
     full_t = (1 << (1 << len(sig_t))) - 1
     tab_s = [_expand(x.free, sig_s) for x in src]

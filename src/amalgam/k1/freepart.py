@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-SUPPORT_CAP = 22
-
-
-class SupportOverflow(Exception):
-    """A joint support grew past the expansion cap."""
+from ..errors import WINDOW_CAP, CapExceeded
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,8 @@ def _reduce(support: tuple[int, ...], table: int) -> FreeFn:
 
 def _joint(a: FreeFn, b: FreeFn) -> tuple[int, ...]:
     joint = tuple(sorted(set(a.support) | set(b.support)))
-    if len(joint) > SUPPORT_CAP:
-        raise SupportOverflow(f"joint support {len(joint)} exceeds {SUPPORT_CAP}")
+    if len(joint) > WINDOW_CAP:
+        raise CapExceeded("WINDOW_CAP", len(joint))
     return joint
 
 
@@ -188,16 +184,3 @@ def support_components(fns: list[FreeFn]) -> list[list[int]]:
     for i in range(len(fns)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def conj_is_zero(fns: list[FreeFn]) -> bool:
-    """Zero test of a conjunction, factorized over support components:
-    functions on disjoint supports multiply to zero only if one factor
-    does."""
-    for fn in fns:
-        if fn.is_zero:
-            return True
-    for group in support_components(fns):
-        if conj_many([fns[i] for i in group]).is_zero:
-            return True
-    return False

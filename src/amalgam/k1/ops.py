@@ -484,7 +484,7 @@ def _rebase_link(
     low_gens = [g for g in (low.generator_elements())]
     ctx = high.ctx
     flatten = J + [b] + low_gens
-    B2, masks, sigma = materialize(ctx, flatten, cap=16)
+    B2, masks, sigma = materialize(ctx, flatten)
     flat_j = masks[: len(J)]
     flat_b = masks[len(J)]
     flat_low = masks[len(J) + 1:]

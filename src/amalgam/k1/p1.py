@@ -17,12 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..errors import PreconditionFailed
+from ..errors import (
+    INDEPENDENCE_CAP,
+    WINDOW_CAP,
+    CapExceeded,
+    PreconditionFailed,
+)
 from .freepart import (
     ONE,
     ZERO,
     FreeFn,
-    SupportOverflow,
     _expand,
     _reduce,
     conj,
@@ -33,8 +37,6 @@ from .freepart import (
     support_components,
     var,
 )
-
-INDEPENDENCE_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -106,17 +108,14 @@ def _signature_blocks(
     ctx: P1Context,
     elements: Sequence[P1Element],
     extra_support: Iterable[int],
-    cap: int,
 ) -> tuple[tuple[int, ...], Iterable[list[int]]]:
     """The support window of ``elements`` widened by ``extra_support``,
     and the points grouped by their signature over ``elements``: one
     [atom mask, window point table] pair per block, designated atoms and
     free minterms over the window side by side."""
     sigma = sorted({g for e in elements for g in e.free.support} | set(extra_support))
-    if len(sigma) > cap:
-        raise SupportOverflow(
-            f"joint support {len(sigma)} exceeds the window cap {cap}"
-        )
+    if len(sigma) > WINDOW_CAP:
+        raise CapExceeded("WINDOW_CAP", len(sigma))
     sigma = tuple(sigma)
     tables = [_expand(e.free, sigma) for e in elements]
     blocks: dict[tuple[bool, ...], list[int]] = {}
@@ -134,7 +133,6 @@ def _signature_blocks(
 def point_blocks(
     ctx: P1Context,
     elements: Sequence[P1Element],
-    cap: int = 18,
     extra_support: Iterable[int] = (),
 ) -> list[P1Element]:
     """Atoms of the subalgebra generated by ``elements``.
@@ -144,17 +142,17 @@ def point_blocks(
     merge when no generator element separates them.  Complete because
     every element in play is constant outside the window.
     """
-    sigma, blocks = _signature_blocks(ctx, elements, extra_support, cap)
+    sigma, blocks = _signature_blocks(ctx, elements, extra_support)
     return [P1Element(atomic, _reduce(sigma, table)) for atomic, table in blocks]
 
 
 def subalgebra_contains(
-    ctx: P1Context, gens: Sequence[P1Element], x: P1Element, cap: int = 18
+    ctx: P1Context, gens: Sequence[P1Element], x: P1Element
 ) -> bool:
     """x lies in <gens> iff every generated block is inside x or disjoint
     from it, on both coordinates.  Works on raw point tables over the
     joint support window."""
-    sigma, blocks = _signature_blocks(ctx, gens, x.free.support, cap)
+    sigma, blocks = _signature_blocks(ctx, gens, x.free.support)
     x_table = _expand(x.free, sigma)
     full_bits = (1 << (1 << len(sigma))) - 1
     for atomic, bits in blocks:
@@ -167,7 +165,7 @@ def subalgebra_contains(
 
 
 def spans_generator(
-    ctx: P1Context, span: Sequence[P1Element], g: int, cap: int = 18
+    ctx: P1Context, span: Sequence[P1Element], g: int
 ) -> bool:
     """Does the subalgebra generated by ``span`` contain the bare
     generator g?
@@ -194,7 +192,7 @@ def spans_generator(
             relevant.append(e)
     if not any(g in e.free.support for e in relevant):
         return False
-    return subalgebra_contains(ctx, relevant, target, cap)
+    return subalgebra_contains(ctx, relevant, target)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +201,7 @@ def spans_generator(
 
 
 def independent_from_mod_atomic(
-    Y: Sequence[P1Element],
-    X: Sequence[P1Element],
-    cap: int = INDEPENDENCE_CAP,
+    Y: Sequence[P1Element], X: Sequence[P1Element]
 ) -> bool:
     """Is Y independent from <X> modulo the ideal of atomic elements?
 
@@ -230,10 +226,8 @@ def independent_from_mod_atomic(
     for component in support_components(all_fns):
         ys = [all_fns[i] for i in component if i < len(y_fns)]
         xs = [all_fns[i] for i in component if i >= len(y_fns)]
-        if len(ys) > cap:
-            raise PreconditionFailed(
-                "independence-cap", f"{len(ys)} entangled elements exceed {cap}"
-            )
+        if len(ys) > INDEPENDENCE_CAP:
+            raise CapExceeded("INDEPENDENCE_CAP", len(ys))
         blocks = [ONE]
         for fn in xs:
             nxt = []
@@ -253,7 +247,7 @@ def independent_from_mod_atomic(
 
 
 def materialize(
-    ctx: P1Context, elements: Sequence[P1Element], cap: int = 14
+    ctx: P1Context, elements: Sequence[P1Element]
 ) -> tuple["FiniteBooleanAlgebra", list[int], tuple[int, ...]]:
     """Flatten onto an explicit atom-canonical algebra.
 
@@ -264,10 +258,8 @@ def materialize(
     from ..boolalg import FiniteBooleanAlgebra
 
     sigma = tuple(sorted({g for e in elements for g in e.free.support}))
-    if len(sigma) > cap:
-        raise SupportOverflow(
-            f"joint support {len(sigma)} exceeds the materialization cap {cap}"
-        )
+    if len(sigma) > WINDOW_CAP:
+        raise CapExceeded("WINDOW_CAP", len(sigma))
     k = len(ctx.atom_ids)
     B = FiniteBooleanAlgebra(k + (1 << len(sigma)))
     masks = []
@@ -282,7 +274,7 @@ def materialize(
 
 
 def zero_atomic_minterms_nonzero(
-    ctx: P1Context, Y: Sequence[P1Element], cap: int = INDEPENDENCE_CAP
+    ctx: P1Context, Y: Sequence[P1Element]
 ) -> bool:
     """All signed minterms of a zero-atomic family are nonzero.
 
@@ -304,10 +296,8 @@ def zero_atomic_minterms_nonzero(
     lone = len(comps) == 1 and bool(ctx.atom_ids)
     for comp in comps:
         fns = [ys[i] for i in comp]
-        if len(fns) > cap:
-            raise PreconditionFailed(
-                "independence-cap", f"{len(fns)} entangled elements exceed {cap}"
-            )
+        if len(fns) > INDEPENDENCE_CAP:
+            raise CapExceeded("INDEPENDENCE_CAP", len(fns))
         for pattern in range(1 << len(fns)):
             m = conj_many([signed(fns[i], (pattern >> i) & 1)
                            for i in range(len(fns))])
@@ -328,32 +318,3 @@ def unmaterialize(
             atomic |= 1 << a
     table = mask >> len(ctx.atom_ids)
     return P1Element(atomic, _reduce(sigma, table))
-
-
-def independent_over_zero(
-    ctx: P1Context,
-    Y: Sequence[P1Element],
-    X: Sequence[P1Element],
-    cap: int = INDEPENDENCE_CAP,
-) -> bool:
-    """Is Y independent from <X> over the zero ideal of the product?
-
-    Flattens onto the explicit atom algebra over the joint support window
-    and delegates to the atom-canonical independence checker.
-    """
-    ys = []
-    seen = set()
-    for y in Y:
-        if y not in seen:
-            seen.add(y)
-            ys.append(y)
-    if len(ys) > cap:
-        raise PreconditionFailed(
-            "independence-cap", f"|Y| = {len(ys)} exceeds {cap}"
-        )
-    from ..boolalg import PrincipalIdeal, is_independent_mod_ideal
-
-    B, masks, _ = materialize(ctx, ys + list(X))
-    return is_independent_mod_ideal(
-        B, masks[: len(ys)], masks[len(ys):], PrincipalIdeal(B, 0), cap=cap
-    )

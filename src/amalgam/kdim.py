@@ -96,10 +96,10 @@ class KrStructure:
         return out
 
 
-def closure(M: KrStructure, X: Iterable[int], cap: int = 512) -> set[int]:
+def closure(M: KrStructure, X: Iterable[int]) -> set[int]:
     """Subalgebra closure of X under every witness function, computed by
     the core fixpoint closure on the flattened structure."""
-    sub = generate_substructure(M.to_structure(), set(X), cap)
+    sub = generate_substructure(M.to_structure(), set(X))
     return set(sub.universe)
 
 
@@ -107,11 +107,11 @@ def is_independent(M: KrStructure, Y: Sequence[int]) -> bool:
     return all(y not in closure(M, [z for z in Y if z != y]) for y in Y)
 
 
-def max_independent_size(M: KrStructure, cap: int) -> int:
-    """Largest size up to the cap of an independent subset, by exhaustive
-    subset search."""
+def max_independent_size(M: KrStructure, limit: int) -> int:
+    """Largest size up to ``limit`` of an independent subset, by
+    exhaustive subset search."""
     best = 0
-    for size in range(1, cap + 1):
+    for size in range(1, limit + 1):
         found = False
         for Y in itertools.combinations(M.universe, size):
             if is_independent(M, Y):
@@ -274,7 +274,7 @@ def _completions(
     witness values in increasing id order; class members only."""
     r = config.parts[0].r
     trunc = config.parts[0].trunc
-    cap = trunc if class_cap is None else min(class_cap, trunc)
+    class_bound = trunc if class_cap is None else min(class_cap, trunc)
     universe = config.union_universe
     base = KrStructure(r, trunc, universe)
     for p in config.parts:
@@ -285,7 +285,7 @@ def _completions(
     cross = [t for t in base.tuples() if _interior_owner(config, t) is None]
 
     def assignments(t: tuple[int, ...]):
-        for n in range(cap):
+        for n in range(class_bound):
             for vals in itertools.product(universe, repeat=n):
                 yield n, vals
 

@@ -1,4 +1,4 @@
-"""Structured pass/fail reporting shared by the checkers and the CLI."""
+"""Structured pass/fail reporting shared by the checkers."""
 
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(item.passed is not False for item in self.items)
+        """Every clause was evaluated and held."""
+        return all(item.passed is True for item in self.items)
 
     def failing(self) -> list[str]:
         return [item.key for item in self.items if item.passed is False]

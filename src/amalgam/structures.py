@@ -13,9 +13,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional
 
-from .errors import ClosureDiverges, InvalidEmbedding, VocabularyMismatch
-
-CLOSURE_CAP = 512
+from .errors import (
+    CLOSURE_CAP,
+    CapExceeded,
+    InvalidEmbedding,
+    VocabularyMismatch,
+)
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,7 @@ class FiniteStructure:
         return True
 
 
-def generate_substructure(M: FiniteStructure, X: Iterable[int],
-                          cap: int = CLOSURE_CAP) -> FiniteStructure:
+def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructure:
     """Least substructure of M containing X: close X under constants and
     all defined function applications, then induce."""
     closed = set(X)
@@ -179,10 +181,8 @@ def generate_substructure(M: FiniteStructure, X: Iterable[int],
                 if value not in closed and set(args) <= closed:
                     closed.add(value)
                     changed = True
-                    if len(closed) > cap:
-                        raise ClosureDiverges(
-                            f"closure exceeded the {cap}-element cap"
-                        )
+                    if len(closed) > CLOSURE_CAP:
+                        raise CapExceeded("CLOSURE_CAP", len(closed))
     return M.restrict(closed)
 
 

@@ -1,6 +1,6 @@
 """The bounded back-and-forth game: the memoised game against an
-unmemoised reference, classical bounds for chains, and position checks
-for vocabularies with constants."""
+unmemoised reference, symmetry with partial functions, classical bounds
+for chains, and position checks for vocabularies with constants."""
 
 import itertools
 import random
@@ -138,6 +138,28 @@ def test_memoised_game_agrees_with_reference_and_checks_each_pair_set_once(
             assert len(checked) == len(set(checked)), (M, N, depth)
             assert set(checked) <= set(reference_checked)
             outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_game_with_a_partial_function_is_symmetric():
+    vocab = Vocabulary.make(functions={"f": 1})
+    undefined = FiniteStructure(vocab, (0,), functions={"f": {}})
+    defined = FiniteStructure(vocab, (0,), functions={"f": {(0,): 0}})
+    for M, N in ((undefined, defined), (defined, undefined)):
+        assert not structure_position_valid(M, N, (0,), (0,))
+        assert not back_and_forth_check(M, N, 1, elements,
+                                        structure_position_valid)
+    rng = random.Random("symmetric")
+    outcomes = set()
+    for _ in range(24):
+        M = random_unary(rng, rng.randint(1, 4))
+        N = random_unary(rng, rng.randint(1, 4))
+        for depth in range(4):
+            held = back_and_forth_check(M, N, depth, elements,
+                                        structure_position_valid)
+            assert held == back_and_forth_check(N, M, depth, elements,
+                                                structure_position_valid)
+            outcomes.add(held)
     assert outcomes == {True, False}
 
 

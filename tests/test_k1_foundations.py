@@ -28,14 +28,12 @@ from amalgam.k1.freepart import (
     ZERO,
     FreeFn,
     conj,
-    conj_is_zero,
     disj,
     neg,
     rename,
 )
 from amalgam.k1.p1 import (
     independent_from_mod_atomic,
-    independent_over_zero,
     point_blocks,
     subalgebra_contains,
 )
@@ -93,13 +91,6 @@ def test_freefn_rename_roundtrip():
     assert rename(renamed, {10: 1, 30: 3}) == fn
 
 
-def test_conj_is_zero_factorizes_components():
-    # disjoint supports never conjoin to zero unless a factor is zero
-    assert not conj_is_zero([var(1), var(2), neg(var(3))])
-    assert conj_is_zero([var(1), neg(var(1))])
-    assert conj_is_zero([var(1), ZERO])
-
-
 # ---------------------------------------------------------------------------
 # product element algebra vs the flat algebra
 # ---------------------------------------------------------------------------
@@ -123,9 +114,6 @@ def test_independence_checks_match_flat_algebra():
         B, masks, _ = materialize(ctx, Y + X)
         my = masks[: len(Y)]
         mx = masks[len(Y):]
-        # over the zero ideal
-        assert independent_over_zero(ctx, Y, X) == \
-            ba_independent(B, my, mx, PrincipalIdeal(B, 0))
         # modulo the atomic ideal (join of designated atoms)
         designated_mask = (1 << len(ctx.atom_ids)) - 1
         assert independent_from_mod_atomic(Y, X) == \

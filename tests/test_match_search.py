@@ -1,7 +1,7 @@
 """Embedding search with ``touching``: pinned enumeration against
 filtered and brute-force oracles, the block-refined leaf check against
-the per-atom one, and identical builder ledgers with and without
-pinning."""
+the per-atom one, identical builder ledgers with and without pinning,
+and the general match path against the simple one and brute force."""
 
 import itertools
 import random
@@ -10,10 +10,20 @@ import pytest
 
 from amalgam.backends import graph_class, linear_order_class
 from amalgam.fraisse import build_generic
-from amalgam.k1 import enumerate_matches, is_valid_match, minimal_model
-from amalgam.k1.embeddings import _atom_sign_vectors, _generator_lists
+from amalgam.k1 import (
+    K1Structure,
+    enumerate_matches,
+    is_valid_match,
+    minimal_model,
+)
+from amalgam.k1.embeddings import (
+    _atom_sign_vectors,
+    _generator_lists,
+    _match_general,
+    _match_simple,
+)
 from amalgam.k1.engine import build_generic_k1, k1_class
-from amalgam.k1.freepart import ZERO
+from amalgam.k1.freepart import ZERO, _reduce, conj, disj, neg, rename, var
 from amalgam.k1.p1 import P1Element
 from amalgam.structures import Embedding, enumerate_embeddings
 
@@ -244,3 +254,122 @@ def test_structure_ledgers_identical_with_and_without_pinning(make_cls):
             runs.append(([t.to_dict() for t in approx.tasks],
                          approx.top.canonical_key()))
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# The general match path against the simple path and a brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def agree_on_all_injections(A, B):
+    """Compare the two paths on every P0/P2 injection A -> B whose target
+    values have at most TRUNC generators (one name's column; the general
+    path expands truth tables over them); returns the outcomes seen."""
+    outcomes = []
+    for p2_img in itertools.permutations(B.p2, len(A.p2)):
+        for p0_img in itertools.permutations(B.p0, len(A.p0)):
+            src, tgt = _generator_lists(A, B, dict(zip(A.p0, p0_img)),
+                                        dict(zip(A.p2, p2_img)))
+            if len({g for x in tgt for g in x.free.support}) > TRUNC:
+                continue
+            simple = _match_simple(A, B, src, tgt)
+            assert simple is not None
+            assert _match_general(A, B, src, tgt) == simple
+            outcomes.append(simple)
+    return outcomes
+
+
+def test_general_path_agrees_with_simple_path(k1_head_chain):
+    outcomes = []
+    for A, B, _ in k1_class(TRUNC, 1).task_pairs(3):
+        outcomes += agree_on_all_injections(A, B)
+    members = k1_class(TRUNC, 1).members(3)
+    for top in k1_head_chain:
+        for A in members:
+            outcomes += agree_on_all_injections(A, top)
+    assert len(outcomes) > 1000
+    assert set(outcomes) == {True, False}
+
+
+def classify(ctx, values, pattern):
+    """Zero, nonzero purely atomic, or with free content: the signed meet
+    of ``values`` under the sign ``pattern``."""
+    m = ctx.top
+    for i, x in enumerate(values):
+        m = ctx.meet(m, x if pattern >> i & 1 else ctx.comp(x))
+    if m.is_zero:
+        return "zero"
+    return "atomic" if m.free.is_zero else "free"
+
+
+def oracle_match(A, B, src, tgt):
+    return all(classify(A.ctx, src, p) == classify(B.ctx, tgt, p)
+               for p in range(1 << len(src)))
+
+
+def rich_value(rng, atoms, gens):
+    """A value with a random atomic mask and a random function of up to
+    three generators."""
+    atomic = sum(1 << a for a in atoms if rng.random() < 0.4)
+    support = tuple(sorted(rng.sample(gens, rng.randint(0, 3))))
+    free = _reduce(support, rng.randrange(1 << (1 << len(support))))
+    return P1Element(atomic, free)
+
+
+def carrier(atoms, gens):
+    """A structure with the given atoms and generators and nothing else;
+    the match paths read only its atom inventory."""
+    return K1Structure(TRUNC, (), (), tuple(atoms), tuple(gens), {}, {})
+
+
+def renamed(rng, src, atoms, gens):
+    """A copy of ``src`` on fresh atom and generator ids: always a match."""
+    atom_map = {a: a + 20 for a in atoms}
+    gen_map = {g: g + 20 for g in gens}
+    return carrier(atom_map.values(), gen_map.values()), [
+        P1Element(sum(1 << atom_map[a] for a in atoms if x.atomic >> a & 1),
+                  rename(x.free, gen_map)) for x in src]
+
+
+def atom_moved_to_free(rng, src, atoms, gens):
+    """``src`` with its first atom replaced by the free region where a
+    fresh generator h holds: every signed meet is zero exactly when it was
+    before, but a meet that was purely atomic on that atom now has free
+    content."""
+    a, h = atoms[0], 99
+    off = neg(var(h))
+
+    def move(x):
+        free = conj(off, x.free)
+        if x.atomic >> a & 1:
+            free = disj(var(h), free)
+        return P1Element(x.atomic & ~(1 << a), free)
+
+    return carrier(atoms[1:], list(gens) + [h]), [move(x) for x in src]
+
+
+def random_values(rng, src, atoms, gens):
+    """Random values over a fresh random atom inventory: mostly no match."""
+    atoms_b = range(rng.randint(0, 3))
+    return carrier(atoms_b, gens), [rich_value(rng, atoms_b, gens)
+                                    for _ in src]
+
+
+TARGETS = {"renamed": renamed, "moved": atom_moved_to_free,
+           "random": random_values}
+
+
+def test_general_path_agrees_with_brute_force_on_rich_values():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(150):
+        atoms, gens = range(rng.randint(0, 3)), range(10, 14)
+        A = carrier(atoms, gens)
+        src = [rich_value(rng, atoms, gens) for _ in range(rng.randint(1, 10))]
+        kind = rng.choice(sorted(TARGETS) if atoms else ["random", "renamed"])
+        B, tgt = TARGETS[kind](rng, src, atoms, gens)
+        got = _match_general(A, B, src, tgt)
+        assert got == oracle_match(A, B, src, tgt)
+        outcomes.add((kind, got))
+    assert outcomes == {("renamed", True), ("moved", True), ("moved", False),
+                        ("random", True), ("random", False)}

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from amalgam.errors import ClosureDiverges, VocabularyMismatch
+from amalgam.errors import CLOSURE_CAP, CapExceeded, VocabularyMismatch
 from amalgam.serialize import dumps_canonical, structure_from_dict, structure_to_dict
 from amalgam.structures import (
     Embedding,
@@ -81,12 +81,13 @@ def test_closure_is_idempotent_and_monotone():
 
 
 def test_closure_cap_raises():
-    # f(x, x) = x + 1 forms a long chain; a tiny cap trips
-    n = 40
+    # f(x, x) = x + 1 forms a chain just longer than the closure cap
+    n = CLOSURE_CAP + 2
     table = {(i, i): i + 1 for i in range(n - 1)}
     M = FiniteStructure(ONE_FN, tuple(range(n)), functions={"f": table})
-    with pytest.raises(ClosureDiverges):
-        generate_substructure(M, {0}, cap=10)
+    with pytest.raises(CapExceeded) as err:
+        generate_substructure(M, {0})
+    assert err.value.cap == "CLOSURE_CAP"
 
 
 # ---------------------------------------------------------------------------
