@@ -13,6 +13,7 @@ from .structures import (
     FiniteStructure,
     Vocabulary,
     enumerate_embeddings,
+    generate_substructure,
     is_isomorphic,
 )
 
@@ -160,8 +161,6 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     positionwise correspondence (functions propagate the match).  The
     constants belong to both generated substructures, so each constant
     of M starts out matched to the same-named constant of N."""
-    from .structures import generate_substructure
-
     if len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
         return False
     mapping: dict[int, int] = {}

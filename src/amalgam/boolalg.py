@@ -9,7 +9,9 @@ generator element.
 The module supplies the calculus the rest of the package leans on:
 quotients, independence modulo an ideal, the coproduct/pushout of two
 algebras over a common subalgebra, and basis manipulation inside free
-algebras.
+algebras.  Every block partition (the atoms of a generated subalgebra,
+the sign patterns a family realizes) comes from one partition
+refinement, ``refine``, which ``k1.p1`` and ``k1.embeddings`` share.
 """
 
 from __future__ import annotations
@@ -42,6 +44,29 @@ def bits(x: int) -> Iterator[int]:
             yield i
         x >>= 1
         i += 1
+
+
+def refine(universe: int, masks: Iterable[int]) -> list[tuple[int, int]]:
+    """The set bits of ``universe`` grouped by their sign vector over
+    ``masks``, as (vector, block) pairs: bit i of a vector is set when its
+    block lies under masks[i].
+
+    The universe is refined one mask at a time into blocks of bits with
+    equal vectors so far, so the cost follows the number of distinct
+    vectors rather than the number of bits.  Every block is nonempty.
+    """
+    blocks = [(0, universe)] if universe else []
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        refined = []
+        for v, block in blocks:
+            inside = block & mask
+            if inside:
+                refined.append((v | bit, inside))
+            if inside != block:
+                refined.append((v, block ^ inside))
+        blocks = refined
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -80,13 +105,7 @@ class FiniteBooleanAlgebra:
         separates them; the blocks of that partition are exactly the
         minimal nonzero elements of the generated subalgebra.
         """
-        gens = list(gens)
-        sig_to_block: dict[tuple[bool, ...], int] = {}
-        for i in range(self.atom_count):
-            a = 1 << i
-            sig = tuple(bool(g & a) for g in gens)
-            sig_to_block[sig] = sig_to_block.get(sig, 0) | a
-        return sorted(sig_to_block.values())
+        return sorted(block for _, block in refine(self.full, gens))
 
     def subalgebra_contains(self, gens: Iterable[int], x: int) -> bool:
         """x lies in <gens> iff every block is inside x or disjoint from it."""
@@ -235,7 +254,10 @@ def is_independent_mod_ideal(
     those to the full minterms over Y.  So the check is: for every sign
     pattern over Y and every a in <X> - I, the meet of the signed minterm
     with a stays outside I.  Only the atoms (blocks) of <X> need to be
-    tested: any a outside I sits above a block outside I.
+    tested: any a outside I sits above a block outside I.  A block stays
+    outside I exactly on its atoms off the generator of I, so the check
+    refines the atoms off that generator by X, and asks each block to
+    realize all 2^|Y| sign vectors over Y.
 
     With X empty the condition degenerates to "every Boolean combination
     of Y meets every nonzero element", i.e. plain independence over the
@@ -244,18 +266,8 @@ def is_independent_mod_ideal(
     ys = sorted(set(Y))
     if len(ys) > INDEPENDENCE_CAP:
         raise CapExceeded("INDEPENDENCE_CAP", len(ys))
-    test_elements = [a for a in B.subalgebra_blocks(X) if a not in I]
-    comps = [B.complement(y) for y in ys]
-    for pattern in range(1 << len(ys)):
-        m = B.full
-        for i in range(len(ys)):
-            m &= ys[i] if pattern & (1 << i) else comps[i]
-            if m == 0:
-                break
-        for a in test_elements:
-            if (m & a) in I:
-                return False
-    return True
+    return all(len(refine(block, ys)) == 1 << len(ys)
+               for _, block in refine(B.full & ~I.generator, X))
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +385,11 @@ def pushout_independence(
 def is_free_basis(F: FiniteBooleanAlgebra, J: Sequence[int]) -> bool:
     """J is independent over (0) and generates F.
 
-    Equivalent formulation used here: the 2^|J| signed minterms are
-    pairwise distinct atoms of F and exhaust them.
+    Equivalent formulation used here: F has 2^|J| atoms and J splits them
+    into 2^|J| blocks, so that the 2^|J| signed minterms are pairwise
+    distinct atoms of F and exhaust them.
     """
-    n = len(J)
-    if F.atom_count != 1 << n:
-        return False
-    seen = 0
-    comps = [F.complement(y) for y in J]
-    for pattern in range(1 << n):
-        m = F.full
-        for i in range(n):
-            m &= J[i] if pattern & (1 << i) else comps[i]
-        if popcount(m) != 1:
-            return False
-        seen |= m
-    return seen == F.full
+    return F.atom_count == 1 << len(J) == len(refine(F.full, J))
 
 
 def find_basis_containing(F: FiniteBooleanAlgebra, n: int, b: int) -> tuple[int, ...]:

@@ -129,9 +129,14 @@ def check_jep(cls: AmalgamationClass, bound: int):
 
 
 def check_disjoint_ap(cls: AmalgamationClass, bound: int):
-    """Disjoint amalgamation over the enumerated fragment: for tasks
-    A <= B and embeddings A -> C, amalgamate and verify both ranges meet
-    only in the base image."""
+    """Disjoint amalgamation over the enumerated fragment: for every task
+    A <= B, member C and embedding A -> C, ``cls.amalgamate`` succeeds.
+
+    Only success is checked; the ranges of the two legs are not compared.
+    Disjointness (the ranges meet only in the image of A) comes from the
+    hooks' fresh-id contract: C embeds in the amalgam by ids, and the ids
+    ``amalgamate`` adds for the part of B outside A are new (see
+    ``new_ids``)."""
     pairs = cls.task_pairs(bound)
     members = cls.members(bound)
     checked = 0

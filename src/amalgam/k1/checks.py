@@ -302,7 +302,7 @@ def check_free_extension(
         for d in M2.p2:
             if c >= d:
                 continue
-            start_c = h.get(c, 0 if c in old_p2 else 0)
+            start_c = h.get(c, 0)
             start_d = h.get(d, 0)
             tail_c = {M2.f[(n, c)] for n in range(start_c, M2.trunc)} & witness_set
             tail_d = {M2.f[(n, d)] for n in range(start_d, M2.trunc)} & witness_set

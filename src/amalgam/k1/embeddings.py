@@ -15,17 +15,21 @@ Two kinds of maps:
   three-way classification (zero / purely atomic / has free content) that
   captures relation preservation and the reflection of the atomic-ideal
   predicate.  A fast combinatorial path covers the common case where all
-  values are chi-mask-plus-private-generator shaped.
+  values are chi-mask-plus-private-generator shaped.  Both paths read the
+  realized sign vectors off ``boolalg.refine``: the simple path over the
+  designated atoms, the general path over atoms and window points
+  through ``p1._signature_blocks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional
 
-from ..errors import WINDOW_CAP, CapExceeded, InvalidEmbedding
-from .freepart import FreeFn, _expand, rename
-from .p1 import P1Element
+from ..boolalg import refine
+from ..errors import InvalidEmbedding
+from .freepart import FreeFn, rename
+from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
 
 
@@ -215,72 +219,27 @@ def _match_simple(A: K1Structure, B: K1Structure,
         return not v & zero_bits and all(v & g in (0, g)
                                          for g in groups.values())
 
-    atom_vectors_s = _atom_sign_vectors(A.ctx.full_mask, src)
-    atom_vectors_t = _atom_sign_vectors(B.ctx.full_mask, tgt)
-    pure_s = {v for v in atom_vectors_s if not consistent_with_free(v)}
-    pure_t = {v for v in atom_vectors_t if not consistent_with_free(v)}
+    pure_s = {v for v, _ in refine(A.ctx.full_mask, [x.atomic for x in src])
+              if not consistent_with_free(v)}
+    pure_t = {v for v, _ in refine(B.ctx.full_mask, [x.atomic for x in tgt])
+              if not consistent_with_free(v)}
     return pure_s == pure_t
-
-
-def _atom_sign_vectors(atoms: int, values: Sequence[P1Element]) -> set[int]:
-    """Sign vectors of the atoms in the mask ``atoms`` over ``values``:
-    bit i of an atom's vector is set when the atom lies under values[i].
-
-    The atom mask is refined one value at a time into blocks of atoms
-    with equal vectors so far, so the cost follows the number of
-    distinct vectors rather than the number of atoms.
-    """
-    blocks = [(0, atoms)] if atoms else []
-    for i, x in enumerate(values):
-        bit, mask = 1 << i, x.atomic
-        refined = []
-        for v, block in blocks:
-            inside = block & mask
-            if inside:
-                refined.append((v | bit, inside))
-            if inside != block:
-                refined.append((v, block ^ inside))
-        blocks = refined
-    return {v for v, _ in blocks}
 
 
 def _match_general(A: K1Structure, B: K1Structure,
                    src: list[P1Element], tgt: list[P1Element]) -> bool:
-    """Sign-pattern DFS with three-way leaf classification.
+    """Three-way classification of every sign pattern: zero (no block),
+    purely atomic (a block with no window points) or with free content.
 
-    Tables are materialized over each side's own support window, so meets
-    are single big-int ANDs.
+    Each side is partitioned over its own support window; the sides
+    agree iff they realize the same sign vectors, each with free content
+    on both sides or on neither.
     """
-    sig_s = tuple(sorted({g for x in src for g in x.free.support}))
-    sig_t = tuple(sorted({g for x in tgt for g in x.free.support}))
-    width = max(len(sig_s), len(sig_t))
-    if width > WINDOW_CAP:
-        raise CapExceeded("WINDOW_CAP", width)
-    full_s = (1 << (1 << len(sig_s))) - 1
-    full_t = (1 << (1 << len(sig_t))) - 1
-    tab_s = [_expand(x.free, sig_s) for x in src]
-    tab_t = [_expand(x.free, sig_t) for x in tgt]
-    mask_s = [x.atomic for x in src]
-    mask_t = [x.atomic for x in tgt]
-    amask_s = A.ctx.full_mask
-    amask_t = B.ctx.full_mask
+    def classes(S: K1Structure, values: list[P1Element]) -> dict[int, bool]:
+        _, blocks = _signature_blocks(S.ctx, values, ())
+        return {v: points != 0 for v, (_, points) in blocks.items()}
 
-    def walk(i, atom_s, atom_t, free_s, free_t) -> bool:
-        zero_s = atom_s == 0 and free_s == 0
-        zero_t = atom_t == 0 and free_t == 0
-        if zero_s != zero_t:
-            return False
-        if zero_s:
-            return True
-        if i == len(src):
-            return (free_s == 0) == (free_t == 0)
-        sm, tm = mask_s[i], mask_t[i]
-        sf, tf = tab_s[i], tab_t[i]
-        return walk(i + 1, atom_s & sm, atom_t & tm, free_s & sf, free_t & tf) \
-            and walk(i + 1, atom_s & ~sm, atom_t & ~tm,
-                     free_s & ~sf & full_s, free_t & ~tf & full_t)
-
-    return walk(0, amask_s, amask_t, full_s, full_t)
+    return classes(A, src) == classes(B, tgt)
 
 
 def is_valid_match(A: K1Structure, B: K1Structure,

@@ -14,6 +14,7 @@ from .embeddings import (
     _values_match,
     enumerate_matches,
     extend_match,
+    is_isomorphic_k1,
 )
 from .ops import amalgamate_free
 from .structure import (
@@ -34,8 +35,6 @@ def corpus(
 ) -> list[K1Structure]:
     """Deterministic class members with at most ``size_bound`` generators,
     filtered by the witnessed membership check."""
-    from .embeddings import is_isomorphic_k1
-
     members = []
     for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
                                max_size=size_bound):

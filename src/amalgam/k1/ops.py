@@ -25,8 +25,15 @@ from ..errors import (
     WitnessAlignmentFailed,
 )
 from ..boolalg import PrincipalIdeal, rebase_with_element
-from .freepart import ZERO, FreeFn, var
-from .p1 import P1Context, P1Element, independent_from_mod_atomic, materialize
+from ..report import CheckReport
+from .freepart import ZERO, FreeFn, rename, var
+from .p1 import (
+    P1Context,
+    P1Element,
+    independent_from_mod_atomic,
+    materialize,
+    unmaterialize,
+)
 from .embeddings import DChoice, MatchEmbedding, TransportMap
 from .structure import (
     FreeExtensionWitness,
@@ -94,7 +101,7 @@ def _gen_rename(N1: K1Structure, ι1_pairs, ι2_pairs) -> dict[int, int]:
     """Positionwise generator correspondence from the two images of N1:
     the generator of an image value in N2 maps to the generator of the
     corresponding image value in M1."""
-    rename: dict[int, int] = {}
+    gen_map: dict[int, int] = {}
     for (src1, img1), (src2, img2) in zip(ι1_pairs, ι2_pairs):
         s2 = img2.free.support
         s1 = img1.free.support
@@ -103,19 +110,17 @@ def _gen_rename(N1: K1Structure, ι1_pairs, ι2_pairs) -> dict[int, int]:
                 "matched values disagree on free support size"
             )
         for g2, g1 in zip(s2, s1):
-            if rename.setdefault(g2, g1) != g1:
+            if gen_map.setdefault(g2, g1) != g1:
                 raise WitnessAlignmentFailed(
                     "inconsistent generator correspondence between the images"
                 )
-    from .freepart import rename as rename_fn
-
     for (_, img1), (_, img2) in zip(ι1_pairs, ι2_pairs):
-        moved = rename_fn(img2.free, {g: rename[g] for g in img2.free.support})
+        moved = rename(img2.free, {g: gen_map[g] for g in img2.free.support})
         if moved != img1.free:
             raise WitnessAlignmentFailed(
                 "image free parts do not correspond under the generator map"
             )
-    return rename
+    return gen_map
 
 
 def amalgamate_free(
@@ -340,8 +345,6 @@ def check_good_sequence(
     modulo the atomic ideal, (c) old P0 elements eventually leave every
     b_n's trace (``slack`` links of grace).
     """
-    from ..report import CheckReport
-
     r = CheckReport("good-sequence")
     if len(chain) < 2 and b_seq:
         r.add("good.shape", False, "sequence longer than the chain")
@@ -494,8 +497,6 @@ def _rebase_link(
         new_flat = rebase_with_element(B2, flat_low, ideal, flat_j, flat_b)
     except PreconditionFailed as err:
         raise HarvestFailed(link, f"rebase precondition failed: {err}") from err
-    from .p1 import unmaterialize
-
     J_star = [unmaterialize(ctx, sigma, m) for m in new_flat]
     kept = [x for x in members if x not in J]
     h = dict(w.h)

@@ -9,7 +9,9 @@ makes extension transports explicit maps rather than re-indexing.
 
 Independence checks factor through support components: signed minterms of
 functions with disjoint supports are nonzero products, so only overlap
-clusters are ever expanded.
+clusters are ever expanded.  Generated subalgebras are computed on a
+finite point space, the designated atoms plus the free minterms over a
+support window, with the point sets split by ``boolalg.refine``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..boolalg import FiniteBooleanAlgebra, refine
 from ..errors import (
     INDEPENDENCE_CAP,
     WINDOW_CAP,
@@ -108,26 +111,22 @@ def _signature_blocks(
     ctx: P1Context,
     elements: Sequence[P1Element],
     extra_support: Iterable[int],
-) -> tuple[tuple[int, ...], Iterable[list[int]]]:
+) -> tuple[tuple[int, ...], dict[int, list[int]]]:
     """The support window of ``elements`` widened by ``extra_support``,
-    and the points grouped by their signature over ``elements``: one
-    [atom mask, window point table] pair per block, designated atoms and
-    free minterms over the window side by side."""
+    and the points grouped by their sign vector over ``elements`` (bit i
+    set under elements[i]): one [atom mask, window point table] pair per
+    realized vector, designated atoms and free minterms over the window
+    side by side."""
     sigma = sorted({g for e in elements for g in e.free.support} | set(extra_support))
     if len(sigma) > WINDOW_CAP:
         raise CapExceeded("WINDOW_CAP", len(sigma))
     sigma = tuple(sigma)
     tables = [_expand(e.free, sigma) for e in elements]
-    blocks: dict[tuple[bool, ...], list[int]] = {}
-    for a in ctx.atom_ids:
-        sig = tuple(bool(e.atomic & (1 << a)) for e in elements)
-        entry = blocks.setdefault(sig, [0, 0])
-        entry[0] |= 1 << a
-    for p in range(1 << len(sigma)):
-        sig = tuple(bool(t & (1 << p)) for t in tables)
-        entry = blocks.setdefault(sig, [0, 0])
-        entry[1] |= 1 << p
-    return sigma, blocks.values()
+    blocks = {v: [atomic, 0] for v, atomic in
+              refine(ctx.full_mask, [e.atomic for e in elements])}
+    for v, points in refine((1 << (1 << len(sigma))) - 1, tables):
+        blocks.setdefault(v, [0, 0])[1] = points
+    return sigma, blocks
 
 
 def point_blocks(
@@ -143,7 +142,8 @@ def point_blocks(
     every element in play is constant outside the window.
     """
     sigma, blocks = _signature_blocks(ctx, elements, extra_support)
-    return [P1Element(atomic, _reduce(sigma, table)) for atomic, table in blocks]
+    return [P1Element(atomic, _reduce(sigma, table))
+            for atomic, table in blocks.values()]
 
 
 def subalgebra_contains(
@@ -155,7 +155,7 @@ def subalgebra_contains(
     sigma, blocks = _signature_blocks(ctx, gens, x.free.support)
     x_table = _expand(x.free, sigma)
     full_bits = (1 << (1 << len(sigma))) - 1
-    for atomic, bits in blocks:
+    for atomic, bits in blocks.values():
         hits = (atomic & x.atomic) or (bits & x_table)
         escapes = (atomic & ~x.atomic & ctx.full_mask) or \
             (bits & ~x_table & full_bits)
@@ -248,15 +248,13 @@ def independent_from_mod_atomic(
 
 def materialize(
     ctx: P1Context, elements: Sequence[P1Element]
-) -> tuple["FiniteBooleanAlgebra", list[int], tuple[int, ...]]:
+) -> tuple[FiniteBooleanAlgebra, list[int], tuple[int, ...]]:
     """Flatten onto an explicit atom-canonical algebra.
 
     Atoms are the designated atoms followed by the free minterms over the
     joint support window; faithful for every element whose support lies in
     the window.  Returns the algebra, the flat masks, and the window.
     """
-    from ..boolalg import FiniteBooleanAlgebra
-
     sigma = tuple(sorted({g for e in elements for g in e.free.support}))
     if len(sigma) > WINDOW_CAP:
         raise CapExceeded("WINDOW_CAP", len(sigma))

@@ -208,13 +208,13 @@ def verify_pushout_triple(
 
 def bases_through_by_enumeration(
     F: FiniteBooleanAlgebra, n: int, b: int
-) -> list[tuple[int, ...]]:
-    """All n-subsets containing b that are independent and generate F,
-    found by trying every subset."""
+) -> Iterator[tuple[int, ...]]:
+    """Every n-subset containing b that is independent and generates F,
+    found by trying every subset; yielded as b followed by the rest in
+    element order, so a caller can stop at the first."""
     if F.atom_count != 1 << n:
-        return []
+        return
     nontrivial = [x for x in F.elements() if x not in (0, F.full) and x != b]
-    found = []
     for rest in itertools.combinations(nontrivial, n - 1):
         J = (b,) + rest
         comps = [F.complement(y) for y in J]
@@ -228,5 +228,4 @@ def bases_through_by_enumeration(
             atoms_seen |= m
         else:
             if atoms_seen == F.full:
-                found.append(J)
-    return found
+                yield J

@@ -1,5 +1,6 @@
 """Boolean algebra calculus: quotients, independence, pushouts, bases."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from amalgam.boolalg import (
     BAEmbedding,
     FiniteBooleanAlgebra,
     PrincipalIdeal,
+    bits,
     find_basis_containing,
     identity_embedding,
     is_free_basis,
@@ -367,7 +369,7 @@ def test_no_basis_through_a_single_atom_n2():
     F = FiniteBooleanAlgebra(4)
     with pytest.raises(NoBasisThrough):
         find_basis_containing(F, 2, 1)
-    assert bases_through_by_enumeration(F, 2, 1) == []
+    assert list(bases_through_by_enumeration(F, 2, 1)) == []
 
 
 def test_trivial_elements_rejected():
@@ -379,10 +381,15 @@ def test_trivial_elements_rejected():
 
 
 def test_half_atom_criterion_exhaustive_n_up_to_3():
-    # success iff the element spans exactly half the atoms, checked against
-    # the subset enumeration oracle
+    # success iff the element spans exactly half the atoms, checked for
+    # every b against the solver and against the subset enumeration oracle:
+    # a balanced b needs one basis (the oracle stops at the first); an
+    # unbalanced b is enumerated in full at n <= 2, and at n = 3 for the
+    # first b of each popcount, which settles the other b of that popcount
+    # by the oracle's invariance under atom permutations (tested below)
     for n in (1, 2, 3):
         F = FiniteBooleanAlgebra(1 << n)
+        refuted = set()
         for b in F.elements():
             if b in (0, F.full):
                 continue
@@ -390,11 +397,42 @@ def test_half_atom_criterion_exhaustive_n_up_to_3():
             if popcount(b) == 1 << (n - 1):
                 J = find_basis_containing(F, n, b)
                 assert J[0] == b and is_free_basis(F, J)
-                assert oracle, f"oracle found no basis through {b} at n={n}"
+                assert next(oracle, None), \
+                    f"oracle found no basis through {b} at n={n}"
             else:
                 with pytest.raises(NoBasisThrough):
                     find_basis_containing(F, n, b)
-                assert not oracle
+                if n <= 2 or popcount(b) not in refuted:
+                    assert next(oracle, None) is None
+                    refuted.add(popcount(b))
+        if n == 3:
+            assert refuted == {1, 2, 3, 5, 6, 7}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_basis_oracle_is_invariant_under_atom_permutations(n):
+    F = FiniteBooleanAlgebra(1 << n)
+    found = {b: {frozenset(J) for J in bases_through_by_enumeration(F, n, b)}
+             for b in F.elements() if b not in (0, F.full)}
+    assert any(found.values())
+    for perm in itertools.permutations(range(F.atom_count)):
+        def image(x):
+            return sum(1 << perm[i] for i in bits(x))
+        for b, bases in found.items():
+            assert found[image(b)] == {frozenset(map(image, J)) for J in bases}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_free_basis_check_agrees_with_subset_enumeration(n):
+    # every n-tuple of elements, in algebras with and without 2^n atoms
+    for atom_count in range(1, 5):
+        F = FiniteBooleanAlgebra(atom_count)
+        bases = {frozenset(J) for b in F.elements()
+                 for J in bases_through_by_enumeration(F, n, b)}
+        assert bool(bases) == (atom_count == 1 << n)
+        for J in itertools.product(F.elements(), repeat=n):
+            assert is_free_basis(F, J) == \
+                (len(set(J)) == n and frozenset(J) in bases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Engine checks on classical classes: JEP, disjoint AP, the generic
 builder, richness, the bounded game, separability."""
 
-import pytest
-
 from amalgam.backends import (
     GRAPH_VOCAB,
     chain_structure,
@@ -26,7 +24,6 @@ from amalgam.fraisse import (
     separability_witness,
 )
 from amalgam.structures import (
-    Embedding,
     FiniteStructure,
     Vocabulary,
     enumerate_embeddings,

@@ -1,7 +1,5 @@
 """The witnessed-class generic: saturation, determinism, witnesses, games."""
 
-import pytest
-
 from amalgam.fraisse import back_and_forth_check, richness_defect
 from amalgam.k1 import check_K1, check_free_extension, minimal_model
 from amalgam.k1.engine import (

@@ -3,14 +3,12 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam.boolalg import FiniteBooleanAlgebra, PrincipalIdeal
+from amalgam.boolalg import PrincipalIdeal
 from amalgam.boolalg import is_independent_mod_ideal as ba_independent
 from amalgam.k1 import (
-    K1Structure,
     K1Witness,
     P1Context,
     P1Element,
@@ -26,7 +24,6 @@ from amalgam.k1 import (
 from amalgam.k1.freepart import (
     ONE,
     ZERO,
-    FreeFn,
     conj,
     disj,
     neg,

@@ -11,12 +11,10 @@ from amalgam.k1 import (
     check_K1,
     check_Kminus1,
     check_free_extension,
-    compose_free_witnesses,
     enumerate_matches,
     is_isomorphic_k1,
     minimal_model,
     union_of_chain,
-    var,
 )
 from amalgam.k1.ops import (
     adjoin_trace_element,
@@ -28,7 +26,6 @@ from amalgam.k1.ops import (
     label_good_sequence,
 )
 from amalgam.k1.p1 import P1Element
-from amalgam.k1.embeddings import MatchEmbedding
 
 
 TRUNC = 4

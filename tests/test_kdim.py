@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from amalgam.errors import FrugalImpossible, NoAmalgam, PreconditionFailed
+from amalgam.errors import FrugalImpossible, NoAmalgam
 from amalgam.kdim import (
     KConfiguration,
     KrStructure,
@@ -15,13 +15,10 @@ from amalgam.kdim import (
     closure,
     completion_solutions,
     frugal_amalgamate,
-    is_independent,
     max_independent_size,
     random_member,
-    sample_configurations,
     survey_k_disjoint_ap,
 )
-from amalgam.structures import is_isomorphic
 
 TRUNC = 4
 

@@ -1,7 +1,8 @@
 """Embedding search with ``touching``: pinned enumeration against
-filtered and brute-force oracles, the block-refined leaf check against
-the per-atom one, identical builder ledgers with and without pinning,
-and the general match path against the simple one and brute force."""
+filtered and brute-force oracles, sign-vector refinement (``refine`` and
+``_signature_blocks``) against per-point partitions, identical builder
+ledgers with and without pinning, and the general match path against the
+simple one and brute force."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ import random
 import pytest
 
 from amalgam.backends import graph_class, linear_order_class
+from amalgam.boolalg import refine
 from amalgam.fraisse import build_generic
 from amalgam.k1 import (
     K1Structure,
@@ -17,14 +19,21 @@ from amalgam.k1 import (
     minimal_model,
 )
 from amalgam.k1.embeddings import (
-    _atom_sign_vectors,
     _generator_lists,
     _match_general,
     _match_simple,
 )
 from amalgam.k1.engine import build_generic_k1, k1_class
-from amalgam.k1.freepart import ZERO, _reduce, conj, disj, neg, rename, var
-from amalgam.k1.p1 import P1Element
+from amalgam.k1.freepart import (
+    _expand,
+    _reduce,
+    conj,
+    disj,
+    neg,
+    rename,
+    var,
+)
+from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
 
 TRUNC = 6
@@ -162,15 +171,29 @@ def test_pinned_embeddings_into_generic_tops(make_cls, steps):
 
 
 # ---------------------------------------------------------------------------
-# Leaf check: block refinement against the per-atom vectors
+# Sign-vector refinement against per-point partitions
 # ---------------------------------------------------------------------------
 
 
-def per_atom_vectors(atom_ids, values):
-    """The per-atom sign vectors, one tuple per atom, as ints."""
-    vectors = {tuple(1 if x.atomic & (1 << a) else 0 for x in values)
-               for a in atom_ids}
-    return {sum(bit << i for i, bit in enumerate(v)) for v in vectors}
+def tuple_keyed_partition(universe, masks):
+    """The set bits of ``universe`` grouped by a tuple of signs per bit,
+    the way block partitions were computed before ``refine``; returned as
+    {vector: block} with bit i of the vector set under masks[i]."""
+    masks = list(masks)
+    blocks = {}
+    for p in range(universe.bit_length()):
+        if universe >> p & 1:
+            sig = tuple(bool(m & (1 << p)) for m in masks)
+            blocks[sig] = blocks.get(sig, 0) | 1 << p
+    return {sum(bit << i for i, bit in enumerate(sig)): block
+            for sig, block in blocks.items()}
+
+
+def refined(universe, masks):
+    pairs = refine(universe, masks)
+    out = dict(pairs)
+    assert len(out) == len(pairs), "a vector labels two blocks"
+    return out
 
 
 def test_refined_sign_vectors_equal_per_atom_vectors(k1_head_chain):
@@ -182,21 +205,57 @@ def test_refined_sign_vectors_equal_per_atom_vectors(k1_head_chain):
                 src, tgt = _generator_lists(A, target, dict(e.p0_map),
                                             dict(e.p2_map))
                 for S, values in ((A, src), (target, tgt)):
-                    assert _atom_sign_vectors(S.ctx.full_mask, values) == \
-                        per_atom_vectors(S.atom_ids, values)
+                    masks = [x.atomic for x in values]
+                    assert refined(S.ctx.full_mask, masks) == \
+                        tuple_keyed_partition(S.ctx.full_mask, masks)
                     checked += 1
     assert checked > 100
 
 
 def test_refined_sign_vectors_on_random_masks():
     rng = random.Random(13)
+    cases = [(0, []), (0, [5, 3]), (0b1011, []), (1, [0]), (1, [1])]
+    for _ in range(300):
+        width = rng.randint(1, 40)
+        universe = rng.getrandbits(width) if rng.random() < 0.9 else 0
+        masks = [rng.getrandbits(width + 2) for _ in range(rng.randint(0, 8))]
+        cases.append((universe, masks))
+    for universe, masks in cases:
+        assert refined(universe, masks) == \
+            tuple_keyed_partition(universe, masks)
+    assert refine(0, [1, 2]) == [] and refine(0b110, []) == [(0, 0b110)]
+
+
+def per_point_signature_blocks(ctx, elements, extra_support):
+    """Atoms and window points partitioned one point at a time, joined by
+    vector: {vector: (atom mask, window point table)}."""
+    sigma = tuple(sorted({g for e in elements for g in e.free.support}
+                         | set(extra_support)))
+    atoms = tuple_keyed_partition(ctx.full_mask, [e.atomic for e in elements])
+    points = tuple_keyed_partition(
+        (1 << (1 << len(sigma))) - 1, [_expand(e.free, sigma) for e in elements])
+    return sigma, {v: (atoms.get(v, 0), points.get(v, 0))
+                   for v in atoms.keys() | points.keys()}
+
+
+def test_signature_blocks_equal_per_point_partition(k1_head_chain):
+    rng = random.Random(23)
+    families = []
     for _ in range(200):
-        atom_ids = sorted(rng.sample(range(40), rng.randint(0, 12)))
-        values = [P1Element(rng.getrandbits(40), ZERO)
-                  for _ in range(rng.randint(0, 8))]
-        mask = sum(1 << a for a in atom_ids)
-        assert _atom_sign_vectors(mask, values) == \
-            per_atom_vectors(atom_ids, values)
+        atoms, gens = range(rng.randint(0, 4)), range(10, 14)
+        ctx = P1Context(tuple(atoms))
+        values = [rich_value(rng, atoms, gens) for _ in range(rng.randint(0, 6))]
+        extra = rng.sample(range(8, 16), rng.randint(0, 2))
+        families.append((ctx, values, extra))
+    for S in k1_head_chain[-3:]:
+        families.append((S.ctx, list(S.g1.values()), ()))
+        families.append((S.ctx, list(S.f.values())[:8], ()))
+    for ctx, values, extra in families:
+        sigma, blocks = _signature_blocks(ctx, values, extra)
+        want_sigma, want = per_point_signature_blocks(ctx, values, extra)
+        assert sigma == want_sigma
+        assert {v: tuple(b) for v, b in blocks.items()} == want
+        assert {tuple(b) for b in blocks.values()} == set(want.values())
 
 
 # ---------------------------------------------------------------------------
