@@ -284,18 +284,18 @@ def check_free_extension(
     r.add("fr.h_domain", domain_ok,
           "" if domain_ok else "H is not exactly defined on the new names")
 
-    tails_ok = True
     witness_set = set(w.independent)
     if domain_ok:
+        tails_ok = True
         for c in new_p2:
             start = h[c]
             vals = [M2.f[(n, c)] for n in range(start, M2.trunc)]
             if len(set(vals)) != len(vals) or any(v not in witness_set for v in vals):
                 tails_ok = False
+        r.add("fr.tails", tails_ok,
+              "" if tails_ok else "a scheduled tail value escapes I or repeats")
     else:
-        tails_ok = None
-    r.add("fr.tails", tails_ok,
-          "" if tails_ok else "a scheduled tail value escapes I or repeats")
+        r.skip("fr.tails")
 
     collisions_ok = True
     for c in M2.p2:

@@ -236,7 +236,7 @@ def _match_general(A: K1Structure, B: K1Structure,
     on both sides or on neither.
     """
     def classes(S: K1Structure, values: list[P1Element]) -> dict[int, bool]:
-        _, blocks = _signature_blocks(S.ctx, values, ())
+        _, blocks = _signature_blocks(S.ctx, values)
         return {v: points != 0 for v, (_, points) in blocks.items()}
 
     return classes(A, src) == classes(B, tgt)

@@ -31,16 +31,16 @@ def corpus(
     size_bound: int,
     trunc: int = DEFAULT_TRUNC,
     max_n_star: int = 1,
-    dedupe: bool = True,
 ) -> list[K1Structure]:
     """Deterministic class members with at most ``size_bound`` generators,
-    filtered by the witnessed membership check."""
+    filtered by the witnessed membership check, one per isomorphism
+    type."""
     members = []
     for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
                                max_size=size_bound):
         if not check_K1(M).passed:
             continue
-        if dedupe and any(is_isomorphic_k1(M, other) for other in members):
+        if any(is_isomorphic_k1(M, other) for other in members):
             continue
         members.append(M)
     return members

@@ -129,10 +129,6 @@ def neg(a: FreeFn) -> FreeFn:
     return FreeFn(a.support, a.table ^ full)
 
 
-def signed(a: FreeFn, sign: int) -> FreeFn:
-    return a if sign else neg(a)
-
-
 def rename(a: FreeFn, mapping: Mapping[int, int]) -> FreeFn:
     """Substitute generator ids (must stay injective on the support)."""
     new_support = tuple(mapping.get(g, g) for g in a.support)

@@ -4,12 +4,14 @@ and labeling of good sequences.
 The amalgamation follows the four-step recipe: (1) extend the big
 structure's element algebra by one fresh designated atom per new atom of
 the small extension, each placed by a principal ultrafilter choice that
-respects the base traces and avoids the independence witness; (2, 3) the
-amalgamation base and the quotient of the free amalgam are implicit in
-the product representation, which keeps designated and free coordinates
-separated by construction, so the quotient's effect reduces to the
-ultrafilter bookkeeping; (4) rebuild the structure: merged value tables,
-extended atom bijection, derived traces.
+respects the base traces and avoids the independence witness; the
+choices are read off one table, ``_principal_points``, that maps each
+sign vector over the base image to the least window point of its block;
+(2, 3) the amalgamation base and the quotient of the free amalgam are
+implicit in the product representation, which keeps designated and free
+coordinates separated by construction, so the quotient's effect reduces
+to the ultrafilter bookkeeping; (4) rebuild the structure: merged value
+tables, extended atom bijection, derived traces.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from ..errors import (
 )
 from ..boolalg import PrincipalIdeal, rebase_with_element
 from ..report import CheckReport
-from .freepart import ZERO, FreeFn, rename, var
+from .freepart import ZERO, rename, var
 from .p1 import (
     P1Context,
     P1Element,
+    _signature_blocks,
     independent_from_mod_atomic,
     materialize,
     unmaterialize,
@@ -90,11 +93,23 @@ def _image_values(A: K1Structure, B: K1Structure, m: MatchEmbedding):
     return pairs
 
 
-def _signed_meet(ctx: P1Context, pairs, signs) -> P1Element:
-    out = ctx.top
-    for (element, sign) in zip(pairs, signs):
-        out = ctx.meet(out, element if sign else ctx.comp(element))
-    return out
+def _principal_points(ctx: P1Context, images: Sequence[P1Element]):
+    """Sign vector over ``images`` -> least window point of its block, as
+    the (generator, 1) pairs of the lowest set bit of the block's point
+    table; vectors whose block has no window point are absent."""
+    sigma, blocks = _signature_blocks(ctx, images)
+    least = {}
+    for v, (_, table) in blocks.items():
+        if table:
+            p = (table & -table).bit_length() - 1
+            least[v] = tuple((sigma[i], 1) for i in range(p.bit_length())
+                             if p >> i & 1)
+    return least
+
+
+def _trace_vector(images: Sequence[P1Element], bit: int) -> int:
+    """Sign vector over ``images`` of the designated atom ``bit``."""
+    return sum(1 << i for i, img in enumerate(images) if img.atomic & bit)
 
 
 def _gen_rename(N1: K1Structure, ι1_pairs, ι2_pairs) -> dict[int, int]:
@@ -135,18 +150,24 @@ def amalgamate_free(
     Returns the amalgam M2 with transports for both sides and the witness
     that M1 is freely extended by M2.  Every new designated atom of N2 is
     placed inside M1's algebra by a deterministic principal ultrafilter
-    choice: the lowest designated atom of the matching base block when one
-    exists, else the lexicographically least satisfying point of the
-    block's free part (zero on all generators outside the base image, so
-    the choice avoids the independence witness).
+    choice: the least window point of the base block with the new atom's
+    sign vector (zero on all generators outside the base image, so the
+    choice avoids the independence witness).  A block without window
+    points has no room off the existing atoms, and the choice fails.
     """
     pairs1 = _image_values(N1, M1, into_big)
     pairs2 = _image_values(N1, N2, into_small)
     gen_rename = _gen_rename(N1, pairs1, pairs2)
+    images1 = [img for (_, img) in pairs1]
+    images2 = [img for (_, img) in pairs2]
 
     old_p0 = {into_small.p0(a) for a in N1.p0}
     old_p2 = {into_small.p2(c) for c in N1.p2}
     new_p0 = [a for a in N2.p0 if a not in old_p0]
+    # the table's window may pass WINDOW_CAP, so it is built only when a
+    # new atom or an atom of M1 off the base image needs a point
+    needs_points = new_p0 or len(M1.atom_ids) > len(N1.p0)
+    least = _principal_points(M1.ctx, images1) if needs_points else {}
     new_p2 = [c for c in N2.p2 if c not in old_p2]
     new_atom_count = len(new_p0)
 
@@ -168,7 +189,6 @@ def amalgamate_free(
     gen_map.update(dict(zip(private_gens, fresh_gens)))
 
     # ultrafilter choice per new atom of N2
-    ctx1 = M1.ctx
     splits: list[tuple[int, DChoice]] = []
     small_atom_map = {}
     for a in N1.p0:
@@ -178,16 +198,14 @@ def amalgamate_free(
             M1.g1[into_big.p0(a)].atomic.bit_length() - 1
     for new_a, atom_id in zip(new_p0, fresh_atoms):
         nu_bit = N2.g1[new_a].atomic
-        signs = [bool(img.atomic & nu_bit) for (_, img) in pairs2]
-        block_m1 = _signed_meet(ctx1, [img for (_, img) in pairs1], signs)
-        if block_m1.free.is_zero:
+        point = least.get(_trace_vector(images2, nu_bit))
+        if point is None:
             # the analog of a nonprincipal ultrafilter needs room off the
             # atoms; a purely atomic block would split an existing atom
             raise UltrafilterChoiceFailed(
                 f"no atomless position matches the trace of the new atom {new_a}"
             )
-        choice = DChoice("point", point=_least_point(block_m1.free))
-        splits.append((atom_id, choice))
+        splits.append((atom_id, DChoice("point", point=point)))
         small_atom_map[nu_bit.bit_length() - 1] = atom_id
 
     big_transport = TransportMap(splits=tuple(splits))
@@ -203,7 +221,7 @@ def amalgamate_free(
         )),
         atom_map=tuple(sorted(small_atom_map.items())),
         gen_map=tuple(sorted(gen_map.items())),
-        splits=_extra_atom_splits(M1, N1, into_big, pairs1, pairs2, gen_rename),
+        splits=_extra_atom_splits(M1, N1, into_big, images1, least, gen_rename),
     )
 
     # assemble the amalgam
@@ -258,39 +276,23 @@ def amalgamate_free(
                          tuple(fresh_atoms))
 
 
-def _least_point(fn: FreeFn) -> tuple[tuple[int, int], ...]:
-    """Lexicographically least satisfying assignment over the support."""
-    if fn.is_zero:
-        raise UltrafilterChoiceFailed("empty block has no point")
-    for p in range(1 << len(fn.support)):
-        if (fn.table >> p) & 1:
-            return tuple(
-                (g, (p >> i) & 1) for i, g in enumerate(fn.support)
-                if (p >> i) & 1
-            )
-    raise UltrafilterChoiceFailed("unreachable")
-
-
-def _extra_atom_splits(M1, N1, into_big, pairs1, pairs2, gen_rename):
+def _extra_atom_splits(M1, N1, into_big, images1, least, gen_rename):
     """How M1's designated atoms beyond the base sit under transported
     elements of the small side: each such atom follows the principal point
     of its base block, evaluated in the small side's coordinates."""
     base_atoms = {M1.g1[into_big.p0(a)].atomic for a in N1.p0}
-    ctx1 = M1.ctx
     inverse = {g1: g2 for g2, g1 in gen_rename.items()}
     splits = []
     for atom_id in M1.atom_ids:
         bit = 1 << atom_id
         if bit in base_atoms:
             continue
-        signs = [bool(img.atomic & bit) for (_, img) in pairs1]
-        block = _signed_meet(ctx1, [img for (_, img) in pairs1], signs)
-        if block.free.is_zero:
+        point_m1 = least.get(_trace_vector(images1, bit))
+        if point_m1 is None:
             raise CollapseDetected(
                 "an off-base designated atom sits in a purely atomic base "
                 "block; the base embedding is not faithful"
             )
-        point_m1 = _least_point(block.free)
         point_small = tuple(sorted(
             (inverse[g], v) for g, v in point_m1 if g in inverse
         ))

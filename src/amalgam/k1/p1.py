@@ -7,17 +7,18 @@ b* is the join of the designated atoms, so meet/join/complement act
 coordinatewise.  Atom and generator ids are globally allocated, which
 makes extension transports explicit maps rather than re-indexing.
 
-Independence checks factor through support components: signed minterms of
-functions with disjoint supports are nonzero products, so only overlap
-clusters are ever expanded.  Generated subalgebras are computed on a
-finite point space, the designated atoms plus the free minterms over a
-support window, with the point sets split by ``boolalg.refine``.
+Everything is computed on a finite point space: the designated atoms
+plus the free minterms over a support window, with the point sets split
+by their sign vectors by ``boolalg.refine``.  Generated subalgebras
+refine the whole window; independence checks refine one support
+component at a time, since functions with disjoint supports realize
+every combination of their sign vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..boolalg import FiniteBooleanAlgebra, refine
 from ..errors import (
@@ -33,10 +34,8 @@ from .freepart import (
     _expand,
     _reduce,
     conj,
-    conj_many,
     disj,
     neg,
-    signed,
     support_components,
     var,
 )
@@ -107,41 +106,39 @@ class P1Context:
 # ---------------------------------------------------------------------------
 
 
-def _signature_blocks(
-    ctx: P1Context,
-    elements: Sequence[P1Element],
-    extra_support: Iterable[int],
-) -> tuple[tuple[int, ...], dict[int, list[int]]]:
-    """The support window of ``elements`` widened by ``extra_support``,
-    and the points grouped by their sign vector over ``elements`` (bit i
-    set under elements[i]): one [atom mask, window point table] pair per
-    realized vector, designated atoms and free minterms over the window
-    side by side."""
-    sigma = sorted({g for e in elements for g in e.free.support} | set(extra_support))
+def _window(fns: Sequence[FreeFn]) -> tuple[tuple[int, ...], list[int], int]:
+    """The joint support window of ``fns``, the point table of each over
+    it, and the mask of all window points."""
+    sigma = tuple(sorted({g for fn in fns for g in fn.support}))
     if len(sigma) > WINDOW_CAP:
         raise CapExceeded("WINDOW_CAP", len(sigma))
-    sigma = tuple(sigma)
-    tables = [_expand(e.free, sigma) for e in elements]
+    return sigma, [_expand(fn, sigma) for fn in fns], (1 << (1 << len(sigma))) - 1
+
+
+def _signature_blocks(
+    ctx: P1Context, elements: Sequence[P1Element]
+) -> tuple[tuple[int, ...], dict[int, list[int]]]:
+    """The support window of ``elements`` and the points grouped by their
+    sign vector over ``elements`` (bit i set under elements[i]): one
+    [atom mask, window point table] pair per realized vector, designated
+    atoms and free minterms over the window side by side."""
+    sigma, tables, points = _window([e.free for e in elements])
     blocks = {v: [atomic, 0] for v, atomic in
               refine(ctx.full_mask, [e.atomic for e in elements])}
-    for v, points in refine((1 << (1 << len(sigma))) - 1, tables):
-        blocks.setdefault(v, [0, 0])[1] = points
+    for v, table in refine(points, tables):
+        blocks.setdefault(v, [0, 0])[1] = table
     return sigma, blocks
 
 
-def point_blocks(
-    ctx: P1Context,
-    elements: Sequence[P1Element],
-    extra_support: Iterable[int] = (),
-) -> list[P1Element]:
+def point_blocks(ctx: P1Context, elements: Sequence[P1Element]) -> list[P1Element]:
     """Atoms of the subalgebra generated by ``elements``.
 
     Points are the designated atoms plus the free minterms over the joint
-    support window (optionally widened by ``extra_support``); two points
-    merge when no generator element separates them.  Complete because
-    every element in play is constant outside the window.
+    support window; two points merge when no generator element separates
+    them.  Complete because every element in play is constant outside the
+    window.
     """
-    sigma, blocks = _signature_blocks(ctx, elements, extra_support)
+    sigma, blocks = _signature_blocks(ctx, elements)
     return [P1Element(atomic, _reduce(sigma, table))
             for atomic, table in blocks.values()]
 
@@ -149,19 +146,12 @@ def point_blocks(
 def subalgebra_contains(
     ctx: P1Context, gens: Sequence[P1Element], x: P1Element
 ) -> bool:
-    """x lies in <gens> iff every generated block is inside x or disjoint
-    from it, on both coordinates.  Works on raw point tables over the
-    joint support window."""
-    sigma, blocks = _signature_blocks(ctx, gens, x.free.support)
-    x_table = _expand(x.free, sigma)
-    full_bits = (1 << (1 << len(sigma))) - 1
-    for atomic, bits in blocks.values():
-        hits = (atomic & x.atomic) or (bits & x_table)
-        escapes = (atomic & ~x.atomic & ctx.full_mask) or \
-            (bits & ~x_table & full_bits)
-        if hits and escapes:
-            return False
-    return True
+    """x lies in <gens> iff x splits no generated block: no sign vector
+    over ``gens`` is realized both inside and outside x, on either
+    coordinate."""
+    _, blocks = _signature_blocks(ctx, list(gens) + [x])
+    inside = 1 << len(gens)
+    return not any((v | inside) in blocks for v in blocks if not v & inside)
 
 
 def spans_generator(
@@ -207,10 +197,12 @@ def independent_from_mod_atomic(
 
     Membership in that ideal reads the free coordinate only, so the test
     factors completely through free parts, and then through support
-    components: for each overlap cluster, every signed minterm of the
-    cluster's Y-functions must meet every nonzero block of the cluster's
-    X-functions.  Components meet jointly because meets across disjoint
-    supports are nonzero products.
+    components: refine each overlap cluster's window points by its
+    X-functions, and ask every block to split into all 2^|Y| sign vectors
+    under its Y-functions.  Components combine freely because functions
+    with disjoint supports realize every combination of their vectors.
+    Y is deduplicated as elements, not as free parts: two members with
+    one free part differ by an atomic element and are not independent.
     """
     y_fns = []
     seen = set()
@@ -221,28 +213,16 @@ def independent_from_mod_atomic(
         if y.free.is_zero or y.free.is_one:
             return False  # one of the two signs dies against the test element 1
         y_fns.append(y.free)
-    x_fns = [x.free for x in X]
-    all_fns = y_fns + x_fns
+    all_fns = y_fns + [x.free for x in X]
     for component in support_components(all_fns):
-        ys = [all_fns[i] for i in component if i < len(y_fns)]
-        xs = [all_fns[i] for i in component if i >= len(y_fns)]
+        ys = [i for i in component if i < len(y_fns)]
         if len(ys) > INDEPENDENCE_CAP:
             raise CapExceeded("INDEPENDENCE_CAP", len(ys))
-        blocks = [ONE]
-        for fn in xs:
-            nxt = []
-            for b in blocks:
-                for part in (conj(b, fn), conj(b, neg(fn))):
-                    if not part.is_zero:
-                        nxt.append(part)
-            blocks = nxt
-        for pattern in range(1 << len(ys)):
-            m = conj_many([signed(ys[i], (pattern >> i) & 1) for i in range(len(ys))])
-            if m.is_zero:
-                return False
-            for b in blocks:
-                if conj(m, b).is_zero:
-                    return False
+        _, tables, points = _window([all_fns[i] for i in component])
+        y_tables, x_tables = tables[:len(ys)], tables[len(ys):]
+        if not all(len(refine(block, y_tables)) == 1 << len(ys)
+                   for _, block in refine(points, x_tables)):
+            return False
     return True
 
 
@@ -255,18 +235,15 @@ def materialize(
     joint support window; faithful for every element whose support lies in
     the window.  Returns the algebra, the flat masks, and the window.
     """
-    sigma = tuple(sorted({g for e in elements for g in e.free.support}))
-    if len(sigma) > WINDOW_CAP:
-        raise CapExceeded("WINDOW_CAP", len(sigma))
+    sigma, tables, _ = _window([e.free for e in elements])
     k = len(ctx.atom_ids)
     B = FiniteBooleanAlgebra(k + (1 << len(sigma)))
     masks = []
-    for e in elements:
-        m = 0
+    for e, table in zip(elements, tables):
+        m = table << k
         for i, a in enumerate(ctx.atom_ids):
             if e.atomic & (1 << a):
                 m |= 1 << i
-        m |= _expand(e.free, sigma) << k
         masks.append(m)
     return B, masks, sigma
 
@@ -277,10 +254,11 @@ def zero_atomic_minterms_nonzero(
     """All signed minterms of a zero-atomic family are nonzero.
 
     The atomic coordinate of a signed minterm is full exactly on the
-    all-negative pattern and empty otherwise, so the condition factors
-    over support components of the free parts: a component pattern with a
-    zero conjunction is fatal, except that the all-negative pattern of a
-    lone component is rescued by the designated atoms.
+    all-negative vector and empty otherwise, so the condition factors
+    over support components of the free parts: refining a component's
+    window points by its functions must realize all 2^n sign vectors,
+    except that the all-negative vector of a lone component is rescued by
+    the designated atoms.
     """
     ys = []
     seen = set()
@@ -293,16 +271,14 @@ def zero_atomic_minterms_nonzero(
     comps = support_components(ys)
     lone = len(comps) == 1 and bool(ctx.atom_ids)
     for comp in comps:
-        fns = [ys[i] for i in comp]
-        if len(fns) > INDEPENDENCE_CAP:
-            raise CapExceeded("INDEPENDENCE_CAP", len(fns))
-        for pattern in range(1 << len(fns)):
-            m = conj_many([signed(fns[i], (pattern >> i) & 1)
-                           for i in range(len(fns))])
-            if m.is_zero:
-                if pattern == 0 and lone:
-                    continue  # rescued by the atomic coordinate
-                return False
+        if len(comp) > INDEPENDENCE_CAP:
+            raise CapExceeded("INDEPENDENCE_CAP", len(comp))
+        _, tables, points = _window([ys[i] for i in comp])
+        realized = {v for v, _ in refine(points, tables)}
+        if lone:
+            realized.add(0)  # rescued by the atomic coordinate
+        if len(realized) != 1 << len(comp):
+            return False
     return True
 
 

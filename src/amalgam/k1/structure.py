@@ -221,11 +221,11 @@ def enumerate_members(
     max_n_star: int,
     trunc: int = DEFAULT_TRUNC,
     max_size: Optional[int] = None,
-    dedupe=None,
 ) -> list[K1Structure]:
-    """Deterministic corpus of class members within the given bounds, one
-    representative per isomorphism type when ``dedupe`` (an isomorphism
-    test) is supplied."""
+    """Every ``build_member`` candidate within the given bounds, in a fixed
+    order.  Candidates with repeated head values fail ``check_K1``;
+    ``engine.corpus`` filters them out and keeps one per isomorphism
+    type."""
     out: list[K1Structure] = []
     for p0_count in range(max_p0 + 1):
         for p2_count in range(max_p2 + 1):
@@ -234,8 +234,6 @@ def enumerate_members(
             n_star_range = range(max_n_star + 1) if p2_count else (0,)
             for n_star in n_star_range:
                 for plan in enumerate_head_plans(p0_count, p2_count, n_star):
-                    M = build_member(p0_count, p2_count, n_star, trunc, plan)
-                    if dedupe is not None and any(dedupe(M, other) for other in out):
-                        continue
-                    out.append(M)
+                    out.append(build_member(p0_count, p2_count, n_star,
+                                            trunc, plan))
     return out

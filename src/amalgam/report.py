@@ -41,8 +41,3 @@ class CheckReport:
                 for i in self.items
             ],
         }
-
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        out = CheckReport(self.subject)
-        out.items = list(self.items) + list(other.items)
-        return out

@@ -151,7 +151,7 @@ SITES = {
     "freepart._joint": (
         "WINDOW_CAP", lambda: conj(*halves(WINDOW_CAP + 1))),
     "p1._signature_blocks": (
-        "WINDOW_CAP", lambda: _signature_blocks(CTX, [WIDE], ())),
+        "WINDOW_CAP", lambda: _signature_blocks(CTX, [WIDE])),
     "p1.materialize": (
         "WINDOW_CAP", lambda: materialize(CTX, [WIDE])),
     "embeddings._match_general": (

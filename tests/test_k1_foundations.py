@@ -21,6 +21,7 @@ from amalgam.k1 import (
     minimal_model,
     var,
 )
+from amalgam.k1.engine import corpus
 from amalgam.k1.freepart import (
     ONE,
     ZERO,
@@ -33,6 +34,7 @@ from amalgam.k1.p1 import (
     independent_from_mod_atomic,
     point_blocks,
     subalgebra_contains,
+    zero_atomic_minterms_nonzero,
 )
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,58 @@ def test_independence_checks_match_flat_algebra():
             ba_independent(B, my, mx, PrincipalIdeal(B, designated_mask))
 
 
+def test_independence_tells_elements_with_one_free_part_apart():
+    ctx = P1Context((0, 1))
+    y1, y2 = P1Element(0b01, var(5)), P1Element(0b10, var(5))
+    assert independent_from_mod_atomic([y1], [])
+    assert independent_from_mod_atomic([y1, y1], [])
+    # y1 and y2 differ by an atomic element: y1 - y2 lies in the ideal
+    assert not independent_from_mod_atomic([y1, y2], [])
+    B, masks, _ = materialize(ctx, [y1, y2])
+    assert not ba_independent(B, masks, [], PrincipalIdeal(B, 0b11))
+
+
+def flat_minterms_nonzero(ctx, Y):
+    """Every signed minterm of the distinct members of Y is nonzero in the
+    flattened algebra."""
+    ys = list(dict.fromkeys(Y))
+    B, masks, _ = materialize(ctx, ys)
+    for signs in itertools.product((0, 1), repeat=len(ys)):
+        m = B.full
+        for mask, sign in zip(masks, signs):
+            m &= mask if sign else B.full & ~mask
+        if m == 0:
+            return False
+    return True
+
+
+def test_zero_atomic_minterms_match_flat_algebra():
+    rng = random.Random(1618)
+    outcomes = set()
+    for _ in range(400):
+        ctx = P1Context(tuple(range(rng.randint(0, 2))))
+        family = [P1Element(0, random_fn(rng, [10, 11, 12, 13]))
+                  for _ in range(rng.randint(0, 4))]
+        if family and rng.random() < 0.2:
+            family.append(rng.choice(family))
+        want = flat_minterms_nonzero(ctx, family)
+        assert zero_atomic_minterms_nonzero(ctx, family) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    # a zero all-negative free minterm is rescued by the atoms exactly when
+    # the family is one support component
+    g, h = var(10), var(11)
+    lone = ([P1Element(0, ONE)],
+            [P1Element(0, g), P1Element(0, disj(neg(g), h))])
+    split = ([P1Element(0, ONE), P1Element(0, h)],)
+    for atoms in ((), (0,)):
+        ctx = P1Context(atoms)
+        for family in lone + split:
+            want = flat_minterms_nonzero(ctx, family)
+            assert zero_atomic_minterms_nonzero(ctx, family) == want
+            assert want == (bool(atoms) and family in lone)
+
+
 def test_subalgebra_contains_matches_flat_blocks():
     rng = random.Random(525)
     ctx = P1Context((0, 1))
@@ -189,8 +243,8 @@ def test_isomorphism_invariance_of_enumeration():
 
 
 def test_fewmodels_member_count_is_stable():
-    first = enumerate_members(1, 1, 1, trunc=3, dedupe=is_isomorphic_k1)
-    second = enumerate_members(1, 1, 1, trunc=3, dedupe=is_isomorphic_k1)
+    first = corpus(1, 3, 1)
+    second = corpus(1, 3, 1)
     assert len(first) == len(second) > 0
     assert [m.canonical_key() for m in first] == \
         [m.canonical_key() for m in second]

@@ -55,6 +55,19 @@ def test_free_over_minimal_witness_passes():
     assert r.passed, r.failing()
 
 
+def test_wrong_h_domain_skips_the_tails_clause():
+    M = member(2, 1, 1, [[((0,), True)]])
+    w = derive_free_witness(M)
+    wrong = FreeExtensionWitness.make(w.independent, {})
+    r = check_free_extension(minimal_model(TRUNC), M, wrong)
+    items = {i.key: i for i in r.items}
+    assert items["fr.h_domain"].passed is False
+    assert items["fr.tails"].passed is None
+    assert items["fr.tails"].detail == "guarded out by an earlier failure"
+    assert r.failing() == ["fr.h_domain"]
+    assert check_free_extension(minimal_model(TRUNC), M, w).passed
+
+
 def test_pair_witness_for_member_inclusion():
     N1 = member(1, 0, 0)
     N2 = member(1, 1, 1, [[((0,), True)]], start=20)
@@ -97,6 +110,20 @@ def test_amalgamate_adds_one_designated_atom():
     r = check_K1(M2)
     assert r.passed, r.failing()
     rw = check_free_extension(M1, M2, result.witness, result.big_transport)
+    assert rw.passed, rw.failing()
+
+
+def test_amalgamate_without_atoms_builds_no_window():
+    # four names of six values: a base image window of 24 generators,
+    # past WINDOW_CAP, but no atom needs an ultrafilter choice
+    N1 = member(0, 4, 0, start=30)
+    N2 = member(0, 5, 0, start=200)
+    M1 = member(0, 4, 0, start=500)
+    result = amalgamate_free(M1, N1, N2, inclusion_of(N1, M1),
+                             inclusion_of(N1, N2))
+    assert result.amalgam.size == 5 and not result.new_atoms
+    rw = check_free_extension(M1, result.amalgam, result.witness,
+                              result.big_transport)
     assert rw.passed, rw.failing()
 
 

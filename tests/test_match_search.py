@@ -1,6 +1,7 @@
 """Embedding search with ``touching``: pinned enumeration against
-filtered and brute-force oracles, sign-vector refinement (``refine`` and
-``_signature_blocks``) against per-point partitions, identical builder
+filtered and brute-force oracles, sign-vector refinement (``refine``,
+``_signature_blocks`` and the amalgam's ``_principal_points``) against
+per-point partitions and per-value meets, identical builder
 ledgers with and without pinning, and the general match path against the
 simple one and brute force."""
 
@@ -33,6 +34,7 @@ from amalgam.k1.freepart import (
     rename,
     var,
 )
+from amalgam.k1.ops import _principal_points
 from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
 
@@ -226,11 +228,10 @@ def test_refined_sign_vectors_on_random_masks():
     assert refine(0, [1, 2]) == [] and refine(0b110, []) == [(0, 0b110)]
 
 
-def per_point_signature_blocks(ctx, elements, extra_support):
+def per_point_signature_blocks(ctx, elements):
     """Atoms and window points partitioned one point at a time, joined by
     vector: {vector: (atom mask, window point table)}."""
-    sigma = tuple(sorted({g for e in elements for g in e.free.support}
-                         | set(extra_support)))
+    sigma = tuple(sorted({g for e in elements for g in e.free.support}))
     atoms = tuple_keyed_partition(ctx.full_mask, [e.atomic for e in elements])
     points = tuple_keyed_partition(
         (1 << (1 << len(sigma))) - 1, [_expand(e.free, sigma) for e in elements])
@@ -245,17 +246,66 @@ def test_signature_blocks_equal_per_point_partition(k1_head_chain):
         atoms, gens = range(rng.randint(0, 4)), range(10, 14)
         ctx = P1Context(tuple(atoms))
         values = [rich_value(rng, atoms, gens) for _ in range(rng.randint(0, 6))]
-        extra = rng.sample(range(8, 16), rng.randint(0, 2))
-        families.append((ctx, values, extra))
+        families.append((ctx, values))
     for S in k1_head_chain[-3:]:
-        families.append((S.ctx, list(S.g1.values()), ()))
-        families.append((S.ctx, list(S.f.values())[:8], ()))
-    for ctx, values, extra in families:
-        sigma, blocks = _signature_blocks(ctx, values, extra)
-        want_sigma, want = per_point_signature_blocks(ctx, values, extra)
+        families.append((S.ctx, list(S.g1.values())))
+        families.append((S.ctx, list(S.f.values())[:8]))
+    for ctx, values in families:
+        sigma, blocks = _signature_blocks(ctx, values)
+        want_sigma, want = per_point_signature_blocks(ctx, values)
         assert sigma == want_sigma
         assert {v: tuple(b) for v, b in blocks.items()} == want
         assert {tuple(b) for b in blocks.values()} == set(want.values())
+
+
+def signed_meet(ctx, images, v):
+    """The block with sign vector v over ``images``, one meet per value:
+    how the amalgamation placed its atoms before ``_principal_points``."""
+    out = ctx.top
+    for i, element in enumerate(images):
+        out = ctx.meet(out, element if v >> i & 1 else ctx.comp(element))
+    return out
+
+
+def least_point(fn):
+    """Lexicographically least satisfying assignment over fn's support,
+    as its (generator, 1) pairs; None for the zero function."""
+    for p in range(1 << len(fn.support)):
+        if fn.table >> p & 1:
+            return tuple((g, 1) for i, g in enumerate(fn.support) if p >> i & 1)
+    return None
+
+
+def test_principal_points_equal_signed_meets(k1_head_chain):
+    rng = random.Random(29)
+    families = []
+    for _ in range(200):
+        atoms, gens = range(rng.randint(0, 4)), range(10, 14)
+        families.append((P1Context(tuple(atoms)), [
+            rich_value(rng, atoms, gens) for _ in range(rng.randint(0, 6))]))
+    # images as amalgamate_free sees them: task sources matched into task
+    # targets, and (every sixth pair, to bound the cost of the per-value
+    # meets over wide windows) into the head-build top
+    top = k1_head_chain[-1]
+    for i, (A, B, _) in enumerate(k1_class(TRUNC, 1).task_pairs(3)):
+        for target in (B, top) if i % 6 == 0 else (B,):
+            for e in enumerate_matches(A, target)[:1]:
+                families.append((target.ctx, _generator_lists(
+                    A, target, dict(e.p0_map), dict(e.p2_map))[1]))
+    kinds = {"points": 0, "atoms only": 0, "unrealized": 0}
+    for ctx, images in families:
+        table = _principal_points(ctx, images)
+        if len(images) <= 6:
+            vectors = range(1 << len(images))
+        else:  # a per-value meet over a wide window takes milliseconds
+            vectors = rng.sample(sorted(table), min(2, len(table))) + \
+                [rng.getrandbits(len(images)) for _ in range(2)]
+        for v in vectors:
+            block = signed_meet(ctx, images, v)
+            assert table.get(v) == least_point(block.free)
+            kinds["points" if not block.free.is_zero else
+                  "atoms only" if block.atomic else "unrealized"] += 1
+    assert all(count > 20 for count in kinds.values()), kinds
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """No definition without a caller: every function, class and method
-defined in ``src/amalgam`` (dunders exempt) is named somewhere in the
-Python files under ``src/``, ``tests/`` or ``perfbench/`` besides its own
-definition.  No import without a use: every name a module under
-``src/amalgam`` or ``tests/`` imports is read in that module, unless the
-import line is marked ``# noqa: F401`` (a re-export)."""
+defined in ``src/amalgam`` (dunders exempt) is named in code somewhere in
+the Python files under ``src/``, ``tests/`` or ``perfbench/``.  A name
+counts where the syntax tree uses it: a name or attribute in an
+expression, an imported name, or a string constant spelling a dotted
+identifier (``"conj_many"``, ``"FiniteStructure.restrict"``: the
+functions a probe table wraps by name).  Prose in comments and
+docstrings does not count.  No import without a use: every name a module
+under ``src/amalgam`` or ``tests/`` imports is read in that module,
+unless the import line is marked ``# noqa: F401`` (a re-export)."""
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,22 +31,54 @@ def _definitions() -> list[tuple[str, str]]:
     return out
 
 
-def _word_counts() -> Counter:
-    words: Counter = Counter()
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Identifiers the code of ``tree`` uses, definitions excluded."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            used.update(node.value.split("."))
+    return used
+
+
+def _all_names_used() -> set[str]:
+    used = set()
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text()))
-    return words
+            used |= _names_used(ast.parse(path.read_text(), str(path)))
+    return used
 
 
 def test_every_definition_is_named_elsewhere():
     definitions = _definitions()
     assert len(definitions) > 100, "the scan found too few definitions"
-    defined = Counter(name for _, name in definitions)
-    words = _word_counts()
+    used = _all_names_used()
     dead = sorted(f"{path}: {name}" for path, name in definitions
-                  if words[name] <= defined[name])
+                  if name not in used)
     assert not dead, "defined but never named elsewhere:\n" + "\n".join(dead)
+
+
+def test_prose_is_not_a_use():
+    used = _names_used(ast.parse(
+        'def orphan(a):\n'
+        '    """The orphan of a."""\n'
+        '    # orphan again\n'
+        '    return "an orphan"\n'
+        'PROBES = ("conj_many", "FiniteStructure.restrict")\n'
+        'import amalgam.k1.freepart as fp\n'
+        'fp.neg(x)\n'))
+    assert "orphan" not in used
+    assert {"conj_many", "FiniteStructure", "restrict", "amalgam", "k1",
+            "freepart", "neg", "fp", "x"} <= used
 
 
 def _unused_imports(path: Path) -> list[str]:
