@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AmalgamationFailed
-from .fraisse import AmalgamationClass, DiagramDescriptor
+from .fraisse import AmalgamationClass
 from .structures import (
     Embedding,
     FiniteStructure,
@@ -205,48 +205,19 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     return e.is_valid()
 
 
-def structure_diagram(A: FiniteStructure, enumeration) -> DiagramDescriptor:
-    index = {x: i for i, x in enumerate(enumeration)}
-    relations = []
-    for name, tuples in sorted(A.relations.items()):
-        for t in sorted(tuples):
-            relations.append((name, tuple(index[x] for x in t)))
-    functions = []
-    for name, table in sorted(A.functions.items()):
-        for args, value in sorted(table.items()):
-            functions.append((name, tuple(index[x] for x in args), index[value]))
-    constants = [(name, index[v]) for name, v in sorted(A.constants.items())]
-    return DiagramDescriptor(len(enumeration), tuple(relations),
-                             tuple(functions), tuple(constants))
-
-
-def structure_tuples(B: FiniteStructure, size: int):
-    return itertools.permutations(B.universe, size)
-
-
-def structure_satisfies(B: FiniteStructure, candidate, d: DiagramDescriptor) -> bool:
-    positive = set(d.relations)
-    for name, tuples in B.relations.items():
-        arity = B.vocabulary.relation_arity(name)
-        for idx in itertools.product(range(len(candidate)), repeat=arity):
-            holds = tuple(candidate[i] for i in idx) in tuples
-            if holds != ((name, idx) in positive):
+def separable(cls: AmalgamationClass, A: FiniteStructure, bound: int) -> bool:
+    """Does the atomic diagram of A pin down its isomorphism type among
+    the members of ``cls`` up to ``bound``?  A tuple of a member satisfies
+    the diagram iff it is the image of an embedding of A, so it does iff
+    every such image is closed and the member defines no function value
+    or constant on it that A leaves undefined."""
+    for B in cls.members(bound):
+        for e in enumerate_embeddings(A, B):
+            image = set(e.mapping.values())
+            # e carries every entry of A to one of B on the image, so B
+            # may define no other; that also makes the image closed
+            if len(B.constants) != len(A.constants) or any(
+                    sum(image.issuperset(args) for args in B.functions[name])
+                    != len(table) for name, table in A.functions.items()):
                 return False
-    for name, idx_args, idx_value in d.functions:
-        args = tuple(candidate[i] for i in idx_args)
-        if B.functions[name].get(args) != candidate[idx_value]:
-            return False
-    for name, idx in d.constants:
-        if B.constants.get(name) != candidate[idx]:
-            return False
     return True
-
-
-def structure_partial_iso(A, enumeration, B, candidate) -> bool:
-    mapping = dict(zip(enumeration, candidate))
-    if len(set(candidate)) != len(candidate):
-        return False
-    sub = B.restrict(set(candidate)) if B.is_closed(set(candidate)) else None
-    if sub is None:
-        return False
-    return Embedding(A, sub, mapping).is_valid()

@@ -14,6 +14,9 @@ embeddings that touch an id the new top added (its ``touching``
 argument), so the search never revisits an embedding into an earlier
 top, and no ledger of seen embeddings is kept.
 
+Whether a member's atomic diagram pins down its isomorphism type is a
+question about plain structures, answered by ``backends.separable``.
+
 Everything is deterministic: enumeration orders are fixed, and the run
 seed only perturbs tie-breaking among tasks discovered at the same stage,
 so distinct seeds give different but equivalent generics.
@@ -283,46 +286,3 @@ def back_and_forth_check(
     if not position_valid(M, N, (), ()):
         return False
     return depth == 0 or survive((), (), 0, depth)
-
-
-# ---------------------------------------------------------------------------
-# Separability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagramDescriptor:
-    """Quantifier-free atomic diagram of an enumerated member."""
-
-    size: int
-    relations: tuple[tuple[str, tuple[int, ...]], ...]  # positive atoms, index form
-    functions: tuple[tuple[str, tuple[int, ...], int], ...]
-    constants: tuple[tuple[str, int], ...]
-
-
-UNKNOWN = "unknown"
-
-
-def separability_witness(
-    cls: AmalgamationClass,
-    A: Any,
-    enumeration: Sequence,
-    bound: int,
-    diagram_of: Callable[[Any, Sequence], DiagramDescriptor],
-    tuples_of: Callable[[Any, int], Sequence],
-    satisfies: Callable[[Any, Sequence, DiagramDescriptor], bool],
-    partial_iso: Callable[[Any, Sequence, Any, Sequence], bool],
-):
-    """The diagram formula of the enumeration, when it certifies: every
-    tuple in an enumerated member of the same cardinality satisfying the
-    diagram must enumerate an isomorphic copy.  Returns the descriptor or
-    the string "unknown" when the fragment cannot certify."""
-    descriptor = diagram_of(A, enumeration)
-    for B in cls.members(bound):
-        if cls.size_of(B) < descriptor.size:
-            continue
-        for candidate in tuples_of(B, descriptor.size):
-            if satisfies(B, candidate, descriptor):
-                if not partial_iso(A, enumeration, B, candidate):
-                    return UNKNOWN
-    return descriptor

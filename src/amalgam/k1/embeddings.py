@@ -18,7 +18,8 @@ Two kinds of maps:
   values are chi-mask-plus-private-generator shaped.  Both paths read the
   realized sign vectors off ``boolalg.refine``: the simple path over the
   designated atoms, the general path over atoms and window points
-  through ``p1._signature_blocks``.
+  through ``p1._signature_blocks``.  Matches are enumerated by the one
+  injective search behind every embedding enumerator, ``search.backtrack``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Collection, Optional
 
 from ..boolalg import refine
 from ..errors import InvalidEmbedding
+from ..search import backtrack
 from .freepart import FreeFn, rename
 from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
@@ -274,79 +276,34 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     """All structure embeddings A -> B (as P0/P2 injections), lexicographic
     in target id order, honoring pinned assignments.
 
-    With ``touching``, only the embeddings with some P0 or P2 image in
-    it: when the search reaches the last free slot that can take an id
-    from ``touching`` and no image is in it yet, that slot takes its
-    candidates from ``touching`` alone.
+    One ``search.backtrack`` over one map (P0 and P2 ids share one id
+    space): the free P2 slots first, then the free P0 slots.
+    ``touching`` keeps only the embeddings with some P0 or P2 image in
+    it, by the pin rule of ``backtrack``.
     """
-    fixed_p0 = dict(fixed_p0 or {})
-    fixed_p2 = dict(fixed_p2 or {})
     if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2):
         return []
-    results: list[MatchEmbedding] = []
+    fixed = {**(fixed_p0 or {}), **(fixed_p2 or {})}
+    free_p2 = [c for c in A.p2 if c not in fixed]
+    free_p0 = [a for a in A.p0 if a not in fixed]
+    p2_ids = set(A.p2)
 
-    free_p0 = [a for a in A.p0 if a not in fixed_p0]
-    free_p2 = [c for c in A.p2 if c not in fixed_p2]
+    def feasible(mapping: dict[int, int], x: int) -> bool:
+        if x in p2_ids:
+            return _p2_profile_ok(A, B, x, mapping[x])
+        return _p0_profile_ok(A, B, x, mapping)
 
-    # the slot where pinning applies, as an index into free_p0 or free_p2
-    pin_p0 = pin_p2 = -1
-    touch_p0: list[int] = []
-    touch_p2: list[int] = []
-    if touching is not None and not _touches(touching, fixed_p0, fixed_p2):
-        touch_p0 = [b for b in B.p0 if b in touching]
-        touch_p2 = [d for d in B.p2 if d in touching]
-        if free_p0 and touch_p0:
-            pin_p0 = len(free_p0) - 1
-        elif free_p2 and touch_p2:
-            pin_p2 = len(free_p2) - 1
-        else:
-            return []
+    def accept(mapping: dict[int, int]) -> Optional[MatchEmbedding]:
+        p0_map = {a: mapping[a] for a in A.p0}
+        p2_map = {c: mapping[c] for c in A.p2}
+        if not is_valid_match(A, B, p0_map, p2_map):
+            return None
+        return MatchEmbedding(tuple(sorted(p0_map.items())),
+                              tuple(sorted(p2_map.items())))
 
-    def fill_p0(i, p0_map, p2_map):
-        if i == len(free_p0):
-            if is_valid_match(A, B, p0_map, p2_map):
-                results.append(MatchEmbedding(
-                    tuple(sorted(p0_map.items())), tuple(sorted(p2_map.items()))
-                ))
-                return first_only
-            return False
-        a = free_p0[i]
-        used = set(p0_map.values())
-        pool = B.p0
-        if i == pin_p0 and not _touches(touching, p0_map, p2_map):
-            pool = touch_p0
-        for b in pool:
-            if b in used:
-                continue
-            p0_map[a] = b
-            if _p0_profile_ok(A, B, a, b, p2_map) and fill_p0(i + 1, p0_map, p2_map):
-                return True
-            del p0_map[a]
-        return False
-
-    def fill_p2(j, p2_map):
-        if j == len(free_p2):
-            return fill_p0(0, dict(fixed_p0), p2_map)
-        c = free_p2[j]
-        used = set(p2_map.values())
-        pool = B.p2
-        if j == pin_p2 and not _touches(touching, p2_map):
-            pool = touch_p2
-        for d in pool:
-            if d in used:
-                continue
-            p2_map[c] = d
-            if _p2_profile_ok(A, B, c, d) and fill_p2(j + 1, p2_map):
-                return True
-            del p2_map[c]
-        return False
-
-    fill_p2(0, dict(fixed_p2))
-    return results
-
-
-def _touches(touching: Collection[int], *maps: dict[int, int]) -> bool:
-    return any(v in touching for m in maps for v in m.values())
+    return backtrack(free_p2 + free_p0,
+                     [B.p2] * len(free_p2) + [B.p0] * len(free_p0),
+                     fixed, feasible, accept, first_only, touching)
 
 
 def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
@@ -367,14 +324,16 @@ def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
     return True
 
 
-def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int, b: int,
-                   p2_map: dict[int, int]) -> bool:
-    """The F-membership profile of a's atom must match b's over mapped c."""
+def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int,
+                   mapping: dict[int, int]) -> bool:
+    """The F-membership profile of a's atom must match that of its image's
+    atom over every c of P2 (all mapped before any P0 id)."""
     atom_a = A.g1[a].atomic
-    atom_b = B.g1[b].atomic
+    atom_b = B.g1[mapping[a]].atomic
     if atom_a == 0 or atom_b == 0:
         return atom_a == atom_b
-    for c, d in p2_map.items():
+    for c in A.p2:
+        d = mapping[c]
         for n in range(A.trunc):
             in_a = bool(A.f[(n, c)].atomic & atom_a)
             in_b = bool(B.f[(n, d)].atomic & atom_b)

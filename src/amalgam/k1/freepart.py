@@ -52,16 +52,19 @@ def var(g: int) -> FreeFn:
     return FreeFn((g,), 0b10)
 
 
-def _expand(fn: FreeFn, joint: tuple[int, ...]) -> int:
-    """Truth table of fn over a superset support."""
-    positions = [joint.index(g) for g in fn.support]
+def _expand(table: int, variables: tuple[int, ...],
+            joint: tuple[int, ...]) -> int:
+    """A truth table over ``variables`` (bit i of a pattern is
+    variables[i]) as a truth table over the sorted ``joint``, which holds
+    every variable."""
+    positions = [joint.index(g) for g in variables]
     out = 0
     for p in range(1 << len(joint)):
         q = 0
         for i, pos in enumerate(positions):
             if p & (1 << pos):
                 q |= 1 << i
-        if (fn.table >> q) & 1:
+        if (table >> q) & 1:
             out |= 1 << p
     return out
 
@@ -111,7 +114,8 @@ def conj(a: FreeFn, b: FreeFn) -> FreeFn:
     if b.is_one:
         return a
     joint = _joint(a, b)
-    return _reduce(joint, _expand(a, joint) & _expand(b, joint))
+    return _reduce(joint, _expand(a.table, a.support, joint)
+                   & _expand(b.table, b.support, joint))
 
 def disj(a: FreeFn, b: FreeFn) -> FreeFn:
     if a.is_one or b.is_one:
@@ -121,7 +125,8 @@ def disj(a: FreeFn, b: FreeFn) -> FreeFn:
     if b.is_zero:
         return a
     joint = _joint(a, b)
-    return _reduce(joint, _expand(a, joint) | _expand(b, joint))
+    return _reduce(joint, _expand(a.table, a.support, joint)
+                   | _expand(b.table, b.support, joint))
 
 
 def neg(a: FreeFn) -> FreeFn:
@@ -134,17 +139,8 @@ def rename(a: FreeFn, mapping: Mapping[int, int]) -> FreeFn:
     new_support = tuple(mapping.get(g, g) for g in a.support)
     if len(set(new_support)) != len(new_support):
         raise ValueError("generator renaming collides on the support")
-    order = sorted(range(len(new_support)), key=lambda i: new_support[i])
-    sorted_support = tuple(new_support[i] for i in order)
-    table = 0
-    for p in range(1 << len(a.support)):
-        q = 0
-        for new_pos, old_pos in enumerate(order):
-            if p & (1 << old_pos):
-                q |= 1 << new_pos
-        if (a.table >> p) & 1:
-            table |= 1 << q
-    return FreeFn(sorted_support, table)
+    joint = tuple(sorted(new_support))
+    return FreeFn(joint, _expand(a.table, new_support, joint))
 
 
 def conj_many(fns: Iterable[FreeFn]) -> FreeFn:

@@ -112,7 +112,8 @@ def _window(fns: Sequence[FreeFn]) -> tuple[tuple[int, ...], list[int], int]:
     sigma = tuple(sorted({g for fn in fns for g in fn.support}))
     if len(sigma) > WINDOW_CAP:
         raise CapExceeded("WINDOW_CAP", len(sigma))
-    return sigma, [_expand(fn, sigma) for fn in fns], (1 << (1 << len(sigma))) - 1
+    tables = [_expand(fn.table, fn.support, sigma) for fn in fns]
+    return sigma, tables, (1 << (1 << len(sigma))) - 1
 
 
 def _signature_blocks(

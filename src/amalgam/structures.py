@@ -19,6 +19,7 @@ from .errors import (
     InvalidEmbedding,
     VocabularyMismatch,
 )
+from .search import backtrack
 
 
 @dataclass(frozen=True)
@@ -286,79 +287,44 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
                          first_only: bool = False,
                          touching: Optional[Collection[int]] = None,
                          ) -> list[Embedding]:
-    """All embeddings A -> B by backtracking over the ordered universes.
+    """All embeddings A -> B, by ``search.backtrack`` over the ordered
+    universes; results come in lexicographic order of the image sequence.
 
-    ``fixed`` pins part of the map (used for extension tasks).  With
-    ``touching``, only the embeddings with some image in it: when the
-    search reaches the last free element and no image is in ``touching``
-    yet, that element takes its candidates from ``touching`` alone.
-    Results come in lexicographic order of the image sequence.
+    ``fixed`` pins part of the map (used for extension tasks), and the
+    constants of A are pinned to those of B.  ``touching`` keeps only the
+    embeddings with some image in it, by the pin rule of ``backtrack``.
     """
     if A.vocabulary != B.vocabulary:
         raise VocabularyMismatch("cannot embed across vocabularies")
     if A.size > B.size:
         return []
+    mapping = dict(fixed or {})
     for name, value in A.constants.items():
-        if name not in B.constants:
-            return []
-    mapping: dict[int, int] = {}
-    if fixed:
-        for x, y in fixed.items():
-            mapping[x] = y
-    for name, value in A.constants.items():
-        pinned = B.constants[name]
-        if mapping.get(value, pinned) != pinned:
+        pinned = B.constants.get(name)
+        if pinned is None or mapping.get(value, pinned) != pinned:
             return []
         mapping[value] = pinned
-    if len(set(mapping.values())) != len(mapping):
-        return []
-    order = [x for x in A.universe if x not in mapping]
-    results: list[Embedding] = []
-
     # seed consistency for the pinned part
     for x in list(mapping):
         if not _consistent_so_far(A, B, mapping, x):
             return []
 
-    pin = -1  # the index into ``order`` where pinning applies
-    touch: list[int] = []
-    if touching is not None and not any(y in touching
-                                        for y in mapping.values()):
-        if not order:
-            return []
-        pin = len(order) - 1
-        touch = [y for y in B.universe if y in touching]
+    def accept(m: dict[int, int]) -> Optional[Embedding]:
+        e = Embedding(A, B, dict(m))
+        return e if e.is_valid() else None
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            e = Embedding(A, B, dict(mapping))
-            if e.is_valid():
-                results.append(e)
-                return first_only
-            return False
-        x = order[i]
-        used = set(mapping.values())
-        pool = B.universe
-        if i == pin and not any(y in touching for y in used):
-            pool = touch
-        for y in pool:
-            if y in used:
-                continue
-            mapping[x] = y
-            if _consistent_so_far(A, B, mapping, x) and search(i + 1):
-                return True
-            del mapping[x]
-        return False
-
-    search(0)
-    return results
+    order = [x for x in A.universe if x not in mapping]
+    return backtrack(order, [B.universe] * len(order), mapping,
+                     lambda m, x: _consistent_so_far(A, B, m, x), accept,
+                     first_only, touching)
 
 
 def is_isomorphic(A: FiniteStructure, B: FiniteStructure) -> bool:
-    """True iff some embedding A -> B is surjective."""
+    """True iff some embedding A -> B is surjective and B defines no
+    function value or constant that A leaves undefined."""
     if A.vocabulary != B.vocabulary:
         raise VocabularyMismatch("cannot compare across vocabularies")
-    if A.size != B.size:
+    if A.size != B.size or A.constants.keys() != B.constants.keys():
         return False
     # cheap invariants first
     for name in A.relations:

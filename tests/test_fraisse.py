@@ -1,32 +1,32 @@
 """Engine checks on classical classes: JEP, disjoint AP, the generic
-builder, richness, the bounded game, separability."""
+builder, richness, the bounded game, and ``backends.separable`` against a
+brute force over injective tuples."""
+
+import itertools
 
 from amalgam.backends import (
     GRAPH_VOCAB,
     chain_structure,
     graph_class,
     linear_order_class,
-    structure_diagram,
-    structure_partial_iso,
+    separable,
     structure_position_valid,
-    structure_satisfies,
-    structure_tuples,
 )
 from amalgam.errors import AmalgamationFailed
 from amalgam.fraisse import (
-    UNKNOWN,
     AmalgamationClass,
     back_and_forth_check,
     build_generic,
     check_disjoint_ap,
     check_jep,
     richness_defect,
-    separability_witness,
 )
 from amalgam.structures import (
+    Embedding,
     FiniteStructure,
     Vocabulary,
     enumerate_embeddings,
+    is_isomorphic,
 )
 
 
@@ -170,30 +170,20 @@ def test_back_and_forth_detects_atomic_difference():
                                     structure_position_valid)
 
 
-def test_separability_certifies_graph_edge():
-    cls = graph_class()
-    edge = FiniteStructure(GRAPH_VOCAB, (0, 1), {"adj": {(0, 1), (1, 0)}})
-    result = separability_witness(
-        cls, edge, (0, 1), 3,
-        structure_diagram, structure_tuples, structure_satisfies,
-        structure_partial_iso,
-    )
-    assert result != UNKNOWN
-    assert result.size == 2
+F0_VOCAB = Vocabulary.make(functions={"F0": 1}, index_bound=1)
 
 
-def test_separability_unknown_when_fragment_hides_distinctions():
-    # the source member leaves a family function undefined (its data lives
-    # beyond the truncation), so its diagram cannot forbid another member
-    # from interpreting that function off the candidate tuple: the
-    # candidate satisfies the diagram but is not closed, hence Unknown
-    vocab = Vocabulary.make(functions={"F0": 1}, index_bound=1)
-    A = FiniteStructure(vocab, (0,), {}, {"F0": {}})
-    E = FiniteStructure(vocab, (0, 1), {}, {"F0": {(0,): 1}})
-    cls = AmalgamationClass(
-        name="truncated-family",
-        seed_model=lambda: A,
-        members=lambda bound: [A, E],
+def unary(universe, table):
+    return FiniteStructure(F0_VOCAB, universe, {}, {"F0": table})
+
+
+def fixed_members(members) -> AmalgamationClass:
+    """A class given by its member list alone: separability reads only
+    ``members``."""
+    return AmalgamationClass(
+        name="fixed-members",
+        seed_model=lambda: members[0],
+        members=lambda bound: members,
         size_of=lambda M: M.size,
         task_pairs=lambda bound: [],
         embeddings=lambda X, M: enumerate_embeddings(X, M),
@@ -202,9 +192,68 @@ def test_separability_unknown_when_fragment_hides_distinctions():
         amalgamate=lambda *args: (_ for _ in ()).throw(AmalgamationFailed("")),
         new_ids=lambda old, new: set(),
     )
-    result = separability_witness(
-        cls, A, (0,), 2,
-        structure_diagram, structure_tuples, structure_satisfies,
-        structure_partial_iso,
-    )
-    assert result == UNKNOWN
+
+
+# the source leaves F0 undefined (its data lives beyond the truncation),
+# so its diagram cannot forbid a member from defining F0 on the tuple:
+# first off the tuple (the image is not closed), then onto it
+HIDDEN_OFF_TUPLE = (unary((0,), {}), [unary((0,), {}), unary((0, 1), {(0,): 1})])
+HIDDEN_ON_TUPLE = (unary((0, 1), {}),
+                   [unary((0, 1), {}), unary((0, 1), {(0,): 1})])
+
+
+def separable_by_brute_force(cls, A, bound):
+    """From the definition: every injective tuple of a member that carries
+    an embedding of A spans a closed copy isomorphic to A."""
+    for B in cls.members(bound):
+        for image in itertools.permutations(B.universe, A.size):
+            if Embedding(A, B, dict(zip(A.universe, image))).is_valid() and \
+                    not (B.is_closed(image)
+                         and is_isomorphic(A, B.restrict(image))):
+                return False
+    return True
+
+
+def test_separability_certifies_graph_edge():
+    edge = FiniteStructure(GRAPH_VOCAB, (0, 1), {"adj": {(0, 1), (1, 0)}})
+    assert separable(graph_class(), edge, 3)
+
+
+def test_separability_unknown_when_fragment_hides_distinctions():
+    A, members = HIDDEN_OFF_TUPLE
+    assert not separable(fixed_members(members), A, 2)
+
+
+def test_separability_rejects_a_function_value_defined_on_the_tuple():
+    # the image of A in E is closed, but E defines F0(0) = 1 there
+    A, members = HIDDEN_ON_TUPLE
+    E = members[1]
+    assert Embedding(A, E, {0: 0, 1: 1}).is_valid() and E.is_closed((0, 1))
+    assert not is_isomorphic(A, E)
+    assert not separable(fixed_members(members), A, 2)
+
+
+def test_separable_agrees_with_brute_force():
+    cases = [(make_cls(), A, 3) for make_cls in (graph_class, linear_order_class)
+             for A in make_cls().members(3)]
+    cases += [(fixed_members(members), A, 2)
+              for A, members in (HIDDEN_OFF_TUPLE, HIDDEN_ON_TUPLE)]
+    # a member interprets a constant on the tuple that the source leaves
+    # uninterpreted
+    cd = Vocabulary.make(constants=["c", "d"])
+    constants = [FiniteStructure(cd, (0,), constants={"c": 0}),
+                 FiniteStructure(cd, (0,), constants={"c": 0, "d": 0})]
+    cases += [(fixed_members(constants), A, 1) for A in constants]
+    # every partial unary function on at most two points, as A and as member
+    partial = [unary(tuple(range(n)), {(x,): y for x, y in enumerate(values)
+                                       if y is not None})
+               for n in range(3)
+               for values in itertools.product((None, *range(n)), repeat=n)]
+    assert len(partial) == 1 + 2 + 9
+    cases += [(fixed_members(partial), A, 2) for A in partial]
+    verdicts = []
+    for cls, A, bound in cases:
+        verdict = separable(cls, A, bound)
+        assert verdict == separable_by_brute_force(cls, A, bound), A
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -25,6 +25,7 @@ from amalgam.k1.engine import corpus
 from amalgam.k1.freepart import (
     ONE,
     ZERO,
+    _reduce,
     conj,
     disj,
     neg,
@@ -88,6 +89,20 @@ def test_freefn_rename_roundtrip():
     renamed = rename(fn, {1: 10, 3: 30})
     assert renamed.support == (10, 30)
     assert rename(renamed, {10: 1, 30: 3}) == fn
+
+
+def test_freefn_rename_reversing_the_support_agrees_with_evaluate():
+    rng = random.Random(17)
+    for _ in range(200):
+        support = tuple(sorted(rng.sample(range(8), rng.randint(1, 5))))
+        fn = _reduce(support, rng.getrandbits(1 << len(support)))
+        mapping = {g: 20 - g for g in fn.support}
+        renamed = rename(fn, mapping)
+        assert renamed.support == tuple(sorted(mapping.values()))
+        for bits in itertools.product((0, 1), repeat=len(fn.support)):
+            point = dict(zip(fn.support, bits))
+            assert renamed.evaluate({mapping[g]: v for g, v in point.items()}) \
+                == fn.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Embedding search with ``touching``: pinned enumeration against
-filtered and brute-force oracles, sign-vector refinement (``refine``,
+"""Embedding search with ``touching``: pinned enumeration, with and
+without ``fixed`` assignments, against filtered and brute-force oracles, sign-vector refinement (``refine``,
 ``_signature_blocks`` and the amalgam's ``_principal_points``) against
 per-point partitions and per-value meets, identical builder
 ledgers with and without pinning, and the general match path against the
@@ -172,6 +172,26 @@ def test_pinned_embeddings_into_generic_tops(make_cls, steps):
                     sorted(brute_force_embeddings(A, top))
 
 
+@pytest.mark.parametrize("make_cls, steps", [(linear_order_class, 30),
+                                             (graph_class, 12)])
+def test_pinned_embeddings_with_fixed_assignments(make_cls, steps):
+    cls = make_cls()
+    top = build_generic(cls, steps, 3, seed=1).top
+    met_by_pins = narrowed = 0
+    for A, B, inc in cls.task_pairs(3):
+        for f in enumerate_embeddings(A, top)[:3]:
+            fixed = {inc(a): f(a) for a in A.universe}
+            full = enumerate_embeddings(B, top, fixed)
+            for S in (set(fixed.values()), {top.universe[0]},
+                      {top.universe[-1]}):
+                pinned = enumerate_embeddings(B, top, fixed, touching=S)
+                assert [e.key() for e in pinned] == \
+                    [e.key() for e in full if set(e.mapping.values()) & S]
+                met_by_pins += bool(pinned and S & set(fixed.values()))
+                narrowed += bool(pinned) and len(pinned) < len(full)
+    assert met_by_pins and narrowed
+
+
 # ---------------------------------------------------------------------------
 # Sign-vector refinement against per-point partitions
 # ---------------------------------------------------------------------------
@@ -234,7 +254,8 @@ def per_point_signature_blocks(ctx, elements):
     sigma = tuple(sorted({g for e in elements for g in e.free.support}))
     atoms = tuple_keyed_partition(ctx.full_mask, [e.atomic for e in elements])
     points = tuple_keyed_partition(
-        (1 << (1 << len(sigma))) - 1, [_expand(e.free, sigma) for e in elements])
+        (1 << (1 << len(sigma))) - 1,
+        [_expand(e.free.table, e.free.support, sigma) for e in elements])
     return sigma, {v: (atoms.get(v, 0), points.get(v, 0))
                    for v in atoms.keys() | points.keys()}
 

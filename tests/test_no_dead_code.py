@@ -6,8 +6,9 @@ expression, an imported name, or a string constant spelling a dotted
 identifier (``"conj_many"``, ``"FiniteStructure.restrict"``: the
 functions a probe table wraps by name).  Prose in comments and
 docstrings does not count.  No import without a use: every name a module
-under ``src/amalgam`` or ``tests/`` imports is read in that module,
-unless the import line is marked ``# noqa: F401`` (a re-export)."""
+under ``src/amalgam``, ``tests/`` or ``perfbench/`` imports is read in
+that module, unless the import line is marked ``# noqa: F401`` (a
+re-export)."""
 
 import ast
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amalgam"
 SEARCHED = ("src", "tests", "perfbench")
-LINTED = (PACKAGE, ROOT / "tests")
+LINTED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -190,6 +190,14 @@ def test_different_cardinalities_not_isomorphic():
     assert not is_isomorphic(edge_structure([0], set()), edge_structure([0, 1], set()))
 
 
+def test_a_constant_only_one_side_interprets_breaks_isomorphism():
+    vocab = Vocabulary.make(constants=["c", "d"])
+    A = FiniteStructure(vocab, (0,), constants={"c": 0})
+    B = FiniteStructure(vocab, (0,), constants={"c": 0, "d": 0})
+    assert Embedding(A, B, {0: 0}).is_valid()
+    assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
+
+
 def test_relabeled_structures_isomorphic_by_exhaustive_bijection():
     A = edge_structure([0, 1, 2, 3], {(0, 1), (1, 2), (2, 3)})
     B = edge_structure([4, 5, 6, 7], {(7, 5), (5, 6), (6, 4)})
