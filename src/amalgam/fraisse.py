@@ -12,7 +12,10 @@ top or by amalgamating the missing extension on disjointly.
 Discovery after a growth step asks the ``embeddings`` hook only for the
 embeddings that touch an id the new top added (its ``touching``
 argument), so the search never revisits an embedding into an earlier
-top, and no ledger of seen embeddings is kept.
+top, and no ledger of seen embeddings is kept.  Many task pairs share
+one base member A, so discovery asks the hook once per distinct base
+and hands the one list to every pair over that base (``_per_base``);
+``richness_defect`` and ``check_disjoint_ap`` enumerate the same way.
 
 Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded
 
@@ -60,6 +63,13 @@ class AmalgamationClass:
     searches for an extension of f along the inclusion; ``amalgamate``
     must return the extended model (the previous top embeds by ids, and
     ``new_ids`` lists the ids it adds, which are never reused).
+
+    The engine calls ``embeddings`` once per distinct base object and
+    shares the returned list among every task pair over that base.  So
+    the result may depend only on ``(A, M, touching)``, it must be a
+    list (or another sequence that can be iterated more than once), and
+    embeddings must be immutable values: one object may stand for the
+    embedding of several tasks.
     """
 
     name: str
@@ -98,6 +108,23 @@ class GenericApproximation:
             "steps": self.steps_run,
             "tasks": [t.to_dict() for t in self.tasks],
         }
+
+
+def _per_base(bases: Iterable[tuple], enumerate_from: Callable[..., Any]):
+    """Yield ``enumerate_from(*base)`` for each tuple in ``bases``, in order,
+    calling it once per distinct tuple of objects.
+
+    Tuples are told apart by the identity of their entries, so no
+    structure is hashed or compared: the task pairs hold references to the
+    objects of ``members(bound)``.  A later tuple of the same objects gets
+    the very result the first one got.
+    """
+    found: dict[tuple, Any] = {}
+    for base in bases:
+        key = tuple(map(id, base))
+        if key not in found:
+            found[key] = enumerate_from(*base)
+        yield found[key]
 
 
 def check_jep(cls: AmalgamationClass, bound: int):
@@ -140,19 +167,20 @@ def check_disjoint_ap(cls: AmalgamationClass, bound: int):
     hooks' fresh-id contract: C embeds in the amalgam by ids, and the ids
     ``amalgamate`` adds for the part of B outside A are new (see
     ``new_ids``)."""
-    pairs = cls.task_pairs(bound)
     members = cls.members(bound)
+    grid = [(A, B, inc, C) for (A, B, inc) in cls.task_pairs(bound)
+            for C in members]
     checked = 0
-    for (A, B, inc) in pairs:
-        for C in members:
-            for f in cls.embeddings(A, C):
-                checked += 1
-                if checked > AP_BUDGET:
-                    raise CapExceeded("AP_BUDGET", checked)
-                try:
-                    cls.amalgamate(C, A, B, f, inc)
-                except AmalgamationFailed:
-                    return False, (A, B, C)
+    for (A, B, inc, C), embeddings in zip(
+            grid, _per_base(((A, C) for A, _, _, C in grid), cls.embeddings)):
+        for f in embeddings:
+            checked += 1
+            if checked > AP_BUDGET:
+                raise CapExceeded("AP_BUDGET", checked)
+            try:
+                cls.amalgamate(C, A, B, f, inc)
+            except AmalgamationFailed:
+                return False, (A, B, C)
     return True, checked
 
 
@@ -163,7 +191,13 @@ def build_generic(
     seed: int = 0,
     start: Optional[Any] = None,
 ) -> GenericApproximation:
-    """Run the scheduling loop for the given number of dequeue steps."""
+    """Run the scheduling loop for the given number of dequeue steps.
+
+    Discovery enumerates the embeddings of each distinct base A into the
+    top once and fans that list out to every pair over A; the batch is
+    then sorted by ``(pair_index, embedding_key)`` and, for a nonzero
+    seed, shuffled, so the ledger is the one a per-pair enumeration
+    gives."""
     pairs = cls.task_pairs(bound)
     chain = [start if start is not None else cls.seed_model()]
     tasks: list[Task] = []
@@ -173,9 +207,12 @@ def build_generic(
 
     def discover(stage: int, fresh: Optional[set]):
         top = chain[-1]
+        per_pair = _per_base(
+            ((A, top) for A, _, _ in pairs),
+            lambda A, M: cls.embeddings(A, M, touching=fresh))
         batch = [((pair_index, cls.embedding_key(f)), f)
-                 for pair_index, (A, _, _) in enumerate(pairs)
-                 for f in cls.embeddings(A, top, touching=fresh)]
+                 for pair_index, embeddings in enumerate(per_pair)
+                 for f in embeddings]
         batch.sort(key=lambda item: (item[0][0], item[0][1]))
         if seed:
             rng.shuffle(batch)
@@ -218,9 +255,11 @@ def build_generic(
 def richness_defect(M: Any, cls: AmalgamationClass, bound: int) -> list[tuple]:
     """All extension tasks into M lacking an extension; empty means rich
     at this bound."""
+    pairs = cls.task_pairs(bound)
     defects = []
-    for pair_index, (A, B, inc) in enumerate(cls.task_pairs(bound)):
-        for f in cls.embeddings(A, M):
+    for pair_index, ((A, B, inc), embeddings) in enumerate(zip(
+            pairs, _per_base(((A, M) for A, _, _ in pairs), cls.embeddings))):
+        for f in embeddings:
             if cls.extend(A, B, inc, f, M) is None:
                 defects.append((pair_index, cls.embedding_key(f)))
     return defects

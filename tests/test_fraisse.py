@@ -1,8 +1,10 @@
-"""Engine checks on classical classes: JEP, disjoint AP, the generic
-builder, richness, the bounded game, and ``backends.separable`` against a
-brute force over injective tuples."""
+"""Engine checks on classical classes: JEP, disjoint AP (grouped by base
+and member, against a per-pair loop), the generic builder, richness, the
+bounded game, and ``backends.separable`` against a brute force over
+injective tuples."""
 
 import itertools
+from collections import Counter
 
 from amalgam.backends import (
     GRAPH_VOCAB,
@@ -66,15 +68,39 @@ def test_jep_counterexample_with_incompatible_constants():
     assert counterexample in ((M1, M2), (M2, M1))
 
 
-def test_linear_orders_disjoint_ap():
-    ok, checked = check_disjoint_ap(linear_order_class(), 3)
-    assert ok and checked > 0
+def per_pair_disjoint_ap(cls, bound):
+    """``check_disjoint_ap`` with one ``embeddings`` call per task pair and
+    member: the reference for the grouped check."""
+    checked = 0
+    for (A, B, inc) in cls.task_pairs(bound):
+        for C in cls.members(bound):
+            for f in cls.embeddings(A, C):
+                checked += 1
+                try:
+                    cls.amalgamate(C, A, B, f, inc)
+                except AmalgamationFailed:
+                    return False, (A, B, C)
+    return True, checked
 
 
-def test_disjoint_ap_counterexample_on_truncated_class():
-    # only the empty order and singletons exist: the two-point extension
-    # required by amalgamating two singletons over the empty order is
-    # missing, so the hook must fail
+def recording_calls(cls):
+    """The class with an ``embeddings`` hook that records the identities
+    of the base and the target of every call."""
+    hook = cls.embeddings
+    calls = []
+
+    def embeddings(A, M, touching=None):
+        calls.append((id(A), id(M)))
+        return hook(A, M, touching=touching)
+
+    cls.embeddings = embeddings
+    return calls
+
+
+def truncated_orders():
+    """Linear orders cut off above one point: only the empty order and
+    singletons exist, so amalgamating two singletons over the empty order
+    has no member to land in."""
     base = linear_order_class()
 
     def members(bound):
@@ -86,7 +112,7 @@ def test_disjoint_ap_counterexample_on_truncated_class():
             raise AmalgamationFailed("no member of that size")
         return result
 
-    cls = AmalgamationClass(
+    return AmalgamationClass(
         name="orders-truncated",
         seed_model=base.seed_model,
         members=members,
@@ -102,8 +128,36 @@ def test_disjoint_ap_counterexample_on_truncated_class():
         amalgamate=amalgamate,
         new_ids=base.new_ids,
     )
+
+
+def test_linear_orders_disjoint_ap():
+    ok, checked = check_disjoint_ap(linear_order_class(), 3)
+    assert ok and checked > 0
+
+
+def test_disjoint_ap_counterexample_on_truncated_class():
+    # the two-point extension required by amalgamating two singletons
+    # over the empty order is missing, so the hook must fail
+    ok, counterexample = check_disjoint_ap(truncated_orders(), 1)
+    assert not ok
+
+
+def test_grouped_disjoint_ap_equals_per_pair_on_linear_orders():
+    cls = linear_order_class()
+    calls = recording_calls(cls)
+    result = check_disjoint_ap(cls, 3)
+    assert result[0] and result == per_pair_disjoint_ap(linear_order_class(),
+                                                        3)
+    # one enumeration per distinct (base, member), though pairs share bases
+    assert max(Counter(calls).values()) == 1
+    assert len(calls) < len(cls.task_pairs(3)) * len(cls.members(3))
+
+
+def test_grouped_disjoint_ap_finds_the_per_pair_counterexample():
+    cls = truncated_orders()
     ok, counterexample = check_disjoint_ap(cls, 1)
     assert not ok
+    assert per_pair_disjoint_ap(cls, 1) == (False, counterexample)
 
 
 def test_generic_linear_order_realizes_old_tasks():

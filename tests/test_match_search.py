@@ -2,17 +2,25 @@
 without ``fixed`` assignments, against filtered and brute-force oracles, sign-vector refinement (``refine``,
 ``_signature_blocks`` and the amalgam's ``_principal_points``) against
 per-point partitions and per-value meets, identical builder
-ledgers with and without pinning, and the general match path against the
+ledgers with and without pinning, grouped discovery and
+``richness_defect`` against per-pair enumeration (with a hook that
+counts one call per base), and the general match path against the
 simple one and brute force."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from amalgam.backends import graph_class, linear_order_class
 from amalgam.boolalg import refine
-from amalgam.fraisse import build_generic
+from amalgam.fraisse import (
+    GenericApproximation,
+    Task,
+    build_generic,
+    richness_defect,
+)
 from amalgam.k1 import (
     K1Structure,
     enumerate_matches,
@@ -384,6 +392,140 @@ def test_structure_ledgers_identical_with_and_without_pinning(make_cls):
             runs.append(([t.to_dict() for t in approx.tasks],
                          approx.top.canonical_key()))
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Grouped discovery against per-pair enumeration
+# ---------------------------------------------------------------------------
+
+
+def per_pair_build_generic(cls, steps, bound, seed):
+    """The scheduling loop with discovery calling ``embeddings`` once per
+    task pair rather than once per base: the reference for the grouped
+    builder."""
+    pairs = cls.task_pairs(bound)
+    chain = [cls.seed_model()]
+    tasks, queue, task_objects = [], [], {}
+    rng = random.Random(seed)
+
+    def discover(stage, fresh):
+        top = chain[-1]
+        batch = [((pair_index, cls.embedding_key(f)), f)
+                 for pair_index, (A, _, _) in enumerate(pairs)
+                 for f in cls.embeddings(A, top, touching=fresh)]
+        batch.sort(key=lambda item: (item[0][0], item[0][1]))
+        if seed:
+            rng.shuffle(batch)
+        for key, f in batch:
+            task_objects[len(tasks)] = (key[0], f)
+            queue.append(len(tasks))
+            tasks.append(Task(key[0], key[1], stage))
+
+    discover(0, None)
+    steps_run = 0
+    for _ in range(steps):
+        if not queue:
+            break
+        index = queue.pop(0)
+        task = tasks[index]
+        pair_index, f = task_objects[index]
+        A, B, inc = pairs[pair_index]
+        top = chain[-1]
+        if cls.extend(A, B, inc, f, top) is not None:
+            task.status = "realized"
+            task.resolved_at = len(chain) - 1
+        else:
+            new_top = cls.amalgamate(top, A, B, f, inc)
+            fresh = cls.new_ids(top, new_top)
+            chain.append(new_top)
+            task.status = "amalgamated"
+            task.resolved_at = len(chain) - 1
+            discover(len(chain) - 1, fresh)
+        steps_run += 1
+    return GenericApproximation(chain, tasks, pairs, bound, seed, steps_run)
+
+
+def per_pair_richness_defect(M, cls, bound):
+    """``richness_defect`` with one ``embeddings`` call per task pair."""
+    defects = []
+    for pair_index, (A, B, inc) in enumerate(cls.task_pairs(bound)):
+        for f in cls.embeddings(A, M):
+            if cls.extend(A, B, inc, f, M) is None:
+                defects.append((pair_index, cls.embedding_key(f)))
+    return defects
+
+
+def counting(cls):
+    """The class with an ``embeddings`` hook that records the identities
+    of the base and the target of every call."""
+    hook = cls.embeddings
+    calls = []
+
+    def embeddings(A, M, touching=None):
+        calls.append((id(A), id(M)))
+        return hook(A, M, touching=touching)
+
+    cls.embeddings = embeddings
+    return cls, calls
+
+
+def check_once_per_base(cls, bound, calls, targets):
+    """Every call enumerates a distinct (base, target), and every target
+    was enumerated into from each distinct base."""
+    bases = {id(A) for A, _, _ in cls.task_pairs(bound)}
+    assert max(Counter(calls).values()) == 1
+    per_target = Counter(M for _, M in calls)
+    assert set(per_target) == {id(M) for M in targets}
+    assert set(per_target.values()) == {len(bases)}
+    return len(bases)
+
+
+def ledger(approx):
+    return ([t.to_dict() for t in approx.tasks], approx.top.canonical_key(),
+            len(approx.chain))
+
+
+@pytest.mark.parametrize("max_n_star, steps", [(0, 400), (1, 40)])
+@pytest.mark.parametrize("seed", range(4))
+def test_k1_grouped_discovery_equals_per_pair(max_n_star, steps, seed):
+    reference = per_pair_build_generic(k1_class(TRUNC, max_n_star), steps,
+                                       3, seed)
+    cls, calls = counting(k1_class(TRUNC, max_n_star))
+    grouped = build_generic(cls, steps, 3, seed)
+    assert ledger(grouped) == ledger(reference)
+    assert len(grouped.chain) > 1
+    bases = check_once_per_base(cls, 3, calls, grouped.chain)
+    assert bases == (8 if max_n_star else 6)
+    assert bases < len(grouped.pairs)
+
+
+@pytest.mark.parametrize("make_cls", [linear_order_class, graph_class])
+@pytest.mark.parametrize("seed", range(4))
+def test_structure_grouped_discovery_equals_per_pair(make_cls, seed):
+    reference = per_pair_build_generic(make_cls(), 40, 3, seed)
+    cls, calls = counting(make_cls())
+    grouped = build_generic(cls, 40, 3, seed)
+    assert ledger(grouped) == ledger(reference)
+    assert len(grouped.chain) > 1
+    assert check_once_per_base(cls, 3, calls, grouped.chain) < \
+        len(grouped.pairs)
+
+
+def test_grouped_richness_defect_on_a_mid_chain_top(k1_head_chain):
+    M = k1_head_chain[len(k1_head_chain) // 2]
+    reference = per_pair_richness_defect(M, k1_class(TRUNC, 1), 3)
+    cls, calls = counting(k1_class(TRUNC, 1))
+    defects = richness_defect(M, cls, 3)
+    assert defects and defects == reference
+    check_once_per_base(cls, 3, calls, [M])
+
+
+def test_grouped_richness_defect_on_the_saturated_top():
+    top = build_generic_k1(200, bound=3, trunc=6, seed=0).top
+    assert per_pair_richness_defect(top, k1_class(6, 0), 3) == []
+    cls, calls = counting(k1_class(6, 0))
+    assert richness_defect(top, cls, 3) == []
+    check_once_per_base(cls, 3, calls, [top])
 
 
 # ---------------------------------------------------------------------------
