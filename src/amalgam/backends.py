@@ -4,10 +4,11 @@ and serve as counterpoints to the witnessed classes."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import AmalgamationFailed
-from .fraisse import AmalgamationClass
+from .fraisse import AmalgamationClass, inclusion_pairs
 from .structures import (
     Embedding,
     FiniteStructure,
@@ -75,27 +76,15 @@ def _structure_class(name, seed_model, members, amalgamate) -> AmalgamationClass
     """A class of plain finite structures: embeddings are those of
     ``enumerate_embeddings``, and the tasks are the embeddings between
     members of different sizes."""
-
-    def task_pairs(bound: int):
-        pairs = []
-        fragment = members(bound)
-        for B in fragment:
-            for A in fragment:
-                if A.size >= B.size:
-                    continue
-                for inc in enumerate_embeddings(A, B):
-                    pairs.append((A, B, inc))
-        return pairs
-
+    members = functools.cache(members)
     return AmalgamationClass(
         name=name,
         seed_model=seed_model,
         members=members,
-        size_of=lambda M: M.size,
-        task_pairs=task_pairs,
+        task_pairs=lambda bound: inclusion_pairs(members(bound),
+                                                 enumerate_embeddings),
         embeddings=lambda A, M, touching=None: enumerate_embeddings(
             A, M, touching=touching),
-        embedding_key=lambda e: e.key(),
         extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(
             B, M, fixed={inc(a): f(a) for a in A.universe}, first_only=True
         )), None),

@@ -1,13 +1,12 @@
 """Amalgamation classes and the generic-model builder.
 
-An AmalgamationClass packages the hooks the engine needs: member
-enumeration (one representative per isomorphism type), extension tasks
-(pairs of members with a distinguished embedding between them), embedding
-enumeration into a growing model, an extension search, and the
-amalgamation procedure itself.  The builder runs the classic scheduling
-loop: tasks are discovered whenever the chain grows, queued first-in
-first-out, and resolved either by finding an extension in the current
-top or by amalgamating the missing extension on disjointly.
+The engine asks of a class only what Fraïssé's construction needs: its
+members up to a size bound, the embeddings between two structures, an
+extension search, and amalgamation (see ``AmalgamationClass`` for the
+hooks).  The builder runs the classic scheduling loop: tasks are
+discovered whenever the chain grows, appended to the ledger, and resolved
+in ledger order, either by finding an extension in the current top or by
+amalgamating the missing extension on disjointly.
 
 Discovery after a growth step asks the ``embeddings`` hook only for the
 embeddings that touch an id the new top added (its ``touching``
@@ -56,29 +55,33 @@ class Task:
 class AmalgamationClass:
     """Hooks defining one amalgamation class.
 
-    ``task_pairs(bound)`` returns triples (A, B, inclusion) with B of size
-    at most the bound; ``embeddings(A, M, touching=None)`` lists the
+    The protocol: members carry their size as ``.size``, and embeddings
+    are immutable values with a stable, sortable ``key()``, which keys
+    tasks and richness defects.
+
+    ``members(bound)`` lists one member per isomorphism type up to the
+    bound (the same list on every call is expected, since the engine
+    groups work by object identity); ``task_pairs(bound)`` returns triples
+    (A, B, inclusion) with B of size at most the bound, usually
+    ``inclusion_pairs``; ``embeddings(A, M, touching=None)`` lists the
     embeddings A -> M, and with a set ``touching`` only those with some
-    image in it (``embedding_key`` gives each a stable key); ``extend``
-    searches for an extension of f along the inclusion; ``amalgamate``
-    must return the extended model (the previous top embeds by ids, and
-    ``new_ids`` lists the ids it adds, which are never reused).
+    image in it; ``extend`` searches for an extension of f along the
+    inclusion; ``amalgamate`` must return the extended model (the
+    previous top embeds by ids, and ``new_ids`` lists the ids it adds,
+    which are never reused).
 
     The engine calls ``embeddings`` once per distinct base object and
     shares the returned list among every task pair over that base.  So
     the result may depend only on ``(A, M, touching)``, it must be a
     list (or another sequence that can be iterated more than once), and
-    embeddings must be immutable values: one object may stand for the
-    embedding of several tasks.
+    one embedding object may stand for the embedding of several tasks.
     """
 
     name: str
     seed_model: Callable[[], Any]
     members: Callable[[int], list]
-    size_of: Callable[[Any], int]
     task_pairs: Callable[[int], list[tuple[Any, Any, Any]]]
     embeddings: Callable[..., list[Any]]
-    embedding_key: Callable[[Any], tuple]
     extend: Callable[[Any, Any, Any, Any, Any], Optional[Any]]
     amalgamate: Callable[[Any, Any, Any, Any, Any], Any]
     new_ids: Callable[[Any, Any], set]
@@ -96,9 +99,6 @@ class GenericApproximation:
     @property
     def top(self):
         return self.chain[-1]
-
-    def pending(self) -> list[Task]:
-        return [t for t in self.tasks if t.status == "pending"]
 
     def to_dict(self) -> dict:
         return {
@@ -127,27 +127,47 @@ def _per_base(bases: Iterable[tuple], enumerate_from: Callable[..., Any]):
         yield found[key]
 
 
+def inclusion_pairs(members: Sequence,
+                    embed: Callable[[Any, Any], Iterable]) -> list[tuple]:
+    """Every ``(A, B, inc)`` with ``A.size < B.size`` and ``inc`` among
+    ``embed(A, B)``, B-major in member order: the ``task_pairs`` of a
+    class whose tasks are the embeddings between members of different
+    sizes.  ``embed`` is the plain enumerator, not the class's
+    ``embeddings`` hook, so a hook that counts discovery calls does not
+    count these."""
+    return [(A, B, inc) for B in members for A in members
+            if A.size < B.size for inc in embed(A, B)]
+
+
 def check_jep(cls: AmalgamationClass, bound: int):
     """Joint embedding on the enumerated fragment: every pair of members
-    embeds into the amalgam of the two over the seed model."""
+    embeds into some member, or else into the amalgam of the two over the
+    seed model.  The embeddings of each (member or seed, member) pair of
+    objects are enumerated at most once, into one table that every
+    verdict reads."""
     members = cls.members(bound)
     if len(members) ** 2 > JEP_BUDGET:
         raise CapExceeded("JEP_BUDGET", len(members) ** 2)
     seed = cls.seed_model()
+    table: dict[tuple[int, int], Any] = {}
+
+    def embeddings(X, D):
+        key = (id(X), id(D))
+        if key not in table:
+            table[key] = cls.embeddings(X, D)
+        return table[key]
+
     witnesses = []
     for i, M1 in enumerate(members):
         for M2 in members[i:]:
             # an enumerated member may already accommodate both
-            direct = next(
-                (D for D in members
-                 if cls.embeddings(M1, D) and cls.embeddings(M2, D)),
-                None,
-            )
+            direct = next((D for D in members
+                           if embeddings(M1, D) and embeddings(M2, D)), None)
             if direct is not None:
                 witnesses.append((M1, M2, direct))
                 continue
-            f_list = cls.embeddings(seed, M1)
-            g_list = cls.embeddings(seed, M2)
+            f_list = embeddings(seed, M1)
+            g_list = embeddings(seed, M2)
             if not f_list or not g_list:
                 return False, (M1, M2)
             try:
@@ -184,25 +204,20 @@ def check_disjoint_ap(cls: AmalgamationClass, bound: int):
     return True, checked
 
 
-def build_generic(
-    cls: AmalgamationClass,
-    steps: int,
-    bound: int,
-    seed: int = 0,
-    start: Optional[Any] = None,
-) -> GenericApproximation:
-    """Run the scheduling loop for the given number of dequeue steps.
+def build_generic(cls: AmalgamationClass, steps: int, bound: int,
+                  seed: int = 0) -> GenericApproximation:
+    """Run the scheduling loop for at most the given number of steps.
 
-    Discovery enumerates the embeddings of each distinct base A into the
-    top once and fans that list out to every pair over A; the batch is
-    then sorted by ``(pair_index, embedding_key)`` and, for a nonzero
-    seed, shuffled, so the ledger is the one a per-pair enumeration
-    gives."""
+    The ledger is the queue: step i resolves ``tasks[i]``, and the loop
+    stops early once every task is resolved.  Discovery enumerates the
+    embeddings of each distinct base A into the top once and fans that
+    list out to every pair over A; the batch is then sorted by
+    ``(pair_index, f.key())`` and, for a nonzero seed, shuffled, so the
+    ledger is the one a per-pair enumeration gives."""
     pairs = cls.task_pairs(bound)
-    chain = [start if start is not None else cls.seed_model()]
+    chain = [cls.seed_model()]
     tasks: list[Task] = []
-    queue: list[int] = []
-    task_objects: dict[int, tuple] = {}
+    embeddings: list = []  # the embedding of each task, in ledger order
     rng = random.Random(seed)
 
     def discover(stage: int, fresh: Optional[set]):
@@ -210,32 +225,23 @@ def build_generic(
         per_pair = _per_base(
             ((A, top) for A, _, _ in pairs),
             lambda A, M: cls.embeddings(A, M, touching=fresh))
-        batch = [((pair_index, cls.embedding_key(f)), f)
-                 for pair_index, embeddings in enumerate(per_pair)
-                 for f in embeddings]
-        batch.sort(key=lambda item: (item[0][0], item[0][1]))
+        batch = [(pair_index, f.key(), f)
+                 for pair_index, found in enumerate(per_pair) for f in found]
+        batch.sort(key=lambda item: item[:2])
         if seed:
             rng.shuffle(batch)
-        for key, f in batch:
-            index = len(tasks)
-            tasks.append(Task(key[0], key[1], stage))
-            task_objects[index] = (key[0], f)
-            queue.append(index)
+        for pair_index, key, f in batch:
+            tasks.append(Task(pair_index, key, stage))
+            embeddings.append(f)
 
     discover(0, None)
-    steps_run = 0
-    for step in range(steps):
-        if not queue:
-            break
-        index = queue.pop(0)
-        task = tasks[index]
-        pair_index, f = task_objects[index]
-        A, B, inc = pairs[pair_index]
+    step = 0
+    while step < min(steps, len(tasks)):
+        task, f = tasks[step], embeddings[step]
+        A, B, inc = pairs[task.pair_index]
         top = chain[-1]
-        found = cls.extend(A, B, inc, f, top)
-        if found is not None:
+        if cls.extend(A, B, inc, f, top) is not None:
             task.status = "realized"
-            task.resolved_at = len(chain) - 1
         else:
             try:
                 new_top = cls.amalgamate(top, A, B, f, inc)
@@ -243,13 +249,12 @@ def build_generic(
                 raise AmalgamationFailed(
                     f"step {step}: {err}", triple=(A, B, f)
                 ) from err
-            fresh = cls.new_ids(top, new_top)
             chain.append(new_top)
             task.status = "amalgamated"
-            task.resolved_at = len(chain) - 1
-            discover(len(chain) - 1, fresh)
-        steps_run += 1
-    return GenericApproximation(chain, tasks, pairs, bound, seed, steps_run)
+            discover(len(chain) - 1, cls.new_ids(top, new_top))
+        task.resolved_at = len(chain) - 1
+        step += 1
+    return GenericApproximation(chain, tasks, pairs, bound, seed, step)
 
 
 def richness_defect(M: Any, cls: AmalgamationClass, bound: int) -> list[tuple]:
@@ -261,7 +266,7 @@ def richness_defect(M: Any, cls: AmalgamationClass, bound: int) -> list[tuple]:
             pairs, _per_base(((A, M) for A, _, _ in pairs), cls.embeddings))):
         for f in embeddings:
             if cls.extend(A, B, inc, f, M) is None:
-                defects.append((pair_index, cls.embedding_key(f)))
+                defects.append((pair_index, f.key()))
     return defects
 
 

@@ -3,9 +3,15 @@ noise checks on approximations."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
-from ..fraisse import AmalgamationClass, GenericApproximation, build_generic
+from ..fraisse import (
+    AmalgamationClass,
+    GenericApproximation,
+    build_generic,
+    inclusion_pairs,
+)
 from ..report import CheckReport
 from .checks import check_K1, compose_free_witnesses
 from .embeddings import (
@@ -47,22 +53,8 @@ def corpus(
 
 
 def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationClass:
-    member_cache: dict[int, list[K1Structure]] = {}
-
-    def members(bound: int) -> list[K1Structure]:
-        if bound not in member_cache:
-            member_cache[bound] = corpus(bound, trunc, max_n_star)
-        return member_cache[bound]
-
-    def task_pairs(bound: int):
-        pairs = []
-        for B in members(bound):
-            for A in members(bound):
-                if A.size >= B.size:
-                    continue
-                for inc in enumerate_matches(A, B):
-                    pairs.append((A, B, inc))
-        return pairs
+    members = functools.cache(
+        lambda bound: corpus(bound, trunc, max_n_star))
 
     def extend(A, B, inc, f, M):
         found = extend_match(A, B, M, inc, f, first_only=True)
@@ -75,11 +67,10 @@ def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationCla
         name="witnessed-class",
         seed_model=lambda: minimal_model(trunc),
         members=members,
-        size_of=lambda M: M.size,
-        task_pairs=task_pairs,
+        task_pairs=lambda bound: inclusion_pairs(members(bound),
+                                                 enumerate_matches),
         embeddings=lambda A, M, touching=None: enumerate_matches(
             A, M, touching=touching),
-        embedding_key=lambda e: e.key(),
         extend=extend,
         amalgamate=amalgamate,
         new_ids=lambda old, new: (set(new.p0) | set(new.p2)) -

@@ -37,7 +37,12 @@ from .p1 import (
     materialize,
     unmaterialize,
 )
-from .embeddings import DChoice, MatchEmbedding, TransportMap
+from .embeddings import (
+    DChoice,
+    MatchEmbedding,
+    TransportMap,
+    _generator_lists,
+)
 from .structure import (
     FreeExtensionWitness,
     K1Structure,
@@ -82,17 +87,6 @@ class AmalgamResult:
     new_atoms: tuple[int, ...]
 
 
-def _image_values(A: K1Structure, B: K1Structure, m: MatchEmbedding):
-    """Pairs (source element, image element) over A's generator list."""
-    pairs = []
-    for a in A.p0:
-        pairs.append((A.g1[a], B.g1[m.p0(a)]))
-    for c in A.p2:
-        for n in range(A.trunc):
-            pairs.append((A.f[(n, c)], B.f[(n, m.p2(c))]))
-    return pairs
-
-
 def _principal_points(ctx: P1Context, images: Sequence[P1Element]):
     """Sign vector over ``images`` -> least window point of its block, as
     the (generator, 1) pairs of the lowest set bit of the block's point
@@ -112,12 +106,13 @@ def _trace_vector(images: Sequence[P1Element], bit: int) -> int:
     return sum(1 << i for i, img in enumerate(images) if img.atomic & bit)
 
 
-def _gen_rename(N1: K1Structure, ι1_pairs, ι2_pairs) -> dict[int, int]:
+def _gen_rename(images1: Sequence[P1Element],
+                images2: Sequence[P1Element]) -> dict[int, int]:
     """Positionwise generator correspondence from the two images of N1:
     the generator of an image value in N2 maps to the generator of the
     corresponding image value in M1."""
     gen_map: dict[int, int] = {}
-    for (src1, img1), (src2, img2) in zip(ι1_pairs, ι2_pairs):
+    for img1, img2 in zip(images1, images2):
         s2 = img2.free.support
         s1 = img1.free.support
         if len(s1) != len(s2):
@@ -129,7 +124,7 @@ def _gen_rename(N1: K1Structure, ι1_pairs, ι2_pairs) -> dict[int, int]:
                 raise WitnessAlignmentFailed(
                     "inconsistent generator correspondence between the images"
                 )
-    for (_, img1), (_, img2) in zip(ι1_pairs, ι2_pairs):
+    for img1, img2 in zip(images1, images2):
         moved = rename(img2.free, {g: gen_map[g] for g in img2.free.support})
         if moved != img1.free:
             raise WitnessAlignmentFailed(
@@ -155,11 +150,11 @@ def amalgamate_free(
     choice avoids the independence witness).  A block without window
     points has no room off the existing atoms, and the choice fails.
     """
-    pairs1 = _image_values(N1, M1, into_big)
-    pairs2 = _image_values(N1, N2, into_small)
-    gen_rename = _gen_rename(N1, pairs1, pairs2)
-    images1 = [img for (_, img) in pairs1]
-    images2 = [img for (_, img) in pairs2]
+    _, images1 = _generator_lists(N1, M1, dict(into_big.p0_map),
+                                  dict(into_big.p2_map))
+    _, images2 = _generator_lists(N1, N2, dict(into_small.p0_map),
+                                  dict(into_small.p2_map))
+    gen_rename = _gen_rename(images1, images2)
 
     old_p0 = {into_small.p0(a) for a in N1.p0}
     old_p2 = {into_small.p2(c) for c in N1.p2}
@@ -192,7 +187,6 @@ def amalgamate_free(
     splits: list[tuple[int, DChoice]] = []
     small_atom_map = {}
     for a in N1.p0:
-        src_atom = N1.g1[a].atomic.bit_length() - 1
         # positions of N1's designated atoms inside each structure
         small_atom_map[N2.g1[into_small.p0(a)].atomic.bit_length() - 1] = \
             M1.g1[into_big.p0(a)].atomic.bit_length() - 1

@@ -377,8 +377,6 @@ def sample_configurations(
         universe = list(range(total))
         parts = []
         ok = True
-        shared = KrStructure(r, trunc, tuple(universe))
-        template: Optional[KrStructure] = None
         covers: list[set[int]] = []
         for _ in range(k):
             size = rng.randint(1, total - 1)

@@ -156,7 +156,7 @@ def check_pushout_universal(
     atom is projected to its (A-atom, B-atom) pair through the raw
     embedding images.
     """
-    A, B, C = eA.target, eB.target, eA.source
+    C = eA.source
     D = po.algebra
 
     index: dict[tuple[int, int], int] = {}

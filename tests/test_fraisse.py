@@ -6,6 +6,8 @@ injective tuples."""
 import itertools
 from collections import Counter
 
+import pytest
+
 from amalgam.backends import (
     GRAPH_VOCAB,
     chain_structure,
@@ -15,12 +17,14 @@ from amalgam.backends import (
     structure_position_valid,
 )
 from amalgam.errors import AmalgamationFailed
+from amalgam.k1.engine import k1_class
 from amalgam.fraisse import (
     AmalgamationClass,
     back_and_forth_check,
     build_generic,
     check_disjoint_ap,
     check_jep,
+    inclusion_pairs,
     richness_defect,
 )
 from amalgam.structures import (
@@ -43,6 +47,47 @@ def test_singleton_class_of_empty_structure_has_jep():
     assert ok
 
 
+def per_pair_jep(cls, bound):
+    """``check_jep`` with fresh ``embeddings`` calls for every pair and
+    every candidate member: the reference for the tabled check."""
+    members = cls.members(bound)
+    seed = cls.seed_model()
+    witnesses = []
+    for i, M1 in enumerate(members):
+        for M2 in members[i:]:
+            direct = next((D for D in members if cls.embeddings(M1, D)
+                           and cls.embeddings(M2, D)), None)
+            if direct is not None:
+                witnesses.append((M1, M2, direct))
+                continue
+            f_list = cls.embeddings(seed, M1)
+            g_list = cls.embeddings(seed, M2)
+            if not f_list or not g_list:
+                return False, (M1, M2)
+            try:
+                result = cls.amalgamate(M1, seed, M2, f_list[0], g_list[0])
+            except AmalgamationFailed:
+                return False, (M1, M2)
+            witnesses.append((M1, M2, result))
+    return True, witnesses
+
+
+@pytest.mark.parametrize("make_cls", [linear_order_class, graph_class,
+                                      lambda: k1_class(6, 1)],
+                         ids=["orders", "graphs", "k1"])
+def test_jep_enumerates_each_pair_once_and_equals_per_pair(make_cls):
+    cls = make_cls()
+    calls = recording_calls(cls)
+    verdict = check_jep(cls, 3)
+    tabled = Counter(calls)
+    calls.clear()
+    reference = per_pair_jep(cls, 3)
+    assert verdict[0] and verdict == reference
+    # no (base, target) twice, and every one the reference needed
+    assert max(tabled.values()) == 1
+    assert len(tabled) == len(set(calls))
+
+
 def test_jep_counterexample_with_incompatible_constants():
     vocab = Vocabulary.make(relations={"P": 1, "Q": 1}, constants=["c"])
     M1 = FiniteStructure(vocab, (0,), {"P": {(0,)}, "Q": set()}, {}, {"c": 0})
@@ -55,17 +100,20 @@ def test_jep_counterexample_with_incompatible_constants():
         name="incompatible-constants",
         seed_model=lambda: M1,
         members=lambda bound: [M1, M2],
-        size_of=lambda M: M.size,
         task_pairs=lambda bound: [],
-        embeddings=lambda A, M: enumerate_embeddings(A, M),
-        embedding_key=lambda e: e.key(),
+        embeddings=lambda A, M, touching=None: enumerate_embeddings(A, M),
         extend=lambda A, B, inc, f, M: None,
         amalgamate=no_amalgam,
         new_ids=lambda old, new: set(),
     )
+    calls = recording_calls(cls)
     ok, counterexample = check_jep(cls, 1)
     assert not ok
     assert counterexample in ((M1, M2), (M2, M1))
+    # the seed is M1 itself, so (seed, M1) is the (member, member) pair
+    # (M1, M1) and is not enumerated again
+    assert max(Counter(calls).values()) == 1
+    assert per_pair_jep(cls, 1) == (False, counterexample)
 
 
 def per_pair_disjoint_ap(cls, bound):
@@ -116,14 +164,9 @@ def truncated_orders():
         name="orders-truncated",
         seed_model=base.seed_model,
         members=members,
-        size_of=base.size_of,
-        task_pairs=lambda bound: [
-            (A, B, inc)
-            for B in members(bound) for A in members(bound)
-            if A.size < B.size for inc in enumerate_embeddings(A, B)
-        ],
+        task_pairs=lambda bound: inclusion_pairs(members(bound),
+                                                 enumerate_embeddings),
         embeddings=base.embeddings,
-        embedding_key=base.embedding_key,
         extend=base.extend,
         amalgamate=amalgamate,
         new_ids=base.new_ids,
@@ -238,10 +281,8 @@ def fixed_members(members) -> AmalgamationClass:
         name="fixed-members",
         seed_model=lambda: members[0],
         members=lambda bound: members,
-        size_of=lambda M: M.size,
         task_pairs=lambda bound: [],
         embeddings=lambda X, M: enumerate_embeddings(X, M),
-        embedding_key=lambda e: e.key(),
         extend=lambda *args: None,
         amalgamate=lambda *args: (_ for _ in ()).throw(AmalgamationFailed("")),
         new_ids=lambda old, new: set(),

@@ -358,7 +358,7 @@ def unpinned(cls, images):
         if touching is not None:
             found = [e for e in found if images(e) & touching]
         for e in found:
-            key = (id(A), cls.embedding_key(e))
+            key = (id(A), e.key())
             assert first_top.setdefault(key, id(M)) == id(M)
         return found
 
@@ -410,7 +410,7 @@ def per_pair_build_generic(cls, steps, bound, seed):
 
     def discover(stage, fresh):
         top = chain[-1]
-        batch = [((pair_index, cls.embedding_key(f)), f)
+        batch = [((pair_index, f.key()), f)
                  for pair_index, (A, _, _) in enumerate(pairs)
                  for f in cls.embeddings(A, top, touching=fresh)]
         batch.sort(key=lambda item: (item[0][0], item[0][1]))
@@ -451,7 +451,7 @@ def per_pair_richness_defect(M, cls, bound):
     for pair_index, (A, B, inc) in enumerate(cls.task_pairs(bound)):
         for f in cls.embeddings(A, M):
             if cls.extend(A, B, inc, f, M) is None:
-                defects.append((pair_index, cls.embedding_key(f)))
+                defects.append((pair_index, f.key()))
     return defects
 
 
@@ -509,6 +509,18 @@ def test_structure_grouped_discovery_equals_per_pair(make_cls, seed):
     assert len(grouped.chain) > 1
     assert check_once_per_base(cls, 3, calls, grouped.chain) < \
         len(grouped.pairs)
+
+
+@pytest.mark.parametrize("make_cls", [linear_order_class, graph_class])
+def test_builder_stops_once_the_ledger_drains(make_cls):
+    # at bound 1 the one task (the empty base into the empty seed) adds a
+    # point, and no embedding of the empty base touches it, so the ledger
+    # is drained after one step; larger bounds never drain
+    approx = build_generic(make_cls(), 50, 1, 0)
+    assert approx.steps_run == 1 and len(approx.chain) == 2
+    assert [t.status for t in approx.tasks] == ["amalgamated"]
+    assert ledger(approx) == ledger(per_pair_build_generic(make_cls(), 50,
+                                                           1, 0))
 
 
 def test_grouped_richness_defect_on_a_mid_chain_top(k1_head_chain):

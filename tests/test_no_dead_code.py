@@ -8,7 +8,10 @@ functions a probe table wraps by name).  Prose in comments and
 docstrings does not count.  No import without a use: every name a module
 under ``src/amalgam``, ``tests/`` or ``perfbench/`` imports is read in
 that module, unless the import line is marked ``# noqa: F401`` (a
-re-export)."""
+re-export).  No local without a read: every name a function of
+``src/amalgam`` binds is read somewhere in that function (names starting
+with ``_`` are exempt; tests are not scanned, since they unpack on
+purpose)."""
 
 import ast
 import re
@@ -107,3 +110,44 @@ def test_every_import_is_used():
     unused = [f"{path.relative_to(ROOT)}: {name}" for path in paths
               for name in _unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _unread_locals(function: ast.AST) -> list[str]:
+    """Names ``function`` (nested functions included) binds and never
+    reads, except ``_``-prefixed names and names declared ``nonlocal`` or
+    ``global``, which an enclosing scope reads."""
+    bound, read, declared = {}, set(), set()
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Nonlocal, ast.Global)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            else:
+                bound.setdefault(node.id, node.lineno)
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in read | declared and not name.startswith("_")]
+
+
+def test_every_local_is_read():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread += [f"{path.relative_to(ROOT)}: {node.name}: {name}"
+                           for name in _unread_locals(node)]
+    assert not unread, "bound but never read:\n" + "\n".join(unread)
+
+
+def test_an_unread_local_is_caught():
+    [function] = ast.parse(
+        'def f(xs):\n'
+        '    total, _skipped = 0, 0\n'
+        '    shared = len(xs)\n'
+        '    for x in xs:\n'
+        '        total += x\n'
+        '    def bump():\n'
+        '        nonlocal total\n'
+        '        total = 1\n'
+        '    return total\n').body
+    assert _unread_locals(function) == ["shared (line 3)"]
