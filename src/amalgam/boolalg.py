@@ -280,7 +280,6 @@ class PushoutResult:
     algebra: FiniteBooleanAlgebra
     into_left: BAEmbedding  # A -> D
     into_right: BAEmbedding  # B -> D
-    atom_pairs: tuple[tuple[int, int], ...]  # D atom index -> (A atom, B atom)
     base_images: tuple[int, ...]  # D-image of each C atom (via either leg)
 
 
@@ -334,7 +333,7 @@ def pushout(
     iA = BAEmbedding(A, D, tuple(images_a))
     iB = BAEmbedding(B, D, tuple(images_b))
     base = tuple(iA(eA(1 << g)) for g in range(C.atom_count))
-    return PushoutResult(D, iA, iB, tuple(pairs), base)
+    return PushoutResult(D, iA, iB, base)
 
 
 def pushout_independence(

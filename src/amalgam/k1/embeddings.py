@@ -55,8 +55,6 @@ class DChoice:
 
 @dataclass(frozen=True)
 class TransportMap:
-    source_key: tuple = ()
-    target_key: tuple = ()
     p0_map: tuple[tuple[int, int], ...] = ()
     p2_map: tuple[tuple[int, int], ...] = ()
     atom_map: tuple[tuple[int, int], ...] = ()
@@ -114,8 +112,7 @@ class TransportMap:
         for new_atom, choice in then.splits:
             splits.append((new_atom, _pull_back(choice, inv_atom, inv_gen,
                                                 self_split_choices)))
-        return TransportMap(self.source_key, then.target_key,
-                            tuple(sorted(p0.items())), tuple(sorted(p2.items())),
+        return TransportMap(tuple(sorted(p0.items())), tuple(sorted(p2.items())),
                             tuple(sorted(atom.items())), tuple(sorted(gen.items())),
                             tuple(splits))
 
@@ -342,7 +339,7 @@ def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int,
     return True
 
 
-def extend_match(A: K1Structure, B: K1Structure, M: K1Structure,
+def extend_match(B: K1Structure, M: K1Structure,
                  inclusion: MatchEmbedding, f: MatchEmbedding,
                  first_only: bool = True) -> list[MatchEmbedding]:
     """Embeddings g : B -> M with g restricted along ``inclusion`` equal to

@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..boolalg import PrincipalIdeal, rebase_with_element
 from ..report import CheckReport
-from .freepart import ZERO, rename, var
+from .freepart import ZERO, rename, support_components, var
 from .p1 import (
     P1Context,
     P1Element,
@@ -465,18 +465,8 @@ def _rebase_link(
     were harvested.
     """
     members = list(w.independent)
-    needed = set(b.free.support)
-    J: list[P1Element] = []
-    changed = True
-    while changed:
-        changed = False
-        for x in members:
-            if x in J:
-                continue
-            if set(x.free.support) & needed:
-                J.append(x)
-                needed |= set(x.free.support)
-                changed = True
+    component = support_components([b.free] + [x.free for x in members])[0]
+    J = [members[i - 1] for i in component[1:]]
     if not J:
         raise HarvestFailed(link, "the element shares no support with the witness")
 

@@ -161,28 +161,26 @@ def spans_generator(
     """Does the subalgebra generated by ``span`` contain the bare
     generator g?
 
-    Windows down to the support-connected component of g inside the span
-    (plus the purely atomic span elements, which can cut free parts loose
-    from their atomic masks); elements in other components cannot
-    contribute to a function depending on g.
+    Windows down to the support component of g among the span's free
+    parts, plus the purely atomic span elements.  That is exact when
+    those elements set every designated atom apart from the free points,
+    as the designated atoms themselves do in every span the checkers
+    pass; otherwise another component may set an atom apart (two of its
+    elements can meet in an atomic element), and the whole span is
+    refined.
     """
-    target = P1Element(0, var(g))
-    reached = {g}
-    changed = True
-    relevant: list[P1Element] = []
-    while changed:
-        changed = False
-        for e in span:
-            sup = set(e.free.support)
-            if sup and (sup & reached) and not sup <= reached:
-                reached |= sup
-                changed = True
-    for e in span:
-        sup = set(e.free.support)
-        if not sup or sup <= reached:
-            relevant.append(e)
-    if not any(g in e.free.support for e in relevant):
+    component = set(support_components([var(g)] + [e.free for e in span])[0])
+    if len(component) == 1:
         return False
+    target = P1Element(0, var(g))
+    apart = 0
+    for e in span:
+        if not e.free.support:
+            apart |= e.atomic if e.free.is_zero else ctx.full_mask & ~e.atomic
+    if apart != ctx.full_mask:
+        return subalgebra_contains(ctx, span, target)
+    relevant = [e for i, e in enumerate(span, 1)
+                if i in component or not e.free.support]
     return subalgebra_contains(ctx, relevant, target)
 
 

@@ -22,16 +22,14 @@ DEFAULT_TRUNC = 6
 
 @dataclass(frozen=True)
 class K1Witness:
-    """Certificate ⟨threshold, level chain, atomic top⟩ for class membership.
+    """Certificate ⟨threshold, atomic top⟩ for class membership.
 
-    ``levels`` holds explicit generating sets for the subalgebra chain
-    B_threshold .. B_trunc; when None the canonical chain (designated atoms
-    plus all values below the level index) is derived by the checker.
+    The level chain B_threshold .. B_trunc is canonical: level n is
+    generated by the designated atoms and every value of index below n.
     """
 
     n_star: int
     b_star: P1Element
-    levels: Optional[tuple[tuple[P1Element, ...], ...]] = None
 
 
 @dataclass

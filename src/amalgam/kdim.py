@@ -284,7 +284,7 @@ def _completions(
             base.values[key] = v
     cross = [t for t in base.tuples() if _interior_owner(config, t) is None]
 
-    def assignments(t: tuple[int, ...]):
+    def assignments():
         for n in range(class_bound):
             for vals in itertools.product(universe, repeat=n):
                 yield n, vals
@@ -297,7 +297,7 @@ def _completions(
                 yield candidate
             return
         t = cross[index]
-        for n, vals in assignments(t):
+        for n, vals in assignments():
             base.classes[t] = n
             for m, v in enumerate(vals):
                 base.values[(m, t)] = v

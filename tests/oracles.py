@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .boolalg import (
+from amalgam.boolalg import (
     BAEmbedding,
     FiniteBooleanAlgebra,
     PrincipalIdeal,

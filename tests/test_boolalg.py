@@ -28,7 +28,7 @@ from amalgam.errors import (
     PreconditionFailed,
     TrivialElement,
 )
-from amalgam.oracles import (
+from oracles import (
     all_embeddings_between,
     bases_through_by_enumeration,
     independence_by_all_polynomials,

@@ -22,7 +22,6 @@ from amalgam.errors import (
 )
 from amalgam.fraisse import check_disjoint_ap, check_jep
 from amalgam.k1 import (
-    K1Witness,
     build_member,
     check_K1,
     check_Kminus1,
@@ -199,11 +198,17 @@ def clause(report, key):
     return item
 
 
-def test_capped_clause_is_not_evaluated_and_not_passed():
+def capped_member():
+    """A member whose first value is wider than the window cap."""
     M = build_member(0, 1, 1, trunc=2)
     wide = wide_fn(WINDOW_CAP + 1)
     M.f[(0, M.p2[0])] = P1Element(0, wide)
     M.gen_ids = wide.support + M.gen_ids[1:]
+    return M
+
+
+def test_capped_clause_is_not_evaluated_and_not_passed():
+    M = capped_member()
     report = check_Kminus1(M)
     generation = clause(report, "km1.generation")
     assert generation.passed is None
@@ -213,14 +218,28 @@ def test_capped_clause_is_not_evaluated_and_not_passed():
     assert not report.passed
 
 
+def test_union_reads_the_capped_generation_clause():
+    M = capped_member()
+    generation = clause(check_Kminus1(M), "km1.generation")
+    union = clause(check_K1(M), "k0.union")
+    assert union.passed is None
+    assert "WINDOW_CAP" in union.detail
+    assert union.detail == generation.detail
+
+
 def test_earlier_failure_survives_a_later_overflow():
-    M = build_member(0, 1, 1, trunc=3)
-    g0, g1, _ = (M.f[(n, M.p2[0])] for n in range(3))
-    # g0 is missing from the second level (a failure); checking the second
-    # level against the wide third one would exceed the window cap
-    levels = ((g0,), (g1,), (P1Element(0, wide_fn(WINDOW_CAP + 1)),))
-    M.witness = K1Witness(1, M.ctx.b_star, levels)
-    assert check_Kminus1(M).passed
-    chain = clause(check_K1(M), "k0.chain")
-    assert chain.passed is False
-    assert chain.detail == "stored levels are not increasing"
+    M = capped_member()
+    wide, rest = M.gen_ids[:WINDOW_CAP + 1], M.gen_ids[WINDOW_CAP + 1:]
+    lonely = max(M.gen_ids) + 1  # a generator no value spans
+    # the sweep meets the lonely generator (a failure) before the wide
+    # value's generators, whose span would exceed the window cap
+    M.gen_ids = (lonely,) + wide + rest
+    generation = clause(check_Kminus1(M), "km1.generation")
+    assert generation.passed is False
+    assert generation.detail == \
+        "the values and named generators do not generate the algebra"
+    # in the other order the cap is met first
+    M.gen_ids = wide + (lonely,) + rest
+    generation = clause(check_Kminus1(M), "km1.generation")
+    assert generation.passed is None
+    assert "WINDOW_CAP" in generation.detail

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from amalgam.boolalg import PrincipalIdeal
 from amalgam.boolalg import is_independent_mod_ideal as ba_independent
+from amalgam.errors import CapExceeded
 from amalgam.k1 import (
     K1Witness,
     P1Context,
@@ -31,9 +32,11 @@ from amalgam.k1.freepart import (
     neg,
     rename,
 )
+from amalgam.k1.checks import _level_generators
 from amalgam.k1.p1 import (
     independent_from_mod_atomic,
     point_blocks,
+    spans_generator,
     subalgebra_contains,
     zero_atomic_minterms_nonzero,
 )
@@ -198,6 +201,45 @@ def test_subalgebra_contains_matches_flat_blocks():
         assert subalgebra_contains(ctx, G, x) == expected
 
 
+def random_span(rng, ctx, clusters):
+    """Up to five elements whose free parts lie in the given generator
+    clusters (so the span has several support components), some purely
+    atomic, and now and then every designated atom besides."""
+    span = []
+    for _ in range(rng.randint(1, 5)):
+        atomic = sum(1 << a for a in ctx.atom_ids if rng.random() < 0.5)
+        gens = [] if rng.random() < 0.25 else rng.choice(clusters)
+        span.append(P1Element(atomic, random_fn(rng, gens)))
+    if rng.random() < 0.3:
+        span += [ctx.atom(a) for a in ctx.atom_ids]
+    return span
+
+
+def test_spans_generator_equals_the_definition():
+    rng = random.Random(314)
+    ctx = P1Context((0, 1, 2))
+    clusters = [[10, 11], [12, 13], [14]]
+    outcomes = set()
+    for _ in range(600):
+        span = random_span(rng, ctx, clusters)
+        for g in (10, 12, 14):
+            want = subalgebra_contains(ctx, span, P1Element(0, var(g)))
+            assert spans_generator(ctx, span, g) == want, (span, g)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_spans_generator_sees_an_atom_cut_loose_by_another_component():
+    ctx = P1Context((0,))
+    g, h = var(10), var(11)
+    span = [P1Element(1, g), P1Element(1, h), P1Element(1, neg(h))]
+    # (1, h) meet (1, not h) is the atom, and (1, g) minus the atom is g
+    assert spans_generator(ctx, span, 10)
+    assert not spans_generator(ctx, span[:2], 10)
+    # with the designated atom in the span the windowed path answers
+    assert spans_generator(ctx, span[:1] + [ctx.atom(0)], 10)
+
+
 def test_point_blocks_partition():
     ctx = P1Context((0, 1, 2))
     G = [P1Element(0b011, var(9)), P1Element(0b100, ZERO)]
@@ -238,6 +280,27 @@ def test_built_members_pass_checks():
             # the distinctness clause
             assert set(r.failing()) <= {"k0.f_distinct"}, r.failing()
     assert count >= 10
+
+
+def old_union_sweep(M):
+    """k0.union decided by a sweep of its own: every generator spanned by
+    the top level, None when a cap stops the sweep."""
+    gens = _level_generators(M, M.trunc)
+    try:
+        return all(spans_generator(M.ctx, gens, g) for g in M.gen_ids)
+    except CapExceeded:
+        return None
+
+
+def test_union_clause_equals_its_own_sweep():
+    compared = 0
+    for M in enumerate_members(4, 4, 1, 6, max_size=4):
+        (union,) = [i for i in check_K1(M).items if i.key == "k0.union"]
+        if union.detail == "base membership failed":
+            continue
+        assert union.passed == old_union_sweep(M)
+        compared += 1
+    assert compared > 50
 
 
 def test_witness_threshold_can_be_bumped():

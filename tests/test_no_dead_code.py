@@ -11,7 +11,9 @@ that module, unless the import line is marked ``# noqa: F401`` (a
 re-export).  No local without a read: every name a function of
 ``src/amalgam`` binds is read somewhere in that function (names starting
 with ``_`` are exempt; tests are not scanned, since they unpack on
-purpose)."""
+purpose).  No field without a read: every annotated class field of
+``src/amalgam`` is read as an attribute (``x.field`` in a load, not a
+store) somewhere under ``src/``, ``tests/`` or ``perfbench/``."""
 
 import ast
 import re
@@ -151,3 +153,42 @@ def test_an_unread_local_is_caught():
         '        total = 1\n'
         '    return total\n').body
     assert _unread_locals(function) == ["shared (line 3)"]
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_fields(tree: ast.AST, read: set[str]) -> list[str]:
+    """Annotated fields of the classes in ``tree`` that no attribute load
+    in ``read`` names."""
+    return [f"{node.name}.{field.target.id} (line {field.lineno})"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for field in node.body if isinstance(field, ast.AnnAssign)
+            and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
+
+
+def test_every_field_is_read():
+    read = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            read |= _attributes_read(ast.parse(path.read_text(), str(path)))
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for name in _unread_fields(
+                  ast.parse(path.read_text(), str(path)), read)]
+    assert not unread, "a field no code reads:\n" + "\n".join(unread)
+
+
+def test_an_unread_field_is_caught():
+    tree = ast.parse(
+        'class Box:\n'
+        '    size: int\n'
+        '    label: str = ""\n'
+        '    def grow(self):\n'
+        '        self.label = "big"\n'
+        '        return self.size + 1\n')
+    assert _unread_fields(tree, _attributes_read(tree)) == ["Box.label (line 3)"]
