@@ -314,32 +314,14 @@ def compose_free_witnesses(
 def union_of_chain(
     chain: Sequence[K1Structure],
     witnesses: Sequence[FreeExtensionWitness],
-    transports: Optional[Sequence[TransportMap]] = None,
 ) -> tuple[K1Structure, list[FreeExtensionWitness]]:
     """The top of a finite free chain, with one composed witness per tail:
     entry i certifies chain[i] freely extended by the top."""
     if len(witnesses) != len(chain) - 1:
         raise ValueError("need one witness per link")
-    ts = list(transports) if transports is not None else \
-        [TransportMap() for _ in witnesses]
-
-    def to_top(k: int) -> TransportMap:
-        fwd = TransportMap()
-        for t in ts[k + 1:]:
-            fwd = fwd.compose(t)
-        return fwd
-
-    moved = [
-        FreeExtensionWitness.make(
-            [to_top(k).apply(x) for x in witnesses[k].independent],
-            {to_top(k).p2(c): v for c, v in witnesses[k].h.items()},
-        )
-        for k in range(len(witnesses))
-    ]
     composed: list[FreeExtensionWitness] = []
-    for start in range(len(chain) - 1):
-        acc = moved[start]
-        for k in range(start + 1, len(chain) - 1):
-            acc = compose_free_witnesses(acc, moved[k])
+    for start, acc in enumerate(witnesses):
+        for w in witnesses[start + 1:]:
+            acc = compose_free_witnesses(acc, w)
         composed.append(acc)
     return chain[-1], composed

@@ -7,7 +7,9 @@ index below the truncation, and witness values f_m for the indices m
 below the tuple's class; at and above the class the functions return the
 tuple's head, so only the low entries are stored.  Membership demands the
 classes partition the tuples, the value coherence just described, and no
-independent subset of size r+2 under subalgebra closure.
+independent subset of size r+2 under subalgebra closure.  That last clause
+is searched only on universes of at least r+2 elements, and each search
+flattens the structure once and takes every closure on that flat form.
 """
 
 from __future__ import annotations
@@ -96,32 +98,36 @@ class KrStructure:
         return out
 
 
-def closure(M: KrStructure, X: Iterable[int]) -> set[int]:
-    """Subalgebra closure of X under every witness function, computed by
-    the core fixpoint closure on the flattened structure."""
-    sub = generate_substructure(M.to_structure(), set(X))
-    return set(sub.universe)
+def closure(flat: FiniteStructure, X: Iterable[int]) -> set[int]:
+    """Subalgebra closure of X under every witness function of the flat
+    form (``KrStructure.to_structure``), by the core fixpoint closure."""
+    return set(generate_substructure(flat, set(X)).universe)
 
 
-def is_independent(M: KrStructure, Y: Sequence[int]) -> bool:
-    return all(y not in closure(M, [z for z in Y if z != y]) for y in Y)
+def is_independent(flat: FiniteStructure, Y: Sequence[int]) -> bool:
+    """No element of Y lies in the closure of the others, in the flat
+    form."""
+    return all(y not in closure(flat, [z for z in Y if z != y]) for y in Y)
 
 
 def max_independent_size(M: KrStructure, limit: int) -> int:
     """Largest size up to ``limit`` of an independent subset, by
-    exhaustive subset search."""
+    exhaustive subset search over one flattening of M."""
+    flat = M.to_structure()
     best = 0
     for size in range(1, limit + 1):
-        found = False
-        for Y in itertools.combinations(M.universe, size):
-            if is_independent(M, Y):
-                found = True
-                break
-        if found:
-            best = size
-        else:
+        if not any(is_independent(flat, Y)
+                   for Y in itertools.combinations(M.universe, size)):
             break
+        best = size
     return best
+
+
+def _independence_bound_holds(M: KrStructure) -> bool:
+    """No independent subset of size r+2; a universe of fewer than r+2
+    elements holds without a search."""
+    return (len(M.universe) < M.r + 2
+            or max_independent_size(M, M.r + 2) <= M.r + 1)
 
 
 def check_membership(M: KrStructure) -> CheckReport:
@@ -157,10 +163,10 @@ def check_membership(M: KrStructure) -> CheckReport:
     r.add("kr0.coherence", coherent, detail)
 
     if partition_ok and coherent:
-        top = max_independent_size(M, M.r + 2)
-        r.add("kr0.independence_bound", top <= M.r + 1,
-              "" if top <= M.r + 1 else
-              f"independent subset of size {top} found")
+        bounded = _independence_bound_holds(M)
+        r.add("kr0.independence_bound", bounded,
+              "" if bounded else
+              f"independent subset of size {M.r + 2} found")
     else:
         r.skip("kr0.independence_bound")
     return r
@@ -293,7 +299,7 @@ def _completions(
         if index == len(cross):
             candidate = KrStructure(r, trunc, universe,
                                     dict(base.classes), dict(base.values))
-            if max_independent_size(candidate, r + 2) <= r + 1:
+            if _independence_bound_holds(candidate):
                 yield candidate
             return
         t = cross[index]
@@ -347,11 +353,12 @@ def completion_solutions(config: KConfiguration,
 
 
 def random_member(rng: random.Random, r: int, trunc: int,
-                  universe: Sequence[int], class_cap: int = 2,
-                  tries: int = 200) -> Optional[KrStructure]:
-    """Seeded random member on the given universe."""
+                  universe: Sequence[int],
+                  class_cap: int = 2) -> Optional[KrStructure]:
+    """Seeded random member on the given universe, or None after 200
+    draws."""
     universe = tuple(universe)
-    for _ in range(tries):
+    for _ in range(200):
         M = KrStructure(r, trunc, universe)
         for t in M.tuples():
             n = rng.randrange(class_cap)

@@ -1,5 +1,7 @@
 """The r-dimensional class: closure, independence, membership, frugal
-amalgamation, survey-vs-oracle agreement."""
+amalgamation, survey-vs-oracle agreement, and agreement of the
+independence clause with references that flatten on every closure and
+search on every universe."""
 
 import itertools
 import random
@@ -17,8 +19,11 @@ from amalgam.kdim import (
     frugal_amalgamate,
     max_independent_size,
     random_member,
+    sample_configurations,
     survey_k_disjoint_ap,
 )
+from amalgam.report import CheckReport
+from amalgam.structures import generate_substructure
 
 TRUNC = 4
 
@@ -37,9 +42,10 @@ def test_empty_structure_is_a_member():
 
 
 def test_closure_laws():
-    M = all_class_zero(1, range(3))
-    M.classes[(0, 1)] = 1
-    M.values[(0, (0, 1))] = 2
+    K = all_class_zero(1, range(3))
+    K.classes[(0, 1)] = 1
+    K.values[(0, (0, 1))] = 2
+    M = K.to_structure()
     assert closure(M, set()) == set()
     assert closure(M, {0, 1, 2}) == {0, 1, 2}
     assert 2 in closure(M, {0, 1})
@@ -229,3 +235,186 @@ def test_flat_checker_agrees_with_compact_checker(r):
     assert () in outcomes
     assert any("kr0.partition" in o for o in outcomes)
     assert any("kr0.coherence" in o for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# References for the independence clause: every closure flattens the
+# structure again, and the clause searches on every universe, however
+# small.
+# ---------------------------------------------------------------------------
+
+
+def reference_closure(M, X):
+    return set(generate_substructure(M.to_structure(), set(X)).universe)
+
+
+def reference_is_independent(M, Y):
+    return all(y not in reference_closure(M, [z for z in Y if z != y])
+               for y in Y)
+
+
+def reference_max_independent_size(M, limit):
+    best = 0
+    for size in range(1, limit + 1):
+        if not any(reference_is_independent(M, Y)
+                   for Y in itertools.combinations(M.universe, size)):
+            break
+        best = size
+    return best
+
+
+def reference_check_membership(M):
+    r = CheckReport("kr-membership")
+    missing = [t for t in M.tuples() if t not in M.classes]
+    stray = [t for t in M.classes
+             if len(t) != M.r + 1 or not set(t) <= set(M.universe)]
+    bad_class = [t for t, n in M.classes.items() if not 0 <= n < M.trunc]
+    partition_ok = not missing and not stray and not bad_class
+    r.add("kr0.partition", partition_ok,
+          "" if partition_ok else
+          f"unclassified {missing[:3]} stray {stray[:3]} bad {bad_class[:3]}")
+    coherent = True
+    detail = ""
+    for t, n in M.classes.items():
+        for m in range(n):
+            v = M.values.get((m, t))
+            if v is None or v not in M.universe:
+                coherent = False
+                detail = f"missing witness value f{m}{t}"
+                break
+        if not coherent:
+            break
+    for (m, t) in M.values:
+        n = M.classes.get(t)
+        if n is None or m >= n:
+            coherent = False
+            detail = f"stored value f{m}{t} at or above the class index"
+            break
+    r.add("kr0.coherence", coherent, detail)
+    if partition_ok and coherent:
+        top = reference_max_independent_size(M, M.r + 2)
+        r.add("kr0.independence_bound", top <= M.r + 1,
+              "" if top <= M.r + 1 else
+              f"independent subset of size {top} found")
+    else:
+        r.skip("kr0.independence_bound")
+    return r
+
+
+def reference_completions(config, class_cap=None):
+    """Every completion on the union universe, in search order: cross
+    tuples get classes in increasing index and witness values in
+    increasing id order, and a complete placement is kept when it has no
+    independent subset of size r+2."""
+    r, trunc = config.parts[0].r, config.parts[0].trunc
+    class_bound = trunc if class_cap is None else min(class_cap, trunc)
+    universe = config.union_universe
+    base = KrStructure(r, trunc, universe)
+    for p in config.parts:
+        base.classes.update(p.classes)
+        base.values.update(p.values)
+    cross = [t for t in base.tuples()
+             if not any(set(t) <= set(p.universe) for p in config.parts)]
+    out = []
+
+    def place(index):
+        if index == len(cross):
+            candidate = KrStructure(r, trunc, universe, dict(base.classes),
+                                    dict(base.values))
+            if reference_max_independent_size(candidate, r + 2) <= r + 1:
+                out.append(candidate)
+            return
+        t = cross[index]
+        for n in range(class_bound):
+            for vals in itertools.product(universe, repeat=n):
+                base.classes[t] = n
+                for m, v in enumerate(vals):
+                    base.values[(m, t)] = v
+                place(index + 1)
+                del base.classes[t]
+                for m in range(n):
+                    del base.values[(m, t)]
+
+    place(0)
+    return out
+
+
+def random_assignment(rng, r, universe, class_cap=3, inside=False):
+    """A random class for every tuple and random witness values below it,
+    with no membership filter; ``inside`` draws each value from its own
+    tuple, so every restriction keeps it."""
+    M = KrStructure(r, TRUNC, tuple(universe))
+    for t in M.tuples():
+        n = rng.randrange(class_cap)
+        M.classes[t] = n
+        for m in range(n):
+            M.values[(m, t)] = rng.choice(t if inside else M.universe)
+    return M
+
+
+def membership_items(report):
+    return [(i.key, i.passed, i.detail) for i in report.items]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_independence_clause_matches_reference(r):
+    rng = random.Random(40 + r)
+    verdicts = {}
+    for size in range(r + 4):
+        universe = range(size)
+        structures = [all_class_zero(r, universe)]
+        for _ in range(6):
+            M = random_assignment(rng, r, universe)
+            structures.append(M)
+            if size >= 2:
+                structures += _mutants(M, rng)
+        for K in structures:
+            assert max_independent_size(K, r + 2) == \
+                reference_max_independent_size(K, r + 2)
+            items = membership_items(check_membership(K))
+            assert items == membership_items(reference_check_membership(K))
+            verdicts.setdefault(size, set()).add(items[-1][1])
+    # below r+2 elements the clause holds without a search; from r+2 on
+    # the search decides it both ways
+    for size in range(r + 2):
+        assert False not in verdicts[size]
+    for size in range(r + 2, r + 4):
+        assert {True, False} <= verdicts[size]
+
+
+def boundary_configurations(r, rng, count):
+    """r+2 points whose (r+1)-subsets are the parts, restricted from the
+    class-zero structure and from random assignments with witness values
+    inside their tuples.  Every tuple lies in a part and every part is
+    closed, so the r+2 points are independent in the only candidate."""
+    points = range(r + 2)
+    wholes = [all_class_zero(r, points)] + [
+        random_assignment(rng, r, points, inside=True) for _ in range(count)]
+    return [KConfiguration(tuple(M.restriction(s) for s in
+                                 itertools.combinations(points, r + 1)))
+            for M in wholes]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_completions_match_reference_at_the_dimension_boundary(r):
+    for config in boundary_configurations(r, random.Random(r), 4):
+        assert completion_solutions(config) == \
+            reference_completions(config) == []
+
+
+@pytest.mark.parametrize("r,size_bound,class_cap", [
+    (1, 3, 2), (1, 4, 2), (2, 3, 1), (2, 4, 1)])
+def test_completions_match_reference_on_sampled_configurations(
+        r, size_bound, class_cap):
+    rng = random.Random(7 * size_bound + r)
+    unions = set()
+    found = 0
+    for config in sample_configurations(rng, r, 2, size_bound, TRUNC, 8):
+        solutions = completion_solutions(config, class_cap)
+        assert solutions == reference_completions(config, class_cap)
+        unions.add(len(config.union_universe))
+        found += bool(solutions)
+    # unions below r+2 elements, where the clause does not search, are
+    # among the samples, and some configurations amalgamate
+    assert min(unions) < r + 2
+    assert found
