@@ -32,6 +32,31 @@ from .structure import (
 )
 
 
+def invariant_key(M: K1Structure) -> tuple:
+    """A cheap isomorphism invariant: trunc, the sizes, and the sorted
+    multiset over the P2 columns of (free class of each position, sorted
+    multiset of atom membership profiles).
+
+    A position's free class (free part zero, one, or other) is the
+    one-position projection of the sign-vector classes that
+    ``is_valid_match`` compares; an atom's profile over a column (bit n
+    set when the atom of a G1 value lies under F[n][c]) is what
+    ``_p0_profile_ok`` requires of every matched P0 id.  A match maps
+    columns to columns and P0 ids bijectively, so isomorphic members
+    share the key.
+    """
+    atoms = [M.g1[a].atomic for a in M.p0]
+    columns = []
+    for c in M.p2:
+        values = [M.f[(n, c)] for n in range(M.trunc)]
+        classes = tuple(0 if x.free.is_zero else 1 if x.free.is_one else 2
+                        for x in values)
+        profiles = sorted(sum(1 << n for n, x in enumerate(values)
+                              if x.atomic & atom) for atom in atoms)
+        columns.append((classes, tuple(profiles)))
+    return (M.trunc, len(M.p0), len(M.p2), tuple(sorted(columns)))
+
+
 def corpus(
     size_bound: int,
     trunc: int = DEFAULT_TRUNC,
@@ -39,14 +64,23 @@ def corpus(
 ) -> list[K1Structure]:
     """Deterministic class members with at most ``size_bound`` generators,
     filtered by the witnessed membership check, one per isomorphism
-    type."""
+    type.
+
+    Each passing candidate is compared only with the kept members in its
+    bucket of ``invariant_key``, the isomorph-rejection step of
+    exhaustive generation: isomorphic members share the key, so the
+    result, order included, is that of comparing with every kept member.
+    """
     members = []
+    buckets: dict[tuple, list[K1Structure]] = {}
     for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
                                max_size=size_bound):
         if not check_K1(M).passed:
             continue
-        if any(is_isomorphic_k1(M, other) for other in members):
+        bucket = buckets.setdefault(invariant_key(M), [])
+        if any(is_isomorphic_k1(M, other) for other in bucket):
             continue
+        bucket.append(M)
         members.append(M)
     return members
 

@@ -161,22 +161,34 @@ def spans_generator(
     """Does the subalgebra generated by ``span`` contain the bare
     generator g?
 
-    Windows down to the support component of g among the span's free
-    parts, plus the purely atomic span elements.  That is exact when
-    those elements set every designated atom apart from the free points,
-    as the designated atoms themselves do in every span the checkers
-    pass; otherwise another component may set an atom apart (two of its
-    elements can meet in an atomic element), and the whole span is
-    refined.
+    When the support-free span elements set every designated atom apart
+    and some span element e has free support exactly (g,), the answer is
+    read off the one-generator sub-span of e and the support-free
+    elements, with no support-component walk.  That is sound: the
+    support-free elements generate b* (the join of the designated
+    atoms), so e minus b* is g or its complement, and a sub-span
+    generates a subalgebra of the span's.
+
+    Otherwise windows down to the support component of g among the
+    span's free parts, plus the purely atomic span elements.  That is
+    exact when those elements set every designated atom apart from the
+    free points, as the designated atoms themselves do in every span the
+    checkers pass; otherwise another component may set an atom apart
+    (two of its elements can meet in an atomic element), and the whole
+    span is refined.
     """
+    target = P1Element(0, var(g))
+    constants = [e for e in span if not e.free.support]
+    apart = 0
+    for e in constants:
+        apart |= e.atomic if e.free.is_zero else ctx.full_mask & ~e.atomic
+    if apart == ctx.full_mask:
+        for e in span:
+            if e.free.support == (g,):
+                return subalgebra_contains(ctx, [e] + constants, target)
     component = set(support_components([var(g)] + [e.free for e in span])[0])
     if len(component) == 1:
         return False
-    target = P1Element(0, var(g))
-    apart = 0
-    for e in span:
-        if not e.free.support:
-            apart |= e.atomic if e.free.is_zero else ctx.full_mask & ~e.atomic
     if apart != ctx.full_mask:
         return subalgebra_contains(ctx, span, target)
     relevant = [e for i, e in enumerate(span, 1)
@@ -200,8 +212,11 @@ def independent_from_mod_atomic(
     X-functions, and ask every block to split into all 2^|Y| sign vectors
     under its Y-functions.  Components combine freely because functions
     with disjoint supports realize every combination of their vectors.
-    Y is deduplicated as elements, not as free parts: two members with
-    one free part differ by an atomic element and are not independent.
+    A component of one nonconstant function passes unrefined: a Y
+    function alone realizes both signs, and an X function alone asks
+    nothing.  Y is deduplicated as elements, not as free parts: two
+    members with one free part differ by an atomic element and are not
+    independent.
     """
     y_fns = []
     seen = set()
@@ -214,6 +229,8 @@ def independent_from_mod_atomic(
         y_fns.append(y.free)
     all_fns = y_fns + [x.free for x in X]
     for component in support_components(all_fns):
+        if len(component) == 1 and all_fns[component[0]].support:
+            continue
         ys = [i for i in component if i < len(y_fns)]
         if len(ys) > INDEPENDENCE_CAP:
             raise CapExceeded("INDEPENDENCE_CAP", len(ys))
@@ -257,7 +274,8 @@ def zero_atomic_minterms_nonzero(
     over support components of the free parts: refining a component's
     window points by its functions must realize all 2^n sign vectors,
     except that the all-negative vector of a lone component is rescued by
-    the designated atoms.
+    the designated atoms.  A component of one nonconstant function
+    passes unrefined, since it realizes both signs.
     """
     ys = []
     seen = set()
@@ -270,6 +288,8 @@ def zero_atomic_minterms_nonzero(
     comps = support_components(ys)
     lone = len(comps) == 1 and bool(ctx.atom_ids)
     for comp in comps:
+        if len(comp) == 1 and ys[comp[0]].support:
+            continue
         if len(comp) > INDEPENDENCE_CAP:
             raise CapExceeded("INDEPENDENCE_CAP", len(comp))
         _, tables, points = _window([ys[i] for i in comp])

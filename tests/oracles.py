@@ -4,8 +4,9 @@ Each oracle re-derives a result straight from its definition, with no
 shared shortcuts with the fast paths it certifies: independence by
 quantifying over all nonzero Boolean polynomials, pushout laws by
 projecting atoms through the raw embedding images and enumerating
-homomorphism pairs, bases by trying every subset.  Slow on purpose and
-capped to desk sizes.
+homomorphism pairs, bases by trying every subset, the corpus by
+comparing every pair of members.  Slow on purpose and capped to desk
+sizes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from amalgam.boolalg import (
     bits,
     popcount,
 )
+from amalgam.k1 import check_K1, enumerate_members, is_isomorphic_k1
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +231,22 @@ def bases_through_by_enumeration(
         else:
             if atoms_seen == F.full:
                 yield J
+
+
+# ---------------------------------------------------------------------------
+# Corpus oracle
+# ---------------------------------------------------------------------------
+
+
+def corpus_by_all_pairs(size_bound: int, trunc: int, max_n_star: int):
+    """The witnessed-class corpus with each passing candidate compared
+    against every member kept so far, with no invariant buckets."""
+    members = []
+    for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
+                               max_size=size_bound):
+        if not check_K1(M).passed:
+            continue
+        if any(is_isomorphic_k1(M, other) for other in members):
+            continue
+        members.append(M)
+    return members

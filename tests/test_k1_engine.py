@@ -1,19 +1,148 @@
-"""The witnessed-class generic: saturation, determinism, witnesses, games."""
+"""The witnessed-class generic: saturation, determinism, witnesses, games,
+and the corpus's isomorphism buckets."""
+
+import itertools
+import random
+from dataclasses import replace
 
 from amalgam.fraisse import back_and_forth_check, richness_defect
-from amalgam.k1 import check_K1, check_free_extension, minimal_model
+from amalgam.k1 import (
+    ZERO,
+    K1Structure,
+    P1Element,
+    build_member,
+    check_free_extension,
+    check_K1,
+    enumerate_members,
+    is_isomorphic_k1,
+    minimal_model,
+    var,
+)
+from amalgam.k1 import engine
+from amalgam.k1.embeddings import _simple_kind
 from amalgam.k1.engine import (
     build_generic_k1,
     corpus,
+    invariant_key,
     k1_class,
     k1_position_valid,
     nonoise_check,
 )
+from amalgam.k1.freepart import conj, disj
+from amalgam.k1.structure import enumerate_head_plans
+from oracles import corpus_by_all_pairs
+from test_match_search import renamed, rich_value
 
 
 def test_corpus_members_all_pass_checks():
     for M in corpus(3, trunc=4, max_n_star=1):
         assert check_K1(M).passed
+
+
+def test_bucketed_corpus_equals_the_all_pairs_scan():
+    for bound in (3, 4, 5):
+        for max_n_star in (0, 1):
+            got = corpus(bound, 6, max_n_star)
+            want = corpus_by_all_pairs(bound, 6, max_n_star)
+            assert [M.canonical_key() for M in got] == \
+                [M.canonical_key() for M in want], (bound, max_n_star)
+
+
+def test_invariant_key_ignores_ids_and_orders():
+    rng = random.Random(41)
+    compared = 0
+    for p0_count, p2_count, n_star in itertools.product((0, 1, 2), (1, 2), (0, 1)):
+        for plan in enumerate_head_plans(p0_count, p2_count, n_star):
+            M = build_member(p0_count, p2_count, n_star, 6, plan)
+            N = build_member(p0_count, p2_count, n_star, 6, plan, start_id=50)
+            p0, p2 = list(M.p0), list(M.p2)
+            rng.shuffle(p0)
+            rng.shuffle(p2)
+            P = replace(M, p0=tuple(p0), p2=tuple(p2))
+            assert invariant_key(M) == invariant_key(N) == invariant_key(P)
+            compared += 1
+    assert compared == 50
+
+
+def test_isomorphic_candidates_share_a_key():
+    candidates = enumerate_members(4, 4, 1, 6, max_size=4)
+    accepted = 0
+    for A, B in itertools.combinations(candidates, 2):
+        if is_isomorphic_k1(A, B):
+            assert invariant_key(A) == invariant_key(B)
+            accepted += 1
+    assert accepted > 50
+
+
+def rich_member(rng, p0_count, p2_count, trunc):
+    """A structure whose values are random ``rich_value``s over its atoms
+    and four generators."""
+    atoms, gens = range(p0_count), range(10, 14)
+    p0 = tuple(range(50, 50 + p0_count))
+    p2 = tuple(range(60, 60 + p2_count))
+    g1 = {a: P1Element(1 << atom, ZERO) for a, atom in zip(p0, atoms)}
+    f = {(n, c): rich_value(rng, atoms, gens)
+         for c in p2 for n in range(trunc)}
+    return K1Structure(trunc, p0, p2, tuple(atoms), tuple(gens), g1, f)
+
+
+def renamed_member(rng, M):
+    """``M`` on fresh ids throughout, with its P0 and P2 orders reversed."""
+    cells = [(n, c) for c in M.p2 for n in range(M.trunc)]
+    values = [M.g1[a] for a in M.p0] + [M.f[cell] for cell in cells]
+    carrier, images = renamed(rng, values, M.atom_ids, M.gen_ids)
+    g1 = {a + 20: x for a, x in zip(M.p0, images)}
+    f = {(n, c + 20): x for (n, c), x in zip(cells, images[len(M.p0):])}
+    return K1Structure(M.trunc, tuple(a + 20 for a in reversed(M.p0)),
+                       tuple(c + 20 for c in reversed(M.p2)),
+                       carrier.atom_ids, carrier.gen_ids, g1, f)
+
+
+def is_rich(M):
+    """Some value is not chi-plus-generator shaped, so only the general
+    match path can decide a match out of ``M``."""
+    return any(_simple_kind(x.free) is None for x in M.f.values())
+
+
+def test_rich_isomorphic_pairs_share_a_key():
+    rng = random.Random(23)
+    pool = [rich_member(rng, rng.randint(0, 2), rng.randint(1, 2), 2)
+            for _ in range(120)]
+    renamings = 0
+    for M in pool:
+        N = renamed_member(rng, M)
+        assert is_isomorphic_k1(M, N)
+        assert invariant_key(M) == invariant_key(N)
+        renamings += is_rich(M)
+    accepted = 0
+    for A, B in itertools.combinations(pool, 2):
+        if is_isomorphic_k1(A, B):
+            assert invariant_key(A) == invariant_key(B)
+            accepted += is_rich(A) and A.canonical_key() != B.canonical_key()
+    assert renamings > 50 and accepted > 20
+    # x meet y against x join y: each realizes every sign vector next to z
+    x, y, z = var(10), var(11), var(12)
+    meet, join = (K1Structure(2, (), (60,), (), (10, 11, 12), {},
+                              {(0, 60): P1Element(0, v),
+                               (1, 60): P1Element(0, z)})
+                  for v in (conj(x, y), disj(x, y)))
+    assert is_isomorphic_k1(meet, join)
+    assert invariant_key(meet) == invariant_key(join)
+
+
+def test_corpus_compares_fewer_pairs_than_it_has_candidates(monkeypatch):
+    calls = []
+
+    def counting(A, B):
+        calls.append(None)
+        return is_isomorphic_k1(A, B)
+
+    monkeypatch.setattr(engine, "is_isomorphic_k1", counting)
+    members = corpus(4, 6, 1)
+    passing = sum(check_K1(M).passed
+                  for M in enumerate_members(4, 4, 1, 6, max_size=4))
+    assert len(members) < passing == 93
+    assert len(calls) < passing
 
 
 def test_minimal_model_is_the_zero_step_generic():

@@ -135,6 +135,23 @@ def test_independence_checks_match_flat_algebra():
         designated_mask = (1 << len(ctx.atom_ids)) - 1
         assert independent_from_mod_atomic(Y, X) == \
             ba_independent(B, my, mx, PrincipalIdeal(B, designated_mask))
+    # support components of one function: nonconstant (skipped unrefined),
+    # constant, and next to a component that fails
+    g, h, k = var(10), var(11), var(12)
+    families = [
+        ([P1Element(0b01, g)], [], True),
+        ([], [P1Element(0b10, h)], True),
+        ([P1Element(0b01, g)], [P1Element(0b01, ONE)], True),
+        ([P1Element(0b01, ZERO)], [], False),
+        ([P1Element(0, ONE)], [], False),
+        ([P1Element(0, g), P1Element(0, h)], [P1Element(0, h)], False),
+        ([P1Element(0, g), P1Element(0, h)], [P1Element(0, k)], True),
+    ]
+    for Y, X, want in families:
+        B, masks, _ = materialize(ctx, Y + X)
+        assert ba_independent(B, masks[:len(Y)], masks[len(Y):],
+                              PrincipalIdeal(B, 0b11)) == want
+        assert independent_from_mod_atomic(Y, X) == want
 
 
 def test_independence_tells_elements_with_one_free_part_apart():
@@ -187,6 +204,25 @@ def test_zero_atomic_minterms_match_flat_algebra():
             want = flat_minterms_nonzero(ctx, family)
             assert zero_atomic_minterms_nonzero(ctx, family) == want
             assert want == (bool(atoms) and family in lone)
+    # support components of one function: nonconstant (skipped unrefined),
+    # constant, and next to a component that fails
+    k = var(12)
+    h_xor_k = disj(conj(h, neg(k)), conj(neg(h), k))
+    families = [
+        ((), [g], True),
+        ((0,), [g], True),
+        ((), [ONE], False),
+        ((0,), [ONE], True),
+        ((0,), [ZERO], False),
+        ((0,), [g, ZERO], False),
+        ((0,), [g, h, neg(h)], False),
+        ((0,), [g, h, h_xor_k], True),
+    ]
+    for atoms, fns, want in families:
+        ctx = P1Context(atoms)
+        family = [P1Element(0, fn) for fn in fns]
+        assert flat_minterms_nonzero(ctx, family) == want
+        assert zero_atomic_minterms_nonzero(ctx, family) == want
 
 
 def test_subalgebra_contains_matches_flat_blocks():
@@ -204,15 +240,29 @@ def test_subalgebra_contains_matches_flat_blocks():
 def random_span(rng, ctx, clusters):
     """Up to five elements whose free parts lie in the given generator
     clusters (so the span has several support components), some purely
-    atomic, and now and then every designated atom besides."""
+    atomic, now and then one whose free part is a bare generator or its
+    complement, and now and then every designated atom besides."""
     span = []
     for _ in range(rng.randint(1, 5)):
         atomic = sum(1 << a for a in ctx.atom_ids if rng.random() < 0.5)
         gens = [] if rng.random() < 0.25 else rng.choice(clusters)
         span.append(P1Element(atomic, random_fn(rng, gens)))
+    if rng.random() < 0.4:
+        g = var(rng.choice([g for cluster in clusters for g in cluster]))
+        atomic = sum(1 << a for a in ctx.atom_ids if rng.random() < 0.5)
+        span.insert(rng.randint(0, len(span)),
+                    P1Element(atomic, rng.choice((g, neg(g)))))
     if rng.random() < 0.3:
         span += [ctx.atom(a) for a in ctx.atom_ids]
     return span
+
+
+def holds_g_with_b_star(ctx, span, g):
+    """Some span element has free support exactly (g,), and the
+    support-free span elements generate b*."""
+    constants = [e for e in span if not e.free.support]
+    return any(e.free.support == (g,) for e in span) and \
+        subalgebra_contains(ctx, constants, ctx.b_star)
 
 
 def test_spans_generator_equals_the_definition():
@@ -225,8 +275,9 @@ def test_spans_generator_equals_the_definition():
         for g in (10, 12, 14):
             want = subalgebra_contains(ctx, span, P1Element(0, var(g)))
             assert spans_generator(ctx, span, g) == want, (span, g)
-            outcomes.add(want)
-    assert outcomes == {True, False}
+            outcomes.add((holds_g_with_b_star(ctx, span, g), want))
+    # both the one-generator sub-span and the component path were taken
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_spans_generator_sees_an_atom_cut_loose_by_another_component():
