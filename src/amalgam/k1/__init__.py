@@ -22,7 +22,6 @@ from .checks import (  # noqa: F401
     union_of_chain,
 )
 from .embeddings import (  # noqa: F401
-    DChoice,
     MatchEmbedding,
     TransportMap,
     enumerate_matches,

@@ -5,9 +5,9 @@ Two kinds of maps:
 * TransportMap: a constructive embedding produced by extension builders.
   It renames designated atoms and generators, and records ``splits``: new
   target atoms inserted below the images of source elements, each governed
-  by an ultrafilter choice on the source algebra (an atom, or a point of
-  the free factor).  Transports apply to arbitrary elements, compose, and
-  certify chain inclusions.
+  by a principal ultrafilter choice on the source algebra, a point of the
+  free factor.  Transports apply to arbitrary elements and certify chain
+  inclusions.
 
 * match embeddings: a pair of injections (P0, P2) between class members
   whose element map is forced on generators.  Validity is decided by
@@ -36,33 +36,18 @@ from .structure import K1Structure
 
 
 @dataclass(frozen=True)
-class DChoice:
-    """Principal ultrafilter on a source element algebra: either the filter
-    of an atom, or the point of the free factor given by a sparse 0/1
-    generator assignment (unlisted generators read 0)."""
-
-    kind: str  # "atom" | "point" | "never" (holds of no element)
-    atom_id: int = -1
-    point: tuple[tuple[int, int], ...] = ()
-
-    def holds(self, x: P1Element) -> bool:
-        if self.kind == "atom":
-            return bool(x.atomic & (1 << self.atom_id))
-        if self.kind == "never":
-            return False
-        return bool(x.free.evaluate(dict(self.point)))
-
-
-@dataclass(frozen=True)
 class TransportMap:
+    """Renamings of P0/P2 ids, designated atoms and generators, plus
+    ``splits``: (new_atom, point) pairs, where ``point`` is a tuple of
+    (generator, 1) pairs naming a point of the free factor (unlisted
+    generators read 0).  The new atom lies under exactly the transported
+    elements whose free part holds at its point."""
+
     p0_map: tuple[tuple[int, int], ...] = ()
     p2_map: tuple[tuple[int, int], ...] = ()
     atom_map: tuple[tuple[int, int], ...] = ()
     gen_map: tuple[tuple[int, int], ...] = ()
-    splits: tuple[tuple[int, DChoice], ...] = ()
-
-    def p0(self, a: int) -> int:
-        return dict(self.p0_map).get(a, a)
+    splits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
 
     def p2(self, c: int) -> int:
         return dict(self.p2_map).get(c, c)
@@ -76,63 +61,12 @@ class TransportMap:
             a = low.bit_length() - 1
             atomic |= 1 << atoms.get(a, a)
             rest ^= low
-        for new_atom, choice in self.splits:
-            if choice.holds(x):
+        for new_atom, point in self.splits:
+            if x.free.evaluate(dict(point)):
                 atomic |= 1 << new_atom
         gens = dict(self.gen_map)
         free = rename(x.free, gens) if gens else x.free
         return P1Element(atomic, free)
-
-    def compose(self, then: "TransportMap") -> "TransportMap":
-        """self : A -> B followed by then : B -> C."""
-        p0 = {a: then.p0(b) for a, b in self.p0_map}
-        for a, b in then.p0_map:
-            p0.setdefault(a, b)
-        p2 = {c: then.p2(d) for c, d in self.p2_map}
-        for c, d in then.p2_map:
-            p2.setdefault(c, d)
-        atoms_self = dict(self.atom_map)
-        atoms_then = dict(then.atom_map)
-        atom = {a: atoms_then.get(b, b) for a, b in atoms_self.items()}
-        for a, b in then.atom_map:
-            atom.setdefault(a, b)
-        gens_self = dict(self.gen_map)
-        gens_then = dict(then.gen_map)
-        gen = {g: gens_then.get(h, h) for g, h in gens_self.items()}
-        for g, h in then.gen_map:
-            gen.setdefault(g, h)
-        splits: list[tuple[int, DChoice]] = []
-        # self's split atoms, pushed through then's atom renaming
-        self_split_choices = dict(self.splits)
-        for new_atom, choice in self.splits:
-            splits.append((atoms_then.get(new_atom, new_atom), choice))
-        # then's splits, pulled back to self's source
-        inv_gen = {h: g for g, h in gens_self.items()}
-        inv_atom = {b: a for a, b in atoms_self.items()}
-        for new_atom, choice in then.splits:
-            splits.append((new_atom, _pull_back(choice, inv_atom, inv_gen,
-                                                self_split_choices)))
-        return TransportMap(tuple(sorted(p0.items())), tuple(sorted(p2.items())),
-                            tuple(sorted(atom.items())), tuple(sorted(gen.items())),
-                            tuple(splits))
-
-
-def _pull_back(choice: DChoice, inv_atom: dict[int, int],
-               inv_gen: dict[int, int],
-               upstream_splits: dict[int, DChoice]) -> DChoice:
-    """Express a mid-chain ultrafilter choice on the original source."""
-    if choice.kind == "atom":
-        a = choice.atom_id
-        if a in inv_atom:
-            return DChoice("atom", inv_atom[a])
-        if a in upstream_splits:
-            return upstream_splits[a]
-        # an atom created mid-chain never sits under a transported element
-        return DChoice("never")
-    if choice.kind == "never":
-        return choice
-    point = {inv_gen.get(g, g): v for g, v in choice.point}
-    return DChoice("point", point=tuple(sorted(point.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +177,8 @@ def _match_general(A: K1Structure, B: K1Structure,
 
 def is_valid_match(A: K1Structure, B: K1Structure,
                    p0_map: dict[int, int], p2_map: dict[int, int]) -> bool:
+    """Do the injections generate matched subalgebras: the values of the
+    mapped ids of A and their images in B, paired positionwise?"""
     if A.named_gens or B.named_gens:
         raise InvalidEmbedding(
             "match embeddings require fully value-generated structures"
@@ -252,12 +188,7 @@ def is_valid_match(A: K1Structure, B: K1Structure,
         return False
     if A.trunc != B.trunc:
         return False
-    return _values_match(A, B, *_generator_lists(A, B, p0_map, p2_map))
-
-
-def _values_match(A: K1Structure, B: K1Structure,
-                  src: list[P1Element], tgt: list[P1Element]) -> bool:
-    """Do the positionwise paired values generate matched subalgebras?"""
+    src, tgt = _generator_lists(A, B, p0_map, p2_map)
     fast = _match_simple(A, B, src, tgt)
     if fast is not None:
         return fast
@@ -350,7 +281,7 @@ def extend_match(B: K1Structure, M: K1Structure,
 
 
 def is_isomorphic_k1(A: K1Structure, B: K1Structure) -> bool:
-    """Same generator counts and a valid match both ways round.
+    """Same generator counts and a valid match from A to B.
 
     For value-generated members a match embedding with bijective P0/P2 is
     automatically surjective on the element algebra, since the target is

@@ -15,11 +15,10 @@ from ..fraisse import (
 from ..report import CheckReport
 from .checks import check_K1, compose_free_witnesses
 from .embeddings import (
-    _generator_lists,
-    _values_match,
     enumerate_matches,
     extend_match,
     is_isomorphic_k1,
+    is_valid_match,
 )
 from .ops import amalgamate_free
 from .structure import (
@@ -159,21 +158,21 @@ def build_generic_k1(
 def k1_position_valid(M: K1Structure, N: K1Structure,
                       pos_m: tuple, pos_n: tuple) -> bool:
     """Game-position validity: the picked ids generate matched
-    substructures under the positionwise correspondence."""
+    substructures under the positionwise correspondence.
+
+    Decided by ``is_valid_match``, so members of different truncations
+    never match, and a structure with named generators raises
+    ``InvalidEmbedding``.
+    """
     p0_map, p2_map = {}, {}
     for x, y in zip(pos_m, pos_n):
-        if (x in M.p0) != (y in N.p0):
-            return False
-        if x in M.p0:
+        if x in M.p0 and y in N.p0:
             p0_map[x] = y
         elif x in M.p2 and y in N.p2:
             p2_map[x] = y
         else:
             return False
-    if len(set(p0_map.values())) != len(p0_map) or \
-            len(set(p2_map.values())) != len(p2_map):
-        return False
-    return _values_match(M, N, *_generator_lists(M, N, p0_map, p2_map))
+    return is_valid_match(M, N, p0_map, p2_map)
 
 
 def nonoise_check(M: K1Structure, floor: int = 0) -> CheckReport:

@@ -37,12 +37,7 @@ from .p1 import (
     materialize,
     unmaterialize,
 )
-from .embeddings import (
-    DChoice,
-    MatchEmbedding,
-    TransportMap,
-    _generator_lists,
-)
+from .embeddings import MatchEmbedding, TransportMap, _generator_lists
 from .structure import (
     FreeExtensionWitness,
     K1Structure,
@@ -184,7 +179,7 @@ def amalgamate_free(
     gen_map.update(dict(zip(private_gens, fresh_gens)))
 
     # ultrafilter choice per new atom of N2
-    splits: list[tuple[int, DChoice]] = []
+    splits = []
     small_atom_map = {}
     for a in N1.p0:
         # positions of N1's designated atoms inside each structure
@@ -199,7 +194,7 @@ def amalgamate_free(
             raise UltrafilterChoiceFailed(
                 f"no atomless position matches the trace of the new atom {new_a}"
             )
-        splits.append((atom_id, DChoice("point", point=point)))
+        splits.append((atom_id, point))
         small_atom_map[nu_bit.bit_length() - 1] = atom_id
 
     big_transport = TransportMap(splits=tuple(splits))
@@ -294,7 +289,7 @@ def _extra_atom_splits(M1, N1, into_big, images1, least, gen_rename):
             raise CollapseDetected(
                 "a base block depends on a generator invisible to the base"
             )
-        splits.append((atom_id, DChoice("point", point=point_small)))
+        splits.append((atom_id, point_small))
     return tuple(splits)
 
 

@@ -34,7 +34,6 @@ from .freepart import (
     _expand,
     _reduce,
     conj,
-    disj,
     neg,
     support_components,
     var,
@@ -90,9 +89,6 @@ class P1Context:
 
     def meet(self, x: P1Element, y: P1Element) -> P1Element:
         return P1Element(x.atomic & y.atomic, conj(x.free, y.free))
-
-    def join(self, x: P1Element, y: P1Element) -> P1Element:
-        return P1Element(x.atomic | y.atomic, disj(x.free, y.free))
 
     def comp(self, x: P1Element) -> P1Element:
         return P1Element(self.full_mask & ~x.atomic, neg(x.free))

@@ -5,6 +5,9 @@ import itertools
 import random
 from dataclasses import replace
 
+import pytest
+
+from amalgam.errors import InvalidEmbedding
 from amalgam.fraisse import back_and_forth_check, richness_defect
 from amalgam.k1 import (
     ZERO,
@@ -198,6 +201,26 @@ def test_game_rejects_structures_of_different_shape():
     elements = lambda S: list(S.p0) + list(S.p2)
     # the duplicator dies at depth 1: the minimal model has no response
     assert not back_and_forth_check(g.top, tiny, 1, elements, k1_position_valid)
+
+
+def test_positions_across_truncations_never_match():
+    M = build_member(1, 1, 0, trunc=4)
+    N = build_member(1, 1, 0, trunc=3, start_id=50)
+    pos_m, pos_n = M.p0 + M.p2, N.p0 + N.p2
+    assert k1_position_valid(M, N, pos_m, pos_n) is False
+    assert k1_position_valid(N, M, pos_n, pos_m) is False
+
+
+def test_positions_refuse_named_generators():
+    M = build_member(1, 1, 0, trunc=3)
+    g = max(M.all_ids()) + 1
+    named = replace(M, gen_ids=M.gen_ids + (g,), named_gens=(g,))
+    pos = M.p0 + M.p2
+    assert k1_position_valid(M, M, pos, pos)
+    with pytest.raises(InvalidEmbedding):
+        k1_position_valid(named, M, pos, pos)
+    with pytest.raises(InvalidEmbedding):
+        k1_position_valid(M, named, pos, pos)
 
 
 def test_head_fragment_converges_in_the_ledger_sense():
