@@ -16,6 +16,7 @@ from .structures import (
     enumerate_embeddings,
     generate_substructure,
     is_isomorphic,
+    relation_mismatch,
 )
 
 ORDER_VOCAB = Vocabulary.make(relations={"lt": 2})
@@ -149,7 +150,23 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     """The picked tuples generate isomorphic substructures under the
     positionwise correspondence (functions propagate the match).  The
     constants belong to both generated substructures, so each constant
-    of M starts out matched to the same-named constant of N."""
+    of M starts out matched to the same-named constant of N.
+
+    The checks run cheapest first, and each refuses a position the
+    later ones would refuse too:
+
+    1. M and N share a vocabulary (no position is valid otherwise), the
+       picks are distinct, and constants and pairs seed one injective
+       map;
+    2. every relation agrees on the matched points, which both generated
+       substructures contain, so no closure can repair a disagreement;
+    3. the generated substructures have equal sizes and equally many
+       function entries, and function images extend the map to all of
+       them;
+    4. the verdict is ``Embedding(sub_m, sub_n, map).is_valid()``.
+    """
+    if M.vocabulary != N.vocabulary:
+        return False
     if len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
         return False
     mapping: dict[int, int] = {}
@@ -159,6 +176,9 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
         if y is None or mapping.setdefault(x, y) != y:
             return False
     if len(set(mapping.values())) != len(mapping):
+        return False
+    if relation_mismatch(M, N, list(mapping), list(mapping.values())) \
+            is not None:
         return False
     sub_m = generate_substructure(M, set(pos_m))
     sub_n = generate_substructure(N, set(pos_n))

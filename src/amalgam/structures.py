@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     CLOSURE_CAP,
@@ -141,10 +141,15 @@ class FiniteStructure:
         """Induced structure on a subset (not checked for closure)."""
         keep = set(subset)
         universe = tuple(x for x in self.universe if x in keep)
-        relations = {
-            name: {t for t in tuples if keep.issuperset(t)}
-            for name, tuples in self.relations.items()
-        }
+        relations = {}
+        for name, tuples in self.relations.items():
+            # walk the smaller side: the kept tuples or the stored ones
+            arity = self.vocabulary.relation_arity(name)
+            if len(universe) ** arity < len(tuples):
+                relations[name] = {t for t in itertools.product(
+                    universe, repeat=arity) if t in tuples}
+            else:
+                relations[name] = {t for t in tuples if keep.issuperset(t)}
         functions = {
             name: {args: v for args, v in table.items()
                    if keep.issuperset(args) and v in keep}
@@ -187,6 +192,23 @@ def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructu
     return M.restrict(closed)
 
 
+def relation_mismatch(A: FiniteStructure, B: FiniteStructure,
+                      points: Sequence[int], images: Sequence[int],
+                      ) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first relation of A, with a tuple over ``points``, whose
+    membership differs from that of the positionwise image tuple over
+    ``images`` in B; None when every relation agrees.  A and B share a
+    vocabulary."""
+    for name, tuples in A.relations.items():
+        arity = A.vocabulary.relation_arity(name)
+        b_tuples = B.relations[name]
+        for t, image in zip(itertools.product(points, repeat=arity),
+                            itertools.product(images, repeat=arity)):
+            if (t in tuples) != (image in b_tuples):
+                return name, t
+    return None
+
+
 @dataclass
 class Embedding:
     """An injective map preserving and reflecting relations and commuting
@@ -212,12 +234,11 @@ class Embedding:
             raise InvalidEmbedding("map not injective")
         if not set(m.values()) <= set(B.universe):
             raise InvalidEmbedding("image outside the target")
-        for name, tuples in A.relations.items():
-            arity = A.vocabulary.relation_arity(name)
-            b_tuples = B.relations[name]
-            for t in itertools.product(A.universe, repeat=arity):
-                if (t in tuples) != (self.apply(t) in b_tuples):
-                    raise InvalidEmbedding(f"relation {name} not matched at {t}")
+        mismatch = relation_mismatch(A, B, A.universe,
+                                     [m[x] for x in A.universe])
+        if mismatch is not None:
+            name, t = mismatch
+            raise InvalidEmbedding(f"relation {name} not matched at {t}")
         for name, table in A.functions.items():
             b_table = B.functions[name]
             for args, value in table.items():
@@ -251,18 +272,13 @@ def identity(M: FiniteStructure) -> Embedding:
 
 def _consistent_so_far(A: FiniteStructure, B: FiniteStructure,
                        mapping: dict[int, int], newly: int) -> bool:
-    """Partial-map checks touching the just-assigned element."""
+    """Partial-map checks: every relation on the assigned points, and
+    the function entries touching the just-assigned element."""
     assigned = mapping.keys()
     used = set(mapping.values())
-    for name, tuples in A.relations.items():
-        arity = A.vocabulary.relation_arity(name)
-        b_tuples = B.relations[name]
-        for t in itertools.product(sorted(assigned), repeat=arity):
-            if newly not in t:
-                continue
-            mt = tuple(mapping[x] for x in t)
-            if (t in tuples) != (mt in b_tuples):
-                return False
+    if relation_mismatch(A, B, list(assigned), list(mapping.values())) \
+            is not None:
+        return False
     for name, table in A.functions.items():
         b_table = B.functions[name]
         for args, value in table.items():

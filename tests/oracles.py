@@ -5,8 +5,10 @@ shared shortcuts with the fast paths it certifies: independence by
 quantifying over all nonzero Boolean polynomials, pushout laws by
 projecting atoms through the raw embedding images and enumerating
 homomorphism pairs, bases by trying every subset, the corpus by
-comparing every pair of members.  Slow on purpose and capped to desk
-sizes.
+comparing every pair of members, game positions by searching for an
+embedding of the generated substructures, restriction by filtering every
+stored tuple and embedding validity by mapping every tuple.  Slow on
+purpose and capped to desk sizes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from amalgam.boolalg import (
     popcount,
 )
 from amalgam.k1 import check_K1, enumerate_members, is_isomorphic_k1
+from amalgam.structures import (
+    Embedding,
+    FiniteStructure,
+    enumerate_embeddings,
+    generate_substructure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +258,75 @@ def corpus_by_all_pairs(size_bound: int, trunc: int, max_n_star: int):
             continue
         members.append(M)
     return members
+
+
+# ---------------------------------------------------------------------------
+# Plain structures: game positions, restriction, embedding validity
+# ---------------------------------------------------------------------------
+
+
+def position_valid_by_search(M: FiniteStructure, N: FiniteStructure,
+                             pos_m: tuple[int, ...],
+                             pos_n: tuple[int, ...]) -> bool:
+    """The picked points generate isomorphic substructures under the
+    positionwise match: some bijective embedding of the substructure M
+    generates onto the one N generates sends each pick to its partner and
+    each constant to its namesake, and N's substructure defines no
+    function value that M's leaves undefined."""
+    if M.vocabulary != N.vocabulary or len(set(pos_m)) != len(pos_m) \
+            or len(set(pos_n)) != len(pos_n):
+        return False
+    fixed: dict[int, int] = {}
+    constants = [(value, N.constants.get(name))
+                 for name, value in M.constants.items()]
+    for x, y in list(zip(pos_m, pos_n)) + constants:
+        if y is None or fixed.setdefault(x, y) != y:
+            return False
+    sub_m = generate_substructure(M, pos_m)
+    sub_n = generate_substructure(N, pos_n)
+    if sub_m.size != sub_n.size:
+        return False
+    # an injective map between equal sizes is onto, and an embedding
+    # carries each entry of sub_m to one of sub_n, so equal counts leave
+    # sub_n no entry of its own
+    if any(len(sub_n.functions[name]) != len(table)
+           for name, table in sub_m.functions.items()):
+        return False
+    return bool(enumerate_embeddings(sub_m, sub_n, fixed=fixed,
+                                     first_only=True))
+
+
+def restrict_by_filter(M: FiniteStructure, subset) -> FiniteStructure:
+    """The induced structure on ``subset``, keeping each stored tuple and
+    function entry that lies inside it."""
+    keep = set(subset)
+    return FiniteStructure(
+        M.vocabulary, tuple(x for x in M.universe if x in keep),
+        {name: {t for t in tuples if keep.issuperset(t)}
+         for name, tuples in M.relations.items()},
+        {name: {args: v for args, v in table.items()
+                if keep.issuperset(args) and v in keep}
+         for name, table in M.functions.items()},
+        dict(M.constants))
+
+
+def embedding_valid_by_apply(e: Embedding) -> bool:
+    """Every tuple of the source, in all |A|^arity of them, is in a
+    relation iff its image is, every function entry and constant is
+    carried over, and the map is total, injective and into the target."""
+    A, B, m = e.source, e.target, e.mapping
+    if A.vocabulary != B.vocabulary or set(m) != set(A.universe) \
+            or len(set(m.values())) != len(m) \
+            or not set(m.values()) <= set(B.universe):
+        return False
+    for name, tuples in A.relations.items():
+        arity = A.vocabulary.relation_arity(name)
+        for t in itertools.product(A.universe, repeat=arity):
+            if (t in tuples) != (e.apply(t) in B.relations[name]):
+                return False
+    for name, table in A.functions.items():
+        for args, value in table.items():
+            if B.functions[name].get(e.apply(args)) != m[value]:
+                return False
+    return all(B.constants.get(name) == m[value]
+               for name, value in A.constants.items())

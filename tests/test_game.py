@@ -1,12 +1,14 @@
 """The bounded back-and-forth game: the memoised game against an
 unmemoised reference, symmetry with partial functions, classical bounds
-for chains, and position checks for vocabularies with constants."""
+for chains, and position checks for vocabularies with constants, against
+a search for an embedding of the generated substructures."""
 
 import itertools
 import random
 
 import pytest
 
+from amalgam import backends
 from amalgam.backends import (
     GRAPH_VOCAB,
     ORDER_VOCAB,
@@ -15,6 +17,7 @@ from amalgam.backends import (
 )
 from amalgam.fraisse import back_and_forth_check
 from amalgam.structures import FiniteStructure, Vocabulary
+from oracles import position_valid_by_search
 
 UNARY_VOCAB = Vocabulary.make(relations={"p": 1}, functions={"f": 1})
 CONSTANT_ORDER_VOCAB = Vocabulary.make(relations={"lt": 2}, constants=("c",))
@@ -202,3 +205,55 @@ def test_constants_are_matched_in_every_position():
     # Below the middle constant there is a point, below the bottom one none.
     assert not back_and_forth_check(middle, bottom, 1, elements,
                                     structure_position_valid)
+
+
+def test_structures_over_different_vocabularies_have_no_valid_position():
+    order = chain_structure(3)
+    graph = FiniteStructure(GRAPH_VOCAB, (0, 1, 2), {"adj": {(0, 1), (1, 0)}})
+    for M, N in ((order, graph), (graph, order)):
+        for pos in ((), (0,)):
+            assert structure_position_valid(M, N, pos, pos) is False
+
+
+def oracle_cases():
+    """Pairs of structures: random orders, graphs and unary structures
+    (half of them against a relabelled copy), and the constant chains."""
+    for make in (random_order, random_graph, random_unary):
+        rng = random.Random(f"oracle {make.__name__}")
+        for _ in range(8):
+            M = make(rng, rng.randint(1, 4))
+            yield M, relabelled(rng, M) if rng.random() < 0.5 else \
+                make(rng, rng.randint(1, 4))
+    for c, d in itertools.product(range(3), repeat=2):
+        yield constant_chain(c), constant_chain(d)
+
+
+def test_position_check_agrees_with_embedding_search():
+    outcomes = set()
+    for M, N in oracle_cases():
+        for k in range(4):
+            for pos_m in itertools.combinations(M.universe, k):
+                for pos_n in itertools.permutations(N.universe, k):
+                    got = structure_position_valid(M, N, pos_m, pos_n)
+                    assert got == position_valid_by_search(
+                        M, N, pos_m, pos_n), (M, N, pos_m, pos_n)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_relation_disagreement_is_refused_before_any_closure(monkeypatch):
+    built = []
+
+    def generate_substructure(M, X):
+        built.append(M)
+        return real(M, X)
+
+    real = backends.generate_substructure
+    monkeypatch.setattr(backends, "generate_substructure",
+                        generate_substructure)
+    M = chain_structure(3)
+    # 0 < 1 in M, but the partner of 0 lies above the partner of 1
+    assert not structure_position_valid(M, M, (0, 1), (1, 0))
+    assert built == []
+    assert structure_position_valid(M, M, (0, 1), (0, 1))
+    assert built == [M, M]

@@ -17,6 +17,7 @@ from amalgam.structures import (
     identity,
     is_isomorphic,
 )
+from oracles import embedding_valid_by_apply, restrict_by_filter
 
 GRAPH = Vocabulary.make(relations={"E": 2})
 ONE_FN = Vocabulary.make(functions={"f": 2})
@@ -212,6 +213,56 @@ def test_relabeled_structures_isomorphic_by_exhaustive_bijection():
 def test_identity_passes_validation():
     M = edge_structure([0, 1], {(0, 1)})
     identity(M).validate()
+
+
+MIXED = Vocabulary.make(relations={"P": 1, "E": 2, "T": 3},
+                        functions={"f": 1}, constants=["c"])
+
+
+def random_mixed(rng, n, density):
+    """A MIXED structure on n points: each relation holds of each tuple
+    with probability ``density``, f is partial, c is interpreted."""
+    universe = rng.sample(range(20), n)
+    relations = {name: {t for t in itertools.product(universe, repeat=arity)
+                        if rng.random() < density}
+                 for name, arity in MIXED.relations}
+    f = {(x,): rng.choice(universe) for x in universe if rng.random() < 0.5}
+    return FiniteStructure(MIXED, universe, relations, {"f": f},
+                           {"c": rng.choice(universe)})
+
+
+def test_restrict_agrees_with_the_tuple_filter_on_both_sides_of_its_choice():
+    rng = random.Random("restrict")
+    products = set()
+    for _ in range(200):
+        M = random_mixed(rng, rng.randint(1, 6), rng.choice((0.05, 0.9)))
+        keep = [M.constants["c"]] + rng.sample(M.universe,
+                                               rng.randint(0, M.size))
+        assert M.restrict(keep) == restrict_by_filter(M, keep)
+        kept = len(set(keep))
+        products |= {kept ** arity < len(M.relations[name])
+                     for name, arity in MIXED.relations}
+    # sparse relations are filtered, dense ones under small subsets are
+    # walked through the kept tuples
+    assert products == {True, False}
+
+
+def test_embedding_validity_agrees_with_the_tuple_by_tuple_loop():
+    rng = random.Random("is_valid")
+    outcomes = set()
+    for _ in range(300):
+        A = random_mixed(rng, rng.randint(1, 3), rng.choice((0.1, 0.5)))
+        if rng.random() < 0.5:
+            B = A
+        else:
+            B = random_mixed(rng, rng.randint(A.size, 5),
+                             rng.choice((0.1, 0.5)))
+        mapping = dict(zip(A.universe, rng.sample(B.universe, A.size)))
+        e = Embedding(A, B, mapping)
+        got = e.is_valid()
+        assert got == embedding_valid_by_apply(e)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
