@@ -149,14 +149,17 @@ def graph_class() -> AmalgamationClass:
 def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     """The picked tuples generate isomorphic substructures under the
     positionwise correspondence (functions propagate the match).  The
-    constants belong to both generated substructures, so each constant
-    of M starts out matched to the same-named constant of N.
+    constants belong to both generated substructures, so each declared
+    constant starts out matched to its namesake, and a constant that
+    only one side interprets refuses the position in either argument
+    order.
 
     The checks run cheapest first, and each refuses a position the
     later ones would refuse too:
 
     1. M and N share a vocabulary (no position is valid otherwise), the
-       picks are distinct, and constants and pairs seed one injective
+       picks are distinct, every declared constant is interpreted on both
+       sides or on neither, and constants and pairs seed one injective
        map;
     2. every relation agrees on the matched points, which both generated
        substructures contain, so no closure can repair a disagreement;
@@ -169,11 +172,16 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
         return False
     if len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
         return False
+    pairs = []
+    for name in M.vocabulary.constants:
+        x, y = M.constants.get(name), N.constants.get(name)
+        if (x is None) != (y is None):
+            return False
+        if x is not None:
+            pairs.append((x, y))
     mapping: dict[int, int] = {}
-    pairs = [(value, N.constants.get(name))
-             for name, value in M.constants.items()]
     for x, y in pairs + list(zip(pos_m, pos_n)):
-        if y is None or mapping.setdefault(x, y) != y:
+        if mapping.setdefault(x, y) != y:
             return False
     if len(set(mapping.values())) != len(mapping):
         return False

@@ -92,22 +92,11 @@ class GenericApproximation:
     chain: list
     tasks: list[Task]
     pairs: list[tuple[Any, Any, Any]]
-    bound: int
-    seed: int
     steps_run: int
 
     @property
     def top(self):
         return self.chain[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "chain_length": len(self.chain),
-            "bound": self.bound,
-            "seed": self.seed,
-            "steps": self.steps_run,
-            "tasks": [t.to_dict() for t in self.tasks],
-        }
 
 
 def _per_base(bases: Iterable[tuple], enumerate_from: Callable[..., Any]):
@@ -254,7 +243,7 @@ def build_generic(cls: AmalgamationClass, steps: int, bound: int,
             discover(len(chain) - 1, cls.new_ids(top, new_top))
         task.resolved_at = len(chain) - 1
         step += 1
-    return GenericApproximation(chain, tasks, pairs, bound, seed, step)
+    return GenericApproximation(chain, tasks, pairs, step)
 
 
 def richness_defect(M: Any, cls: AmalgamationClass, bound: int) -> list[tuple]:

@@ -65,19 +65,25 @@ def corpus(
     filtered by the witnessed membership check, one per isomorphism
     type.
 
-    Each passing candidate is compared only with the kept members in its
-    bucket of ``invariant_key``, the isomorph-rejection step of
-    exhaustive generation: isomorphic members share the key, so the
-    result, order included, is that of comparing with every kept member.
+    Isomorphs are rejected before the membership check, as in
+    isomorph-free exhaustive generation: each candidate is first compared
+    with the kept members in its bucket of ``invariant_key``, and only a
+    candidate that matches none of them runs ``check_K1``.  The result,
+    order included, is that of checking first and then comparing with
+    every kept member: isomorphic members share the key, and either order
+    drops a candidate isomorphic to a kept member whatever its verdict
+    and treats every other candidate alike.  The candidates come from
+    ``build_member``, which names no generator, so ``is_isomorphic_k1``
+    never raises on one that would fail the check.
     """
     members = []
     buckets: dict[tuple, list[K1Structure]] = {}
     for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
                                max_size=size_bound):
-        if not check_K1(M).passed:
-            continue
         bucket = buckets.setdefault(invariant_key(M), [])
         if any(is_isomorphic_k1(M, other) for other in bucket):
+            continue
+        if not check_K1(M).passed:
             continue
         bucket.append(M)
         members.append(M)

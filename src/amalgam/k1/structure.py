@@ -221,9 +221,11 @@ def enumerate_members(
     max_size: Optional[int] = None,
 ) -> list[K1Structure]:
     """Every ``build_member`` candidate within the given bounds, in a fixed
-    order.  Candidates with repeated head values fail ``check_K1``;
-    ``engine.corpus`` filters them out and keeps one per isomorphism
-    type."""
+    order.  Candidates with repeated head values fail ``check_K1``.
+    ``engine.corpus`` keeps one member per isomorphism type: it drops a
+    candidate isomorphic to a kept member before any check, and checks
+    only the rest, which gives the members, in order, that checking
+    every candidate first would give."""
     out: list[K1Structure] = []
     for p0_count in range(max_p0 + 1):
         for p2_count in range(max_p2 + 1):

@@ -31,13 +31,3 @@ class CheckReport:
 
     def failing(self) -> list[str]:
         return [item.key for item in self.items if item.passed is False]
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "items": [
-                {"key": i.key, "passed": i.passed, "detail": i.detail}
-                for i in self.items
-            ],
-        }

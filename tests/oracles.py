@@ -271,16 +271,20 @@ def position_valid_by_search(M: FiniteStructure, N: FiniteStructure,
     """The picked points generate isomorphic substructures under the
     positionwise match: some bijective embedding of the substructure M
     generates onto the one N generates sends each pick to its partner and
-    each constant to its namesake, and N's substructure defines no
-    function value that M's leaves undefined."""
+    each constant to its namesake, each declared constant is interpreted
+    on both sides or on neither, and N's substructure defines no function
+    value that M's leaves undefined."""
     if M.vocabulary != N.vocabulary or len(set(pos_m)) != len(pos_m) \
             or len(set(pos_n)) != len(pos_n):
         return False
+    names = M.vocabulary.constants
+    if any((name in M.constants) != (name in N.constants) for name in names):
+        return False
     fixed: dict[int, int] = {}
-    constants = [(value, N.constants.get(name))
-                 for name, value in M.constants.items()]
+    constants = [(M.constants[name], N.constants[name])
+                 for name in names if name in M.constants]
     for x, y in list(zip(pos_m, pos_n)) + constants:
-        if y is None or fixed.setdefault(x, y) != y:
+        if fixed.setdefault(x, y) != y:
             return False
     sub_m = generate_substructure(M, pos_m)
     sub_n = generate_substructure(N, pos_n)

@@ -187,9 +187,11 @@ def test_chains_equivalent_iff_equal_or_both_long(k, sizes):
 
 
 def constant_chain(c):
-    """Three-point order 0 < 1 < 2 with the constant ``c`` at ``c``."""
+    """Three-point order 0 < 1 < 2 with the constant ``c`` at ``c``, or
+    uninterpreted when ``c`` is None."""
     return FiniteStructure(CONSTANT_ORDER_VOCAB, (0, 1, 2),
-                           {"lt": {(0, 1), (0, 2), (1, 2)}}, constants={"c": c})
+                           {"lt": {(0, 1), (0, 2), (1, 2)}},
+                           constants={} if c is None else {"c": c})
 
 
 def test_constants_are_matched_in_every_position():
@@ -205,6 +207,18 @@ def test_constants_are_matched_in_every_position():
     # Below the middle constant there is a point, below the bottom one none.
     assert not back_and_forth_check(middle, bottom, 1, elements,
                                     structure_position_valid)
+
+
+def test_a_constant_only_one_side_interprets_refuses_both_ways():
+    plain = FiniteStructure(CONSTANT_ORDER_VOCAB, (0, 1), {"lt": {(0, 1)}})
+    named = FiniteStructure(CONSTANT_ORDER_VOCAB, (0, 1), {"lt": {(0, 1)}},
+                            constants={"c": 0})
+    for M, N in ((plain, named), (named, plain)):
+        for pos in ((), (0,), (1,), (0, 1)):
+            assert structure_position_valid(M, N, pos, pos) is False
+            assert position_valid_by_search(M, N, pos, pos) is False
+    assert structure_position_valid(plain, plain, (0,), (0,))
+    assert structure_position_valid(named, named, (0,), (0,))
 
 
 def test_structures_over_different_vocabularies_have_no_valid_position():
@@ -224,7 +238,7 @@ def oracle_cases():
             M = make(rng, rng.randint(1, 4))
             yield M, relabelled(rng, M) if rng.random() < 0.5 else \
                 make(rng, rng.randint(1, 4))
-    for c, d in itertools.product(range(3), repeat=2):
+    for c, d in itertools.product((None, 0, 1, 2), repeat=2):
         yield constant_chain(c), constant_chain(d)
 
 

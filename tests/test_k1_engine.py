@@ -33,6 +33,7 @@ from amalgam.k1.engine import (
 )
 from amalgam.k1.freepart import conj, disj
 from amalgam.k1.structure import enumerate_head_plans
+import oracles
 from oracles import corpus_by_all_pairs
 from test_match_search import renamed, rich_value
 
@@ -43,12 +44,60 @@ def test_corpus_members_all_pass_checks():
 
 
 def test_bucketed_corpus_equals_the_all_pairs_scan():
-    for bound in (3, 4, 5):
-        for max_n_star in (0, 1):
-            got = corpus(bound, 6, max_n_star)
-            want = corpus_by_all_pairs(bound, 6, max_n_star)
-            assert [M.canonical_key() for M in got] == \
-                [M.canonical_key() for M in want], (bound, max_n_star)
+    # every candidate passes at max_n_star <= 1; the last three cases
+    # have failing ones (20 of 148, 8 of 51 and 574 of 1,032)
+    failing = [(3, 6, 2), (2, 6, 3), (3, 3, 3)]
+    for args in [(bound, 6, max_n_star) for bound in (3, 4, 5)
+                 for max_n_star in (0, 1)] + failing:
+        got = corpus(*args)
+        want = corpus_by_all_pairs(*args)
+        assert [M.canonical_key() for M in got] == \
+            [M.canonical_key() for M in want], args
+    for bound, trunc, max_n_star in failing:
+        assert not all(check_K1(M).passed for M in enumerate_members(
+            bound, bound, max_n_star, trunc, max_size=bound))
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``engine.<name>`` by a wrapper that records its first
+    argument on each call, and return the record."""
+    seen = []
+    original = getattr(engine, name)
+
+    def wrapper(M, *rest):
+        seen.append(M)
+        return original(M, *rest)
+
+    monkeypatch.setattr(engine, name, wrapper)
+    return seen
+
+
+def test_isomorphs_are_rejected_before_the_membership_check(monkeypatch):
+    # an unwitnessed copy fails check_K1 yet matches its original, so the
+    # corpus compares it with a kept member and never checks it
+    candidates = enumerate_members(3, 3, 1, 6, max_size=3)
+    unwitnessed = [replace(M, witness=None) for M in candidates]
+    assert not any(check_K1(M).passed for M in unwitnessed)
+    stream = [M for pair in zip(candidates, unwitnessed) for M in pair]
+    monkeypatch.setattr(engine, "enumerate_members", lambda *a, **k: stream)
+    monkeypatch.setattr(oracles, "enumerate_members", lambda *a, **k: stream)
+    checked = record_calls(monkeypatch, "check_K1")
+    compared = record_calls(monkeypatch, "is_isomorphic_k1")
+    members = corpus(3, 6, 1)
+    assert [M.canonical_key() for M in members] == \
+        [M.canonical_key() for M in corpus_by_all_pairs(3, 6, 1)]
+    assert len(checked) == len(members)
+    assert all(any(M is seen for seen in compared) for M in unwitnessed)
+    assert not any(M is seen for M in unwitnessed for seen in checked)
+
+
+def test_corpus_checks_only_the_members_it_keeps(monkeypatch):
+    checked = record_calls(monkeypatch, "check_K1")
+    compared = record_calls(monkeypatch, "is_isomorphic_k1")
+    members = corpus(5, 6, 1)
+    assert len(members) == len(checked) == 125
+    assert [id(M) for M in checked] == [id(M) for M in members]
+    assert len(compared) == 211
 
 
 def test_invariant_key_ignores_ids_and_orders():

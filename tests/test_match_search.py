@@ -442,7 +442,7 @@ def per_pair_build_generic(cls, steps, bound, seed):
             task.resolved_at = len(chain) - 1
             discover(len(chain) - 1, fresh)
         steps_run += 1
-    return GenericApproximation(chain, tasks, pairs, bound, seed, steps_run)
+    return GenericApproximation(chain, tasks, pairs, steps_run)
 
 
 def per_pair_richness_defect(M, cls, bound):

@@ -13,7 +13,12 @@ re-export).  No local without a read: every name a function of
 with ``_`` are exempt; tests are not scanned, since they unpack on
 purpose).  No field without a read: every annotated class field of
 ``src/amalgam`` is read as an attribute (``x.field`` in a load, not a
-store) somewhere under ``src/``, ``tests/`` or ``perfbench/``."""
+store) somewhere under ``src/``, ``tests/`` or ``perfbench/``.  No
+method name shared without a reason: a name counts as used wherever it
+is read, whatever the receiver, so one class's caller hides another
+class's uncalled method of the same name; every method name that two or
+more classes of ``src/amalgam`` define is listed in ``SHARED_METHODS``
+with the reason each definition is kept."""
 
 import ast
 import re
@@ -192,3 +197,131 @@ def test_an_unread_field_is_caught():
         '        self.label = "big"\n'
         '        return self.size + 1\n')
     assert _unread_fields(tree, _attributes_read(tree)) == ["Box.label (line 3)"]
+
+
+# Each method name that several classes of ``src/amalgam`` define, with
+# the reason each definition is kept.  Each entry names callers on the
+# class's own receivers, since a read of the name elsewhere proves nothing.
+SHARED_METHODS = {
+    "apply": {
+        "Embedding": "maps a tuple of a plain structure; "
+                     "Embedding.validate calls it",
+        "TransportMap": "moves a k1 value along a transport; "
+                        "ops.amalgamate_free and checks.check_free_extension "
+                        "call it",
+    },
+    "canonical_key": {
+        "FiniteStructure": "equality and hashing of plain structures, and "
+                           "the order_game digests",
+        "K1Structure": "equality and hashing of k1 members, and the k1 "
+                       "digests",
+    },
+    "is_zero": {
+        "FreeFn": "the zero test of the free factor, read throughout k1",
+        "P1Element": "the zero test of a whole element; only tests read it "
+                     "(test_k1_foundations, test_match_search)",
+    },
+    "key": {
+        "Embedding": "the task key of the plain-structure classes in "
+                     "fraisse.build_generic",
+        "MatchEmbedding": "the task key of the witnessed class in "
+                          "fraisse.build_generic",
+    },
+    "le": {
+        "FiniteBooleanAlgebra": "the order of a finite Boolean algebra; only "
+                                "the pushout oracles in tests/oracles.py "
+                                "read it",
+        "P1Context": "the order of the k1 element algebra; "
+                     "K1Structure.trace calls it",
+    },
+    "make": {
+        "FreeExtensionWitness": "the normalising constructor that "
+                                "k1.ops and k1.checks call",
+        "Vocabulary": "the sorting constructor that backends, kdim and "
+                      "serialize call",
+    },
+    "p2": {
+        "MatchEmbedding": "the image of a P2 id; embeddings.extend_match and "
+                          "ops.amalgamate_free call it",
+        "TransportMap": "the renaming of a P2 id; checks.check_free_extension "
+                        "and checks.compose_free_witnesses call it",
+    },
+    "size": {
+        "FiniteStructure": "the member size of fraisse's class protocol",
+        "K1Structure": "the member size of fraisse's class protocol",
+    },
+    "top": {
+        "GenericApproximation": "the last model of the chain; K1Generic.top "
+                                "and perfbench read it",
+        "K1Generic": "the top of the approximation; perfbench's k1 "
+                     "workloads read it",
+        "P1Context": "the top element of the k1 element algebra; only tests "
+                     "read it (test_match_search)",
+    },
+    "validate": {
+        "Embedding": "Embedding.is_valid calls it",
+        "FiniteStructure": "FiniteStructure.__post_init__ calls it",
+    },
+}
+
+
+def _method_owners(trees) -> dict[str, set[str]]:
+    """Each method name (dunders exempt) that two or more classes in
+    ``trees`` define, with the names of those classes."""
+    owners: dict[str, set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) and not (
+                            item.name.startswith("__")
+                            and item.name.endswith("__")):
+                        owners.setdefault(item.name, set()).add(node.name)
+    return {name: classes for name, classes in owners.items()
+            if len(classes) > 1}
+
+
+def _unexplained_shares(owners, table) -> list[str]:
+    """Names whose defining classes differ from their ``table`` entry: an
+    unlisted shared name, a class without a reason, or a stale entry."""
+    return [f"{name}: defined by {sorted(owners.get(name, ()))}, "
+            f"listed for {sorted(table.get(name, {}))}"
+            for name in sorted(set(owners) | set(table))
+            if owners.get(name, set()) != set(table.get(name, {}))]
+
+
+def _package_trees() -> list[ast.AST]:
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.rglob("*.py"))]
+
+
+def test_every_shared_method_name_has_a_reason():
+    owners = _method_owners(_package_trees())
+    assert len(owners) >= 5, "the scan found too few shared names"
+    unexplained = _unexplained_shares(owners, SHARED_METHODS)
+    assert not unexplained, \
+        "method names shared without a reason:\n" + "\n".join(unexplained)
+
+
+def test_a_planted_shared_method_is_caught():
+    planted = ast.parse(
+        'class Box:\n'
+        '    def grow(self):\n'
+        '        return 1\n'
+        '    def __len__(self):\n'
+        '        return 0\n'
+        'class Tree:\n'
+        '    @property\n'
+        '    def grow(self):\n'
+        '        return 2\n'
+        '    def __len__(self):\n'
+        '        return 0\n'
+        '    def shed(self):\n'
+        '        return 3\n')
+    owners = _method_owners(_package_trees() + [planted])
+    assert _unexplained_shares(owners, SHARED_METHODS) == [
+        "grow: defined by ['Box', 'Tree'], listed for []"]
+    stale = dict(SHARED_METHODS, shed={"Tree": "a reason for one class"})
+    assert _unexplained_shares(_method_owners(_package_trees()), stale) == [
+        "shed: defined by [], listed for ['Tree']"]
