@@ -16,7 +16,7 @@ from .structures import (
     enumerate_embeddings,
     generate_substructure,
     is_isomorphic,
-    relation_mismatch,
+    relation_signature,
 )
 
 ORDER_VOCAB = Vocabulary.make(relations={"lt": 2})
@@ -155,15 +155,20 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     order.
 
     The checks run cheapest first, and each refuses a position the
-    later ones would refuse too:
+    later ones would refuse too.  Steps 2 and 3 read data that M and N
+    memoise for themselves, so they repeat no work for a point tuple or
+    generator set seen before:
 
     1. M and N share a vocabulary (no position is valid otherwise), the
        picks are distinct, every declared constant is interpreted on both
        sides or on neither, and constants and pairs seed one injective
        map;
     2. every relation agrees on the matched points, which both generated
-       substructures contain, so no closure can repair a disagreement;
-    3. the generated substructures have equal sizes and equally many
+       substructures contain, so no closure can repair a disagreement:
+       the matched points of M and their partners in N have equal
+       memoised ``relation_signature`` values;
+    3. the generated substructures, memoised by
+       ``generate_substructure``, have equal sizes and equally many
        function entries, and function images extend the map to all of
        them;
     4. the verdict is ``Embedding(sub_m, sub_n, map).is_valid()``.
@@ -185,8 +190,8 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
             return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    if relation_mismatch(M, N, list(mapping), list(mapping.values())) \
-            is not None:
+    if relation_signature(M, tuple(mapping)) != \
+            relation_signature(N, tuple(mapping.values())):
         return False
     sub_m = generate_substructure(M, set(pos_m))
     sub_n = generate_substructure(N, set(pos_n))

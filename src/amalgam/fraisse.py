@@ -316,6 +316,12 @@ def back_and_forth_check(
         memo[key] = ok
         return ok
 
-    if not position_valid(M, N, (), ()):
-        return False
-    return depth == 0 or survive((), (), 0, depth)
+    try:
+        if not position_valid(M, N, (), ()):
+            return False
+        return depth == 0 or survive((), (), 0, depth)
+    finally:
+        # answered and survive refer to each other; emptying the cell
+        # breaks that cycle, so M, N and their memos die with the caller's
+        # last reference instead of at the next cyclic collection
+        del survive

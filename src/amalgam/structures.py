@@ -80,6 +80,13 @@ class FiniteStructure:
 
     relations: symbol -> set of tuples; functions: symbol -> partial map
     from argument tuples to values; constants: symbol -> element.
+
+    A structure memoises what queries compute from it alone: the
+    substructure each generator set generates (``generate_substructure``)
+    and the relation signature of each point tuple
+    (``relation_signature``).  The memo is valid only while the
+    structure is unchanged, so a structure must not be mutated after its
+    first such query.  It takes no part in equality, hashing or repr.
     """
 
     vocabulary: Vocabulary
@@ -87,6 +94,10 @@ class FiniteStructure:
     relations: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
     functions: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)
+    _substructures: dict[frozenset[int], "FiniteStructure"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _signatures: dict[tuple[int, ...], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.universe = tuple(self.universe)
@@ -174,8 +185,14 @@ class FiniteStructure:
 
 def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructure:
     """Least substructure of M containing X: close X under constants and
-    all defined function applications, then induce."""
-    closed = set(X)
+    all defined function applications, then induce.  The result is
+    memoised on M by the set of X and shared between calls, so callers
+    must not mutate it; a call that raises memoises nothing."""
+    key = frozenset(X)
+    sub = M._substructures.get(key)
+    if sub is not None:
+        return sub
+    closed = set(key)
     if not closed <= set(M.universe):
         raise ValueError("generators outside the universe")
     closed.update(M.constants.values())
@@ -189,7 +206,28 @@ def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructu
                     changed = True
                     if len(closed) > CLOSURE_CAP:
                         raise CapExceeded("CLOSURE_CAP", len(closed))
-    return M.restrict(closed)
+    sub = M._substructures[key] = M.restrict(closed)
+    return sub
+
+
+def relation_signature(M: FiniteStructure, points: tuple[int, ...]) -> tuple:
+    """For each relation of M in name order, the index tuples over
+    ``points`` whose point tuple the relation holds of, memoised on M by
+    ``points``.  Over a shared vocabulary, two signatures are equal
+    exactly when ``relation_mismatch`` finds no disagreement between the
+    two point lists."""
+    signature = M._signatures.get(points)
+    if signature is None:
+        indices = range(len(points))
+        rows = []
+        for name, tuples in sorted(M.relations.items()):
+            arity = M.vocabulary.relation_arity(name)
+            rows.append(tuple(
+                i for i, t in zip(itertools.product(indices, repeat=arity),
+                                  itertools.product(points, repeat=arity))
+                if t in tuples))
+        signature = M._signatures[points] = tuple(rows)
+    return signature
 
 
 def relation_mismatch(A: FiniteStructure, B: FiniteStructure,

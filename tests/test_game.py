@@ -1,10 +1,14 @@
 """The bounded back-and-forth game: the memoised game against an
 unmemoised reference, symmetry with partial functions, classical bounds
 for chains, and position checks for vocabularies with constants, against
-a search for an embedding of the generated substructures."""
+a search for an embedding of the generated substructures.  Also the
+per-structure memos the position check reads, and the release of the
+game's structures when it returns."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -16,7 +20,12 @@ from amalgam.backends import (
     structure_position_valid,
 )
 from amalgam.fraisse import back_and_forth_check
-from amalgam.structures import FiniteStructure, Vocabulary
+from amalgam.structures import (
+    FiniteStructure,
+    Vocabulary,
+    relation_mismatch,
+    relation_signature,
+)
 from oracles import position_valid_by_search
 
 UNARY_VOCAB = Vocabulary.make(relations={"p": 1}, functions={"f": 1})
@@ -271,3 +280,70 @@ def test_relation_disagreement_is_refused_before_any_closure(monkeypatch):
     assert built == []
     assert structure_position_valid(M, M, (0, 1), (0, 1))
     assert built == [M, M]
+
+
+def test_relation_signatures_are_equal_iff_no_relation_mismatch():
+    rng = random.Random("signatures")
+    outcomes, repeated = set(), False
+    for M, N in oracle_cases():
+        # both sides' constants lead the lists, as in the position check
+        lead_m = tuple(M.constants.values())
+        lead_n = tuple(N.constants.values())
+        if len(lead_m) != len(lead_n):
+            lead_m = lead_n = ()
+        for _ in range(30):
+            k = rng.randint(0, 4)
+            points = lead_m + tuple(rng.choices(M.universe, k=k))
+            images = lead_n + tuple(rng.choices(N.universe, k=k))
+            repeated |= len(set(points)) < len(points)
+            same = relation_signature(M, points) == \
+                relation_signature(N, images)
+            assert same == (relation_mismatch(M, N, points, images) is None), \
+                (M, N, points, images)
+            outcomes.add(same)
+    assert outcomes == {True, False} and repeated
+
+
+def test_the_game_restricts_once_per_structure_and_generator_set(
+        monkeypatch):
+    generated, restricted = [], []
+    real_generate = backends.generate_substructure
+    real_restrict = FiniteStructure.restrict
+
+    def generate_substructure(M, X):
+        generated.append((id(M), frozenset(X)))
+        return real_generate(M, X)
+
+    def restrict(self, subset):
+        restricted.append((id(self), frozenset(subset)))
+        return real_restrict(self, subset)
+
+    monkeypatch.setattr(backends, "generate_substructure",
+                        generate_substructure)
+    monkeypatch.setattr(FiniteStructure, "restrict", restrict)
+    M, N = chain_structure(8), chain_structure(8, start=10)
+    held = back_and_forth_check(M, N, 3, elements, structure_position_valid)
+    # a chain has no functions, so each generator set is its own closure
+    assert len(restricted) == len(set(restricted))
+    assert set(restricted) == set(generated)
+    assert len(generated) > len(restricted)
+    assert held == reference_game(M, N, 3, elements, structure_position_valid)
+
+
+@pytest.mark.parametrize("other", ["chain", "graph"])
+def test_the_game_keeps_no_reference_to_its_structures(other):
+    """Without the cyclic collector, M dies with the caller's reference.
+    The graph refuses the empty position, so the game returns early."""
+    M = chain_structure(3)
+    N = chain_structure(3, start=10) if other == "chain" else \
+        FiniteStructure(GRAPH_VOCAB, (0, 1, 2), {"adj": {(0, 1), (1, 0)}})
+    alive = weakref.ref(M)
+    gc.disable()
+    try:
+        held = back_and_forth_check(M, N, 2, elements,
+                                    structure_position_valid)
+        del M
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert held == (other == "chain")

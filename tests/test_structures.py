@@ -89,6 +89,33 @@ def test_closure_cap_raises():
     with pytest.raises(CapExceeded) as err:
         generate_substructure(M, {0})
     assert err.value.cap == "CLOSURE_CAP"
+    # an overflow memoises nothing, so it raises again
+    with pytest.raises(CapExceeded):
+        generate_substructure(M, {0})
+
+
+def test_generator_collections_of_one_set_share_the_memoised_closure():
+    M = FiniteStructure(ONE_FN, (0, 1, 2, 3),
+                        functions={"f": {(0, 1): 2, (2, 2): 3}})
+    by_set = generate_substructure(M, {1, 0})
+    assert by_set.universe == (0, 1, 2, 3)
+    assert generate_substructure(M, [0, 1, 0]) == by_set
+    assert generate_substructure(M, (1, 0)) is by_set
+    # the memo takes no part in equality: an equal structure is another
+    # instance, with a memo of its own
+    copy = FiniteStructure(ONE_FN, M.universe,
+                           functions={"f": dict(M.functions["f"])})
+    assert copy == M and hash(copy) == hash(M)
+    assert generate_substructure(copy, {0, 1}) is not by_set
+    assert generate_substructure(copy, {0, 1}) == by_set
+
+
+def test_generators_outside_the_universe_raise_on_every_call():
+    M = edge_structure([0, 1, 2], {(0, 1)})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            generate_substructure(M, {0, 5})
+    assert generate_substructure(M, {0}).universe == (0,)
 
 
 # ---------------------------------------------------------------------------
