@@ -323,50 +323,42 @@ def adjoin_trace_element(
 # ---------------------------------------------------------------------------
 
 
+# Each link of a good sequence adds at least SURPLUS new names, and an old
+# P0 element may stay in the traces of the next SLACK values of the
+# sequence before it must leave them.
+SURPLUS = 2
+SLACK = 1
+
+
 def check_good_sequence(
     chain: Sequence[K1Structure],
     b_seq: Sequence[P1Element],
-    surplus: int = 2,
-    slack: int = 1,
 ):
     """Clause report for a candidate good sequence along a free chain.
 
-    (a) each link adds at least ``surplus`` new names, (b) each b_n lives
+    (a) each link adds at least ``SURPLUS`` new names, (b) each b_n lives
     in the next structure and is free there from the current algebra
     modulo the atomic ideal, (c) old P0 elements eventually leave every
-    b_n's trace (``slack`` links of grace).
+    b_n's trace (``SLACK`` links of grace).  (b) and (c) read one b_n per
+    link, so they are skipped when the sequence is longer than the chain
+    has links.
     """
-    r = CheckReport("good-sequence")
-    if len(chain) < 2 and b_seq:
-        r.add("good.shape", False, "sequence longer than the chain")
-        return r
-    r.add("good.shape", len(b_seq) <= len(chain) - 1 if chain else not b_seq)
-
-    surplus_ok = True
-    for i in range(len(chain) - 1):
-        added = set(chain[i + 1].p2) - set(chain[i].p2)
-        if len(added) < surplus:
-            surplus_ok = False
-    r.add("good.surplus", surplus_ok,
-          "" if surplus_ok else f"a link adds fewer than {surplus} names")
-
-    free_ok = True
-    for i, b in enumerate(b_seq):
-        gens = chain[i].generator_elements()
-        if not independent_from_mod_atomic([b], gens):
-            free_ok = False
-    r.add("good.freeness", free_ok,
-          "" if free_ok else "some b_n is not free from the current algebra")
-
-    escape_ok = True
-    for i, M in enumerate(chain):
-        for a in M.p0:
-            atom = M.g1[a].atomic
-            for n in range(i + slack, len(b_seq)):
-                if b_seq[n].atomic & atom:
-                    escape_ok = False
-    r.add("good.escape", escape_ok,
-          "" if escape_ok else "an old P0 element stays inside later traces")
+    r = CheckReport()
+    shape = len(b_seq) <= max(len(chain) - 1, 0)
+    r.add("good.shape", shape, "sequence longer than the chain")
+    r.add("good.surplus", all(len(set(N.p2) - set(M.p2)) >= SURPLUS
+                              for M, N in zip(chain, chain[1:])),
+          f"a link adds fewer than {SURPLUS} names")
+    r.check("good.freeness",
+            lambda: all(independent_from_mod_atomic(
+                [b], chain[i].generator_elements())
+                for i, b in enumerate(b_seq)),
+            "some b_n is not free from the current algebra", guard=shape)
+    r.check("good.escape",
+            lambda: not any(b_seq[n].atomic & M.g1[a].atomic
+                            for i, M in enumerate(chain) for a in M.p0
+                            for n in range(i + SLACK, len(b_seq))),
+            "an old P0 element stays inside later traces", guard=shape)
     return r
 
 
@@ -374,8 +366,6 @@ def label_good_sequence(
     chain: Sequence[K1Structure],
     witnesses: Sequence[FreeExtensionWitness],
     b_seq: Sequence[P1Element],
-    surplus: int = 2,
-    slack: int = 1,
 ) -> tuple[K1Structure, int, list[FreeExtensionWitness], FreeExtensionWitness]:
     """Produce a labeled extension: one new name whose value column is the
     good sequence.
@@ -392,7 +382,7 @@ def label_good_sequence(
     sharp bottom witness: relative to the chain bottom the whole column is
     fresh, so its tail threshold is 0.
     """
-    report = check_good_sequence(chain, b_seq, surplus, slack)
+    report = check_good_sequence(chain, b_seq)
     if not report.passed:
         raise PreconditionFailed("good-sequence", str(report.failing()))
     top = chain[-1]

@@ -130,46 +130,54 @@ def _independence_bound_holds(M: KrStructure) -> bool:
             or max_independent_size(M, M.r + 2) <= M.r + 1)
 
 
-def check_membership(M: KrStructure) -> CheckReport:
-    """The three defining conditions, with witness tuples on failure."""
-    r = CheckReport("kr-membership")
+def _membership(M: KrStructure, several: Sequence[tuple[int, ...]],
+                off_head: Sequence[str]) -> CheckReport:
+    """The three defining conditions of the compact form M, with witness
+    tuples on failure.  ``several`` and ``off_head`` are faults of a flat
+    form that vanish in M (see ``check_structure_membership``); each
+    fails its clause, ahead of M's own fault there."""
+    r = CheckReport()
     missing = [t for t in M.tuples() if t not in M.classes]
     stray = [t for t in M.classes
              if len(t) != M.r + 1 or not set(t) <= set(M.universe)]
     bad_class = [t for t, n in M.classes.items()
                  if not 0 <= n < M.trunc]
-    partition_ok = not missing and not stray and not bad_class
-    r.add("kr0.partition", partition_ok,
-          "" if partition_ok else
-          f"unclassified {missing[:3]} stray {stray[:3]} bad {bad_class[:3]}")
+    faults = [f"tuples in several classes {several[:3]}"] if several else []
+    if missing or stray or bad_class:
+        faults.append(f"unclassified {missing[:3]} stray {stray[:3]} "
+                      f"bad {bad_class[:3]}")
+    partition = not faults
+    r.add("kr0.partition", partition, "; ".join(faults))
 
-    coherent = True
+    faults = [f"{off_head[0]} must return the head"] if off_head else []
     detail = ""
     for t, n in M.classes.items():
         for m in range(n):
             v = M.values.get((m, t))
             if v is None or v not in M.universe:
-                coherent = False
                 detail = f"missing witness value f{m}{t}"
                 break
-        if not coherent:
+        if detail:
             break
     for (m, t) in M.values:
         n = M.classes.get(t)
         if n is None or m >= n:
-            coherent = False
             detail = f"stored value f{m}{t} at or above the class index"
             break
-    r.add("kr0.coherence", coherent, detail)
+    if detail:
+        faults.append(detail)
+    coherent = not faults
+    r.add("kr0.coherence", coherent, "; ".join(faults))
 
-    if partition_ok and coherent:
-        bounded = _independence_bound_holds(M)
-        r.add("kr0.independence_bound", bounded,
-              "" if bounded else
-              f"independent subset of size {M.r + 2} found")
-    else:
-        r.skip("kr0.independence_bound")
+    r.check("kr0.independence_bound", lambda: _independence_bound_holds(M),
+            f"independent subset of size {M.r + 2} found",
+            guard=partition and coherent)
     return r
+
+
+def check_membership(M: KrStructure) -> CheckReport:
+    """The three defining conditions, with witness tuples on failure."""
+    return _membership(M, (), ())
 
 
 def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
@@ -192,24 +200,7 @@ def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
                 for t, v in M.functions.get(f"f{m}", {}).items()
                 if t in compact.classes and m >= compact.classes[t]
                 and v != t[0]]
-    faults = {}
-    if several:
-        faults["kr0.partition"] = f"tuples in several classes {several[:3]}"
-    if off_head:
-        faults["kr0.coherence"] = f"{off_head[0]} must return the head"
-    report = check_membership(compact)
-    if not faults:
-        return report
-    out = CheckReport(report.subject)
-    for item in report.items:
-        if item.key in faults:
-            out.add(item.key, False,
-                    "; ".join(d for d in (faults[item.key], item.detail) if d))
-        elif item.key == "kr0.independence_bound":
-            out.skip(item.key)
-        else:
-            out.items.append(item)
-    return out
+    return _membership(compact, several, off_head)
 
 
 # ---------------------------------------------------------------------------

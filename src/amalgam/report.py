@@ -1,9 +1,23 @@
-"""Structured pass/fail reporting shared by the checkers."""
+"""Structured pass/fail reporting shared by the checkers.
+
+One policy for every clause of every checker: a clause whose guard is
+false (a clause it depends on failed or was not evaluated) is skipped
+with a detail saying so; otherwise its predicate decides it, and a size
+cap met on the way records it as not evaluated, with the cap in its
+detail.  A clause keeps its detail only when it did not hold, and a
+report passes only when every clause was evaluated and held.  A property
+that holds by construction is no clause: a clause that cannot fail
+reports nothing.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
+
+from .errors import CapExceeded
+
+GUARDED = "guarded out by an earlier failure"
 
 
 @dataclass
@@ -15,14 +29,31 @@ class ClauseResult:
 
 @dataclass
 class CheckReport:
-    subject: str
     items: list[ClauseResult] = field(default_factory=list)
 
     def add(self, key: str, passed: Optional[bool], detail: str = ""):
-        self.items.append(ClauseResult(key, passed, detail))
+        """Record a decided clause; ``detail`` is kept unless it held."""
+        self.items.append(ClauseResult(key, passed, "" if passed else detail))
 
-    def skip(self, key: str, detail: str = "guarded out by an earlier failure"):
+    def skip(self, key: str, detail: str = GUARDED):
         self.items.append(ClauseResult(key, None, detail))
+
+    def check(self, key: str, holds: Callable[[], bool], failure: str,
+              guard: Optional[bool] = True) -> Optional[bool]:
+        """Record clause ``key`` under the one policy and return its
+        verdict: None when ``guard`` is not true (skipped) or a size cap
+        stopped ``holds()`` (not evaluated), else what ``holds()`` says,
+        with ``failure`` as the detail when that is False."""
+        if not guard:
+            self.skip(key)
+            return None
+        try:
+            ok = holds()
+        except CapExceeded as err:
+            self.add(key, None, f"{err}; not evaluated")
+            return None
+        self.add(key, ok, failure)
+        return ok
 
     @property
     def passed(self) -> bool:

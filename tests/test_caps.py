@@ -3,12 +3,13 @@ function takes a cap or budget with a default, and every guarded site
 raises ``CapExceeded`` naming its cap."""
 
 import ast
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from amalgam import errors
+from amalgam import errors, kdim
 from amalgam.boolalg import FiniteBooleanAlgebra, PrincipalIdeal
 from amalgam.boolalg import is_independent_mod_ideal
 from amalgam.errors import (
@@ -243,3 +244,19 @@ def test_earlier_failure_survives_a_later_overflow():
     generation = clause(check_Kminus1(M), "km1.generation")
     assert generation.passed is None
     assert "WINDOW_CAP" in generation.detail
+
+
+def test_kdim_records_a_capped_independence_clause(monkeypatch):
+    M = kdim.random_member(random.Random(3), 1, 4, range(3))
+    assert kdim.check_membership(M).passed
+
+    def capped(flat, X):
+        raise CapExceeded("CLOSURE_CAP", CLOSURE_CAP + 1)
+
+    monkeypatch.setattr(kdim, "closure", capped)
+    report = kdim.check_membership(M)
+    bound = clause(report, "kr0.independence_bound")
+    assert bound.passed is None
+    assert "CLOSURE_CAP" in bound.detail
+    assert report.failing() == []
+    assert not report.passed

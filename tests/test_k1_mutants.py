@@ -155,22 +155,21 @@ def no_witness():
     return M, None
 
 
-K0_KEYS = ["k0.b_star", "k0.chain", "k0.base_free", "k0.union",
-           "k0.f_distinct", "k0.tail_free", "k0.level_generation"]
+K0_KEYS = ["k0.b_star", "k0.base_free", "k0.union", "k0.f_distinct",
+           "k0.tail_free"]
 
 # mutant -> (clauses check_K1 fails, clauses check_K1 skips); the
 # check_Kminus1 rows are the km1 part of these
 MEMBERSHIP_MUTANTS = {
     p2_reuses_a_p0_id: (
-        ["km1.partition", "km1.algebra"],
-        ["km1.trace_hom", "km1.trace_distinct", "km1.atom_bijection",
-         "km1.p2_finite", "km1.f_table", "km1.eventual_escape",
+        ["km1.partition"],
+        ["km1.algebra", "km1.trace_hom", "km1.trace_distinct",
+         "km1.atom_bijection", "km1.f_table", "km1.eventual_escape",
          "km1.generation"] + K0_KEYS),
     stray_generator_in_a_value: (
         ["km1.algebra"],
         ["km1.trace_hom", "km1.trace_distinct", "km1.atom_bijection",
-         "km1.p2_finite", "km1.f_table", "km1.eventual_escape",
-         "km1.generation"] + K0_KEYS),
+         "km1.f_table", "km1.eventual_escape", "km1.generation"] + K0_KEYS),
     g1_value_not_an_atom: (
         ["km1.trace_hom"],
         ["km1.trace_distinct", "km1.atom_bijection"] + K0_KEYS),
@@ -186,7 +185,7 @@ MEMBERSHIP_MUTANTS = {
     named_generator: (["k0.union"], []),
     repeated_head_value: (["k0.f_distinct"], []),
     tail_value_from_the_base: (["k0.tail_free"], []),
-    no_witness: (["k0.b_star"], []),
+    no_witness: (["k0.b_star"], K0_KEYS[1:]),
 }
 
 
@@ -195,9 +194,7 @@ def test_the_unbroken_members_pass():
         assert check_K1(M).passed
     # the clauses each membership mutant aims at, km1 and k0 alike
     assert {key for failing, _ in MEMBERSHIP_MUTANTS.values()
-            for key in failing} >= {
-        i.key for i in check_K1(witnessed()).items} - {
-        "km1.p2_finite", "k0.chain", "k0.level_generation"}
+            for key in failing} == {i.key for i in check_K1(witnessed()).items}
 
 
 @pytest.mark.parametrize("mutant", list(MEMBERSHIP_MUTANTS),
@@ -213,6 +210,24 @@ def test_membership_mutant_fails_its_clauses(mutant):
         [k for k in skips if k.startswith("km1.")])
     assert [i.key for i in base.items] == \
         [i.key for i in full.items][:len(base.items)]
+
+
+def test_a_missing_witness_skips_the_other_k0_clauses():
+    report = check_K1(*no_witness())
+    items = {i.key: (i.passed, i.detail) for i in report.items}
+    assert items["k0.b_star"] == (False, "no witness supplied")
+    for key in K0_KEYS[1:]:
+        assert items[key] == (None, "guarded out by an earlier failure")
+
+
+def test_shared_ids_fail_the_partition_clause_alone():
+    report = check_Kminus1(p2_reuses_a_p0_id()[0])
+    (partition, algebra), rest = report.items[:2], report.items[2:]
+    assert partition.passed is False
+    assert partition.detail == \
+        "P0, P2, the designated atoms and the generators share ids"
+    assert algebra.passed is None
+    assert all(i.passed is None for i in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +332,20 @@ def good_chain(trace_all=False):
     return chain, b_seq
 
 
-def sequence_longer_than_the_chain():
+def sequence_on_one_structure():
     chain, b_seq = good_chain()
     return chain[:1], b_seq[:1]
+
+
+def sequence_as_long_as_the_chain():
+    chain, b_seq = good_chain()
+    _, b = adjoin_trace_element(chain[-1], ())
+    return chain, b_seq + [b]
+
+
+def sequence_longer_than_the_chain():
+    chain, b_seq = good_chain()
+    return chain[:2], b_seq
 
 
 def link_with_one_name():
@@ -339,7 +365,12 @@ def old_p0_in_every_trace():
 
 
 GOOD_MUTANTS = {
-    sequence_longer_than_the_chain: (["good.shape"], []),
+    sequence_on_one_structure: (["good.shape"],
+                                ["good.freeness", "good.escape"]),
+    sequence_as_long_as_the_chain: (["good.shape"],
+                                    ["good.freeness", "good.escape"]),
+    sequence_longer_than_the_chain: (["good.shape"],
+                                     ["good.freeness", "good.escape"]),
     link_with_one_name: (["good.surplus"], []),
     b_from_the_current_algebra: (["good.freeness"], []),
     old_p0_in_every_trace: (["good.escape"], []),

@@ -209,7 +209,7 @@ def test_labeling_with_rebase_through_combination():
                           conj(neg(x.free), y.free)))  # symmetric difference
     chain.append(N)
     witnesses = [w_names]
-    report = check_good_sequence(chain, [b], surplus=2)
+    report = check_good_sequence(chain, [b])
     assert report.passed, report.failing()
     labeled, c_label, new_witnesses, bottom = label_good_sequence(
         chain, witnesses, [b]
@@ -227,11 +227,11 @@ def test_bad_sequence_rejected():
     chain = [member(0, 1, 0)]
     N, w = extend_with_names(chain[0], 1)  # below the surplus threshold
     chain.append(N)
-    report = check_good_sequence(chain, [w.independent[0]], surplus=2)
+    report = check_good_sequence(chain, [w.independent[0]])
     assert not report.passed
     assert report.failing() == ["good.surplus"]
     with pytest.raises(PreconditionFailed):
-        label_good_sequence(chain, [w], [w.independent[0]], surplus=2)
+        label_good_sequence(chain, [w], [w.independent[0]])
 
 
 def test_self_dependent_b_fails_freeness():

@@ -264,7 +264,7 @@ def reference_max_independent_size(M, limit):
 
 
 def reference_check_membership(M):
-    r = CheckReport("kr-membership")
+    r = CheckReport()
     missing = [t for t in M.tuples() if t not in M.classes]
     stray = [t for t in M.classes
              if len(t) != M.r + 1 or not set(t) <= set(M.universe)]

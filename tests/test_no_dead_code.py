@@ -18,7 +18,9 @@ method name shared without a reason: a name counts as used wherever it
 is read, whatever the receiver, so one class's caller hides another
 class's uncalled method of the same name; every method name that two or
 more classes of ``src/amalgam`` define is listed in ``SHARED_METHODS``
-with the reason each definition is kept."""
+with the reason each definition is kept.  No clause that cannot fail: no
+call in ``src/amalgam`` adds a report clause, ``.add(<key>, True, ...)``,
+with a literal ``True`` verdict."""
 
 import ast
 import re
@@ -325,3 +327,33 @@ def test_a_planted_shared_method_is_caught():
     stale = dict(SHARED_METHODS, shed={"Tree": "a reason for one class"})
     assert _unexplained_shares(_method_owners(_package_trees()), stale) == [
         "shed: defined by [], listed for ['Tree']"]
+
+
+def _clauses_that_cannot_fail(tree: ast.AST) -> list[str]:
+    """Lines of ``tree`` that call ``.add`` with a string key and a
+    literal ``True`` verdict."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add" and len(node.args) >= 2
+            and isinstance(node.args[0], (ast.Constant, ast.JoinedStr))
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value is True]
+
+
+def test_no_clause_is_added_as_true():
+    found = [f"{path.relative_to(ROOT)}: {line}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for line in _clauses_that_cannot_fail(
+                 ast.parse(path.read_text(), str(path)))]
+    assert not found, "a clause that cannot fail:\n" + "\n".join(found)
+
+
+def test_a_clause_added_as_true_is_caught():
+    planted = ast.parse(
+        'def check(r, ok, seen):\n'
+        '    r.add("a.holds", ok, "a fails")\n'
+        '    r.add("a.built", True, "by construction")\n'
+        '    seen.add(True)\n'
+        '    r.add(f"a.{ok}", True)\n')
+    assert _clauses_that_cannot_fail(planted) == ["line 3", "line 5"]
