@@ -98,10 +98,11 @@ def check_Kminus1(M: K1Structure) -> CheckReport:
                   lambda: all(_is_designated_atom(M, M.g1[a]) for a in M.p0),
                   "a G1 value is not a designated atom, so the trace map is "
                   "not a homomorphism", guard=algebra)
-    named_atoms = 0
+    # read without M.ctx, which refuses repeated atom ids that
+    # km1.partition reports
+    unhit = sum(1 << a for a in set(M.atom_ids))
     for x in M.g1.values():
-        named_atoms |= x.atomic
-    unhit = M.ctx.full_mask & ~named_atoms
+        unhit &= ~x.atomic
     # two joins of designated atoms share a trace exactly when their
     # symmetric difference is unhit by G1 (compare d against 0)
     r.check("km1.trace_distinct", lambda: unhit == 0,

@@ -17,8 +17,6 @@ from typing import Callable, Optional
 
 from .errors import CapExceeded
 
-GUARDED = "guarded out by an earlier failure"
-
 
 @dataclass
 class ClauseResult:
@@ -35,7 +33,7 @@ class CheckReport:
         """Record a decided clause; ``detail`` is kept unless it held."""
         self.items.append(ClauseResult(key, passed, "" if passed else detail))
 
-    def skip(self, key: str, detail: str = GUARDED):
+    def skip(self, key: str, detail: str = "guarded out by an earlier failure"):
         self.items.append(ClauseResult(key, None, detail))
 
     def check(self, key: str, holds: Callable[[], bool], failure: str,

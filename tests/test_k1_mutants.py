@@ -60,6 +60,18 @@ def p2_reuses_a_p0_id():
     return M, None
 
 
+def atom_reuses_a_generator_id():
+    M = witnessed()
+    M.atom_ids = M.atom_ids[:-1] + (M.gen_ids[0],)
+    return M, None
+
+
+def repeated_atom_id():
+    M = witnessed()
+    M.atom_ids = M.atom_ids + M.atom_ids[:1]
+    return M, None
+
+
 def stray_generator_in_a_value():
     M = witnessed()
     M.f[(1, M.p2[0])] = P1Element(0, var(fresh(M)))
@@ -157,19 +169,17 @@ def no_witness():
 
 K0_KEYS = ["k0.b_star", "k0.base_free", "k0.union", "k0.f_distinct",
            "k0.tail_free"]
+AFTER_PARTITION = ["km1.algebra", "km1.trace_hom", "km1.trace_distinct",
+                   "km1.atom_bijection", "km1.f_table", "km1.eventual_escape",
+                   "km1.generation"] + K0_KEYS
 
 # mutant -> (clauses check_K1 fails, clauses check_K1 skips); the
 # check_Kminus1 rows are the km1 part of these
 MEMBERSHIP_MUTANTS = {
-    p2_reuses_a_p0_id: (
-        ["km1.partition"],
-        ["km1.algebra", "km1.trace_hom", "km1.trace_distinct",
-         "km1.atom_bijection", "km1.f_table", "km1.eventual_escape",
-         "km1.generation"] + K0_KEYS),
-    stray_generator_in_a_value: (
-        ["km1.algebra"],
-        ["km1.trace_hom", "km1.trace_distinct", "km1.atom_bijection",
-         "km1.f_table", "km1.eventual_escape", "km1.generation"] + K0_KEYS),
+    p2_reuses_a_p0_id: (["km1.partition"], AFTER_PARTITION),
+    atom_reuses_a_generator_id: (["km1.partition"], AFTER_PARTITION),
+    repeated_atom_id: (["km1.partition"], AFTER_PARTITION),
+    stray_generator_in_a_value: (["km1.algebra"], AFTER_PARTITION[1:]),
     g1_value_not_an_atom: (
         ["km1.trace_hom"],
         ["km1.trace_distinct", "km1.atom_bijection"] + K0_KEYS),
