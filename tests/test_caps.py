@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from amalgam import errors, kdim
+from amalgam import errors
+from amalgam import kdim
 from amalgam.boolalg import FiniteBooleanAlgebra, PrincipalIdeal
 from amalgam.boolalg import is_independent_mod_ideal
 from amalgam.errors import (

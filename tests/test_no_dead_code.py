@@ -18,9 +18,7 @@ method name shared without a reason: a name counts as used wherever it
 is read, whatever the receiver, so one class's caller hides another
 class's uncalled method of the same name; every method name that two or
 more classes of ``src/amalgam`` define is listed in ``SHARED_METHODS``
-with the reason each definition is kept.  No clause that cannot fail: no
-call in ``src/amalgam`` adds a report clause, ``.add(<key>, True, ...)``,
-with a literal ``True`` verdict."""
+with the reason each definition is kept."""
 
 import ast
 import re
@@ -327,6 +325,10 @@ def test_a_planted_shared_method_is_caught():
     stale = dict(SHARED_METHODS, shed={"Tree": "a reason for one class"})
     assert _unexplained_shares(_method_owners(_package_trees()), stale) == [
         "shed: defined by [], listed for ['Tree']"]
+
+
+# No clause that cannot fail: no call in ``src/amalgam`` adds a report
+# clause, ``.add(<key>, True, ...)``, with a literal ``True`` verdict.
 
 
 def _clauses_that_cannot_fail(tree: ast.AST) -> list[str]:
