@@ -169,16 +169,28 @@ def check_K1(M: K1Structure, w: Optional[K1Witness] = None) -> CheckReport:
         len({M.f[(n, c)] for n in range(M.trunc)}) == M.trunc for c in M.p2),
         "a value repeats within one name's column")
 
-    tails = [M.f[(m, c)] for c in M.p2 for m in range(w.n_star, M.trunc)]
+    slots = [(m, c) for c in M.p2 for m in range(w.n_star, M.trunc)]
+    tails = [M.f[s] for s in slots]
+    first: dict[P1Element, tuple[int, int]] = {}
+    repeats = [(first[t], s) for s, t in zip(slots, tails)
+               if first.setdefault(t, s) != s]
     disjoint = all(t.atomic == 0 for t in tails)
-    # a tail meeting the atomic top fails at once; else nonzero signed
-    # minterms, and freeness from the base level against its elements off
-    # the atomic ideal (test elements d with d meet b* = 0)
+    # a family with a repeat is not independent, and a tail meeting the
+    # atomic top fails at once; else nonzero signed minterms, and freeness
+    # from the base level against its elements off the atomic ideal (test
+    # elements d with d meet b* = 0)
+    if repeats:
+        detail = "tail slots (index, name) {} and {} hold one value".format(
+            *repeats[0])
+    elif disjoint:
+        detail = "the tail family is not free from the base level"
+    else:
+        detail = "a tail value meets the atomic top"
     r.check("k0.tail_free",
-            lambda: disjoint and zero_atomic_minterms_nonzero(M.ctx, tails)
+            lambda: not repeats and disjoint
+            and zero_atomic_minterms_nonzero(M.ctx, tails)
             and independent_from_mod_atomic(tails, base_gens),
-            "the tail family is not free from the base level" if disjoint
-            else "a tail value meets the atomic top")
+            detail)
     return r
 
 

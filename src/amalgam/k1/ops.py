@@ -337,7 +337,8 @@ def check_good_sequence(
     """Clause report for a candidate good sequence along a free chain.
 
     (a) each link adds at least ``SURPLUS`` new names, (b) each b_n lives
-    in the next structure and is free there from the current algebra
+    in the next structure (its atoms designated there, its free support
+    among its generators) and is free there from the current algebra
     modulo the atomic ideal, (c) old P0 elements eventually leave every
     b_n's trace (``SLACK`` links of grace).  (b) and (c) read one b_n per
     link, so they are skipped when the sequence is longer than the chain
@@ -349,6 +350,11 @@ def check_good_sequence(
     r.add("good.surplus", all(len(set(N.p2) - set(M.p2)) >= SURPLUS
                               for M, N in zip(chain, chain[1:])),
           f"a link adds fewer than {SURPLUS} names")
+    r.check("good.in_next",
+            lambda: all(not b.atomic & ~N.ctx.full_mask
+                        and set(b.free.support) <= set(N.gen_ids)
+                        for b, N in zip(b_seq, chain[1:])),
+            "some b_n lies outside the next structure", guard=shape)
     r.check("good.freeness",
             lambda: all(independent_from_mod_atomic(
                 [b], chain[i].generator_elements())

@@ -9,7 +9,8 @@ tuple's head, so only the low entries are stored.  Membership demands the
 classes partition the tuples, the value coherence just described, and no
 independent subset of size r+2 under subalgebra closure.  That last clause
 is searched only on universes of at least r+2 elements, and each search
-flattens the structure once and takes every closure on that flat form.
+builds the witness form once (``witness_form``: the stored values alone,
+as partial functions f_m) and takes every closure on it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import io
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FrugalImpossible, NoAmalgam, PreconditionFailed
@@ -31,14 +33,6 @@ from .structures import (
 )
 
 DEFAULT_TRUNC = 6
-
-
-def kr_vocabulary(r: int, trunc: int = DEFAULT_TRUNC) -> Vocabulary:
-    return Vocabulary.make(
-        relations={name: r + 1 for name in indexed_names("R", trunc)},
-        functions={name: r + 1 for name in indexed_names("f", trunc)},
-        index_bound=trunc,
-    )
 
 
 @dataclass
@@ -54,22 +48,6 @@ class KrStructure:
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(self.universe, repeat=self.r + 1)
-
-    def to_structure(self) -> FiniteStructure:
-        """The flat form: f_m(t) is the stored value, else the head at and
-        above the class index.  A stored value at or above the class index
-        is written as it is, so the flat form keeps that incoherence."""
-        vocab = kr_vocabulary(self.r, self.trunc)
-        relations = {name: set() for name in indexed_names("R", self.trunc)}
-        functions = {name: {} for name in indexed_names("f", self.trunc)}
-        for t, n in self.classes.items():
-            if n < self.trunc:
-                relations[f"R{n}"].add(t)
-            for m in range(self.trunc):
-                v = self.values.get((m, t), t[0] if m >= n else None)
-                if v is not None:
-                    functions[f"f{m}"][t] = v
-        return FiniteStructure(vocab, self.universe, relations, functions)
 
     @staticmethod
     def from_structure(M: FiniteStructure, r: int) -> "KrStructure":
@@ -98,25 +76,46 @@ class KrStructure:
         return out
 
 
-def closure(flat: FiniteStructure, X: Iterable[int]) -> set[int]:
-    """Subalgebra closure of X under every witness function of the flat
-    form (``KrStructure.to_structure``), by the core fixpoint closure."""
-    return set(generate_substructure(flat, set(X)).universe)
+@cache
+def _witness_vocabulary(r: int, trunc: int) -> Vocabulary:
+    return Vocabulary.make(
+        functions={name: r + 1 for name in indexed_names("f", trunc)},
+        index_bound=trunc)
 
 
-def is_independent(flat: FiniteStructure, Y: Sequence[int]) -> bool:
-    """No element of Y lies in the closure of the others, in the flat
+def witness_form(M: KrStructure) -> FiniteStructure:
+    """The stored values of M as partial functions f_m, with no relations
+    and no head entries.  A head f_m(t) = t[0] lies in its own argument
+    tuple, so it adds nothing to a closure, and closures here equal those
+    of the flat form (classes as relations R_n, heads written out)
+    whenever every stored value sits on a classified tuple at an index
+    below the truncation, as coherence demands."""
+    functions = {name: {} for name in indexed_names("f", M.trunc)}
+    for (m, t), v in M.values.items():
+        functions[f"f{m}"][t] = v
+    return FiniteStructure(_witness_vocabulary(M.r, M.trunc), M.universe,
+                           functions=functions)
+
+
+def closure(form: FiniteStructure, X: Iterable[int]) -> set[int]:
+    """Subalgebra closure of X under every witness function of the
+    witness form (``witness_form``), by the core fixpoint closure."""
+    return set(generate_substructure(form, set(X)).universe)
+
+
+def is_independent(form: FiniteStructure, Y: Sequence[int]) -> bool:
+    """No element of Y lies in the closure of the others, in the witness
     form."""
-    return all(y not in closure(flat, [z for z in Y if z != y]) for y in Y)
+    return all(y not in closure(form, [z for z in Y if z != y]) for y in Y)
 
 
 def max_independent_size(M: KrStructure, limit: int) -> int:
     """Largest size up to ``limit`` of an independent subset, by
-    exhaustive subset search over one flattening of M."""
-    flat = M.to_structure()
+    exhaustive subset search over one witness form of M."""
+    form = witness_form(M)
     best = 0
     for size in range(1, limit + 1):
-        if not any(is_independent(flat, Y)
+        if not any(is_independent(form, Y)
                    for Y in itertools.combinations(M.universe, size)):
             break
         best = size

@@ -7,8 +7,10 @@ projecting atoms through the raw embedding images and enumerating
 homomorphism pairs, bases by trying every subset, the corpus by
 comparing every pair of members, game positions by searching for an
 embedding of the generated substructures, restriction by filtering every
-stored tuple and embedding validity by mapping every tuple.  Slow on
-purpose and capped to desk sizes.
+stored tuple, embedding validity by mapping every tuple, and the
+r-dimensional closures on the flat form, which writes out the classes as
+relations and every head entry.  Slow on purpose and capped to desk
+sizes.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from amalgam.boolalg import (
     popcount,
 )
 from amalgam.k1 import check_K1, enumerate_members, is_isomorphic_k1
+from amalgam.kdim import KrStructure
 from amalgam.structures import (
     Embedding,
     FiniteStructure,
+    Vocabulary,
     enumerate_embeddings,
     generate_substructure,
+    indexed_names,
 )
 
 
@@ -334,3 +339,29 @@ def embedding_valid_by_apply(e: Embedding) -> bool:
                 return False
     return all(B.constants.get(name) == m[value]
                for name, value in A.constants.items())
+
+
+# ---------------------------------------------------------------------------
+# The r-dimensional class in the flat form
+# ---------------------------------------------------------------------------
+
+
+def flat_form(M: KrStructure) -> FiniteStructure:
+    """M as one plain structure: the tuples of class n form relation R_n,
+    and f_m(t) is the stored value, else the head at and above the class
+    index.  A stored value at or above the class index is written as it
+    is, so the flat form keeps that incoherence."""
+    vocab = Vocabulary.make(
+        relations={name: M.r + 1 for name in indexed_names("R", M.trunc)},
+        functions={name: M.r + 1 for name in indexed_names("f", M.trunc)},
+        index_bound=M.trunc)
+    relations = {name: set() for name in indexed_names("R", M.trunc)}
+    functions = {name: {} for name in indexed_names("f", M.trunc)}
+    for t, n in M.classes.items():
+        if n < M.trunc:
+            relations[f"R{n}"].add(t)
+        for m in range(M.trunc):
+            v = M.values.get((m, t), t[0] if m >= n else None)
+            if v is not None:
+                functions[f"f{m}"][t] = v
+    return FiniteStructure(vocab, M.universe, relations, functions)

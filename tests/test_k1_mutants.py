@@ -161,6 +161,16 @@ def tail_value_from_the_base():
     return M, None
 
 
+def names_share_a_tail_value():
+    """The second name's last value is the first name's, and the
+    generator it carried is dropped."""
+    M = two_names()
+    c, d = M.p2
+    drop_generator(M, M.f[(TRUNC - 1, d)].free.support[0])
+    M.f[(TRUNC - 1, d)] = M.f[(TRUNC - 1, c)]
+    return M, None
+
+
 def no_witness():
     M = witnessed()
     M.witness = None
@@ -195,6 +205,7 @@ MEMBERSHIP_MUTANTS = {
     named_generator: (["k0.union"], []),
     repeated_head_value: (["k0.f_distinct"], []),
     tail_value_from_the_base: (["k0.tail_free"], []),
+    names_share_a_tail_value: (["k0.tail_free"], []),
     no_witness: (["k0.b_star"], K0_KEYS[1:]),
 }
 
@@ -228,6 +239,14 @@ def test_a_missing_witness_skips_the_other_k0_clauses():
     assert items["k0.b_star"] == (False, "no witness supplied")
     for key in K0_KEYS[1:]:
         assert items[key] == (None, "guarded out by an earlier failure")
+
+
+def test_a_shared_tail_value_names_both_slots():
+    M, _ = names_share_a_tail_value()
+    c, d = M.p2
+    (item,) = [i for i in check_K1(M).items if i.key == "k0.tail_free"]
+    assert item.detail == (f"tail slots (index, name) {(TRUNC - 1, c)} and "
+                           f"{(TRUNC - 1, d)} hold one value")
 
 
 def test_shared_ids_fail_the_partition_clause_alone():
@@ -370,18 +389,31 @@ def b_from_the_current_algebra():
     return chain, [chain[0].f[(0, chain[0].p2[0])]] + b_seq[1:]
 
 
+def b_outside_the_chain():
+    """b_0 is a bare generator that no structure of the chain declares."""
+    chain, b_seq = good_chain()
+    return chain, [P1Element(0, var(999))] + b_seq[1:]
+
+
+def b_on_an_undeclared_atom():
+    """b_0 also covers an atom that no structure of the chain declares."""
+    chain, b_seq = good_chain()
+    b = b_seq[0]
+    return chain, [P1Element(b.atomic | 1 << 999, b.free)] + b_seq[1:]
+
+
 def old_p0_in_every_trace():
     return good_chain(trace_all=True)
 
 
+AFTER_SHAPE = ["good.in_next", "good.freeness", "good.escape"]
 GOOD_MUTANTS = {
-    sequence_on_one_structure: (["good.shape"],
-                                ["good.freeness", "good.escape"]),
-    sequence_as_long_as_the_chain: (["good.shape"],
-                                    ["good.freeness", "good.escape"]),
-    sequence_longer_than_the_chain: (["good.shape"],
-                                     ["good.freeness", "good.escape"]),
+    sequence_on_one_structure: (["good.shape"], AFTER_SHAPE),
+    sequence_as_long_as_the_chain: (["good.shape"], AFTER_SHAPE),
+    sequence_longer_than_the_chain: (["good.shape"], AFTER_SHAPE),
     link_with_one_name: (["good.surplus"], []),
+    b_outside_the_chain: (["good.in_next"], []),
+    b_on_an_undeclared_atom: (["good.in_next"], []),
     b_from_the_current_algebra: (["good.freeness"], []),
     old_p0_in_every_trace: (["good.escape"], []),
 }

@@ -1,7 +1,8 @@
 """The r-dimensional class: closure, independence, membership, frugal
-amalgamation, survey-vs-oracle agreement, and agreement of the
-independence clause with references that flatten on every closure and
-search on every universe."""
+amalgamation, survey-vs-oracle agreement, agreement of the witness-form
+closures with the flat form, and agreement of the independence clause
+with references that flatten on every closure and search on every
+universe."""
 
 import itertools
 import random
@@ -21,9 +22,11 @@ from amalgam.kdim import (
     random_member,
     sample_configurations,
     survey_k_disjoint_ap,
+    witness_form,
 )
 from amalgam.report import CheckReport
 from amalgam.structures import generate_substructure
+from oracles import flat_form
 
 TRUNC = 4
 
@@ -45,7 +48,7 @@ def test_closure_laws():
     K = all_class_zero(1, range(3))
     K.classes[(0, 1)] = 1
     K.values[(0, (0, 1))] = 2
-    M = K.to_structure()
+    M = witness_form(K)
     assert closure(M, set()) == set()
     assert closure(M, {0, 1, 2}) == {0, 1, 2}
     assert 2 in closure(M, {0, 1})
@@ -71,7 +74,7 @@ def test_max_independent_size_on_free_points():
 
 def test_membership_catches_double_classification():
     M = all_class_zero(1, range(2))
-    flat = M.to_structure()
+    flat = flat_form(M)
     flat.relations["R1"].add((0, 1))  # now in two classes
     report = check_structure_membership(flat, 1)
     assert "kr0.partition" in report.failing()
@@ -79,7 +82,7 @@ def test_membership_catches_double_classification():
 
 def test_membership_catches_incoherent_values():
     M = all_class_zero(1, range(2))
-    flat = M.to_structure()
+    flat = flat_form(M)
     flat.functions["f1"][(0, 1)] = 1  # must return the head 0 at m >= class
     report = check_structure_membership(flat, 1)
     assert "kr0.coherence" in report.failing()
@@ -226,7 +229,7 @@ def test_flat_checker_agrees_with_compact_checker(r):
     for M in members:
         for K in [M] + _mutants(M, rng):
             compact = check_membership(K)
-            flat = check_structure_membership(K.to_structure(), r)
+            flat = check_structure_membership(flat_form(K), r)
             assert [(i.key, i.passed) for i in flat.items] == \
                 [(i.key, i.passed) for i in compact.items]
             outcomes.add(tuple(compact.failing()))
@@ -245,7 +248,7 @@ def test_flat_checker_agrees_with_compact_checker(r):
 
 
 def reference_closure(M, X):
-    return set(generate_substructure(M.to_structure(), set(X)).universe)
+    return set(generate_substructure(flat_form(M), set(X)).universe)
 
 
 def reference_is_independent(M, Y):
@@ -380,6 +383,70 @@ def test_independence_clause_matches_reference(r):
         assert False not in verdicts[size]
     for size in range(r + 2, r + 4):
         assert {True, False} <= verdicts[size]
+
+
+def random_stored_values(rng, r, universe):
+    """A random class below the truncation for every tuple, and for each
+    index below the truncation a stored value with probability one half,
+    whatever the class: witnesses go missing below the class, and values
+    sit at or above it."""
+    M = KrStructure(r, TRUNC, tuple(universe))
+    for t in M.tuples():
+        M.classes[t] = rng.randrange(TRUNC)
+        for m in range(TRUNC):
+            if rng.random() < 0.5:
+                M.values[(m, t)] = rng.choice(M.universe)
+    return M
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_witness_form_closures_equal_the_flat_form(r):
+    rng = random.Random(60 + r)
+    faults, grown, sizes = set(), 0, set()
+    for size in range(1, 5):
+        universe = range(size)
+        structures = [random_member(rng, r, TRUNC, universe, class_cap=3),
+                      random_stored_values(rng, r, universe),
+                      random_stored_values(rng, r, universe)]
+        M = random_assignment(rng, r, universe)
+        structures.append(M)
+        if size >= 2:
+            structures += _mutants(M, rng)
+        for K in filter(None, structures):
+            faults.add(tuple(check_membership(K).failing()))
+            form = witness_form(K)
+            for k in range(size + 1):
+                for X in itertools.combinations(K.universe, k):
+                    closed = closure(form, X)
+                    assert closed == reference_closure(K, X)
+                    grown += closed != set(X)
+            for limit in range(1, r + 3):
+                top = max_independent_size(K, limit)
+                assert top == reference_max_independent_size(K, limit)
+                sizes.add((limit, top))
+    # members and incoherent structures both occur, closures grow, and
+    # the search stops both below and at its limit
+    assert () in faults
+    assert any("kr0.coherence" in f for f in faults)
+    assert grown
+    assert any(top < limit for limit, top in sizes)
+    assert any(top == limit > 1 for limit, top in sizes)
+
+
+# Recorded with every closure taken on the flat form.
+BOUNDARY_TABLES = {
+    0: "r,k,signature,success,no_amalgam,impossible\r\n"
+       "1,3,1 1 2 | 0 0 0,2,0,0\r\n",
+    1: "r,k,signature,success,no_amalgam,impossible\r\n"
+       "1,3,1 1 2 | 0 0 0,1,0,0\r\n"
+       "1,3,1 2 2 | 0 0 1,1,0,0\r\n",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOUNDARY_TABLES))
+def test_boundary_survey_table_is_unchanged(seed):
+    table = survey_k_disjoint_ap(r=1, k=3, size_bound=4, budget=2, seed=seed)
+    assert table.to_csv() == BOUNDARY_TABLES[seed]
 
 
 def boundary_configurations(r, rng, count):

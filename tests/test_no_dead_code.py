@@ -13,7 +13,11 @@ re-export).  No local without a read: every name a function of
 with ``_`` are exempt; tests are not scanned, since they unpack on
 purpose).  No field without a read: every annotated class field of
 ``src/amalgam`` is read as an attribute (``x.field`` in a load, not a
-store) somewhere under ``src/``, ``tests/`` or ``perfbench/``.  No
+store) somewhere under ``src/``, ``tests/`` or ``perfbench/``, and a
+field whose name other receivers also read (a builtin container method
+such as ``items``, or a method name defined in the package such as
+``key``) is listed in ``SHARED_FIELDS`` with the readers on its own
+receivers.  No
 method name shared without a reason: a name counts as used wherever it
 is read, whatever the receiver, so one class's caller hides another
 class's uncalled method of the same name; every method name that two or
@@ -160,45 +164,6 @@ def test_an_unread_local_is_caught():
     assert _unread_locals(function) == ["shared (line 3)"]
 
 
-def _attributes_read(tree: ast.AST) -> set[str]:
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-
-
-def _unread_fields(tree: ast.AST, read: set[str]) -> list[str]:
-    """Annotated fields of the classes in ``tree`` that no attribute load
-    in ``read`` names."""
-    return [f"{node.name}.{field.target.id} (line {field.lineno})"
-            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            for field in node.body if isinstance(field, ast.AnnAssign)
-            and isinstance(field.target, ast.Name)
-            and field.target.id not in read]
-
-
-def test_every_field_is_read():
-    read = set()
-    for top in SEARCHED:
-        for path in (ROOT / top).rglob("*.py"):
-            read |= _attributes_read(ast.parse(path.read_text(), str(path)))
-    unread = [f"{path.relative_to(ROOT)}: {name}"
-              for path in sorted(PACKAGE.rglob("*.py"))
-              for name in _unread_fields(
-                  ast.parse(path.read_text(), str(path)), read)]
-    assert not unread, "a field no code reads:\n" + "\n".join(unread)
-
-
-def test_an_unread_field_is_caught():
-    tree = ast.parse(
-        'class Box:\n'
-        '    size: int\n'
-        '    label: str = ""\n'
-        '    def grow(self):\n'
-        '        self.label = "big"\n'
-        '        return self.size + 1\n')
-    assert _unread_fields(tree, _attributes_read(tree)) == ["Box.label (line 3)"]
-
-
 # Each method name that several classes of ``src/amalgam`` define, with
 # the reason each definition is kept.  Each entry names callers on the
 # class's own receivers, since a read of the name elsewhere proves nothing.
@@ -325,6 +290,129 @@ def test_a_planted_shared_method_is_caught():
     stale = dict(SHARED_METHODS, shed={"Tree": "a reason for one class"})
     assert _unexplained_shares(_method_owners(_package_trees()), stale) == [
         "shed: defined by [], listed for ['Tree']"]
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _fields(tree: ast.AST):
+    """(class name, field name, line) of every annotated class field in
+    ``tree``."""
+    return [(node.name, item.target.id, item.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def _unread_fields(tree: ast.AST, read: set[str]) -> list[str]:
+    """Annotated fields of the classes in ``tree`` that no attribute load
+    in ``read`` names."""
+    return [f"{owner}.{name} (line {line})"
+            for owner, name, line in _fields(tree) if name not in read]
+
+
+# Each annotated field of ``src/amalgam`` whose name other receivers also
+# read, with the readers on the class's own receivers, since a read of
+# the name elsewhere proves nothing.
+SHARED_FIELDS = {
+    "b_star": {
+        "K1Witness": "checks.check_K1 compares w.b_star with the context's; "
+                     "checks._within_algebra reads M.witness.b_star",
+    },
+    "extend": {
+        "AmalgamationClass": "fraisse.build_generic and "
+                             "fraisse.richness_defect call cls.extend",
+    },
+    "items": {
+        "CheckReport": "CheckReport.passed and CheckReport.failing read "
+                       "self.items",
+    },
+    "key": {
+        "ClauseResult": "CheckReport.failing reads item.key",
+    },
+    "p0": {
+        "K1Structure": "K1Structure.size reads self.p0",
+    },
+    "p2": {
+        "K1Structure": "K1Structure.size reads self.p2",
+    },
+    "passed": {
+        "ClauseResult": "CheckReport.passed and CheckReport.failing read "
+                        "item.passed",
+    },
+    "values": {
+        "KrStructure": "kdim._membership and kdim.witness_form read "
+                       "M.values",
+    },
+}
+
+BUILTIN_ATTRIBUTES = {name for kind in (dict, list, set, frozenset, tuple,
+                                        str, int)
+                      for name in dir(kind) if not name.startswith("__")}
+
+
+def _shadowed_fields(trees) -> dict[str, set[str]]:
+    """Each field name in ``trees`` that is also a builtin container
+    attribute or the name of a method some class in ``trees`` defines,
+    with the classes that declare it as a field."""
+    methods = {item.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    owners: dict[str, set[str]] = {}
+    for tree in trees:
+        for owner, name, _ in _fields(tree):
+            if name in BUILTIN_ATTRIBUTES or name in methods:
+                owners.setdefault(name, set()).add(owner)
+    return owners
+
+
+def test_every_field_is_read():
+    read = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            read |= _attributes_read(ast.parse(path.read_text(), str(path)))
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for name in _unread_fields(
+                  ast.parse(path.read_text(), str(path)), read)]
+    assert not unread, "a field no code reads:\n" + "\n".join(unread)
+    unexplained = _unexplained_shares(_shadowed_fields(_package_trees()),
+                                      SHARED_FIELDS)
+    assert not unexplained, \
+        "fields other receivers also read, without a reason:\n" + \
+        "\n".join(unexplained)
+
+
+def test_an_unread_field_is_caught():
+    tree = ast.parse(
+        'class Box:\n'
+        '    size: int\n'
+        '    label: str = ""\n'
+        '    def grow(self):\n'
+        '        self.label = "big"\n'
+        '        return self.size + 1\n')
+    assert _unread_fields(tree, _attributes_read(tree)) == ["Box.label (line 3)"]
+
+
+def test_a_planted_shadowed_field_is_caught():
+    planted = ast.parse(
+        'class Box:\n'
+        '    items: list\n'
+        '    key: str\n'
+        '    label: str\n')
+    shadowed = _shadowed_fields(_package_trees() + [planted])
+    assert _unexplained_shares(shadowed, SHARED_FIELDS) == [
+        "items: defined by ['Box', 'CheckReport'], listed for "
+        "['CheckReport']",
+        "key: defined by ['Box', 'ClauseResult'], listed for "
+        "['ClauseResult']"]
+    stale = dict(SHARED_FIELDS, label={"Box": "a reason for a field that "
+                                              "no other receiver reads"})
+    assert _unexplained_shares(_shadowed_fields(_package_trees()), stale) == [
+        "label: defined by [], listed for ['Box']"]
 
 
 # No clause that cannot fail: no call in ``src/amalgam`` adds a report
