@@ -160,9 +160,9 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     generator set seen before:
 
     1. M and N share a vocabulary (no position is valid otherwise), the
-       picks are distinct, every declared constant is interpreted on both
-       sides or on neither, and constants and pairs seed one injective
-       map;
+       picks have equal lengths and are distinct, every declared constant
+       is interpreted on both sides or on neither, and pairs and
+       constants seed one injective map;
     2. every relation agrees on the matched points, which both generated
        substructures contain, so no closure can repair a disagreement:
        the matched points of M and their partners in N have equal
@@ -171,30 +171,32 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
        ``generate_substructure``, have equal sizes and equally many
        function entries, and function images extend the map to all of
        them;
-    4. the verdict is ``Embedding(sub_m, sub_n, map).is_valid()``.
+    4. the verdict is ``Embedding(sub_m, sub_n, map).is_valid()``, whose
+       relation test compares the memoised signatures of the two
+       substructures, and whose totality, injectivity and image tests
+       read their stored element sets.
     """
-    if M.vocabulary != N.vocabulary:
+    vocabulary = M.vocabulary
+    if vocabulary is not N.vocabulary and vocabulary != N.vocabulary:
         return False
-    if len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
+    mapping = dict(zip(pos_m, pos_n))
+    if len(pos_m) != len(pos_n) or len(mapping) != len(pos_m) \
+            or len(set(pos_n)) != len(pos_n):
         return False
-    pairs = []
-    for name in M.vocabulary.constants:
-        x, y = M.constants.get(name), N.constants.get(name)
-        if (x is None) != (y is None):
+    if vocabulary.constants:
+        for name in vocabulary.constants:
+            x, y = M.constants.get(name), N.constants.get(name)
+            if (x is None) != (y is None):
+                return False
+            if x is not None and mapping.setdefault(x, y) != y:
+                return False
+        if len(set(mapping.values())) != len(mapping):
             return False
-        if x is not None:
-            pairs.append((x, y))
-    mapping: dict[int, int] = {}
-    for x, y in pairs + list(zip(pos_m, pos_n)):
-        if mapping.setdefault(x, y) != y:
-            return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
     if relation_signature(M, tuple(mapping)) != \
             relation_signature(N, tuple(mapping.values())):
         return False
-    sub_m = generate_substructure(M, set(pos_m))
-    sub_n = generate_substructure(N, set(pos_n))
+    sub_m = generate_substructure(M, pos_m)
+    sub_n = generate_substructure(N, pos_n)
     if sub_m.size != sub_n.size:
         return False
     # the mapped entries of sub_m must cover every entry of sub_n, or N

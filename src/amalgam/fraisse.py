@@ -293,20 +293,25 @@ def back_and_forth_check(
     def answered(pos_m: tuple, pos_n: tuple, key: int, i: int, j: int,
                  remaining: int) -> bool:
         """Is the position extended by the pair (ms[i], ns[j]) valid, with
-        the duplicator surviving the ``remaining - 1`` rounds after it?"""
+        the duplicator surviving the ``remaining - 1`` rounds after it?
+        Only a valid child with rounds left has a game value, so a known
+        one answers at once; otherwise the child tuples are built once,
+        for the position check and the rounds after it."""
         child = key | 1 << (i * width + j)
+        won = memo.get(child)
+        if won is not None:
+            return won
         ok = valid.get(child)
+        if ok is False or ok and remaining == 1:
+            return ok
+        child_m, child_n = pos_m + (ms[i],), pos_n + (ns[j],)
         if ok is None:
-            ok = valid[child] = position_valid(M, N, pos_m + (ms[i],),
-                                               pos_n + (ns[j],))
+            ok = valid[child] = position_valid(M, N, child_m, child_n)
         return ok and (remaining == 1 or
-                       survive(pos_m + (ms[i],), pos_n + (ns[j],), child,
-                               remaining - 1))
+                       survive(child_m, child_n, child, remaining - 1))
 
     def survive(pos_m: tuple, pos_n: tuple, key: int, remaining: int) -> bool:
-        ok = memo.get(key)
-        if ok is not None:
-            return ok
+        """The game value of a valid position not in ``memo`` yet."""
         free_m = [i for i, c in enumerate(ms) if c not in pos_m]
         free_n = [j for j, d in enumerate(ns) if d not in pos_n]
         ok = all(any(answered(pos_m, pos_n, key, i, j, remaining)

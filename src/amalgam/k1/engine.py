@@ -170,6 +170,8 @@ def k1_position_valid(M: K1Structure, N: K1Structure,
     never match, and a structure with named generators raises
     ``InvalidEmbedding``.
     """
+    if len(pos_m) != len(pos_n):
+        return False
     p0_map, p2_map = {}, {}
     for x, y in zip(pos_m, pos_n):
         if x in M.p0 and y in N.p0:

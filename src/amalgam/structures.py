@@ -81,12 +81,16 @@ class FiniteStructure:
     relations: symbol -> set of tuples; functions: symbol -> partial map
     from argument tuples to values; constants: symbol -> element.
 
-    A structure memoises what queries compute from it alone: the
-    substructure each generator set generates (``generate_substructure``)
-    and the relation signature of each point tuple
-    (``relation_signature``).  The memo is valid only while the
-    structure is unchanged, so a structure must not be mutated after its
-    first such query.  It takes no part in equality, hashing or repr.
+    A structure keeps what queries compute from it alone: its element
+    set (``_elements``, built by ``validate``), and two memos, the
+    substructure each generator set generates (``_substructures``, for
+    ``generate_substructure``) and the relation signature of each point
+    tuple (``_signatures``, for ``relation_signature``).
+    ``Embedding.validate`` compares relation signatures, so it fills
+    the second memo on both its source and its target.  All three are
+    valid only while the structure is unchanged, so a structure must not
+    be mutated after construction.  They take no part in equality,
+    hashing or repr.
     """
 
     vocabulary: Vocabulary
@@ -94,6 +98,7 @@ class FiniteStructure:
     relations: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
     functions: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)
+    _elements: frozenset[int] = field(init=False, repr=False, compare=False)
     _substructures: dict[frozenset[int], "FiniteStructure"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _signatures: dict[tuple[int, ...], tuple] = field(
@@ -108,7 +113,7 @@ class FiniteStructure:
         self.validate()
 
     def validate(self):
-        elems = set(self.universe)
+        elems = self._elements = frozenset(self.universe)
         if len(elems) != len(self.universe):
             raise ValueError("universe ids must be distinct")
         for name, tuples in self.relations.items():
@@ -150,7 +155,7 @@ class FiniteStructure:
 
     def restrict(self, subset: Iterable[int]) -> "FiniteStructure":
         """Induced structure on a subset (not checked for closure)."""
-        keep = set(subset)
+        keep = self._elements.intersection(subset)
         universe = tuple(x for x in self.universe if x in keep)
         relations = {}
         for name, tuples in self.relations.items():
@@ -172,16 +177,6 @@ class FiniteStructure:
         return FiniteStructure(self.vocabulary, universe, relations,
                                functions, constants)
 
-    def is_closed(self, subset: Iterable[int]) -> bool:
-        keep = set(subset)
-        if not all(v in keep for v in self.constants.values()):
-            return False
-        for table in self.functions.values():
-            for args, v in table.items():
-                if set(args) <= keep and v not in keep:
-                    return False
-        return True
-
 
 def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructure:
     """Least substructure of M containing X: close X under constants and
@@ -192,9 +187,9 @@ def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructu
     sub = M._substructures.get(key)
     if sub is not None:
         return sub
-    closed = set(key)
-    if not closed <= set(M.universe):
+    if not M._elements.issuperset(key):
         raise ValueError("generators outside the universe")
+    closed = set(key)
     closed.update(M.constants.values())
     changed = True
     while changed:
@@ -264,18 +259,17 @@ class Embedding:
 
     def validate(self):
         A, B, m = self.source, self.target, self.mapping
-        if A.vocabulary != B.vocabulary:
+        if A.vocabulary is not B.vocabulary and A.vocabulary != B.vocabulary:
             raise VocabularyMismatch("embedding across vocabularies")
-        if set(m.keys()) != set(A.universe):
+        if len(m) != len(A.universe) or not A._elements.issuperset(m):
             raise InvalidEmbedding("map not total on the source")
-        if len(set(m.values())) != len(m):
+        images = tuple(m[x] for x in A.universe)
+        if len(set(images)) != len(images):
             raise InvalidEmbedding("map not injective")
-        if not set(m.values()) <= set(B.universe):
+        if not B._elements.issuperset(images):
             raise InvalidEmbedding("image outside the target")
-        mismatch = relation_mismatch(A, B, A.universe,
-                                     [m[x] for x in A.universe])
-        if mismatch is not None:
-            name, t = mismatch
+        if relation_signature(A, A.universe) != relation_signature(B, images):
+            name, t = relation_mismatch(A, B, A.universe, images)
             raise InvalidEmbedding(f"relation {name} not matched at {t}")
         for name, table in A.functions.items():
             b_table = B.functions[name]
@@ -294,18 +288,8 @@ class Embedding:
         except (InvalidEmbedding, VocabularyMismatch):
             return False
 
-    def compose(self, then: "Embedding") -> "Embedding":
-        if then.source is not self.target and then.source != self.target:
-            raise InvalidEmbedding("composition endpoints do not meet")
-        return Embedding(self.source, then.target,
-                         {x: then.mapping[y] for x, y in self.mapping.items()})
-
     def key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.mapping.items()))
-
-
-def identity(M: FiniteStructure) -> Embedding:
-    return Embedding(M, M, {x: x for x in M.universe})
 
 
 def _consistent_so_far(A: FiniteStructure, B: FiniteStructure,

@@ -7,10 +7,10 @@ projecting atoms through the raw embedding images and enumerating
 homomorphism pairs, bases by trying every subset, the corpus by
 comparing every pair of members, game positions by searching for an
 embedding of the generated substructures, restriction by filtering every
-stored tuple, embedding validity by mapping every tuple, and the
-r-dimensional closures on the flat form, which writes out the classes as
-relations and every head entry.  Slow on purpose and capped to desk
-sizes.
+stored tuple, closure by testing every function entry, embedding
+validity by mapping every tuple, and the r-dimensional closures on the
+flat form, which writes out the classes as relations and every head
+entry.  Slow on purpose and capped to desk sizes.
 """
 
 from __future__ import annotations
@@ -266,21 +266,22 @@ def corpus_by_all_pairs(size_bound: int, trunc: int, max_n_star: int):
 
 
 # ---------------------------------------------------------------------------
-# Plain structures: game positions, restriction, embedding validity
+# Plain structures: game positions, restriction, closure, identity and
+# composition, embedding validity
 # ---------------------------------------------------------------------------
 
 
 def position_valid_by_search(M: FiniteStructure, N: FiniteStructure,
                              pos_m: tuple[int, ...],
                              pos_n: tuple[int, ...]) -> bool:
-    """The picked points generate isomorphic substructures under the
-    positionwise match: some bijective embedding of the substructure M
-    generates onto the one N generates sends each pick to its partner and
-    each constant to its namesake, each declared constant is interpreted
-    on both sides or on neither, and N's substructure defines no function
-    value that M's leaves undefined."""
-    if M.vocabulary != N.vocabulary or len(set(pos_m)) != len(pos_m) \
-            or len(set(pos_n)) != len(pos_n):
+    """The picks have equal lengths and generate isomorphic substructures
+    under the positionwise match: some bijective embedding of the
+    substructure M generates onto the one N generates sends each pick to
+    its partner and each constant to its namesake, each declared constant
+    is interpreted on both sides or on neither, and N's substructure
+    defines no function value that M's leaves undefined."""
+    if M.vocabulary != N.vocabulary or len(pos_m) != len(pos_n) \
+            or len(set(pos_m)) != len(pos_m) or len(set(pos_n)) != len(pos_n):
         return False
     names = M.vocabulary.constants
     if any((name in M.constants) != (name in N.constants) for name in names):
@@ -317,6 +318,27 @@ def restrict_by_filter(M: FiniteStructure, subset) -> FiniteStructure:
                 if keep.issuperset(args) and v in keep}
          for name, table in M.functions.items()},
         dict(M.constants))
+
+
+def is_closed(M: FiniteStructure, subset) -> bool:
+    """``subset`` holds every constant of M and every defined function
+    value on its own tuples."""
+    keep = set(subset)
+    if not all(v in keep for v in M.constants.values()):
+        return False
+    return all(v in keep for table in M.functions.values()
+               for args, v in table.items() if keep.issuperset(args))
+
+
+def identity(M: FiniteStructure) -> Embedding:
+    return Embedding(M, M, {x: x for x in M.universe})
+
+
+def compose(first: Embedding, then: Embedding) -> Embedding:
+    """``then`` after ``first``; their endpoints must meet."""
+    assert then.source is first.target or then.source == first.target
+    return Embedding(first.source, then.target,
+                     {x: then.mapping[y] for x, y in first.mapping.items()})
 
 
 def embedding_valid_by_apply(e: Embedding) -> bool:

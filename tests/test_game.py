@@ -230,6 +230,18 @@ def test_a_constant_only_one_side_interprets_refuses_both_ways():
     assert structure_position_valid(named, named, (0,), (0,))
 
 
+def test_picks_of_unequal_length_refuse_both_ways():
+    # zip would pair (0, 1) with (0,) alone, and f(0) = 1 would then
+    # extend the map to 1 -> 5, an isomorphism of the generated parts
+    M = FiniteStructure(UNARY_VOCAB, (0, 1), functions={"f": {(0,): 1, (1,): 1}})
+    N = FiniteStructure(UNARY_VOCAB, (0, 5), functions={"f": {(0,): 5, (5,): 5}})
+    assert structure_position_valid(M, N, (0, 1), (0,)) is False
+    assert structure_position_valid(N, M, (0,), (0, 1)) is False
+    assert position_valid_by_search(M, N, (0, 1), (0,)) is False
+    assert position_valid_by_search(N, M, (0,), (0, 1)) is False
+    assert structure_position_valid(M, N, (0,), (0,))
+
+
 def test_structures_over_different_vocabularies_have_no_valid_position():
     order = chain_structure(3)
     graph = FiniteStructure(GRAPH_VOCAB, (0, 1, 2), {"adj": {(0, 1), (1, 0)}})

@@ -260,6 +260,14 @@ def test_positions_across_truncations_never_match():
     assert k1_position_valid(N, M, pos_n, pos_m) is False
 
 
+def test_picks_of_unequal_length_never_match():
+    A = build_member(1, 1, 0, trunc=4)
+    B = build_member(1, 1, 0, trunc=4, start_id=50)
+    assert k1_position_valid(A, B, (A.p0[0], A.p2[0]), (B.p0[0],)) is False
+    assert k1_position_valid(B, A, (B.p0[0],), (A.p0[0], A.p2[0])) is False
+    assert k1_position_valid(A, B, (A.p0[0],), (B.p0[0],))
+
+
 def test_positions_refuse_named_generators():
     M = build_member(1, 1, 0, trunc=3)
     g = max(M.all_ids()) + 1

@@ -145,6 +145,10 @@ def test_amalgamate_with_new_name_and_trace_demand():
     for c in N2.p2:
         for n in range(TRUNC):
             assert M2.f[(n, f.p2(c))] == f.apply(N2.f[(n, c)])
+    p0 = dict(f.p0_map)
+    assert sorted(p0) == sorted(N2.p0)
+    for a in N2.p0:
+        assert M2.g1[p0[a]] == f.apply(N2.g1[a])
 
 
 def test_adjoin_trace_element_all_cases():

@@ -15,8 +15,9 @@ purpose).  No field without a read: every annotated class field of
 ``src/amalgam`` is read as an attribute (``x.field`` in a load, not a
 store) somewhere under ``src/``, ``tests/`` or ``perfbench/``, and a
 field whose name other receivers also read (a builtin container method
-such as ``items``, or a method name defined in the package such as
-``key``) is listed in ``SHARED_FIELDS`` with the readers on its own
+such as ``items``, a method name defined in the package such as ``key``,
+or a field name two or more package classes declare, such as
+``universe``) is listed in ``SHARED_FIELDS`` with the readers on its own
 receivers.  No
 method name shared without a reason: a name counts as used wherever it
 is read, whatever the receiver, so one class's caller hides another
@@ -318,13 +319,45 @@ def _unread_fields(tree: ast.AST, read: set[str]) -> list[str]:
 # read, with the readers on the class's own receivers, since a read of
 # the name elsewhere proves nothing.
 SHARED_FIELDS = {
+    "algebra": {
+        "PrincipalIdeal": "PrincipalIdeal.__post_init__ and "
+                          "PrincipalIdeal.is_proper read self.algebra",
+        "PushoutResult": "boolalg.pushout_independence reads po.algebra",
+        "Quotient": "boolalg.rebase_with_element reads q.algebra",
+    },
+    "atom_ids": {
+        "K1Structure": "K1Structure.ctx, all_ids and canonical_key read "
+                       "self.atom_ids; checks.check_Kminus1 reads "
+                       "M.atom_ids",
+        "P1Context": "P1Context.__post_init__, full_mask and atom read "
+                     "self.atom_ids; p1.materialize reads ctx.atom_ids",
+    },
+    "atom_map": {
+        "Quotient": "Quotient.project and Quotient.lift read self.atom_map",
+        "TransportMap": "TransportMap.apply reads self.atom_map",
+    },
     "b_star": {
         "K1Witness": "checks.check_K1 compares w.b_star with the context's; "
                      "checks._within_algebra reads M.witness.b_star",
     },
+    "constants": {
+        "FiniteStructure": "FiniteStructure.validate and "
+                           "structures.generate_substructure read "
+                           "M.constants",
+        "Vocabulary": "FiniteStructure.validate and "
+                      "backends.structure_position_valid read "
+                      "vocabulary.constants",
+    },
     "extend": {
         "AmalgamationClass": "fraisse.build_generic and "
                              "fraisse.richness_defect call cls.extend",
+    },
+    "functions": {
+        "FiniteStructure": "FiniteStructure.restrict and "
+                           "structures.generate_substructure read "
+                           "M.functions",
+        "Vocabulary": "FiniteStructure.__post_init__ reads "
+                      "self.vocabulary.functions",
     },
     "items": {
         "CheckReport": "CheckReport.passed and CheckReport.failing read "
@@ -336,16 +369,65 @@ SHARED_FIELDS = {
     "p0": {
         "K1Structure": "K1Structure.size reads self.p0",
     },
+    "p0_map": {
+        "MatchEmbedding": "MatchEmbedding.p0 and MatchEmbedding.key read "
+                          "self.p0_map",
+        "TransportMap": "only tests read it: test_k1_ops checks that "
+                        "small_embedding.p0_map sends each designated atom "
+                        "of N2 to its image in the amalgam",
+    },
     "p2": {
         "K1Structure": "K1Structure.size reads self.p2",
+    },
+    "p2_map": {
+        "MatchEmbedding": "MatchEmbedding.p2 and MatchEmbedding.key read "
+                          "self.p2_map",
+        "TransportMap": "TransportMap.p2 reads self.p2_map",
     },
     "passed": {
         "ClauseResult": "CheckReport.passed and CheckReport.failing read "
                         "item.passed",
     },
+    "r": {
+        "KrStructure": "KrStructure.tuples and kdim.witness_form read M.r",
+        "SurveyTable": "SurveyTable.to_csv reads self.r",
+    },
+    "relations": {
+        "FiniteStructure": "FiniteStructure.restrict and "
+                           "structures.relation_signature read M.relations",
+        "Vocabulary": "FiniteStructure.__post_init__ reads "
+                      "self.vocabulary.relations",
+    },
+    "source": {
+        "BAEmbedding": "BAEmbedding.__post_init__ and boolalg.pushout read "
+                       "e.source",
+        "Embedding": "Embedding.validate reads self.source",
+    },
+    "target": {
+        "BAEmbedding": "BAEmbedding.__post_init__ and boolalg._fiber read "
+                       "e.target",
+        "Embedding": "Embedding.validate reads self.target",
+    },
+    "trunc": {
+        "K1Structure": "K1Structure.generator_elements and "
+                       "embeddings.is_valid_match read M.trunc",
+        "KrStructure": "KrStructure.restriction and kdim.witness_form read "
+                       "M.trunc",
+    },
+    "universe": {
+        "FiniteStructure": "FiniteStructure.validate, restrict and size "
+                           "read self.universe",
+        "KrStructure": "KrStructure.tuples and kdim.max_independent_size "
+                       "read M.universe",
+    },
     "values": {
         "KrStructure": "kdim._membership and kdim.witness_form read "
                        "M.values",
+    },
+    "witness": {
+        "AmalgamResult": "engine.build_generic_k1 reads r.witness",
+        "K1Structure": "checks.check_K1 and checks._within_algebra read "
+                       "M.witness",
     },
 }
 
@@ -355,18 +437,20 @@ BUILTIN_ATTRIBUTES = {name for kind in (dict, list, set, frozenset, tuple,
 
 
 def _shadowed_fields(trees) -> dict[str, set[str]]:
-    """Each field name in ``trees`` that is also a builtin container
-    attribute or the name of a method some class in ``trees`` defines,
-    with the classes that declare it as a field."""
+    """Each field name in ``trees`` that two or more classes declare, or
+    that is also a builtin container attribute or the name of a method
+    some class in ``trees`` defines, with the classes that declare it as
+    a field."""
     methods = {item.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) for item in node.body
                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
     owners: dict[str, set[str]] = {}
     for tree in trees:
         for owner, name, _ in _fields(tree):
-            if name in BUILTIN_ATTRIBUTES or name in methods:
-                owners.setdefault(name, set()).add(owner)
-    return owners
+            owners.setdefault(name, set()).add(owner)
+    return {name: classes for name, classes in owners.items()
+            if len(classes) > 1 or name in BUILTIN_ATTRIBUTES
+            or name in methods}
 
 
 def test_every_field_is_read():
@@ -413,6 +497,21 @@ def test_a_planted_shadowed_field_is_caught():
                                               "no other receiver reads"})
     assert _unexplained_shares(_shadowed_fields(_package_trees()), stale) == [
         "label: defined by [], listed for ['Box']"]
+
+
+def test_a_planted_field_two_classes_declare_is_caught():
+    planted = ast.parse(
+        'class Box:\n'
+        '    universe: tuple\n'
+        '    label: str\n'
+        'class Tag:\n'
+        '    label: str\n'
+        '    colour: str\n')
+    shadowed = _shadowed_fields(_package_trees() + [planted])
+    assert _unexplained_shares(shadowed, SHARED_FIELDS) == [
+        "label: defined by ['Box', 'Tag'], listed for []",
+        "universe: defined by ['Box', 'FiniteStructure', 'KrStructure'], "
+        "listed for ['FiniteStructure', 'KrStructure']"]
 
 
 # No clause that cannot fail: no call in ``src/amalgam`` adds a report

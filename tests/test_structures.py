@@ -1,12 +1,18 @@
 """Core structures: closure, embedding enumeration, isomorphism, round-trip."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
-from amalgam.errors import CLOSURE_CAP, CapExceeded, VocabularyMismatch
+from amalgam.errors import (
+    CLOSURE_CAP,
+    CapExceeded,
+    InvalidEmbedding,
+    VocabularyMismatch,
+)
 from amalgam.serialize import dumps_canonical, structure_from_dict, structure_to_dict
 from amalgam.structures import (
     Embedding,
@@ -14,10 +20,15 @@ from amalgam.structures import (
     Vocabulary,
     enumerate_embeddings,
     generate_substructure,
-    identity,
     is_isomorphic,
+    relation_mismatch,
 )
-from oracles import embedding_valid_by_apply, restrict_by_filter
+from oracles import (
+    compose,
+    embedding_valid_by_apply,
+    identity,
+    restrict_by_filter,
+)
 
 GRAPH = Vocabulary.make(relations={"E": 2})
 ONE_FN = Vocabulary.make(functions={"f": 2})
@@ -191,7 +202,7 @@ def test_composition_of_embeddings_is_an_embedding():
     C = edge_structure([0, 1, 2, 3], {(0, 1), (1, 2), (2, 0), (3, 3)})
     for e1 in enumerate_embeddings(A, B):
         for e2 in enumerate_embeddings(B, C):
-            e1.compose(e2).validate()
+            compose(e1, e2).validate()
 
 
 def test_extension_over_fixed_partial_map():
@@ -274,22 +285,67 @@ def test_restrict_agrees_with_the_tuple_filter_on_both_sides_of_its_choice():
     assert products == {True, False}
 
 
-def test_embedding_validity_agrees_with_the_tuple_by_tuple_loop():
-    rng = random.Random("is_valid")
-    outcomes = set()
-    for _ in range(300):
+def random_embedding_pairs(rng, count):
+    """``count`` maps from a random MIXED structure into itself or into
+    a larger one, each injective into the target."""
+    for _ in range(count):
         A = random_mixed(rng, rng.randint(1, 3), rng.choice((0.1, 0.5)))
-        if rng.random() < 0.5:
-            B = A
-        else:
-            B = random_mixed(rng, rng.randint(A.size, 5),
-                             rng.choice((0.1, 0.5)))
-        mapping = dict(zip(A.universe, rng.sample(B.universe, A.size)))
-        e = Embedding(A, B, mapping)
+        B = A if rng.random() < 0.5 else random_mixed(
+            rng, rng.randint(A.size, 5), rng.choice((0.1, 0.5)))
+        yield Embedding(A, B, dict(zip(A.universe,
+                                       rng.sample(B.universe, A.size))))
+
+
+def test_embedding_validity_agrees_with_the_tuple_by_tuple_loop():
+    outcomes = set()
+    for e in random_embedding_pairs(random.Random("is_valid"), 300):
         got = e.is_valid()
         assert got == embedding_valid_by_apply(e)
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_a_relation_failure_names_the_tuple_the_walk_finds():
+    """validate compares signatures, and on a mismatch names the first
+    relation and tuple of the ``relation_mismatch`` walk."""
+    outcomes = set()
+    for e in random_embedding_pairs(random.Random("is_valid"), 300):
+        A = e.source
+        mismatch = relation_mismatch(A, e.target, A.universe,
+                                     [e(x) for x in A.universe])
+        outcomes.add(mismatch is None)
+        try:
+            e.validate()
+            message = None
+        except InvalidEmbedding as error:
+            message = str(error)
+        if mismatch is None:
+            assert message is None or not message.startswith("relation")
+        else:
+            name, t = mismatch
+            assert message == f"relation {name} not matched at {t}"
+    assert outcomes == {True, False}
+
+
+def test_the_stored_element_set_is_the_universe():
+    rng = random.Random("elements")
+    for _ in range(50):
+        M = random_mixed(rng, rng.randint(1, 5), 0.3)
+        sub = generate_substructure(
+            M, rng.sample(M.universe, rng.randint(0, M.size)))
+        for S in (M, sub, M.restrict(sub.universe)):
+            assert S._elements == set(S.universe)
+
+
+def test_the_element_set_takes_no_part_in_equality_hash_or_repr():
+    A = edge_structure([0, 1], {(0, 1)})
+    B = edge_structure([0, 1], {(0, 1)})
+    B._elements = frozenset({7})
+    assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+    assert "_elements" not in repr(A)
+    [spec] = [f for f in dataclasses.fields(FiniteStructure)
+              if f.name == "_elements"]
+    assert not (spec.init or spec.repr or spec.compare)
 
 
 # ---------------------------------------------------------------------------
