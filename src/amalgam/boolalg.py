@@ -16,7 +16,6 @@ refinement, ``refine``, which ``k1.p1`` and ``k1.embeddings`` share.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -86,9 +85,6 @@ class FiniteBooleanAlgebra:
     def complement(self, x: int) -> int:
         return ~x & self.full
 
-    def le(self, x: int, y: int) -> bool:
-        return x & ~y == 0
-
     def atoms(self) -> list[int]:
         return [1 << i for i in range(self.atom_count)]
 
@@ -114,16 +110,6 @@ class FiniteBooleanAlgebra:
             if inter != 0 and inter != block:
                 return False
         return True
-
-    def subalgebra_elements(self, gens: Iterable[int]) -> Iterator[int]:
-        """All elements of the generated subalgebra (2^blocks of them)."""
-        blocks = self.subalgebra_blocks(gens)
-        for picks in itertools.product((0, 1), repeat=len(blocks)):
-            e = 0
-            for chosen, block in zip(picks, blocks):
-                if chosen:
-                    e |= block
-            yield e
 
 
 @dataclass(frozen=True)
@@ -183,21 +169,6 @@ class BAEmbedding:
         for i in bits(x):
             img |= self.atom_images[i]
         return img
-
-    def preimage(self, y: int) -> int | None:
-        """The source element mapping to y, or None if y is off the range."""
-        x = 0
-        for i, img in enumerate(self.atom_images):
-            inter = y & img
-            if inter == img:
-                x |= 1 << i
-            elif inter:
-                return None
-        return x
-
-
-def identity_embedding(B: FiniteBooleanAlgebra) -> BAEmbedding:
-    return BAEmbedding(B, B, tuple(1 << i for i in range(B.atom_count)))
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,13 @@ def k1_position_valid(M: K1Structure, N: K1Structure,
     """Game-position validity: the picked ids generate matched
     substructures under the positionwise correspondence.
 
-    Decided by ``is_valid_match``, so members of different truncations
-    never match, and a structure with named generators raises
-    ``InvalidEmbedding``.
+    Picks of unequal lengths, or a pick repeated on either side, make no
+    position.  Otherwise decided by ``is_valid_match``, so members of
+    different truncations never match, and a structure with named
+    generators raises ``InvalidEmbedding``.
     """
-    if len(pos_m) != len(pos_n):
+    if len(pos_m) != len(pos_n) or len(set(pos_m)) != len(pos_m) \
+            or len(set(pos_n)) != len(pos_n):
         return False
     p0_map, p2_map = {}, {}
     for x, y in zip(pos_m, pos_n):

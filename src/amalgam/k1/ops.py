@@ -45,34 +45,6 @@ from .structure import (
 )
 
 
-def derive_free_witness(M: K1Structure) -> FreeExtensionWitness:
-    """Free-over-minimal witness for a value-generated member: the bare
-    generators form the independent set, every name's tail starts at the
-    witness threshold."""
-    n_star = M.witness.n_star if M.witness else 0
-    independent = [P1Element(0, var(g)) for g in M.gen_ids]
-    return FreeExtensionWitness.make(independent, {c: n_star for c in M.p2})
-
-
-def derive_pair_witness(
-    N1: K1Structure, N2: K1Structure, inclusion: MatchEmbedding
-) -> FreeExtensionWitness:
-    """Witness that N2 freely extends the embedded copy of N1: fresh
-    generators of N2 are the independent set."""
-    used = set()
-    for a in N1.p0:
-        used |= set(N2.g1[inclusion.p0(a)].free.support)
-    for c in N1.p2:
-        for n in range(N1.trunc):
-            used |= set(N2.f[(n, inclusion.p2(c))].free.support)
-    fresh = [g for g in N2.gen_ids if g not in used]
-    independent = [P1Element(0, var(g)) for g in fresh]
-    n_star = N2.witness.n_star if N2.witness else 0
-    old_p2 = {inclusion.p2(c) for c in N1.p2}
-    h = {c: n_star for c in N2.p2 if c not in old_p2}
-    return FreeExtensionWitness.make(independent, h)
-
-
 @dataclass
 class AmalgamResult:
     amalgam: K1Structure
@@ -484,30 +456,3 @@ def _rebase_link(
         if scheduled:
             h[c] = max(scheduled) + 1
     return FreeExtensionWitness.make(kept + J_star, h)
-
-
-# ---------------------------------------------------------------------------
-# Chain building helpers
-# ---------------------------------------------------------------------------
-
-
-def extend_with_names(M: K1Structure, count: int) -> tuple[K1Structure, FreeExtensionWitness]:
-    """Add ``count`` fresh names with all-generator value columns; the new
-    tails (from index 0) form the free-extension witness."""
-    N = M.copy()
-    ids = N.fresh_ids(count * (1 + N.trunc))
-    new_names = ids[:count]
-    gens = ids[count:]
-    N.p2 = N.p2 + tuple(new_names)
-    N.gen_ids = tuple(sorted(set(N.gen_ids) | set(gens)))
-    independent = []
-    pos = 0
-    for c in new_names:
-        for n in range(N.trunc):
-            value = P1Element(0, var(gens[pos]))
-            N.f[(n, c)] = value
-            independent.append(value)
-            pos += 1
-    witness = FreeExtensionWitness.make(independent, {c: 0 for c in new_names})
-    return N, witness
-

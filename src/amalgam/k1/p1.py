@@ -25,10 +25,8 @@ from ..errors import (
     INDEPENDENCE_CAP,
     WINDOW_CAP,
     CapExceeded,
-    PreconditionFailed,
 )
 from .freepart import (
-    ONE,
     ZERO,
     FreeFn,
     _expand,
@@ -44,10 +42,6 @@ from .freepart import (
 class P1Element:
     atomic: int
     free: FreeFn
-
-    @property
-    def is_zero(self) -> bool:
-        return self.atomic == 0 and self.free.is_zero
 
     @property
     def in_atomic_ideal(self) -> bool:
@@ -76,22 +70,12 @@ class P1Context:
         return m
 
     @property
-    def top(self) -> P1Element:
-        return P1Element(self.full_mask, ONE)
-
-    @property
     def b_star(self) -> P1Element:
         return P1Element(self.full_mask, ZERO)
 
     def atom(self, atom_id: int) -> P1Element:
         assert atom_id in self.atom_ids
         return P1Element(1 << atom_id, ZERO)
-
-    def meet(self, x: P1Element, y: P1Element) -> P1Element:
-        return P1Element(x.atomic & y.atomic, conj(x.free, y.free))
-
-    def comp(self, x: P1Element) -> P1Element:
-        return P1Element(self.full_mask & ~x.atomic, neg(x.free))
 
     def le(self, x: P1Element, y: P1Element) -> bool:
         return (x.atomic & ~y.atomic) == 0 and conj(x.free, neg(y.free)).is_zero
@@ -258,43 +242,6 @@ def materialize(
                 m |= 1 << i
         masks.append(m)
     return B, masks, sigma
-
-
-def zero_atomic_minterms_nonzero(
-    ctx: P1Context, Y: Sequence[P1Element]
-) -> bool:
-    """All signed minterms of a zero-atomic family are nonzero.
-
-    The atomic coordinate of a signed minterm is full exactly on the
-    all-negative vector and empty otherwise, so the condition factors
-    over support components of the free parts: refining a component's
-    window points by its functions must realize all 2^n sign vectors,
-    except that the all-negative vector of a lone component is rescued by
-    the designated atoms.  A component of one nonconstant function
-    passes unrefined, since it realizes both signs.
-    """
-    ys = []
-    seen = set()
-    for y in Y:
-        if y.atomic:
-            raise PreconditionFailed("zero-atomic", "family member meets atoms")
-        if y not in seen:
-            seen.add(y)
-            ys.append(y.free)
-    comps = support_components(ys)
-    lone = len(comps) == 1 and bool(ctx.atom_ids)
-    for comp in comps:
-        if len(comp) == 1 and ys[comp[0]].support:
-            continue
-        if len(comp) > INDEPENDENCE_CAP:
-            raise CapExceeded("INDEPENDENCE_CAP", len(comp))
-        _, tables, points = _window([ys[i] for i in comp])
-        realized = {v for v, _ in refine(points, tables)}
-        if lone:
-            realized.add(0)  # rescued by the atomic coordinate
-        if len(realized) != 1 << len(comp):
-            return False
-    return True
 
 
 def unmaterialize(

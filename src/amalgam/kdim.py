@@ -49,20 +49,6 @@ class KrStructure:
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(self.universe, repeat=self.r + 1)
 
-    @staticmethod
-    def from_structure(M: FiniteStructure, r: int) -> "KrStructure":
-        trunc = M.vocabulary.index_bound or DEFAULT_TRUNC
-        out = KrStructure(r, trunc, M.universe)
-        for n in range(trunc):
-            for t in M.relations.get(f"R{n}", ()):
-                out.classes[t] = n
-        for m in range(trunc):
-            for t, v in M.functions.get(f"f{m}", {}).items():
-                n = out.classes.get(t)
-                if n is not None and m < n:
-                    out.values[(m, t)] = v
-        return out
-
     def restriction(self, subset: Iterable[int]) -> "KrStructure":
         keep = set(subset)
         out = KrStructure(self.r, self.trunc, tuple(x for x in self.universe
@@ -129,26 +115,18 @@ def _independence_bound_holds(M: KrStructure) -> bool:
             or max_independent_size(M, M.r + 2) <= M.r + 1)
 
 
-def _membership(M: KrStructure, several: Sequence[tuple[int, ...]],
-                off_head: Sequence[str]) -> CheckReport:
-    """The three defining conditions of the compact form M, with witness
-    tuples on failure.  ``several`` and ``off_head`` are faults of a flat
-    form that vanish in M (see ``check_structure_membership``); each
-    fails its clause, ahead of M's own fault there."""
+def check_membership(M: KrStructure) -> CheckReport:
+    """The three defining conditions, with witness tuples on failure."""
     r = CheckReport()
     missing = [t for t in M.tuples() if t not in M.classes]
     stray = [t for t in M.classes
              if len(t) != M.r + 1 or not set(t) <= set(M.universe)]
     bad_class = [t for t, n in M.classes.items()
                  if not 0 <= n < M.trunc]
-    faults = [f"tuples in several classes {several[:3]}"] if several else []
-    if missing or stray or bad_class:
-        faults.append(f"unclassified {missing[:3]} stray {stray[:3]} "
-                      f"bad {bad_class[:3]}")
-    partition = not faults
-    r.add("kr0.partition", partition, "; ".join(faults))
+    partition = not (missing or stray or bad_class)
+    r.add("kr0.partition", partition, "" if partition else
+          f"unclassified {missing[:3]} stray {stray[:3]} bad {bad_class[:3]}")
 
-    faults = [f"{off_head[0]} must return the head"] if off_head else []
     detail = ""
     for t, n in M.classes.items():
         for m in range(n):
@@ -163,43 +141,13 @@ def _membership(M: KrStructure, several: Sequence[tuple[int, ...]],
         if n is None or m >= n:
             detail = f"stored value f{m}{t} at or above the class index"
             break
-    if detail:
-        faults.append(detail)
-    coherent = not faults
-    r.add("kr0.coherence", coherent, "; ".join(faults))
+    coherent = not detail
+    r.add("kr0.coherence", coherent, detail)
 
     r.check("kr0.independence_bound", lambda: _independence_bound_holds(M),
             f"independent subset of size {M.r + 2} found",
             guard=partition and coherent)
     return r
-
-
-def check_membership(M: KrStructure) -> CheckReport:
-    """The three defining conditions, with witness tuples on failure."""
-    return _membership(M, (), ())
-
-
-def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
-    """Membership for the flat form, by ``check_membership`` on the
-    compact form plus the two faults that vanish in the compact form: a
-    tuple in several classes (the compact form keeps the last; a tuple in
-    none stays unclassified there) and a value other than the head at or
-    above the class index (the compact form stores only the values below
-    it).  Either fault fails its clause and guards out the independence
-    clause."""
-    compact = KrStructure.from_structure(M, r)
-    classified: set[tuple[int, ...]] = set()
-    several = []
-    for n in range(compact.trunc):
-        for t in M.relations.get(f"R{n}", ()):
-            if t in classified:
-                several.append(t)
-            classified.add(t)
-    off_head = [f"f{m}{t}" for m in range(compact.trunc)
-                for t, v in M.functions.get(f"f{m}", {}).items()
-                if t in compact.classes and m >= compact.classes[t]
-                and v != t[0]]
-    return _membership(compact, several, off_head)
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +369,6 @@ class SurveyTable:
                              row["success"], row["no_amalgam"],
                              row["impossible"]])
         return buffer.getvalue()
-
-    def pretty(self) -> str:
-        lines = [f"survey r={self.r} k={self.k}"]
-        for signature in sorted(self.rows):
-            row = self.rows[signature]
-            lines.append(
-                f"  {signature}: success={row['success']} "
-                f"no_amalgam={row['no_amalgam']} impossible={row['impossible']}"
-            )
-        return "\n".join(lines)
-
-    def key_counts(self) -> dict:
-        return {sig: dict(row) for sig, row in self.rows.items()}
 
 
 def survey_k_disjoint_ap(

@@ -1,4 +1,5 @@
-"""Brute-force oracles.
+"""Brute-force oracles, and the algebra and flat-form helpers that only
+they and the tests need (the package does not carry them).
 
 Each oracle re-derives a result straight from its definition, with no
 shared shortcuts with the fast paths it certifies: independence by
@@ -11,6 +12,14 @@ stored tuple, closure by testing every function entry, embedding
 validity by mapping every tuple, and the r-dimensional closures on the
 flat form, which writes out the classes as relations and every head
 entry.  Slow on purpose and capped to desk sizes.
+
+Four definitions live here rather than in ``src/amalgam``, since only
+tests use them: ``subalgebra_elements`` (was the method
+``FiniteBooleanAlgebra.subalgebra_elements``) lists a generated
+subalgebra, ``preimage`` (was ``BAEmbedding.preimage``) pulls an element
+back along an embedding, and ``check_structure_membership`` (was in
+``amalgam.kdim``) checks membership on the flat form through
+``compact_form`` (was ``KrStructure.from_structure``).
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from amalgam.boolalg import (
     popcount,
 )
 from amalgam.k1 import check_K1, enumerate_members, is_isomorphic_k1
-from amalgam.kdim import KrStructure
+from amalgam.kdim import DEFAULT_TRUNC, KrStructure, check_membership
+from amalgam.report import CheckReport
 from amalgam.structures import (
     Embedding,
     FiniteStructure,
@@ -36,6 +46,36 @@ from amalgam.structures import (
     generate_substructure,
     indexed_names,
 )
+
+
+# ---------------------------------------------------------------------------
+# Elements of a generated subalgebra, and preimages along an embedding
+# ---------------------------------------------------------------------------
+
+
+def subalgebra_elements(B: FiniteBooleanAlgebra,
+                        gens: Iterable[int]) -> Iterator[int]:
+    """All elements of the subalgebra of B generated by ``gens``
+    (2^blocks of them)."""
+    blocks = B.subalgebra_blocks(gens)
+    for picks in itertools.product((0, 1), repeat=len(blocks)):
+        e = 0
+        for chosen, block in zip(picks, blocks):
+            if chosen:
+                e |= block
+        yield e
+
+
+def preimage(e: BAEmbedding, y: int) -> int | None:
+    """The source element ``e`` maps to y, or None if y is off the range."""
+    x = 0
+    for i, img in enumerate(e.atom_images):
+        inter = y & img
+        if inter == img:
+            x |= 1 << i
+        elif inter:
+            return None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +93,7 @@ def independence_by_all_polynomials(
     many variables (a polynomial being any nonempty set of sign patterns),
     and every element of <X> outside I."""
     ys = sorted(set(Y))
-    test = [a for a in B.subalgebra_elements(X) if a not in I]
+    test = [a for a in subalgebra_elements(B, X) if a not in I]
     for size in range(len(ys) + 1):
         for subset in itertools.combinations(ys, size):
             comps = [B.complement(y) for y in subset]
@@ -136,20 +176,21 @@ def check_pushout_order(
     a <= b in the pushout iff some element of C sits between them
     (and symmetrically)."""
     A, B, C = eA.target, eB.target, eA.source
-    D = po.algebra
     c_elements = list(C.elements())
-    a_off = [a for a in A.elements() if eA.preimage(a) is None]
-    b_off = [b for b in B.elements() if eB.preimage(b) is None]
+    a_off = [a for a in A.elements() if preimage(eA, a) is None]
+    b_off = [b for b in B.elements() if preimage(eB, b) is None]
     for a in a_off:
         ia = po.into_left(a)
         for b in b_off:
             ib = po.into_right(b)
-            below = D.le(ia, ib)
-            witness = any(A.le(a, eA(c)) and B.le(eB(c), b) for c in c_elements)
+            below = ia & ~ib == 0
+            witness = any(a & ~eA(c) == 0 and eB(c) & ~b == 0
+                          for c in c_elements)
             if below != witness:
                 return False
-            above = D.le(ib, ia)
-            witness = any(B.le(b, eB(c)) and A.le(eA(c), a) for c in c_elements)
+            above = ib & ~ia == 0
+            witness = any(b & ~eB(c) == 0 and eA(c) & ~a == 0
+                          for c in c_elements)
             if above != witness:
                 return False
     return True
@@ -387,3 +428,59 @@ def flat_form(M: KrStructure) -> FiniteStructure:
             if v is not None:
                 functions[f"f{m}"][t] = v
     return FiniteStructure(vocab, M.universe, relations, functions)
+
+
+def compact_form(M: FiniteStructure, r: int) -> KrStructure:
+    """The compact form of a flat form: each tuple in the class of the
+    last relation R_n holding it, and only the values below the class
+    index stored."""
+    trunc = M.vocabulary.index_bound or DEFAULT_TRUNC
+    out = KrStructure(r, trunc, M.universe)
+    for n in range(trunc):
+        for t in M.relations.get(f"R{n}", ()):
+            out.classes[t] = n
+    for m in range(trunc):
+        for t, v in M.functions.get(f"f{m}", {}).items():
+            n = out.classes.get(t)
+            if n is not None and m < n:
+                out.values[(m, t)] = v
+    return out
+
+
+def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
+    """Membership for the flat form, by ``check_membership`` on the
+    compact form plus the two faults that vanish in the compact form: a
+    tuple in several classes (the compact form keeps the last; a tuple in
+    none stays unclassified there) and a value other than the head at or
+    above the class index (the compact form stores only the values below
+    it).  Either fault fails its clause, ahead of the compact form's own
+    fault there, and guards out the independence clause."""
+    compact = compact_form(M, r)
+    classified: set[tuple[int, ...]] = set()
+    several = []
+    for n in range(compact.trunc):
+        for t in M.relations.get(f"R{n}", ()):
+            if t in classified:
+                several.append(t)
+            classified.add(t)
+    off_head = [f"f{m}{t}" for m in range(compact.trunc)
+                for t, v in M.functions.get(f"f{m}", {}).items()
+                if t in compact.classes and m >= compact.classes[t]
+                and v != t[0]]
+    report = check_membership(compact)
+    if not several and not off_head:
+        return report
+    flat_faults = {
+        "kr0.partition": [f"tuples in several classes {several[:3]}"]
+        if several else [],
+        "kr0.coherence": [f"{off_head[0]} must return the head"]
+        if off_head else [],
+    }
+    out = CheckReport()
+    for item in report.items:
+        if item.key not in flat_faults:
+            out.skip(item.key)
+            continue
+        faults = flat_faults[item.key] + ([] if item.passed else [item.detail])
+        out.add(item.key, not faults, "; ".join(faults))
+    return out

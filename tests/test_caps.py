@@ -37,7 +37,6 @@ from amalgam.k1.p1 import (
     _signature_blocks,
     independent_from_mod_atomic,
     materialize,
-    zero_atomic_minterms_nonzero,
 )
 from amalgam.structures import FiniteStructure, Vocabulary, generate_substructure
 
@@ -161,9 +160,6 @@ SITES = {
     "p1.independent_from_mod_atomic": (
         "INDEPENDENCE_CAP", lambda: independent_from_mod_atomic(
             entangled_family(INDEPENDENCE_CAP + 1), [])),
-    "p1.zero_atomic_minterms_nonzero": (
-        "INDEPENDENCE_CAP", lambda: zero_atomic_minterms_nonzero(
-            CTX, entangled_family(INDEPENDENCE_CAP + 1))),
     "boolalg.is_independent_mod_ideal": (
         "INDEPENDENCE_CAP", lambda: is_independent_mod_ideal(
             B16, range(1, INDEPENDENCE_CAP + 2), [], PrincipalIdeal(B16, 0))),

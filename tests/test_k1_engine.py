@@ -268,6 +268,18 @@ def test_picks_of_unequal_length_never_match():
     assert k1_position_valid(A, B, (A.p0[0],), (B.p0[0],))
 
 
+def test_a_repeated_pick_never_matches():
+    A = build_member(2, 1, 0, trunc=4)
+    B = build_member(2, 1, 0, trunc=4, start_id=50)
+    assert A.p0 == (0, 1) and B.p0 == (50, 51)
+    assert k1_position_valid(A, B, (0, 0), (50, 51)) is False
+    assert k1_position_valid(B, A, (50, 51), (0, 0)) is False
+    assert k1_position_valid(A, B, (0, 1), (50, 50)) is False
+    assert k1_position_valid(B, A, (50, 50), (0, 1)) is False
+    assert k1_position_valid(A, B, (0, 1), (50, 51))
+    assert k1_position_valid(B, A, (50, 51), (0, 1))
+
+
 def test_positions_refuse_named_generators():
     M = build_member(1, 1, 0, trunc=3)
     g = max(M.all_ids()) + 1

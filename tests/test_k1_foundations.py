@@ -38,7 +38,6 @@ from amalgam.k1.p1 import (
     point_blocks,
     spans_generator,
     subalgebra_contains,
-    zero_atomic_minterms_nonzero,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,8 +178,11 @@ def flat_minterms_nonzero(ctx, Y):
     return True
 
 
-def test_zero_atomic_minterms_match_flat_algebra():
-    rng = random.Random(1618)
+def test_independence_makes_every_signed_minterm_nonzero():
+    """The test elements of independence modulo the atomic ideal include
+    1, which lies outside that ideal, so a family independent from any X
+    has no zero signed minterm; ``k0.tail_free`` relies on it."""
+    rng, x_rng = random.Random(1618), random.Random(1619)
     outcomes = set()
     for _ in range(400):
         ctx = P1Context(tuple(range(rng.randint(0, 2))))
@@ -188,41 +190,12 @@ def test_zero_atomic_minterms_match_flat_algebra():
                   for _ in range(rng.randint(0, 4))]
         if family and rng.random() < 0.2:
             family.append(rng.choice(family))
-        want = flat_minterms_nonzero(ctx, family)
-        assert zero_atomic_minterms_nonzero(ctx, family) == want
-        outcomes.add(want)
+        X = [random_element(x_rng, ctx, [10, 11, 12, 13])
+             for _ in range(x_rng.randint(0, 2))]
+        independent = independent_from_mod_atomic(family, X)
+        assert not independent or flat_minterms_nonzero(ctx, family)
+        outcomes.add(independent)
     assert outcomes == {True, False}
-    # a zero all-negative free minterm is rescued by the atoms exactly when
-    # the family is one support component
-    g, h = var(10), var(11)
-    lone = ([P1Element(0, ONE)],
-            [P1Element(0, g), P1Element(0, disj(neg(g), h))])
-    split = ([P1Element(0, ONE), P1Element(0, h)],)
-    for atoms in ((), (0,)):
-        ctx = P1Context(atoms)
-        for family in lone + split:
-            want = flat_minterms_nonzero(ctx, family)
-            assert zero_atomic_minterms_nonzero(ctx, family) == want
-            assert want == (bool(atoms) and family in lone)
-    # support components of one function: nonconstant (skipped unrefined),
-    # constant, and next to a component that fails
-    k = var(12)
-    h_xor_k = disj(conj(h, neg(k)), conj(neg(h), k))
-    families = [
-        ((), [g], True),
-        ((0,), [g], True),
-        ((), [ONE], False),
-        ((0,), [ONE], True),
-        ((0,), [ZERO], False),
-        ((0,), [g, ZERO], False),
-        ((0,), [g, h, neg(h)], False),
-        ((0,), [g, h, h_xor_k], True),
-    ]
-    for atoms, fns, want in families:
-        ctx = P1Context(atoms)
-        family = [P1Element(0, fn) for fn in fns]
-        assert flat_minterms_nonzero(ctx, family) == want
-        assert zero_atomic_minterms_nonzero(ctx, family) == want
 
 
 def test_subalgebra_contains_matches_flat_blocks():
@@ -298,7 +271,7 @@ def test_point_blocks_partition():
     # blocks are pairwise disjoint and cover the top
     atomic_total = 0
     for b in blocks:
-        assert not b.is_zero
+        assert b.atomic or not b.free.is_zero
         atomic_total |= b.atomic
     assert atomic_total == ctx.full_mask
 
@@ -316,7 +289,7 @@ def test_minimal_model_passes_both_checks():
 
 def test_minimal_model_b_star_is_zero():
     m = minimal_model()
-    assert m.witness.b_star.is_zero
+    assert m.witness.b_star.atomic == 0 and m.witness.b_star.free.is_zero
     assert len(m.atom_ids) == 0
 
 

@@ -14,12 +14,9 @@ from amalgam.k1 import (
     check_free_extension,
 )
 from amalgam.k1.freepart import conj, var
-from amalgam.k1.ops import (
-    adjoin_trace_element,
-    check_good_sequence,
-    extend_with_names,
-)
+from amalgam.k1.ops import adjoin_trace_element, check_good_sequence
 from amalgam.k1.p1 import BOTTOM, P1Element
+from k1_fixtures import extend_with_names
 
 TRUNC = 4
 

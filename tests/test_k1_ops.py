@@ -20,12 +20,14 @@ from amalgam.k1.ops import (
     adjoin_trace_element,
     amalgamate_free,
     check_good_sequence,
-    derive_free_witness,
-    derive_pair_witness,
-    extend_with_names,
     label_good_sequence,
 )
 from amalgam.k1.p1 import P1Element
+from k1_fixtures import (
+    derive_free_witness,
+    derive_pair_witness,
+    extend_with_names,
+)
 
 
 TRUNC = 4

@@ -14,7 +14,6 @@ from amalgam.kdim import (
     KConfiguration,
     KrStructure,
     check_membership,
-    check_structure_membership,
     closure,
     completion_solutions,
     frugal_amalgamate,
@@ -26,7 +25,7 @@ from amalgam.kdim import (
 )
 from amalgam.report import CheckReport
 from amalgam.structures import generate_substructure
-from oracles import flat_form
+from oracles import check_structure_membership, flat_form
 
 TRUNC = 4
 
@@ -174,7 +173,7 @@ def test_survey_matches_exhaustive_oracle():
                                 class_cap=2)
     slow = survey_k_disjoint_ap(1, 2, 3, budget=25, trunc=TRUNC, seed=42,
                                 class_cap=2, solver=oracle_solver)
-    assert fast.key_counts() == slow.key_counts()
+    assert fast.rows == slow.rows
     assert sum(sum(row.values()) for row in fast.rows.values()) == 25
 
 
@@ -182,7 +181,7 @@ def test_survey_deterministic_and_serializable():
     a = survey_k_disjoint_ap(1, 2, 3, budget=10, trunc=TRUNC, seed=7)
     b = survey_k_disjoint_ap(1, 2, 3, budget=10, trunc=TRUNC, seed=7)
     assert a.to_csv() == b.to_csv()
-    assert "survey r=1 k=2" in a.pretty()
+    assert a.rows == b.rows
 
 
 def test_overlap_pattern_changes_outcome_shape():

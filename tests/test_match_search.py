@@ -34,6 +34,7 @@ from amalgam.k1.embeddings import (
 )
 from amalgam.k1.engine import build_generic_k1, k1_class
 from amalgam.k1.freepart import (
+    ONE,
     _expand,
     _reduce,
     conj,
@@ -45,6 +46,7 @@ from amalgam.k1.freepart import (
 from amalgam.k1.ops import _principal_points
 from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
+from k1_fixtures import comp, meet
 
 TRUNC = 6
 
@@ -290,9 +292,9 @@ def test_signature_blocks_equal_per_point_partition(k1_head_chain):
 def signed_meet(ctx, images, v):
     """The block with sign vector v over ``images``, one meet per value:
     how the amalgamation placed its atoms before ``_principal_points``."""
-    out = ctx.top
+    out = P1Element(ctx.full_mask, ONE)
     for i, element in enumerate(images):
-        out = ctx.meet(out, element if v >> i & 1 else ctx.comp(element))
+        out = meet(out, element if v >> i & 1 else comp(ctx, element))
     return out
 
 
@@ -578,10 +580,10 @@ def test_general_path_agrees_with_simple_path(k1_head_chain):
 def classify(ctx, values, pattern):
     """Zero, nonzero purely atomic, or with free content: the signed meet
     of ``values`` under the sign ``pattern``."""
-    m = ctx.top
+    m = P1Element(ctx.full_mask, ONE)
     for i, x in enumerate(values):
-        m = ctx.meet(m, x if pattern >> i & 1 else ctx.comp(x))
-    if m.is_zero:
+        m = meet(m, x if pattern >> i & 1 else comp(ctx, x))
+    if m.atomic == 0 and m.free.is_zero:
         return "zero"
     return "atomic" if m.free.is_zero else "free"
 

@@ -1,50 +1,93 @@
 """No definition without a caller: every function, class and method
 defined in ``src/amalgam`` (dunders exempt) is named in code somewhere in
-the Python files under ``src/``, ``tests/`` or ``perfbench/``.  A name
-counts where the syntax tree uses it: a name or attribute in an
-expression, an imported name, or a string constant spelling a dotted
-identifier (``"conj_many"``, ``"FiniteStructure.restrict"``: the
-functions a probe table wraps by name).  Prose in comments and
-docstrings does not count.  No import without a use: every name a module
-under ``src/amalgam``, ``tests/`` or ``perfbench/`` imports is read in
-that module, unless the import line is marked ``# noqa: F401`` (a
-re-export).  No local without a read: every name a function of
-``src/amalgam`` binds is read somewhere in that function (names starting
-with ``_`` are exempt; tests are not scanned, since they unpack on
-purpose).  No field without a read: every annotated class field of
-``src/amalgam`` is read as an attribute (``x.field`` in a load, not a
-store) somewhere under ``src/``, ``tests/`` or ``perfbench/``, and a
-field whose name other receivers also read (a builtin container method
-such as ``items``, a method name defined in the package such as ``key``,
-or a field name two or more package classes declare, such as
-``universe``) is listed in ``SHARED_FIELDS`` with the readers on its own
-receivers.  No
-method name shared without a reason: a name counts as used wherever it
-is read, whatever the receiver, so one class's caller hides another
-class's uncalled method of the same name; every method name that two or
-more classes of ``src/amalgam`` define is listed in ``SHARED_METHODS``
-with the reason each definition is kept."""
+the Python files under ``src/`` or ``perfbench/``, or is an entry point
+listed in ``PUBLIC``.  A use in a test is no caller: what only tests
+reach lives under ``tests/`` (the oracles in ``tests/oracles.py``, the k1
+chain builders in ``tests/k1_fixtures.py``).  ``PUBLIC`` lists the entry
+points that only tests call today, as ``module.name`` relative to
+``amalgam``; an entry that names no definition of its module, or whose
+name ``src/`` or ``perfbench/`` already uses, fails, so an entry leaves
+the list once the package calls it.  A name counts where the syntax tree
+uses it: a name or attribute read in an expression (a local or attribute
+bound under that name is no use), an imported name, or a string constant
+spelling a dotted identifier (``"conj_many"``,
+``"FiniteStructure.restrict"``: the functions a probe table wraps by
+name).  Prose in comments and docstrings does not count.  No import
+without a use: every name a module under ``src/amalgam``, ``tests/`` or
+``perfbench/`` imports is read in that module, unless the import line is
+marked ``# noqa: F401`` (a re-export).  No local without a read: every
+name a function of ``src/amalgam`` binds is read somewhere in that
+function (names starting with ``_`` are exempt; tests are not scanned,
+since they unpack on purpose).  No field without a read: every annotated
+class field of ``src/amalgam`` is read as an attribute (``x.field`` in a
+load, not a store) somewhere under ``src/``, ``tests/`` or
+``perfbench/``, and a field whose name other receivers also read (a
+builtin container method such as ``items``, a method name defined in the
+package such as ``key``, or a field name two or more package classes
+declare, such as ``universe``) is listed in ``SHARED_FIELDS`` with the
+readers on its own receivers.  No method name shared without a reason: a
+name counts as used wherever it is read, whatever the receiver, so one
+class's caller hides another class's uncalled method of the same name;
+every method name that two or more classes of ``src/amalgam`` define is
+listed in ``SHARED_METHODS`` with the reason each definition is kept."""
 
 import ast
+import functools
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amalgam"
-SEARCHED = ("src", "tests", "perfbench")
+CALLERS = ("src", "perfbench")
+SEARCHED = CALLERS + ("tests",)
 LINTED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+# The entry points that only tests call.
+PUBLIC = (
+    "backends.graph_class",
+    "backends.separable",
+    "boolalg.pushout",
+    "boolalg.pushout_independence",
+    "fraisse.check_jep",
+    "fraisse.check_disjoint_ap",
+    "fraisse.richness_defect",
+    "k1.engine.k1_position_valid",
+    "k1.ops.adjoin_trace_element",
+    "k1.ops.label_good_sequence",
+    "kdim.completion_solutions",
+    "serialize.dumps_canonical",
+    "serialize.structure_to_dict",
+    "serialize.structure_from_dict",
+)
 
-def _definitions() -> list[tuple[str, str]]:
-    """(module path, name) of every def and class in the package."""
-    out = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+
+@functools.cache
+def _trees() -> dict[str, ast.AST]:
+    """Every Python file under ``SEARCHED``, parsed, by its path from the
+    root."""
+    return {str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
+            for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def _package_trees() -> list[ast.AST]:
+    return [tree for path, tree in _trees().items()
+            if path.startswith("src/amalgam/")]
+
+
+def _definitions(trees) -> list[tuple[str, str]]:
+    """(path, name) of every def and class in the package files of
+    ``trees``."""
+    return [(path, node.name) for path, tree in trees.items()
+            if path.startswith("src/amalgam/") for node in ast.walk(tree)
             if isinstance(node, DEFINITIONS) and not (
-                    node.name.startswith("__") and node.name.endswith("__")):
-                out.append((str(path.relative_to(ROOT)), node.name))
-    return out
+                node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _entry(path: str, name: str) -> str:
+    """The ``PUBLIC`` spelling of definition ``name`` in file ``path``."""
+    module = path.removeprefix("src/amalgam/").removesuffix(".py")
+    return f"{module.replace('/', '.')}.{name}"
 
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -54,9 +97,10 @@ def _names_used(tree: ast.AST) -> set[str]:
     """Identifiers the code of ``tree`` uses, definitions excluded."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.update(node.name.split("."))
@@ -66,21 +110,66 @@ def _names_used(tree: ast.AST) -> set[str]:
     return used
 
 
-def _all_names_used() -> set[str]:
-    used = set()
-    for top in SEARCHED:
-        for path in (ROOT / top).rglob("*.py"):
-            used |= _names_used(ast.parse(path.read_text(), str(path)))
-    return used
+def _names_callers_use(trees) -> set[str]:
+    """Identifiers the files of ``trees`` under ``CALLERS`` use."""
+    return set().union(*(_names_used(tree) for path, tree in trees.items()
+                         if path.split("/")[0] in CALLERS))
+
+
+def _unreached(trees, public) -> list[str]:
+    """Definitions of the package that no caller names and ``public``
+    does not list."""
+    used = _names_callers_use(trees)
+    return sorted(f"{path}: {name}" for path, name in _definitions(trees)
+                  if name not in used and _entry(path, name) not in public)
+
+
+def _public_faults(trees, public) -> list[str]:
+    """Entries of ``public`` that name no definition of the package, or
+    whose name a caller already uses."""
+    defined = {_entry(path, name) for path, name in _definitions(trees)}
+    used = _names_callers_use(trees)
+    faults = []
+    for entry in public:
+        if entry not in defined:
+            faults.append(f"{entry}: names no definition")
+        elif entry.rsplit(".", 1)[1] in used:
+            faults.append(f"{entry}: src/ or perfbench/ names it")
+    return faults
 
 
 def test_every_definition_is_named_elsewhere():
-    definitions = _definitions()
-    assert len(definitions) > 100, "the scan found too few definitions"
-    used = _all_names_used()
-    dead = sorted(f"{path}: {name}" for path, name in definitions
-                  if name not in used)
+    assert len(_definitions(_trees())) > 100, \
+        "the scan found too few definitions"
+    dead = _unreached(_trees(), PUBLIC)
     assert not dead, "defined but never named elsewhere:\n" + "\n".join(dead)
+
+
+def test_every_public_entry_is_an_uncalled_definition():
+    faults = _public_faults(_trees(), PUBLIC)
+    assert not faults, "stale PUBLIC entries:\n" + "\n".join(faults)
+
+
+def test_a_definition_only_a_test_names_is_caught():
+    trees = dict(_trees())
+    trees["src/amalgam/planted.py"] = ast.parse(
+        'def orphan():\n'
+        '    return 1\n')
+    trees["tests/test_planted.py"] = ast.parse(
+        'from amalgam.planted import orphan\n'
+        'def test_orphan():\n'
+        '    assert orphan() == 1\n')
+    assert _unreached(trees, PUBLIC) == ["src/amalgam/planted.py: orphan"]
+    assert _unreached(trees, PUBLIC + ("planted.orphan",)) == []
+
+
+def test_a_stale_public_entry_is_caught():
+    public = PUBLIC + ("boolalg.no_such_function", "kdim.pushout",
+                       "kdim.check_membership")
+    assert _public_faults(_trees(), public) == [
+        "boolalg.no_such_function: names no definition",
+        "kdim.pushout: names no definition",
+        "kdim.check_membership: src/ or perfbench/ names it"]
 
 
 def test_prose_is_not_a_use():
@@ -95,6 +184,15 @@ def test_prose_is_not_a_use():
     assert "orphan" not in used
     assert {"conj_many", "FiniteStructure", "restrict", "amalgam", "k1",
             "freepart", "neg", "fp", "x"} <= used
+
+
+def test_a_binding_is_not_a_use():
+    used = _names_used(ast.parse(
+        'def bind(M):\n'
+        '    comp, M.grow = 1, 2\n'
+        '    return M.size\n'))
+    assert "comp" not in used and "grow" not in used
+    assert {"M", "size"} <= used
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -182,23 +280,11 @@ SHARED_METHODS = {
         "K1Structure": "equality and hashing of k1 members, and the k1 "
                        "digests",
     },
-    "is_zero": {
-        "FreeFn": "the zero test of the free factor, read throughout k1",
-        "P1Element": "the zero test of a whole element; only tests read it "
-                     "(test_k1_foundations, test_match_search)",
-    },
     "key": {
         "Embedding": "the task key of the plain-structure classes in "
                      "fraisse.build_generic",
         "MatchEmbedding": "the task key of the witnessed class in "
                           "fraisse.build_generic",
-    },
-    "le": {
-        "FiniteBooleanAlgebra": "the order of a finite Boolean algebra; only "
-                                "the pushout oracles in tests/oracles.py "
-                                "read it",
-        "P1Context": "the order of the k1 element algebra; "
-                     "K1Structure.trace calls it",
     },
     "make": {
         "FreeExtensionWitness": "the normalising constructor that "
@@ -221,8 +307,6 @@ SHARED_METHODS = {
                                 "and perfbench read it",
         "K1Generic": "the top of the approximation; perfbench's k1 "
                      "workloads read it",
-        "P1Context": "the top element of the k1 element algebra; only tests "
-                     "read it (test_match_search)",
     },
     "validate": {
         "Embedding": "Embedding.is_valid calls it",
@@ -255,11 +339,6 @@ def _unexplained_shares(owners, table) -> list[str]:
             f"listed for {sorted(table.get(name, {}))}"
             for name in sorted(set(owners) | set(table))
             if owners.get(name, set()) != set(table.get(name, {}))]
-
-
-def _package_trees() -> list[ast.AST]:
-    return [ast.parse(path.read_text(), str(path))
-            for path in sorted(PACKAGE.rglob("*.py"))]
 
 
 def test_every_shared_method_name_has_a_reason():
@@ -372,9 +451,10 @@ SHARED_FIELDS = {
     "p0_map": {
         "MatchEmbedding": "MatchEmbedding.p0 and MatchEmbedding.key read "
                           "self.p0_map",
-        "TransportMap": "only tests read it: test_k1_ops checks that "
-                        "small_embedding.p0_map sends each designated atom "
-                        "of N2 to its image in the amalgam",
+        "TransportMap": "the P0 part of AmalgamResult.small_embedding, the "
+                        "embedding of N2 that ops.amalgamate_free returns; "
+                        "without it that embedding would not say where "
+                        "N2's P0 ids go (test_k1_ops reads it)",
     },
     "p2": {
         "K1Structure": "K1Structure.size reads self.p2",
@@ -421,7 +501,7 @@ SHARED_FIELDS = {
                        "read M.universe",
     },
     "values": {
-        "KrStructure": "kdim._membership and kdim.witness_form read "
+        "KrStructure": "kdim.check_membership and kdim.witness_form read "
                        "M.values",
     },
     "witness": {
@@ -454,14 +534,10 @@ def _shadowed_fields(trees) -> dict[str, set[str]]:
 
 
 def test_every_field_is_read():
-    read = set()
-    for top in SEARCHED:
-        for path in (ROOT / top).rglob("*.py"):
-            read |= _attributes_read(ast.parse(path.read_text(), str(path)))
-    unread = [f"{path.relative_to(ROOT)}: {name}"
-              for path in sorted(PACKAGE.rglob("*.py"))
-              for name in _unread_fields(
-                  ast.parse(path.read_text(), str(path)), read)]
+    read = set().union(*map(_attributes_read, _trees().values()))
+    unread = [f"{path}: {name}" for path, tree in _trees().items()
+              if path.startswith("src/amalgam/")
+              for name in _unread_fields(tree, read)]
     assert not unread, "a field no code reads:\n" + "\n".join(unread)
     unexplained = _unexplained_shares(_shadowed_fields(_package_trees()),
                                       SHARED_FIELDS)
