@@ -207,9 +207,10 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     One ``search.backtrack`` over one map (P0 and P2 ids share one id
     space): the free P2 slots first, then the free P0 slots.
     ``touching`` keeps only the embeddings with some P0 or P2 image in
-    it, by the pin rule of ``backtrack``.
+    it, by the pin rule of ``backtrack``.  Members of different
+    truncations have no embedding, as ``is_valid_match`` decides.
     """
-    if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2):
+    if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2) or A.trunc != B.trunc:
         return []
     fixed = {**(fixed_p0 or {}), **(fixed_p2 or {})}
     free_p2 = [c for c in A.p2 if c not in fixed]

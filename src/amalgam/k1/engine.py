@@ -136,12 +136,12 @@ def build_generic_k1(
     """Run the scheduling loop with the witnessed-class hooks, composing a
     free-over-minimal witness along the chain.
 
-    The default task fragment is tail-only (threshold 0 members).  At
-    bound 3 it saturates: after 200 steps (trunc 6, seed 0) the top has
-    no richness defect, as ``test_generic_saturates_at_bound_3`` asserts.
-    At bound 4 the ledger drains (trunc 6, seeds 0-3: after 10,143 to
-    21,798 steps), leaving a top with no richness defect, as
-    ``test_tail_ledger_drains_at_bound_4`` asserts for seed 2.
+    The default task fragment is tail-only (threshold 0 members).  Its
+    ledger drains, leaving a top with no richness defect: at bound 3
+    (trunc 6, seeds 0-3) after 195, 349, 349 and 264 steps, and at
+    bound 4 (trunc 6, seeds 0-3) after 10,143 to 21,798 steps.
+    ``test_tail_ledger_drains`` asserts this for bound 3 at seeds 0-3
+    and for bound 4 at seed 2.
     Head-carrying fragments (max_n_star >= 1) pose pair-specific demands
     whose count grows with the approximation, so they converge only in
     the ledger sense, never to an empty defect list at a finite stage.

@@ -12,6 +12,7 @@ cost of an operation is 2^(joint support), never 2^(all generators).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from ..errors import WINDOW_CAP, CapExceeded
@@ -48,7 +49,11 @@ ZERO = FreeFn((), 0)
 ONE = FreeFn((), 1)
 
 
+@lru_cache(maxsize=4096)
 def var(g: int) -> FreeFn:
+    """The generator ``g`` as a function.  Values are shared: while ``g``
+    is among the 4,096 generators most recently asked for, every call
+    returns the same (frozen) ``FreeFn``."""
     return FreeFn((g,), 0b10)
 
 
@@ -56,7 +61,12 @@ def _expand(table: int, variables: tuple[int, ...],
             joint: tuple[int, ...]) -> int:
     """A truth table over ``variables`` (bit i of a pattern is
     variables[i]) as a truth table over the sorted ``joint``, which holds
-    every variable."""
+    every variable.  A constant table and a table already over ``joint``
+    need no walk over the points."""
+    if not variables:
+        return (1 << (1 << len(joint))) - 1 if table else 0
+    if variables == joint:
+        return table
     positions = [joint.index(g) for g in variables]
     out = 0
     for p in range(1 << len(joint)):

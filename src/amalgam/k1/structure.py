@@ -11,7 +11,7 @@ extensions transport elements by explicit maps instead of re-indexing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .freepart import ZERO, var
@@ -34,6 +34,16 @@ class K1Witness:
 
 @dataclass
 class K1Structure:
+    """A truncated tau-structure.
+
+    ``ctx``, the ``P1Context`` of the designated-atom inventory, is
+    derived from ``atom_ids`` alone and built once: it is kept in
+    ``_ctx`` with the ``atom_ids`` tuple it was built from, and rebinding
+    ``atom_ids`` rebuilds it on the next read.  The other fields may be
+    rebound or mutated freely.  ``_ctx`` takes no part in equality,
+    hashing, repr or ``copy``.
+    """
+
     trunc: int
     p0: tuple[int, ...]
     p2: tuple[int, ...]
@@ -43,10 +53,16 @@ class K1Structure:
     f: dict[tuple[int, int], P1Element]
     witness: Optional[K1Witness] = None
     named_gens: tuple[int, ...] = ()
+    _ctx: tuple = field(default=(None, None), init=False, repr=False,
+                        compare=False)
 
     @property
     def ctx(self) -> P1Context:
-        return P1Context(tuple(sorted(self.atom_ids)))
+        atom_ids, ctx = self._ctx
+        if atom_ids is not self.atom_ids:
+            ctx = P1Context(tuple(sorted(self.atom_ids)))
+            self._ctx = (self.atom_ids, ctx)
+        return ctx
 
     @property
     def size(self) -> int:

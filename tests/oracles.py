@@ -2,16 +2,17 @@
 they and the tests need (the package does not carry them).
 
 Each oracle re-derives a result straight from its definition, with no
-shared shortcuts with the fast paths it certifies: independence by
-quantifying over all nonzero Boolean polynomials, pushout laws by
-projecting atoms through the raw embedding images and enumerating
-homomorphism pairs, bases by trying every subset, the corpus by
-comparing every pair of members, game positions by searching for an
-embedding of the generated substructures, restriction by filtering every
-stored tuple, closure by testing every function entry, embedding
-validity by mapping every tuple, and the r-dimensional closures on the
-flat form, which writes out the classes as relations and every head
-entry.  Slow on purpose and capped to desk sizes.
+shared shortcuts with the fast paths it certifies: truth-table
+expansion by evaluating the function at every window point,
+independence by quantifying over all nonzero Boolean polynomials,
+pushout laws by projecting atoms through the raw embedding images and
+enumerating homomorphism pairs, bases by trying every subset, the
+corpus by comparing every pair of members, game positions by searching
+for an embedding of the generated substructures, restriction by
+filtering every stored tuple, closure by testing every function entry,
+embedding validity by mapping every tuple, and the r-dimensional
+closures on the flat form, which writes out the classes as relations
+and every head entry.  Slow on purpose and capped to desk sizes.
 
 Four definitions live here rather than in ``src/amalgam``, since only
 tests use them: ``subalgebra_elements`` (was the method
@@ -35,7 +36,7 @@ from amalgam.boolalg import (
     bits,
     popcount,
 )
-from amalgam.k1 import check_K1, enumerate_members, is_isomorphic_k1
+from amalgam.k1 import FreeFn, check_K1, enumerate_members, is_isomorphic_k1
 from amalgam.kdim import DEFAULT_TRUNC, KrStructure, check_membership
 from amalgam.report import CheckReport
 from amalgam.structures import (
@@ -76,6 +77,26 @@ def preimage(e: BAEmbedding, y: int) -> int | None:
         elif inter:
             return None
     return x
+
+
+# ---------------------------------------------------------------------------
+# Truth-table expansion point by point
+# ---------------------------------------------------------------------------
+
+
+def expand_by_evaluation(table: int, variables: tuple[int, ...],
+                         joint: tuple[int, ...]) -> int:
+    """``freepart._expand`` from its definition: bit p of the result is
+    the value, read by ``FreeFn.evaluate``, of the table over
+    ``variables`` (in that order) at the point p of the window ``joint``
+    (bit j of p is joint[j])."""
+    fn = FreeFn(tuple(range(len(variables))), table)
+    out = 0
+    for p in range(1 << len(joint)):
+        point = {g: p >> j & 1 for j, g in enumerate(joint)}
+        if fn.evaluate({i: point[g] for i, g in enumerate(variables)}):
+            out |= 1 << p
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,16 @@ def test_generic_deterministic_per_seed():
         [t.to_dict() for t in b.approximation.tasks]
 
 
-def test_tail_ledger_drains_at_bound_4():
-    g = build_generic_k1(steps=50_000, bound=4, trunc=6, seed=2)
+@pytest.mark.parametrize("bound, seed",
+                         [(4, 2)] + [(3, seed) for seed in range(4)])
+def test_tail_ledger_drains(bound, seed):
+    g = build_generic_k1(steps=50_000, bound=bound, trunc=6, seed=seed)
     tasks = g.approximation.tasks
     # the loop stopped because the ledger drained, not on the step budget
     assert g.approximation.steps_run == len(tasks) < 50_000
     assert all(t.status != "pending" and t.resolved_at is not None
                for t in tasks)
-    assert richness_defect(g.top, k1_class(6, 0), 4) == []
+    assert richness_defect(g.top, k1_class(6, 0), bound) == []
 
 
 def test_two_defect_free_runs_play_the_game():

@@ -26,6 +26,7 @@ from amalgam.k1.engine import corpus
 from amalgam.k1.freepart import (
     ONE,
     ZERO,
+    _expand,
     _reduce,
     conj,
     disj,
@@ -39,6 +40,7 @@ from amalgam.k1.p1 import (
     spans_generator,
     subalgebra_contains,
 )
+from oracles import expand_by_evaluation
 
 # ---------------------------------------------------------------------------
 # sparse Boolean functions
@@ -77,6 +79,7 @@ def test_freefn_ops_match_truth_sets(data):
 
 def test_freefn_canonical_equality():
     g = var(5)
+    assert var(5) is g
     assert conj(g, ONE) == g
     assert disj(g, ZERO) == g
     assert conj(g, neg(g)) == ZERO
@@ -105,6 +108,38 @@ def test_freefn_rename_reversing_the_support_agrees_with_evaluate():
             point = dict(zip(fn.support, bits))
             assert renamed.evaluate({mapping[g]: v for g, v in point.items()}) \
                 == fn.evaluate(point)
+
+
+def expand_mismatches(expand):
+    """The (table, variables, window) cases on which ``expand`` differs
+    from the pointwise oracle: windows of 0-6 generators, with empty
+    supports, the whole window and proper sub-supports, each sorted and
+    in a random order (as ``rename`` passes them), and the constant, the
+    full and a random table over each."""
+    rng = random.Random(29)
+    bad = []
+    for width in range(7):
+        joint = tuple(sorted(rng.sample(range(20), width)))
+        for size in range(width + 1):
+            for _ in range(3):
+                sub = tuple(rng.sample(joint, size))
+                for variables in (tuple(sorted(sub)), sub):
+                    for table in (0, (1 << (1 << size)) - 1,
+                                  rng.getrandbits(1 << size)):
+                        if expand(table, variables, joint) != \
+                                expand_by_evaluation(table, variables, joint):
+                            bad.append((table, variables, joint))
+    return bad
+
+
+def test_expand_matches_pointwise_evaluation():
+    assert expand_mismatches(_expand) == []
+
+    def planted(table, variables, joint):
+        # a constant table returned unexpanded
+        return table if not variables else _expand(table, variables, joint)
+
+    assert expand_mismatches(planted) != []
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +326,16 @@ def test_minimal_model_b_star_is_zero():
     m = minimal_model()
     assert m.witness.b_star.atomic == 0 and m.witness.b_star.free.is_zero
     assert len(m.atom_ids) == 0
+
+
+def test_ctx_follows_a_rebound_atom_inventory():
+    M = build_member(2, 1, 0, trunc=4)
+    assert M.ctx is M.ctx
+    assert M.ctx.atom_ids == tuple(sorted(M.atom_ids))
+    extra = max(M.all_ids()) + 1
+    M.atom_ids = (extra,) + M.atom_ids
+    assert M.ctx.atom_ids == tuple(sorted(M.atom_ids))
+    assert M.ctx.b_star.atomic >> extra & 1
 
 
 def test_built_members_pass_checks():

@@ -23,7 +23,10 @@ from amalgam.fraisse import (
 )
 from amalgam.k1 import (
     K1Structure,
+    MatchEmbedding,
+    build_member,
     enumerate_matches,
+    extend_match,
     is_valid_match,
     minimal_model,
 )
@@ -157,6 +160,20 @@ def test_no_free_slot_yields_only_touching_embeddings():
     M = k1_class(TRUNC, 1).members(3)[-1]
     assert enumerate_matches(m, M) != []
     assert enumerate_matches(m, M, touching=set(M.p0)) == []
+
+
+def test_members_of_different_truncations_have_no_match():
+    # B's value table ends before A's, in either argument order
+    A = build_member(1, 1, 0, trunc=6)
+    B = build_member(1, 1, 0, trunc=4, start_id=50)
+    assert enumerate_matches(A, B) == []
+    assert enumerate_matches(B, A) == []
+    inclusion = MatchEmbedding(((A.p0[0], A.p0[0]),), ())
+    f = MatchEmbedding(((A.p0[0], B.p0[0]),), ())
+    assert extend_match(A, B, inclusion, f, first_only=False) == []
+    inclusion = MatchEmbedding(((B.p0[0], B.p0[0]),), ())
+    f = MatchEmbedding(((B.p0[0], A.p0[0]),), ())
+    assert extend_match(B, A, inclusion, f, first_only=False) == []
 
 
 # ---------------------------------------------------------------------------
