@@ -11,6 +11,13 @@ independent subset of size r+2 under subalgebra closure.  That last clause
 is searched only on universes of at least r+2 elements, and each search
 builds the witness form once (``witness_form``: the stored values alone,
 as partial functions f_m) and takes every closure on it.
+
+Independence is hereditary: the closure is monotone, so if y lies outside
+cl(Y minus y) it lies outside the closure of every smaller set of the
+others, and every subset of an independent set is independent.  The
+search therefore runs top-down, from the largest size allowed to the
+first size with an independent subset, and a search that finds an
+independent triple takes no closure of the empty set or of a point.
 """
 
 from __future__ import annotations
@@ -97,15 +104,18 @@ def is_independent(form: FiniteStructure, Y: Sequence[int]) -> bool:
 
 def max_independent_size(M: KrStructure, limit: int) -> int:
     """Largest size up to ``limit`` of an independent subset, by
-    exhaustive subset search over one witness form of M."""
+    exhaustive subset search over one witness form of M.
+
+    Sizes are tried from ``min(limit, len(M.universe))`` down, and the
+    first size with an independent subset is the answer (0 if none).
+    Since every subset of an independent set is independent, this equals
+    the upward search that stops at the first size with none."""
     form = witness_form(M)
-    best = 0
-    for size in range(1, limit + 1):
-        if not any(is_independent(form, Y)
-                   for Y in itertools.combinations(M.universe, size)):
-            break
-        best = size
-    return best
+    for size in range(min(limit, len(M.universe)), 0, -1):
+        if any(is_independent(form, Y)
+               for Y in itertools.combinations(M.universe, size)):
+            return size
+    return 0
 
 
 def _independence_bound_holds(M: KrStructure) -> bool:
@@ -116,11 +126,18 @@ def _independence_bound_holds(M: KrStructure) -> bool:
 
 
 def check_membership(M: KrStructure) -> CheckReport:
-    """The three defining conditions, with witness tuples on failure."""
+    """The three defining conditions, with witness tuples on failure.
+
+    With no stray tuple the classified tuples lie among the
+    |universe|^(r+1) tuples, so they cover them exactly when they are as
+    many; only otherwise are the tuples walked for the unclassified."""
     r = CheckReport()
-    missing = [t for t in M.tuples() if t not in M.classes]
+    elements = set(M.universe)
     stray = [t for t in M.classes
-             if len(t) != M.r + 1 or not set(t) <= set(M.universe)]
+             if len(t) != M.r + 1 or not elements.issuperset(t)]
+    missing = []
+    if stray or len(M.classes) != len(elements) ** (M.r + 1):
+        missing = [t for t in M.tuples() if t not in M.classes]
     bad_class = [t for t, n in M.classes.items()
                  if not 0 <= n < M.trunc]
     partition = not (missing or stray or bad_class)
@@ -131,7 +148,7 @@ def check_membership(M: KrStructure) -> CheckReport:
     for t, n in M.classes.items():
         for m in range(n):
             v = M.values.get((m, t))
-            if v is None or v not in M.universe:
+            if v is None or v not in elements:
                 detail = f"missing witness value f{m}{t}"
                 break
         if detail:
@@ -313,7 +330,11 @@ def sample_configurations(
     budget: int,
 ) -> Iterator[KConfiguration]:
     """Seeded stream of valid configurations of union cardinality at most
-    the bound, parts proper, overlaps agreeing."""
+    the bound, parts proper, overlaps agreeing.  A union has at least
+    max(2, k) points, so a smaller bound is refused before any draw."""
+    if size_bound < max(2, k):
+        raise PreconditionFailed(
+            "survey", f"size bound {size_bound} below max(2, k) = {max(2, k)}")
     produced = 0
     attempts = 0
     while produced < budget and attempts < budget * 120:
@@ -378,7 +399,8 @@ def survey_k_disjoint_ap(
     solver=frugal_amalgamate,
 ) -> SurveyTable:
     """Sample configurations and tabulate amalgamation outcomes by
-    overlap signature; deterministic under a fixed seed."""
+    overlap signature; deterministic under a fixed seed.  A size bound
+    below max(2, k) raises ``PreconditionFailed``."""
     rng = random.Random(seed)
     table = SurveyTable(r, k)
     for config in sample_configurations(rng, r, k, size_bound, trunc, budget):

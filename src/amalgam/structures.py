@@ -26,12 +26,19 @@ from .search import backtrack
 class Vocabulary:
     """Symbol table: relation and function symbols with arities, constants,
     and an optional index bound for truncated indexed families (R_n, F_n,
-    f_n for n below the bound)."""
+    f_n for n below the bound).
+
+    The arity lookups read two name -> arity dicts built once from the
+    declared symbols; they take no part in equality, hashing or repr."""
 
     relations: tuple[tuple[str, int], ...] = ()
     functions: tuple[tuple[str, int], ...] = ()
     constants: tuple[str, ...] = ()
     index_bound: Optional[int] = None
+    _relation_arities: dict[str, int] = field(
+        init=False, repr=False, compare=False)
+    _function_arities: dict[str, int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.relations] + [n for n, _ in self.functions] \
@@ -43,6 +50,8 @@ class Vocabulary:
                 raise ValueError(f"negative arity for {name}")
         if self.index_bound is not None and self.index_bound < 1:
             raise ValueError("index bound must be >= 1 when declared")
+        object.__setattr__(self, "_relation_arities", dict(self.relations))
+        object.__setattr__(self, "_function_arities", dict(self.functions))
 
     @staticmethod
     def make(relations: Mapping[str, int] | None = None,
@@ -57,16 +66,10 @@ class Vocabulary:
         )
 
     def relation_arity(self, name: str) -> int:
-        for n, a in self.relations:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return self._relation_arities[name]
 
     def function_arity(self, name: str) -> int:
-        for n, a in self.functions:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return self._function_arities[name]
 
 
 def indexed_names(prefix: str, bound: int) -> list[str]:

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from amalgam.errors import FrugalImpossible, NoAmalgam
+from amalgam.errors import FrugalImpossible, NoAmalgam, PreconditionFailed
 from amalgam.kdim import (
     KConfiguration,
     KrStructure,
@@ -17,6 +17,7 @@ from amalgam.kdim import (
     closure,
     completion_solutions,
     frugal_amalgamate,
+    is_independent,
     max_independent_size,
     random_member,
     sample_configurations,
@@ -448,6 +449,29 @@ def test_boundary_survey_table_is_unchanged(seed):
     assert table.to_csv() == BOUNDARY_TABLES[seed]
 
 
+@pytest.mark.parametrize("k,size_bound", [(3, 2), (2, 1)])
+def test_survey_refuses_a_size_bound_below_max_2_k(k, size_bound):
+    with pytest.raises(PreconditionFailed) as caught:
+        survey_k_disjoint_ap(r=1, k=k, size_bound=size_bound, budget=2)
+    assert caught.value.clause == "survey"
+
+
+# Recorded before the size bound was checked: a bound of exactly
+# max(2, k) is valid and keeps its table.
+SMALLEST_BOUND_TABLES = {
+    3: "r,k,signature,success,no_amalgam,impossible\r\n"
+       "1,3,1 1 2 | 0 0 1,3,0,0\r\n",
+    2: "r,k,signature,success,no_amalgam,impossible\r\n"
+       "1,2,1 1 | 0,3,0,0\r\n",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SMALLEST_BOUND_TABLES))
+def test_survey_at_the_smallest_size_bound_is_unchanged(k):
+    table = survey_k_disjoint_ap(r=1, k=k, size_bound=max(2, k), budget=3)
+    assert table.to_csv() == SMALLEST_BOUND_TABLES[k]
+
+
 def boundary_configurations(r, rng, count):
     """r+2 points whose (r+1)-subsets are the parts, restricted from the
     class-zero structure and from random assignments with witness values
@@ -484,3 +508,50 @@ def test_completions_match_reference_on_sampled_configurations(
     # among the samples, and some configurations amalgamate
     assert min(unions) < r + 2
     assert found
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_independence_is_hereditary_and_the_search_matches_at_every_limit(r):
+    # the top-down search returns the first size with an independent
+    # subset, which is the upward answer only because independence is
+    # hereditary; check both at every limit, including 0 and limits
+    # above the universe
+    rng = random.Random(80 + r)
+    inherited = dependent = 0
+    for size in range(1, r + 4):
+        universe = range(size)
+        structures = [random_assignment(rng, r, universe),
+                      random_stored_values(rng, r, universe),
+                      random_member(rng, r, TRUNC, universe, class_cap=3)]
+        for K in filter(None, structures):
+            form = witness_form(K)
+            for k in range(size + 1):
+                for Y in itertools.combinations(K.universe, k):
+                    if not is_independent(form, Y):
+                        dependent += 1
+                        continue
+                    for j in range(1, k):
+                        for Z in itertools.combinations(Y, j):
+                            assert is_independent(form, Z)
+                            inherited += 1
+            for limit in range(size + 2):
+                assert max_independent_size(K, limit) == \
+                    reference_max_independent_size(K, limit)
+    assert inherited and dependent
+
+
+@pytest.mark.parametrize("stray", [(0, 5), (0, 1, 1)])
+def test_partition_names_a_missing_tuple_beside_a_stray_one(stray):
+    # one stray tuple and one missing tuple leave as many classified
+    # tuples as there are tuples, so the count alone cannot decide
+    # the partition
+    M = all_class_zero(1, range(2))
+    del M.classes[(1, 0)]
+    M.classes[stray] = 0
+    assert len(M.classes) == len(M.universe) ** (M.r + 1)
+    report = check_membership(M)
+    assert membership_items(report) == \
+        membership_items(reference_check_membership(M))
+    partition = report.items[0]
+    assert partition.key == "kr0.partition" and partition.passed is False
+    assert "(1, 0)" in partition.detail and str(stray) in partition.detail

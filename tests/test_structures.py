@@ -363,3 +363,21 @@ def test_structure_round_trips_bit_exactly():
     M2 = structure_from_dict(json.loads(text))
     assert M == M2
     assert dumps_canonical(structure_to_dict(M2)) == text
+
+
+def test_vocabulary_arity_tables_stay_out_of_equality_hash_and_repr():
+    a = Vocabulary.make({"R": 2, "S": 1}, {"f": 3}, ["c"], index_bound=2)
+    b = Vocabulary.make({"S": 1, "R": 2}, {"f": 3}, ["c"], index_bound=2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Vocabulary.make({"R": 1, "S": 1}, {"f": 3}, ["c"], 2)
+    assert repr(a) == ("Vocabulary(relations=(('R', 2), ('S', 1)), "
+                       "functions=(('f', 3),), constants=('c',), "
+                       "index_bound=2)")
+    assert (a.relation_arity("R"), a.relation_arity("S"),
+            a.function_arity("f")) == (2, 1, 3)
+    # unknown names, and names of the other kind, raise KeyError
+    for lookup, name in ((a.relation_arity, "T"), (a.function_arity, "g"),
+                         (a.relation_arity, "f"), (a.function_arity, "R"),
+                         (a.relation_arity, "c")):
+        with pytest.raises(KeyError):
+            lookup(name)
