@@ -19,6 +19,13 @@ and hands the one list to every pair over that base (``_per_base``);
 Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
 
+Two approximations are told apart up to depth k by the back-and-forth
+game (``back_and_forth_check``).  It memoises each pair set and orders
+moves as game-tree search does: the duplicator first tries the reply
+that last answered the same pick, and the spoiler first tries the move
+that last refuted a position with as many rounds left.  Every move is
+still ranged over, so the order changes the work, never the value.
+
 Everything is deterministic: enumeration orders are fixed, and the run
 seed only perturbs tie-breaking among tasks discovered at the same stage,
 so distinct seeds give different but equivalent generics.
@@ -30,7 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded
+from .errors import (AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded,
+                     PreconditionFailed)
 
 
 @dataclass
@@ -284,11 +292,28 @@ def back_and_forth_check(
     ``i * |N| + j`` stands for the i-th element of M against the j-th
     element of N.  The rounds left follow from the key (``depth`` minus
     its number of pairs), so the key alone indexes both caches.
+
+    Moves are ordered as in game-tree search (the killer and history
+    heuristics).  ``replies[(side, x)]`` is the reply that last answered
+    the spoiler's pick x (an index into M's elements for side 0, into
+    N's for side 1); the duplicator tries it first, then the other free
+    points in order.  ``refuted[remaining]`` is the spoiler move that
+    last refuted a position with that many rounds left; the spoiler
+    tries it first.  The order only decides how soon a position's value
+    is known: every spoiler move must be answered and one answer
+    suffices, so the value is the same in any order, and the two caches
+    stay keyed by pair set.
+
+    A negative depth raises ``PreconditionFailed`` before any check.
     """
+    if depth < 0:
+        raise PreconditionFailed("game", f"depth {depth} is negative")
     ms, ns = list(elements(M)), list(elements(N))
     width = len(ns)
     valid: dict[int, bool] = {}
     memo: dict[int, bool] = {}
+    replies: dict[tuple[int, int], int] = {}
+    refuted: dict[int, tuple[int, int]] = {}
 
     def answered(pos_m: tuple, pos_n: tuple, key: int, i: int, j: int,
                  remaining: int) -> bool:
@@ -312,14 +337,29 @@ def back_and_forth_check(
 
     def survive(pos_m: tuple, pos_n: tuple, key: int, remaining: int) -> bool:
         """The game value of a valid position not in ``memo`` yet."""
-        free_m = [i for i, c in enumerate(ms) if c not in pos_m]
-        free_n = [j for j, d in enumerate(ns) if d not in pos_n]
-        ok = all(any(answered(pos_m, pos_n, key, i, j, remaining)
-                     for j in free_n) for i in free_m) and \
-            all(any(answered(pos_m, pos_n, key, i, j, remaining)
-                    for i in free_m) for j in free_n)
-        memo[key] = ok
-        return ok
+        free = ([i for i, c in enumerate(ms) if c not in pos_m],
+                [j for j, d in enumerate(ns) if d not in pos_n])
+        moves = [(0, i) for i in free[0]] + [(1, j) for j in free[1]]
+        killer = refuted.get(remaining)
+        if killer in moves:
+            moves.remove(killer)
+            moves.insert(0, killer)
+        for side, x in moves:
+            options = free[1 - side]
+            best = replies.get((side, x))
+            if best in options:
+                options = [best] + [y for y in options if y != best]
+            for y in options:
+                i, j = (y, x) if side else (x, y)
+                if answered(pos_m, pos_n, key, i, j, remaining):
+                    replies[side, x] = y
+                    break
+            else:
+                refuted[remaining] = side, x
+                memo[key] = False
+                return False
+        memo[key] = True
+        return True
 
     try:
         if not position_valid(M, N, (), ()):

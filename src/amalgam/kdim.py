@@ -330,8 +330,13 @@ def sample_configurations(
     budget: int,
 ) -> Iterator[KConfiguration]:
     """Seeded stream of valid configurations of union cardinality at most
-    the bound, parts proper, overlaps agreeing.  A union has at least
-    max(2, k) points, so a smaller bound is refused before any draw."""
+    the bound, parts proper, overlaps agreeing.  Fewer than two proper
+    parts never cover their union, so k < 2 is refused before any draw;
+    a union has at least max(2, k) points, so a smaller bound is refused
+    too."""
+    if k < 2:
+        raise PreconditionFailed(
+            "survey", f"k = {k}: fewer than two proper parts cover no union")
     if size_bound < max(2, k):
         raise PreconditionFailed(
             "survey", f"size bound {size_bound} below max(2, k) = {max(2, k)}")
@@ -399,8 +404,8 @@ def survey_k_disjoint_ap(
     solver=frugal_amalgamate,
 ) -> SurveyTable:
     """Sample configurations and tabulate amalgamation outcomes by
-    overlap signature; deterministic under a fixed seed.  A size bound
-    below max(2, k) raises ``PreconditionFailed``."""
+    overlap signature; deterministic under a fixed seed.  A k below 2
+    or a size bound below max(2, k) raises ``PreconditionFailed``."""
     rng = random.Random(seed)
     table = SurveyTable(r, k)
     for config in sample_configurations(rng, r, k, size_bound, trunc, budget):

@@ -8,7 +8,8 @@ independence by quantifying over all nonzero Boolean polynomials,
 pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
 corpus by comparing every pair of members, game positions by searching
-for an embedding of the generated substructures, restriction by
+for an embedding of the generated substructures, the game by playing
+every order of picks in universe order, restriction by
 filtering every stored tuple, closure by testing every function entry,
 embedding validity by mapping every tuple, and the r-dimensional
 closures on the flat form, which writes out the classes as relations
@@ -328,8 +329,8 @@ def corpus_by_all_pairs(size_bound: int, trunc: int, max_n_star: int):
 
 
 # ---------------------------------------------------------------------------
-# Plain structures: game positions, restriction, closure, identity and
-# composition, embedding validity
+# Plain structures: the game and its positions, restriction, closure,
+# identity and composition, embedding validity
 # ---------------------------------------------------------------------------
 
 
@@ -366,6 +367,58 @@ def position_valid_by_search(M: FiniteStructure, N: FiniteStructure,
         return False
     return bool(enumerate_embeddings(sub_m, sub_n, fixed=fixed,
                                      first_only=True))
+
+
+def reference_game(M, N, depth: int, elements, position_valid) -> bool:
+    """The game without pair-set memoisation or move ordering: positions
+    are keyed by the picked tuples in order of play, so a pair set
+    reached in several orders is checked once per order, and both
+    players try their moves in universe order."""
+    memo: dict[tuple, bool] = {}
+
+    def survive(pos_m, pos_n, remaining):
+        key = (pos_m, pos_n, remaining)
+        if key in memo:
+            return memo[key]
+        if remaining == 0:
+            memo[key] = True
+            return True
+        ok = True
+        for c in elements(M):
+            if c in pos_m:
+                continue
+            response = False
+            for d in elements(N):
+                if d in pos_n:
+                    continue
+                if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
+                        survive(pos_m + (c,), pos_n + (d,), remaining - 1):
+                    response = True
+                    break
+            if not response:
+                ok = False
+                break
+        if ok:
+            for d in elements(N):
+                if d in pos_n:
+                    continue
+                response = False
+                for c in elements(M):
+                    if c in pos_m:
+                        continue
+                    if position_valid(M, N, pos_m + (c,), pos_n + (d,)) and \
+                            survive(pos_m + (c,), pos_n + (d,), remaining - 1):
+                        response = True
+                        break
+                if not response:
+                    ok = False
+                    break
+        memo[key] = ok
+        return ok
+
+    if not position_valid(M, N, (), ()):
+        return False
+    return survive((), (), depth)
 
 
 def restrict_by_filter(M: FiniteStructure, subset) -> FiniteStructure:

@@ -456,6 +456,20 @@ def test_survey_refuses_a_size_bound_below_max_2_k(k, size_bound):
     assert caught.value.clause == "survey"
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_survey_refuses_fewer_than_two_parts_before_any_draw(k):
+    # one proper part never covers the union, so no draw could succeed
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(PreconditionFailed) as caught:
+        next(sample_configurations(rng, 1, k, 3, TRUNC, 5))
+    assert caught.value.clause == "survey"
+    assert rng.getstate() == state
+    with pytest.raises(PreconditionFailed) as caught:
+        survey_k_disjoint_ap(r=1, k=k, size_bound=3, budget=5)
+    assert caught.value.clause == "survey"
+
+
 # Recorded before the size bound was checked: a bound of exactly
 # max(2, k) is valid and keeps its table.
 SMALLEST_BOUND_TABLES = {
