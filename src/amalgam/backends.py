@@ -76,14 +76,15 @@ def _merge_orders(M: FiniteStructure, A: FiniteStructure, B: FiniteStructure,
 def _structure_class(name, seed_model, members, amalgamate) -> AmalgamationClass:
     """A class of plain finite structures: embeddings are those of
     ``enumerate_embeddings``, and the tasks are the embeddings between
-    members of different sizes."""
+    members of different sizes.  Members and task pairs are memoised
+    per bound."""
     members = functools.cache(members)
     return AmalgamationClass(
         name=name,
         seed_model=seed_model,
         members=members,
-        task_pairs=lambda bound: inclusion_pairs(members(bound),
-                                                 enumerate_embeddings),
+        task_pairs=functools.cache(lambda bound: inclusion_pairs(
+            members(bound), enumerate_embeddings)),
         embeddings=lambda A, M, touching=None: enumerate_embeddings(
             A, M, touching=touching),
         extend=lambda A, B, inc, f, M: next(iter(enumerate_embeddings(

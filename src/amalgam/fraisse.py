@@ -15,6 +15,8 @@ top, and no ledger of seen embeddings is kept.  Many task pairs share
 one base member A, so discovery asks the hook once per distinct base
 and hands the one list to every pair over that base (``_per_base``);
 ``richness_defect`` and ``check_disjoint_ap`` enumerate the same way.
+Discovery sorts each base's list once, by ``key()``, fans it out by
+pair, and then shuffles the batch.
 
 Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded,
@@ -71,7 +74,10 @@ class AmalgamationClass:
     bound (the same list on every call is expected, since the engine
     groups work by object identity); ``task_pairs(bound)`` returns triples
     (A, B, inclusion) with B of size at most the bound, usually
-    ``inclusion_pairs``; ``embeddings(A, M, touching=None)`` lists the
+    ``inclusion_pairs``, and is memoised like ``members``: every call
+    with one bound returns the same list, so the builds and checks run
+    on one class enumerate its pairs once, and the list must not be
+    mutated; ``embeddings(A, M, touching=None)`` lists the
     embeddings A -> M, and with a set ``touching`` only those with some
     image in it; ``extend`` searches for an extension of f along the
     inclusion; ``amalgamate`` must return the extended model (the
@@ -207,10 +213,12 @@ def build_generic(cls: AmalgamationClass, steps: int, bound: int,
 
     The ledger is the queue: step i resolves ``tasks[i]``, and the loop
     stops early once every task is resolved.  Discovery enumerates the
-    embeddings of each distinct base A into the top once and fans that
-    list out to every pair over A; the batch is then sorted by
-    ``(pair_index, f.key())`` and, for a nonzero seed, shuffled, so the
-    ledger is the one a per-pair enumeration gives."""
+    embeddings of each distinct base A into the top once and sorts that
+    list once, by ``key()`` alone, so no two embedding objects are
+    compared.  It fans the sorted list out to every pair over A in pair
+    order, which puts the batch in ``(pair_index, f.key())`` order, and
+    for a nonzero seed shuffles it, so the ledger is the one a per-pair
+    enumeration gives."""
     pairs = cls.task_pairs(bound)
     chain = [cls.seed_model()]
     tasks: list[Task] = []
@@ -218,13 +226,17 @@ def build_generic(cls: AmalgamationClass, steps: int, bound: int,
     rng = random.Random(seed)
 
     def discover(stage: int, fresh: Optional[set]):
+        def by_key(A, M) -> list[tuple]:
+            found = [(f.key(), f)
+                     for f in cls.embeddings(A, M, touching=fresh)]
+            found.sort(key=itemgetter(0))
+            return found
+
         top = chain[-1]
-        per_pair = _per_base(
-            ((A, top) for A, _, _ in pairs),
-            lambda A, M: cls.embeddings(A, M, touching=fresh))
-        batch = [(pair_index, f.key(), f)
-                 for pair_index, found in enumerate(per_pair) for f in found]
-        batch.sort(key=lambda item: item[:2])
+        per_pair = _per_base(((A, top) for A, _, _ in pairs), by_key)
+        batch = [(pair_index, key, f)
+                 for pair_index, found in enumerate(per_pair)
+                 for key, f in found]
         if seed:
             rng.shuffle(batch)
         for pair_index, key, f in batch:

@@ -105,8 +105,8 @@ def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationCla
         name="witnessed-class",
         seed_model=lambda: minimal_model(trunc),
         members=members,
-        task_pairs=lambda bound: inclusion_pairs(members(bound),
-                                                 enumerate_matches),
+        task_pairs=functools.cache(lambda bound: inclusion_pairs(
+            members(bound), enumerate_matches)),
         embeddings=lambda A, M, touching=None: enumerate_matches(
             A, M, touching=touching),
         extend=extend,

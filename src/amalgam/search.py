@@ -18,12 +18,15 @@ def backtrack(slots: Sequence[int], pools: Sequence[Sequence[int]],
 
     Slots are filled in order, each from its pool in pool order, and a
     partial map is pursued only while ``feasible(mapping, slot)`` holds
-    for the slot just assigned.  At a full map, ``accept(mapping)``
-    returns a result or None; ``first_only`` stops at the first result.
-    With ``touching``, only maps with some image in it: unless ``fixed``
-    already touches, the last slot whose pool meets ``touching`` draws
-    from it alone while no image touches yet, and when no slot's pool
-    meets it there is no result.
+    for the slot just assigned.  ``feasible`` runs after every
+    assignment, in slot order, and every earlier slot passed it when it
+    was placed; so when the caller has checked the pins in ``fixed`` the
+    same way, it need look only at what the new pair adds.  At a full
+    map, ``accept(mapping)`` returns a result or None; ``first_only``
+    stops at the first result.  With ``touching``, only maps with some
+    image in it: unless ``fixed`` already touches, the last slot whose
+    pool meets ``touching`` draws from it alone while no image touches
+    yet, and when no slot's pool meets it there is no result.
     """
     mapping = dict(fixed)
     used = set(mapping.values())

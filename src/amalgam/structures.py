@@ -9,6 +9,7 @@ iteration under an element cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional, Sequence
@@ -295,31 +296,49 @@ class Embedding:
         return tuple(sorted(self.mapping.items()))
 
 
-def _consistent_so_far(A: FiniteStructure, B: FiniteStructure,
+def _consistent_so_far(relations: list[tuple[int, set, set]],
+                       entries: dict[int, list[tuple]],
                        mapping: dict[int, int], newly: int) -> bool:
-    """Partial-map checks: every relation on the assigned points, and
-    the function entries touching the just-assigned element."""
-    assigned = mapping.keys()
-    used = set(mapping.values())
-    if relation_mismatch(A, B, list(assigned), list(mapping.values())) \
-            is not None:
-        return False
-    for name, table in A.functions.items():
-        b_table = B.functions[name]
-        for args, value in table.items():
-            involved = newly in args or value == newly
-            if not involved:
-                continue
-            if not set(args) <= assigned:
-                continue
-            image = b_table.get(tuple(mapping[x] for x in args))
-            if image is None:
-                return False
-            if value in assigned:
-                if image != mapping[value]:
+    """Partial-map checks for ``newly``, the point just placed: the
+    relation tuples over the assigned points that contain it, and the
+    function entries that involve it.
+
+    ``relations`` holds (arity, tuples of A, tuples of B) for each
+    relation of positive arity, and ``entries`` maps each point of A to
+    its function entries, as (args, value, table of B).  Points are
+    placed one at a time and checked after each, so a relation tuple is
+    checked exactly once: when its last point is placed.  The binary
+    tuples are (newly, x) for every assigned x and (x, newly) for every
+    x placed earlier.  A tuple of another arity holds ``newly`` first at
+    some position p; the positions before p range over the points
+    placed earlier, the ones after it over all assigned points.
+    """
+    image = mapping[newly]
+    for arity, tuples, b_tuples in relations:
+        if arity == 2:
+            for x, y in mapping.items():
+                if ((newly, x) in tuples) != ((image, y) in b_tuples) or \
+                        x != newly and \
+                        ((x, newly) in tuples) != ((y, image) in b_tuples):
                     return False
-            elif image in used:
-                return False  # forced image already taken by another element
+            continue
+        older, points = [x for x in mapping if x != newly], list(mapping)
+        for p in range(arity):
+            pools = [older] * p + [[newly]] + [points] * (arity - 1 - p)
+            for t in itertools.product(*pools):
+                if (t in tuples) != (tuple(map(mapping.get, t)) in b_tuples):
+                    return False
+    for args, value, b_table in entries.get(newly, ()):
+        if not all(x in mapping for x in args):
+            continue
+        found = b_table.get(tuple(mapping[x] for x in args))
+        if found is None:
+            return False
+        if value in mapping:
+            if found != mapping[value]:
+                return False
+        elif found in mapping.values():
+            return False  # forced image already taken by another element
     return True
 
 
@@ -334,30 +353,49 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
     ``fixed`` pins part of the map (used for extension tasks), and the
     constants of A are pinned to those of B.  ``touching`` keeps only the
     embeddings with some image in it, by the pin rule of ``backtrack``.
+
+    0-ary relations are decided once, before the search.  The pins are
+    placed one at a time, constants first and then ``fixed``, and each
+    is checked by ``_consistent_so_far`` as the search checks its slots,
+    so every relation tuple is checked once, when its last point is
+    placed.  A full map is kept only if ``Embedding.is_valid`` holds.
     """
     if A.vocabulary != B.vocabulary:
         raise VocabularyMismatch("cannot embed across vocabularies")
     if A.size > B.size:
         return []
-    mapping = dict(fixed or {})
-    for name, value in A.constants.items():
-        pinned = B.constants.get(name)
-        if pinned is None or mapping.get(value, pinned) != pinned:
+    relations = []
+    for name, tuples in A.relations.items():
+        arity = A.vocabulary.relation_arity(name)
+        if arity:
+            relations.append((arity, tuples, B.relations[name]))
+        elif bool(tuples) != bool(B.relations[name]):
             return []
-        mapping[value] = pinned
-    # seed consistency for the pinned part
-    for x in list(mapping):
-        if not _consistent_so_far(A, B, mapping, x):
+    entries: dict[int, list[tuple]] = {}
+    for name, table in A.functions.items():
+        for args, value in table.items():
+            entry = (args, value, B.functions[name])
+            for x in set(args) | {value}:
+                entries.setdefault(x, []).append(entry)
+    feasible = functools.partial(_consistent_so_far, relations, entries)
+    mapping: dict[int, int] = {}
+    pins = [(value, B.constants.get(name))
+            for name, value in A.constants.items()]
+    for x, y in pins + list((fixed or {}).items()):
+        if y is None or mapping.get(x, y) != y:
             return []
+        if x not in mapping:
+            mapping[x] = y
+            if not feasible(mapping, x):
+                return []
 
     def accept(m: dict[int, int]) -> Optional[Embedding]:
         e = Embedding(A, B, dict(m))
         return e if e.is_valid() else None
 
     order = [x for x in A.universe if x not in mapping]
-    return backtrack(order, [B.universe] * len(order), mapping,
-                     lambda m, x: _consistent_so_far(A, B, m, x), accept,
-                     first_only, touching)
+    return backtrack(order, [B.universe] * len(order), mapping, feasible,
+                     accept, first_only, touching)
 
 
 def is_isomorphic(A: FiniteStructure, B: FiniteStructure) -> bool:

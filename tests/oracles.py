@@ -7,8 +7,9 @@ expansion by evaluating the function at every window point,
 independence by quantifying over all nonzero Boolean polynomials,
 pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
-corpus by comparing every pair of members, game positions by searching
-for an embedding of the generated substructures, the game by playing
+corpus by comparing every pair of members, embeddings by trying every
+injection, game positions by trying every injection between the
+generated substructures, the game by playing
 every order of picks in universe order, restriction by
 filtering every stored tuple, closure by testing every function entry,
 embedding validity by mapping every tuple, and the r-dimensional
@@ -44,7 +45,6 @@ from amalgam.structures import (
     Embedding,
     FiniteStructure,
     Vocabulary,
-    enumerate_embeddings,
     generate_substructure,
     indexed_names,
 )
@@ -365,8 +365,25 @@ def position_valid_by_search(M: FiniteStructure, N: FiniteStructure,
     if any(len(sub_n.functions[name]) != len(table)
            for name, table in sub_m.functions.items()):
         return False
-    return bool(enumerate_embeddings(sub_m, sub_n, fixed=fixed,
-                                     first_only=True))
+    return bool(embeddings_by_permutation(sub_m, sub_n, fixed=fixed))
+
+
+def embeddings_by_permutation(A: FiniteStructure, B: FiniteStructure,
+                              fixed: dict[int, int] | None = None,
+                              touching=None) -> list[Embedding]:
+    """Every injection of A's universe into B's, in permutation order of
+    B's universe, that agrees with the pins in ``fixed``, has some image
+    in ``touching`` (when given) and passes ``embedding_valid_by_apply``."""
+    found = []
+    for images in itertools.permutations(B.universe, A.size):
+        e = Embedding(A, B, dict(zip(A.universe, images)))
+        if any(e.mapping.get(x) != y for x, y in (fixed or {}).items()):
+            continue
+        if touching is not None and not any(y in touching for y in images):
+            continue
+        if embedding_valid_by_apply(e):
+            found.append(e)
+    return found
 
 
 def reference_game(M, N, depth: int, elements, position_valid) -> bool:

@@ -238,6 +238,28 @@ def test_generic_is_deterministic():
     assert a.top == b.top
 
 
+CLASSES = {"orders": linear_order_class, "graphs": graph_class,
+           "k1": lambda: k1_class(6, 1)}
+
+
+@pytest.mark.parametrize("make_cls", CLASSES.values(), ids=CLASSES)
+def test_task_pairs_are_memoised_per_class(make_cls):
+    cls = make_cls()
+    assert cls.task_pairs(3) is cls.task_pairs(3)
+
+
+@pytest.mark.parametrize("make_cls", CLASSES.values(), ids=CLASSES)
+def test_builds_sharing_a_class_equal_builds_from_fresh_classes(make_cls):
+    def ledger(approx):
+        return ([t.to_dict() for t in approx.tasks],
+                approx.top.canonical_key(), len(approx.chain))
+
+    shared = make_cls()
+    for seed in (0, 1):
+        assert ledger(build_generic(shared, 25, 3, seed)) == \
+            ledger(build_generic(make_cls(), 25, 3, seed))
+
+
 def test_richness_defect_nonempty_for_empty_structure():
     cls = linear_order_class()
     defects = richness_defect(chain_structure(0), cls, 2)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from amalgam import structures
 from amalgam.errors import (
     CLOSURE_CAP,
     CapExceeded,
@@ -26,6 +27,7 @@ from amalgam.structures import (
 from oracles import (
     compose,
     embedding_valid_by_apply,
+    embeddings_by_permutation,
     identity,
     restrict_by_filter,
 )
@@ -146,12 +148,8 @@ def test_edge_into_directed_3cycle_has_three_embeddings():
     embs = enumerate_embeddings(A, B)
     assert len(embs) == 3
     # brute force over all 6 injections
-    count = 0
-    for img in itertools.permutations(B.universe, 2):
-        e = Embedding(A, B, dict(zip(A.universe, img)))
-        if e.is_valid():
-            count += 1
-    assert count == 3
+    assert [e.key() for e in embs] == \
+        [e.key() for e in embeddings_by_permutation(A, B)]
 
 
 def test_larger_source_gives_no_embeddings():
@@ -177,13 +175,8 @@ def test_embeddings_agree_with_injection_filter_oracle():
         B = edge_structure(range(nb), {
             t for t in itertools.product(range(nb), repeat=2) if rng.random() < 0.4
         })
-        fast = {e.key() for e in enumerate_embeddings(A, B)}
-        slow = set()
-        for img in itertools.permutations(B.universe, na):
-            e = Embedding(A, B, dict(zip(A.universe, img)))
-            if e.is_valid():
-                slow.add(e.key())
-        assert fast == slow
+        fast = [e.key() for e in enumerate_embeddings(A, B)]
+        assert fast == [e.key() for e in embeddings_by_permutation(A, B)]
 
 
 def test_embeddings_respect_functions_and_constants():
@@ -213,6 +206,124 @@ def test_extension_over_fixed_partial_map():
     # extend A -> M at 5 to B -> M: needs an out-edge from 5
     embs = enumerate_embeddings(B, M, fixed=f)
     assert [e.mapping for e in embs] == [{0: 5, 1: 6}]
+
+
+# ---------------------------------------------------------------------------
+# enumerate_embeddings against the permutation oracle
+# ---------------------------------------------------------------------------
+
+
+DIFFERENTIAL = Vocabulary.make(relations={"Z": 0, "P": 1, "E": 2, "T": 3},
+                               functions={"f": 1, "g": 2}, constants=["c"])
+
+
+def random_differential(rng, universe):
+    """A DIFFERENTIAL structure: each relation holds of each tuple, and
+    each function is defined at each argument tuple, with probability
+    0.3; c is interpreted on most nonempty universes."""
+    relations = {name: {t for t in itertools.product(universe, repeat=arity)
+                        if rng.random() < 0.3}
+                 for name, arity in DIFFERENTIAL.relations}
+    functions = {name: {args: rng.choice(universe)
+                        for args in itertools.product(universe, repeat=arity)
+                        if rng.random() < 0.3}
+                 for name, arity in DIFFERENTIAL.functions}
+    constants = {"c": rng.choice(universe)} \
+        if universe and rng.random() < 0.8 else {}
+    return FiniteStructure(DIFFERENTIAL, universe, relations, functions,
+                           constants)
+
+
+def relabelled_part(rng, B):
+    """B restricted to a random subset holding its constant, on fresh ids
+    listed in a random order: a structure that embeds in B."""
+    keep = set(B.constants.values()) | set(
+        rng.sample(B.universe, rng.randint(0, min(B.size, 3))))
+    part = B.restrict(keep)
+    rename = dict(zip(part.universe, rng.sample(range(20, 30), part.size)))
+    universe = [rename[x] for x in part.universe]
+    rng.shuffle(universe)
+    return FiniteStructure(
+        DIFFERENTIAL, universe,
+        {name: {tuple(rename[x] for x in t) for t in tuples}
+         for name, tuples in part.relations.items()},
+        {name: {tuple(rename[x] for x in args): rename[v]
+                for args, v in table.items()}
+         for name, table in part.functions.items()},
+        {name: rename[v] for name, v in part.constants.items()})
+
+
+def differential_cases(count):
+    """``count`` (A, B, fixed, touching) cases: A is a relabelled part of
+    B or an unrelated random structure; about half the cases pin some
+    points of A (to an embedding's images or to random points of B),
+    and about half keep only the embeddings touching a random subset of
+    B."""
+    rng = random.Random(0)
+    for _ in range(count):
+        B = random_differential(rng, rng.sample(range(10), rng.randint(0, 5)))
+        A = relabelled_part(rng, B) if B.size and rng.random() < 0.6 else \
+            random_differential(rng, rng.sample(range(20, 30),
+                                                rng.randint(0, 3)))
+        fixed = touching = None
+        if A.size and rng.random() < 0.5:
+            pinned = rng.sample(A.universe, rng.randint(1, A.size))
+            found = embeddings_by_permutation(A, B)
+            if found and rng.random() < 0.5:
+                fixed = {x: rng.choice(found)(x) for x in pinned}
+            elif len(pinned) <= B.size:
+                fixed = dict(zip(pinned, rng.sample(B.universe, len(pinned))))
+        if rng.random() < 0.5:
+            touching = set(rng.sample(B.universe, rng.randint(0, B.size)))
+        yield A, B, fixed, touching
+
+
+def search_mismatches(count):
+    """The cases where ``enumerate_embeddings`` (also with ``first_only``)
+    differs from the permutation oracle in the keys it returns or their
+    order, and the set of oracle outcomes (some embedding or none) seen
+    for each kind of case (pinned or not, touching or not)."""
+    mismatches, outcomes = [], {}
+    for A, B, fixed, touching in differential_cases(count):
+        want = [e.key() for e in
+                embeddings_by_permutation(A, B, fixed, touching)]
+        got = [e.key() for e in enumerate_embeddings(
+            A, B, fixed=fixed, touching=touching)]
+        first = [e.key() for e in enumerate_embeddings(
+            A, B, fixed=fixed, touching=touching, first_only=True)]
+        if got != want or first != want[:1]:
+            mismatches.append((A, B, fixed, touching))
+        kind = (fixed is not None, touching is not None)
+        outcomes.setdefault(kind, set()).add(bool(want))
+    return mismatches, outcomes
+
+
+def test_embedding_search_equals_the_permutation_oracle():
+    mismatches, outcomes = search_mismatches(400)
+    assert mismatches == []
+    assert outcomes == {kind: {True, False}
+                        for kind in itertools.product((False, True),
+                                                      repeat=2)}
+
+
+def swapped_lookup(relations, entries, mapping, newly):
+    """A planted fault: a feasibility check over every assigned tuple
+    that looks up the image of a binary tuple ending at the new point
+    with its two points swapped."""
+    for arity, tuples, b_tuples in relations:
+        for t in itertools.product(mapping, repeat=arity):
+            image = tuple(mapping[x] for x in t)
+            if arity == 2 and t[0] != t[1] == newly:
+                image = image[::-1]
+            if (t in tuples) != (image in b_tuples):
+                return False
+    return True
+
+
+def test_the_differential_catches_a_swapped_tuple_lookup(monkeypatch):
+    monkeypatch.setattr(structures, "_consistent_so_far", swapped_lookup)
+    mismatches, _ = search_mismatches(400)
+    assert mismatches
 
 
 # ---------------------------------------------------------------------------
