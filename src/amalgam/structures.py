@@ -307,11 +307,14 @@ def _consistent_so_far(relations: list[tuple[int, set, set]],
     relation of positive arity, and ``entries`` maps each point of A to
     its function entries, as (args, value, table of B).  Points are
     placed one at a time and checked after each, so a relation tuple is
-    checked exactly once: when its last point is placed.  The binary
-    tuples are (newly, x) for every assigned x and (x, newly) for every
-    x placed earlier.  A tuple of another arity holds ``newly`` first at
-    some position p; the positions before p range over the points
-    placed earlier, the ones after it over all assigned points.
+    checked exactly once: when its last point is placed.  Such a tuple
+    holds ``newly`` first at some position p; the positions before p
+    range over the points placed earlier, the ones after it over all
+    assigned points.  For a binary relation these are (newly, x) for
+    every assigned x and (x, newly) for every x placed earlier, and a
+    direct loop over them skips building the product pools, which
+    would cost more than the lookups: orders and graphs are binary, and
+    the generic builds run this check for every candidate point.
     """
     image = mapping[newly]
     for arity, tuples, b_tuples in relations:
