@@ -22,11 +22,17 @@ def backtrack(slots: Sequence[int], pools: Sequence[Sequence[int]],
     assignment, in slot order, and every earlier slot passed it when it
     was placed; so when the caller has checked the pins in ``fixed`` the
     same way, it need look only at what the new pair adds.  At a full
-    map, ``accept(mapping)`` returns a result or None; ``first_only``
-    stops at the first result.  With ``touching``, only maps with some
-    image in it: unless ``fixed`` already touches, the last slot whose
-    pool meets ``touching`` draws from it alone while no image touches
-    yet, and when no slot's pool meets it there is no result.
+    map, ``accept(mapping)`` returns a result, or None to drop the map.
+    A caller whose ``feasible`` decides everything only builds there
+    (``structures.enumerate_embeddings``); one with a check that needs
+    the whole map makes it there (``k1.embeddings.enumerate_matches``).
+    ``accept`` must copy ``mapping`` to keep it, as the search goes on
+    changing it.  ``first_only`` stops at the first result.
+
+    With ``touching``, only maps with some image in it: unless ``fixed``
+    already touches, the last slot whose pool meets ``touching`` draws
+    from it alone while no image touches yet, and when no slot's pool
+    meets it there is no result.
     """
     mapping = dict(fixed)
     used = set(mapping.values())

@@ -4,7 +4,9 @@ Structures carry an ordered universe of small integer ids so every
 enumeration in the package is deterministic and reproducible.  Function
 symbols may be partial; a substructure is a subset closed under every
 defined function application, and closure is computed by fixpoint
-iteration under an element cap.
+iteration under an element cap.  ``enumerate_embeddings`` checks each
+relation tuple and function entry as it places points, so it returns
+embeddings by construction; ``Embedding.validate`` checks any other map.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ class FiniteStructure:
     set (``_elements``, built by ``validate``), and two memos, the
     substructure each generator set generates (``_substructures``, for
     ``generate_substructure``) and the relation signature of each point
-    tuple (``_signatures``, for ``relation_signature``).
-    ``Embedding.validate`` compares relation signatures, so it fills
-    the second memo on both its source and its target.  All three are
+    tuple (``_signatures``, for ``relation_signature``).  The game's
+    position checks write it, directly and through
+    ``Embedding.validate``.  All three are
     valid only while the structure is unchanged, so a structure must not
     be mutated after construction.  They take no part in equality,
     hashing or repr.
@@ -357,11 +359,13 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
     constants of A are pinned to those of B.  ``touching`` keeps only the
     embeddings with some image in it, by the pin rule of ``backtrack``.
 
-    0-ary relations are decided once, before the search.  The pins are
-    placed one at a time, constants first and then ``fixed``, and each
-    is checked by ``_consistent_so_far`` as the search checks its slots,
-    so every relation tuple is checked once, when its last point is
-    placed.  A full map is kept only if ``Embedding.is_valid`` holds.
+    0-ary relations are decided once, before the search.  The pins,
+    constants first and then ``fixed``, must send points of A to points
+    of B, and are placed one at a time through ``_consistent_so_far``,
+    as the search places its slots.  So every relation tuple and
+    function entry is checked once, when its last point is placed, and
+    with ``backtrack``'s injectivity that is the whole check: a full map
+    becomes an ``Embedding`` without being validated again.
     """
     if A.vocabulary != B.vocabulary:
         raise VocabularyMismatch("cannot embed across vocabularies")
@@ -382,23 +386,19 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure,
                 entries.setdefault(x, []).append(entry)
     feasible = functools.partial(_consistent_so_far, relations, entries)
     mapping: dict[int, int] = {}
-    pins = [(value, B.constants.get(name))
-            for name, value in A.constants.items()]
+    pins = [(v, B.constants.get(n)) for n, v in A.constants.items()]
     for x, y in pins + list((fixed or {}).items()):
-        if y is None or mapping.get(x, y) != y:
+        if x not in A._elements or y not in B._elements \
+                or mapping.get(x, y) != y:
             return []
         if x not in mapping:
             mapping[x] = y
             if not feasible(mapping, x):
                 return []
-
-    def accept(m: dict[int, int]) -> Optional[Embedding]:
-        e = Embedding(A, B, dict(m))
-        return e if e.is_valid() else None
-
     order = [x for x in A.universe if x not in mapping]
     return backtrack(order, [B.universe] * len(order), mapping, feasible,
-                     accept, first_only, touching)
+                     lambda m: Embedding(A, B, dict(m)), first_only,
+                     touching)
 
 
 def is_isomorphic(A: FiniteStructure, B: FiniteStructure) -> bool:

@@ -1,6 +1,7 @@
 """Core structures: closure, embedding enumeration, isomorphism, round-trip."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import random
@@ -165,9 +166,11 @@ def test_vocabulary_mismatch_raises():
         enumerate_embeddings(A, B)
 
 
-def test_embeddings_agree_with_injection_filter_oracle():
+def graph_cases(count):
+    """``count`` unpinned (kind, A, B, fixed, touching) cases: random
+    graphs, A on at most 3 points and B on at most 5."""
     rng = random.Random(11)
-    for _ in range(40):
+    for _ in range(count):
         na, nb = rng.randint(1, 3), rng.randint(1, 5)
         A = edge_structure(range(na), {
             t for t in itertools.product(range(na), repeat=2) if rng.random() < 0.4
@@ -175,8 +178,12 @@ def test_embeddings_agree_with_injection_filter_oracle():
         B = edge_structure(range(nb), {
             t for t in itertools.product(range(nb), repeat=2) if rng.random() < 0.4
         })
-        fast = [e.key() for e in enumerate_embeddings(A, B)]
-        assert fast == [e.key() for e in embeddings_by_permutation(A, B)]
+        yield "graph", A, B, None, None
+
+
+def test_embeddings_agree_with_injection_filter_oracle():
+    mismatches, outcomes = search_mismatches(graph_cases(40))
+    assert mismatches == [] and outcomes == {"graph": {True, False}}
 
 
 def test_embeddings_respect_functions_and_constants():
@@ -278,32 +285,111 @@ def differential_cases(count):
         yield A, B, fixed, touching
 
 
-def search_mismatches(count):
-    """The cases where ``enumerate_embeddings`` (also with ``first_only``)
-    differs from the permutation oracle in the keys it returns or their
-    order, and the set of oracle outcomes (some embedding or none) seen
-    for each kind of case (pinned or not, touching or not)."""
-    mismatches, outcomes = [], {}
+def pin_edge_cases(count):
+    """``count`` (kind, A, B, fixed, touching) cases, the kinds in turn.
+    Each A is a relabelled part of B, part of it pinned to the images of
+    one embedding e, and then one edge case is planted:
+
+    - "key": a pin whose key lies outside A's universe;
+    - "image": a pin whose image lies outside B's universe;
+    - "shared": two points pinned to one image;
+    - "constant": A's constant pinned off B's, or another point pinned
+      to B's constant;
+    - "forced": a point z other than a function value v of A pinned to
+      y, a value of the same function in B.  Wherever the search sends
+      the arguments of v to those of y, the entry forces y on v, which
+      z holds, so the search must turn the map away.  z is the point
+      that e sends to y when there is one other than v.
+
+    No map agrees with the pins of the first four kinds.  The fifth has
+    an embedding when z is e's point, and mostly none otherwise."""
+    rng = random.Random(1)
+    kinds = ("key", "image", "shared", "constant", "forced")
+    made = 0
+    while made < count:
+        kind = kinds[made % len(kinds)]
+        B = random_differential(rng, rng.sample(range(10), rng.randint(1, 5)))
+        A = relabelled_part(rng, B)
+        e = rng.choice(embeddings_by_permutation(A, B))
+        fixed = {x: e(x) for x in rng.sample(
+            A.universe, rng.randint(0, A.size))}
+        forced = [(v, y) for name, table in A.functions.items()
+                  for v in table.values() for y in B.functions[name].values()]
+        if kind == "key":
+            fixed[rng.choice(range(30, 40))] = rng.choice(B.universe)
+        elif kind == "image" and A.size:
+            fixed[rng.choice(A.universe)] = rng.choice(range(10, 20))
+        elif kind == "shared" and A.size > 1:
+            y = rng.choice(B.universe)
+            fixed.update(dict.fromkeys(rng.sample(A.universe, 2), y))
+        elif kind == "constant" and A.constants and A.size > 1:
+            c = A.constants["c"]
+            if rng.random() < 0.5:
+                fixed[c] = rng.choice([y for y in B.universe if y != e(c)])
+            else:
+                fixed[rng.choice([x for x in A.universe if x != c])] = e(c)
+        elif kind == "forced" and forced and A.size > 1:
+            v, y = rng.choice(forced)
+            z = {e(x): x for x in A.universe}.get(y, v)
+            if z == v:
+                z = rng.choice([x for x in A.universe if x != v])
+            fixed[z] = y
+        else:
+            continue
+        made += 1
+        yield kind, A, B, fixed, None
+
+
+def differential(count):
+    """The ``differential_cases``, each led by its kind: pinned or not,
+    touching or not."""
     for A, B, fixed, touching in differential_cases(count):
+        yield (fixed is not None, touching is not None), A, B, fixed, touching
+
+
+def search_mismatches(cases, search=enumerate_embeddings):
+    """The cases where ``search`` (also with ``first_only``) differs
+    from the permutation oracle in the keys it returns or their order,
+    and the set of oracle outcomes (some embedding or none) seen for
+    each kind of case."""
+    mismatches, outcomes = [], {}
+    for kind, A, B, fixed, touching in cases:
         want = [e.key() for e in
                 embeddings_by_permutation(A, B, fixed, touching)]
-        got = [e.key() for e in enumerate_embeddings(
+        got = [e.key() for e in search(
             A, B, fixed=fixed, touching=touching)]
-        first = [e.key() for e in enumerate_embeddings(
+        first = [e.key() for e in search(
             A, B, fixed=fixed, touching=touching, first_only=True)]
         if got != want or first != want[:1]:
             mismatches.append((A, B, fixed, touching))
-        kind = (fixed is not None, touching is not None)
         outcomes.setdefault(kind, set()).add(bool(want))
     return mismatches, outcomes
 
 
 def test_embedding_search_equals_the_permutation_oracle():
-    mismatches, outcomes = search_mismatches(400)
+    mismatches, outcomes = search_mismatches(differential(400))
     assert mismatches == []
     assert outcomes == {kind: {True, False}
                         for kind in itertools.product((False, True),
                                                       repeat=2)}
+
+
+def test_pin_edge_cases_equal_the_permutation_oracle():
+    mismatches, outcomes = search_mismatches(pin_edge_cases(200))
+    assert mismatches == []
+    assert outcomes == {"key": {False}, "image": {False}, "shared": {False},
+                        "constant": {False}, "forced": {True, False}}
+
+
+def planted(function, old, new):
+    """A planted fault: ``function`` recompiled in its module's namespace
+    with the one occurrence of ``old`` in its source replaced by ``new``.
+    Fails loudly once the source no longer holds ``old``."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, f"stale mutant: {old!r}"
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 def swapped_lookup(relations, entries, mapping, newly):
@@ -322,7 +408,46 @@ def swapped_lookup(relations, entries, mapping, newly):
 
 def test_the_differential_catches_a_swapped_tuple_lookup(monkeypatch):
     monkeypatch.setattr(structures, "_consistent_so_far", swapped_lookup)
-    mismatches, _ = search_mismatches(400)
+    mismatches, _ = search_mismatches(differential(400))
+    assert mismatches
+
+
+def test_the_differential_catches_a_search_that_checks_nothing(monkeypatch):
+    """The search is the only check: no leaf validation hides a
+    feasibility check that passes every partial map."""
+    monkeypatch.setattr(structures, "_consistent_so_far", lambda *_: True)
+    mismatches, _ = search_mismatches(differential(400))
+    assert mismatches
+
+
+def test_the_graph_cases_catch_a_binary_check_without_its_back_half(
+        monkeypatch):
+    """The binary branch checks (newly, x) for every assigned x and
+    (x, newly) for every x placed earlier; a branch that drops the
+    second half misses the tuples that end at the new point.  The graph
+    cases catch it: in the differential cases the other relations and
+    functions leave no map that only the edges would turn away."""
+    mutant = planted(
+        structures._consistent_so_far,
+        "if ((newly, x) in tuples) != ((image, y) in b_tuples) or \\\n"
+        "                        x != newly and \\\n"
+        "                        ((x, newly) in tuples) != "
+        "((y, image) in b_tuples):",
+        "if ((newly, x) in tuples) != ((image, y) in b_tuples):")
+    monkeypatch.setattr(structures, "_consistent_so_far", mutant)
+    mismatches, _ = search_mismatches(graph_cases(40))
+    assert mismatches
+
+
+def test_the_pin_edge_cases_catch_a_search_that_does_not_vet_its_pins():
+    """Without the pin vetting, a pin outside either universe reaches a
+    leaf that no longer validates the map."""
+    mutant = planted(
+        enumerate_embeddings,
+        "if x not in A._elements or y not in B._elements \\\n"
+        "                or mapping.get(x, y) != y:",
+        "if y is None or mapping.get(x, y) != y:")
+    mismatches, _ = search_mismatches(pin_edge_cases(200), mutant)
     assert mismatches
 
 
