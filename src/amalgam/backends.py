@@ -38,36 +38,34 @@ def _order_rank(M: FiniteStructure) -> list[int]:
 
 def _merge_orders(M: FiniteStructure, A: FiniteStructure, B: FiniteStructure,
                   f: Embedding, inc: Embedding) -> FiniteStructure:
-    """Insert the new points of B into M respecting all comparisons with
-    the image of A; new points fall as low as their constraints allow,
-    keeping their B-order among themselves."""
+    """Insert the new points of B into M, each as low as its comparisons
+    with the image of A allow, keeping their B-order among themselves.
+
+    Gap rule: walking B in order, each new point gets the next fresh id
+    and is queued just above the M-image of the last A-point passed, or
+    at the bottom of M if none has been passed; M's rank with each queue
+    after its point is the merged order.  Collapse rule: the images of
+    A's points must come in the same order in M as in B, as two order
+    embeddings keep them; otherwise ``AmalgamationFailed`` is raised
+    before any point is placed."""
     rank = _order_rank(M)
     position = {x: i for i, x in enumerate(rank)}
-    lt_b = B.relations["lt"]
     image = {inc(a): f(a) for a in A.universe}
-    new_points = [b for b in _order_rank(B) if b not in image]
+    walk = _order_rank(B)
+    anchors = [position[image[b]] for b in walk if b in image]
+    if any(lo >= hi for lo, hi in zip(anchors, anchors[1:])):
+        raise AmalgamationFailed("order constraints collapsed")
     next_id = max(list(M.universe) + list(B.universe), default=-1) + 1
-    placed: dict[int, int] = {}
-    for b in new_points:
-        lower = [image[x] for x in image if (x, b) in lt_b]
-        upper = [image[x] for x in image if (b, x) in lt_b]
-        lo = max((position[x] for x in lower), default=-1)
-        hi = min((position[x] for x in upper), default=len(rank))
-        if lo >= hi:
-            raise AmalgamationFailed("order constraints collapsed")
-        # respect the B-order among already placed new points
-        for other, other_id in placed.items():
-            if (other, b) in lt_b:
-                lo = max(lo, position[other_id])
-            elif (b, other) in lt_b:
-                hi = min(hi, position[other_id])
-        if lo >= hi:
-            raise AmalgamationFailed("order constraints collapsed")
-        fresh = next_id
-        next_id += 1
-        rank.insert(lo + 1, fresh)
-        position = {x: i for i, x in enumerate(rank)}
-        placed[b] = fresh
+    queues: dict[int | None, list[int]] = {}
+    last = None
+    for b in walk:
+        if b in image:
+            last = image[b]
+        else:
+            queues.setdefault(last, []).append(next_id)
+            next_id += 1
+    rank = queues.get(None, []) + [y for x in rank
+                                   for y in (x, *queues.get(x, ()))]
     lt = {(rank[i], rank[j]) for i in range(len(rank))
           for j in range(i + 1, len(rank))}
     return FiniteStructure(ORDER_VOCAB, tuple(rank), {"lt": lt})

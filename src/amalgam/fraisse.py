@@ -22,11 +22,12 @@ Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
 
 Two approximations are told apart up to depth k by the back-and-forth
-game (``back_and_forth_check``).  It memoises each pair set and orders
-moves as game-tree search does: the duplicator first tries the reply
-that last answered the same pick, and the spoiler first tries the move
-that last refuted a position with as many rounds left.  Every move is
-still ranged over, so the order changes the work, never the value.
+game (``back_and_forth_check``).  It keeps one table of values keyed
+by pair set and orders moves as game-tree search does: the duplicator
+first tries the reply that last answered the same pick, and the spoiler
+first tries the move that last refuted a position with as many rounds
+left.  Every move is still ranged over, so the order changes the work,
+never the value.
 
 Everything is deterministic: enumeration orders are fixed, and the run
 seed only perturbs tie-breaking among tasks discovered at the same stage,
@@ -297,13 +298,17 @@ def back_and_forth_check(
     ``position_valid`` decides whether the picked tuples generate
     isomorphic substructures under the positionwise correspondence.  It
     must depend only on the set of (M-point, N-point) pairs, not on the
-    order in which they were played: each pair set is checked once, and
-    the game value is memoised per pair set.
+    order in which they were played: each pair set is checked once.
 
     A position is keyed by an int with one bit per pair: bit
     ``i * |N| + j`` stands for the i-th element of M against the j-th
-    element of N.  The rounds left follow from the key (``depth`` minus
-    its number of pairs), so the key alone indexes both caches.
+    element of N.  One table, ``known``, maps each key reached to whether
+    its position check passes and, if rounds are left, the duplicator
+    survives them.  The rounds left follow from the key (``depth`` minus
+    its number of pairs), so the key alone indexes the table.  ``survive``
+    plays one position and writes the entry of each child it reaches, so
+    a child's position check runs once and the rounds after it are
+    played only if it passes.
 
     Moves are ordered as in game-tree search (the killer and history
     heuristics).  ``replies[(side, x)]`` is the reply that last answered
@@ -313,8 +318,8 @@ def back_and_forth_check(
     last refuted a position with that many rounds left; the spoiler
     tries it first.  The order only decides how soon a position's value
     is known: every spoiler move must be answered and one answer
-    suffices, so the value is the same in any order, and the two caches
-    stay keyed by pair set.
+    suffices, so the value is the same in any order, and ``known`` stays
+    keyed by pair set.
 
     A negative depth raises ``PreconditionFailed`` before any check.
     """
@@ -322,33 +327,12 @@ def back_and_forth_check(
         raise PreconditionFailed("game", f"depth {depth} is negative")
     ms, ns = list(elements(M)), list(elements(N))
     width = len(ns)
-    valid: dict[int, bool] = {}
-    memo: dict[int, bool] = {}
+    known: dict[int, bool] = {}
     replies: dict[tuple[int, int], int] = {}
     refuted: dict[int, tuple[int, int]] = {}
 
-    def answered(pos_m: tuple, pos_n: tuple, key: int, i: int, j: int,
-                 remaining: int) -> bool:
-        """Is the position extended by the pair (ms[i], ns[j]) valid, with
-        the duplicator surviving the ``remaining - 1`` rounds after it?
-        Only a valid child with rounds left has a game value, so a known
-        one answers at once; otherwise the child tuples are built once,
-        for the position check and the rounds after it."""
-        child = key | 1 << (i * width + j)
-        won = memo.get(child)
-        if won is not None:
-            return won
-        ok = valid.get(child)
-        if ok is False or ok and remaining == 1:
-            return ok
-        child_m, child_n = pos_m + (ms[i],), pos_n + (ns[j],)
-        if ok is None:
-            ok = valid[child] = position_valid(M, N, child_m, child_n)
-        return ok and (remaining == 1 or
-                       survive(child_m, child_n, child, remaining - 1))
-
     def survive(pos_m: tuple, pos_n: tuple, key: int, remaining: int) -> bool:
-        """The game value of a valid position not in ``memo`` yet."""
+        """The game value of a valid position with rounds left."""
         free = ([i for i, c in enumerate(ms) if c not in pos_m],
                 [j for j, d in enumerate(ns) if d not in pos_n])
         moves = [(0, i) for i in free[0]] + [(1, j) for j in free[1]]
@@ -363,14 +347,20 @@ def back_and_forth_check(
                 options = [best] + [y for y in options if y != best]
             for y in options:
                 i, j = (y, x) if side else (x, y)
-                if answered(pos_m, pos_n, key, i, j, remaining):
+                child = key | 1 << (i * width + j)
+                won = known.get(child)
+                if won is None:
+                    child_m, child_n = pos_m + (ms[i],), pos_n + (ns[j],)
+                    won = position_valid(M, N, child_m, child_n) and (
+                        remaining == 1
+                        or survive(child_m, child_n, child, remaining - 1))
+                    known[child] = won
+                if won:
                     replies[side, x] = y
                     break
             else:
                 refuted[remaining] = side, x
-                memo[key] = False
                 return False
-        memo[key] = True
         return True
 
     try:
@@ -378,7 +368,7 @@ def back_and_forth_check(
             return False
         return depth == 0 or survive((), (), 0, depth)
     finally:
-        # answered and survive refer to each other; emptying the cell
-        # breaks that cycle, so M, N and their memos die with the caller's
-        # last reference instead of at the next cyclic collection
+        # survive refers to itself; emptying its cell breaks that cycle,
+        # so M, N and the table die with the caller's last reference
+        # instead of at the next cyclic collection
         del survive

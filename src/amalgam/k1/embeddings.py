@@ -196,8 +196,7 @@ def is_valid_match(A: K1Structure, B: K1Structure,
 
 
 def enumerate_matches(A: K1Structure, B: K1Structure,
-                      fixed_p0: dict[int, int] | None = None,
-                      fixed_p2: dict[int, int] | None = None,
+                      fixed: dict[int, int] | None = None,
                       first_only: bool = False,
                       touching: Optional[Collection[int]] = None,
                       ) -> list[MatchEmbedding]:
@@ -205,14 +204,15 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     in target id order, honoring pinned assignments.
 
     One ``search.backtrack`` over one map (P0 and P2 ids share one id
-    space): the free P2 slots first, then the free P0 slots.
+    space, so ``fixed`` pins both): the free P2 slots first, then the
+    free P0 slots.
     ``touching`` keeps only the embeddings with some P0 or P2 image in
     it, by the pin rule of ``backtrack``.  Members of different
     truncations have no embedding, as ``is_valid_match`` decides.
     """
     if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2) or A.trunc != B.trunc:
         return []
-    fixed = {**(fixed_p0 or {}), **(fixed_p2 or {})}
+    fixed = fixed or {}
     free_p2 = [c for c in A.p2 if c not in fixed]
     free_p0 = [a for a in A.p0 if a not in fixed]
     p2_ids = set(A.p2)
@@ -273,12 +273,13 @@ def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int,
 
 def extend_match(B: K1Structure, M: K1Structure,
                  inclusion: MatchEmbedding, f: MatchEmbedding,
-                 first_only: bool = True) -> list[MatchEmbedding]:
-    """Embeddings g : B -> M with g restricted along ``inclusion`` equal to
-    f (the extension problem of richness tasks)."""
-    pinned_p0 = {inclusion.p0(a): f.p0(a) for a, _ in inclusion.p0_map}
-    pinned_p2 = {inclusion.p2(c): f.p2(c) for c, _ in inclusion.p2_map}
-    return enumerate_matches(B, M, pinned_p0, pinned_p2, first_only=first_only)
+                 ) -> list[MatchEmbedding]:
+    """The first embedding g : B -> M with g restricted along
+    ``inclusion`` equal to f (the extension problem of richness tasks),
+    as a list of at most one."""
+    pinned = {inclusion.p0(a): f.p0(a) for a, _ in inclusion.p0_map}
+    pinned.update((inclusion.p2(c), f.p2(c)) for c, _ in inclusion.p2_map)
+    return enumerate_matches(B, M, pinned, first_only=True)
 
 
 def is_isomorphic_k1(A: K1Structure, B: K1Structure) -> bool:

@@ -95,7 +95,7 @@ def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationCla
         lambda bound: corpus(bound, trunc, max_n_star))
 
     def extend(A, B, inc, f, M):
-        found = extend_match(B, M, inc, f, first_only=True)
+        found = extend_match(B, M, inc, f)
         return found[0] if found else None
 
     def amalgamate(M, A, B, f, inc):

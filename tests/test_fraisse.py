@@ -1,9 +1,12 @@
 """Engine checks on classical classes: JEP, disjoint AP (grouped by base
-and member, against a per-pair loop), the generic builder, richness, the
-bounded game, and ``backends.separable`` against a brute force over
-injective tuples."""
+and member, against a per-pair loop), the generic builder (with pinned
+digests of linear-order builds), the order amalgam's collapse rule,
+richness, the bounded game, and ``backends.separable`` against a brute
+force over injective tuples."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -236,6 +239,43 @@ def test_generic_is_deterministic():
     b = build_generic(cls, steps=25, bound=3, seed=5)
     assert [t.to_dict() for t in a.tasks] == [t.to_dict() for t in b.tasks]
     assert a.top == b.top
+
+
+# The digest of ``build_generic(linear_order_class(), 60, 3, seed)``, as
+# ``pinned_digest`` takes it: these are the generics ``order_game`` plays,
+# and its benchmark digests do not cover them.
+LINEAR_ORDER_PINS = {0: "c1c977bf403fe86f", 1: "53e44cb9521b256e",
+                     2: "65af7a462a65ce60", 3: "cf5f46be9ab68c2e"}
+
+
+def pinned_digest(approx) -> str:
+    """sha256 of the top's canonical key and of the ledger, cut to 16
+    hex digits."""
+    h = hashlib.sha256()
+    for part in (repr(approx.top.canonical_key()),
+                 json.dumps([t.to_dict() for t in approx.tasks],
+                            sort_keys=True)):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(LINEAR_ORDER_PINS))
+def test_linear_order_builds_equal_their_pinned_digests(seed):
+    approx = build_generic(linear_order_class(), 60, 3, seed)
+    assert pinned_digest(approx) == LINEAR_ORDER_PINS[seed]
+
+
+def test_order_amalgam_refuses_images_in_reverse_order():
+    # A = {0 < 1} sits in B = {0 < 1 < 2} as 0 and 2, so B's new point 1
+    # belongs above the image of 0 and below that of 1, which f swaps
+    A, B = chain_structure(2), chain_structure(3)
+    M = chain_structure(2, start=5)
+    inc = Embedding(A, B, {0: 0, 1: 2})
+    f = Embedding(A, M, {0: 6, 1: 5})
+    with pytest.raises(AmalgamationFailed,
+                       match="order constraints collapsed"):
+        linear_order_class().amalgamate(M, A, B, f, inc)
 
 
 CLASSES = {"orders": linear_order_class, "graphs": graph_class,

@@ -146,12 +146,11 @@ def test_pinned_matches_with_fixed_assignments(k1_head_chain):
     top = k1_head_chain[-1]
     for A, B, inc in k1_class(TRUNC, 1).task_pairs(3):
         for f in enumerate_matches(A, top)[:3]:
-            fixed_p0 = {inc.p0(a): f.p0(a) for a, _ in inc.p0_map}
-            fixed_p2 = {inc.p2(c): f.p2(c) for c, _ in inc.p2_map}
-            full = enumerate_matches(B, top, fixed_p0, fixed_p2)
+            fixed = {inc.p0(a): f.p0(a) for a, _ in inc.p0_map}
+            fixed.update((inc.p2(c), f.p2(c)) for c, _ in inc.p2_map)
+            full = enumerate_matches(B, top, fixed)
             for S in (match_images(f), {top.p0[-1]}, {top.p2[-1]}):
-                pinned = enumerate_matches(B, top, fixed_p0, fixed_p2,
-                                           touching=S)
+                pinned = enumerate_matches(B, top, fixed, touching=S)
                 assert pinned == [e for e in full if match_images(e) & S]
 
 
@@ -170,10 +169,10 @@ def test_members_of_different_truncations_have_no_match():
     assert enumerate_matches(B, A) == []
     inclusion = MatchEmbedding(((A.p0[0], A.p0[0]),), ())
     f = MatchEmbedding(((A.p0[0], B.p0[0]),), ())
-    assert extend_match(A, B, inclusion, f, first_only=False) == []
+    assert extend_match(A, B, inclusion, f) == []
     inclusion = MatchEmbedding(((B.p0[0], B.p0[0]),), ())
     f = MatchEmbedding(((B.p0[0], A.p0[0]),), ())
-    assert extend_match(B, A, inclusion, f, first_only=False) == []
+    assert extend_match(B, A, inclusion, f) == []
 
 
 # ---------------------------------------------------------------------------
