@@ -18,6 +18,13 @@ others, and every subset of an independent set is independent.  The
 search therefore runs top-down, from the largest size allowed to the
 first size with an independent subset, and a search that finds an
 independent triple takes no closure of the empty set or of a point.
+
+The survey tests each clause only where it can fail.  A random draw
+(``random_member``) and a completion leaf (``_completions``) satisfy
+partition and coherence by construction, so they test the independence
+bound alone, and a completion leaf is copied only once it passes;
+``frugal_amalgamate`` still runs ``check_membership`` in full on every
+part it is given.
 """
 
 from __future__ import annotations
@@ -232,7 +239,16 @@ def _completions(
     class_cap: Optional[int] = None,
 ) -> Iterator[KrStructure]:
     """Backtracking over the cross tuples: classes in increasing index,
-    witness values in increasing id order; class members only."""
+    witness values in increasing id order; class members only.
+
+    One shared ``base`` holds the placement in progress.  At a leaf the
+    independence bound is tested on ``base`` itself, and only a leaf
+    that passes is copied out, so a caller that keeps a solution holds
+    its own dicts.  On parts that are members and agree on their
+    overlaps (``frugal_amalgamate``'s preconditions), partition and
+    coherence hold by construction: every tuple is classified once, by
+    a part or here, below the truncation and with witness values from
+    the union.  So the bound is the only clause a leaf can fail."""
     r = config.parts[0].r
     trunc = config.parts[0].trunc
     class_bound = trunc if class_cap is None else min(class_cap, trunc)
@@ -252,10 +268,9 @@ def _completions(
 
     def place(index: int) -> Iterator[KrStructure]:
         if index == len(cross):
-            candidate = KrStructure(r, trunc, universe,
-                                    dict(base.classes), dict(base.values))
-            if _independence_bound_holds(candidate):
-                yield candidate
+            if _independence_bound_holds(base):
+                yield KrStructure(r, trunc, universe,
+                                  dict(base.classes), dict(base.values))
             return
         t = cross[index]
         for n, vals in assignments():
@@ -311,8 +326,21 @@ def random_member(rng: random.Random, r: int, trunc: int,
                   universe: Sequence[int],
                   class_cap: int = 2) -> Optional[KrStructure]:
     """Seeded random member on the given universe, or None after 200
-    draws."""
+    draws.
+
+    Each draw gives every tuple a class below ``class_cap`` and a
+    witness value from the universe at each index below its class, so
+    with ``1 <= class_cap <= trunc`` and no repeated id the partition and
+    coherence clauses of ``check_membership`` hold by construction, and
+    a draw is a member exactly when the independence bound holds; only
+    that is tested.  Outside those conditions ``PreconditionFailed`` is
+    raised before any draw."""
     universe = tuple(universe)
+    if not 1 <= class_cap <= trunc:
+        raise PreconditionFailed(
+            "random_member", f"class cap {class_cap} outside 1..{trunc}")
+    if len(set(universe)) != len(universe):
+        raise PreconditionFailed("random_member", "repeated id in universe")
     for _ in range(200):
         M = KrStructure(r, trunc, universe)
         for t in M.tuples():
@@ -320,7 +348,7 @@ def random_member(rng: random.Random, r: int, trunc: int,
             M.classes[t] = n
             for m in range(n):
                 M.values[(m, t)] = rng.choice(universe)
-        if check_membership(M).passed:
+        if _independence_bound_holds(M):
             return M
     return None
 

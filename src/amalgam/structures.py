@@ -88,7 +88,8 @@ class FiniteStructure:
     from argument tuples to values; constants: symbol -> element.
 
     A structure keeps what queries compute from it alone: its element
-    set (``_elements``, built by ``validate``), and two memos, the
+    set (``_elements``, built by ``validate``, or by ``restrict``, which
+    skips it), and two memos, the
     substructure each generator set generates (``_substructures``, for
     ``generate_substructure``) and the relation signature of each point
     tuple (``_signatures``, for ``relation_signature``).  The game's
@@ -160,7 +161,14 @@ class FiniteStructure:
         return len(self.universe)
 
     def restrict(self, subset: Iterable[int]) -> "FiniteStructure":
-        """Induced structure on a subset (not checked for closure)."""
+        """Induced structure on a subset (not checked for closure).
+
+        The result is built without ``validate``: its universe is the
+        kept points of this valid structure, so ids are distinct; every
+        kept relation tuple and function entry lies inside ``keep`` by
+        construction, arities included; and a dropped constant raises
+        ``ValueError`` here.  Its ``_elements`` is ``keep`` and its
+        memos start empty."""
         keep = self._elements.intersection(subset)
         universe = tuple(x for x in self.universe if x in keep)
         relations = {}
@@ -177,11 +185,14 @@ class FiniteStructure:
                    if keep.issuperset(args) and v in keep}
             for name, table in self.functions.items()
         }
-        constants = dict(self.constants)
-        if not all(v in keep for v in constants.values()):
+        if not keep.issuperset(self.constants.values()):
             raise ValueError("restriction drops a constant")
-        return FiniteStructure(self.vocabulary, universe, relations,
-                               functions, constants)
+        sub = object.__new__(FiniteStructure)
+        sub.vocabulary, sub.universe = self.vocabulary, universe
+        sub.relations, sub.functions = relations, functions
+        sub.constants, sub._elements = dict(self.constants), keep
+        sub._substructures, sub._signatures = {}, {}
+        return sub
 
 
 def generate_substructure(M: FiniteStructure, X: Iterable[int]) -> FiniteStructure:

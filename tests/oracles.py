@@ -12,9 +12,12 @@ injection, game positions by trying every injection between the
 generated substructures, the game by playing
 every order of picks in universe order, restriction by
 filtering every stored tuple, closure by testing every function entry,
-embedding validity by mapping every tuple, and the r-dimensional
+embedding validity by mapping every tuple, the r-dimensional
 closures on the flat form, which writes out the classes as relations
-and every head entry.  Slow on purpose and capped to desk sizes.
+and every head entry, and random r-dimensional members by accepting a
+draw on every clause of ``check_membership``.  Slow on purpose and
+capped to desk sizes.  ``planted`` builds the mutants that tests use to
+show a check can fail.
 
 Four definitions live here rather than in ``src/amalgam``, since only
 tests use them: ``subalgebra_elements`` (was the method
@@ -27,8 +30,11 @@ back along an embedding, and ``check_structure_membership`` (was in
 
 from __future__ import annotations
 
+import inspect
 import itertools
-from typing import Iterable, Iterator
+import random
+import textwrap
+from typing import Iterable, Iterator, Optional, Sequence
 
 from amalgam.boolalg import (
     BAEmbedding,
@@ -575,3 +581,38 @@ def check_structure_membership(M: FiniteStructure, r: int) -> CheckReport:
         faults = flat_faults[item.key] + ([] if item.passed else [item.detail])
         out.add(item.key, not faults, "; ".join(faults))
     return out
+
+
+def random_member_by_membership(rng: random.Random, r: int, trunc: int,
+                                universe: Sequence[int],
+                                class_cap: int = 2) -> Optional[KrStructure]:
+    """The draws of ``kdim.random_member``, each accepted when every
+    clause of ``check_membership`` holds; None after 200 draws."""
+    universe = tuple(universe)
+    for _ in range(200):
+        M = KrStructure(r, trunc, universe)
+        for t in M.tuples():
+            n = rng.randrange(class_cap)
+            M.classes[t] = n
+            for m in range(n):
+                M.values[(m, t)] = rng.choice(universe)
+        if check_membership(M).passed:
+            return M
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Planted faults
+# ---------------------------------------------------------------------------
+
+
+def planted(function, old: str, new: str):
+    """A planted fault: ``function`` (a method too) recompiled in its
+    module's namespace with the one occurrence of ``old`` in its source
+    replaced by ``new``.  Fails loudly once the source no longer holds
+    ``old``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"stale mutant: {old!r}"
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]

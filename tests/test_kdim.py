@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from amalgam import kdim
 from amalgam.errors import FrugalImpossible, NoAmalgam, PreconditionFailed
 from amalgam.kdim import (
     KConfiguration,
@@ -26,7 +27,12 @@ from amalgam.kdim import (
 )
 from amalgam.report import CheckReport
 from amalgam.structures import generate_substructure
-from oracles import check_structure_membership, flat_form
+from oracles import (
+    check_structure_membership,
+    flat_form,
+    planted,
+    random_member_by_membership,
+)
 
 TRUNC = 4
 
@@ -569,3 +575,69 @@ def test_partition_names_a_missing_tuple_beside_a_stray_one(stray):
     partition = report.items[0]
     assert partition.key == "kr0.partition" and partition.passed is False
     assert "(1, 0)" in partition.detail and str(stray) in partition.detail
+
+
+def random_member_calls(sample, monkeypatch):
+    """Each call of ``sample`` over r in {1, 2}, trunc in {4, 6},
+    universes of 1 to 4 points, every class cap from 1 to trunc and 50
+    seeds, as (case, agrees, verdicts): whether it returns the member of
+    ``random_member_by_membership`` (universe, classes and values, or
+    None) and leaves the rng in the same state, and the independence
+    bound's verdict on each of its draws."""
+    verdicts = []
+    bound = kdim._independence_bound_holds
+
+    def recorded(M):
+        verdicts.append(bound(M))
+        return verdicts[-1]
+
+    monkeypatch.setattr(kdim, "_independence_bound_holds", recorded)
+    for r, trunc, size in itertools.product((1, 2), (4, 6), range(1, 5)):
+        for class_cap, seed in itertools.product(range(1, trunc + 1),
+                                                 range(50)):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = random_member_by_membership(want_rng, r, trunc,
+                                               range(size), class_cap)
+            verdicts.clear()
+            got = sample(got_rng, r, trunc, range(size), class_cap)
+            agrees = want_rng.getstate() == got_rng.getstate() and \
+                (want and (want.universe, want.classes, want.values)) == \
+                (got and (got.universe, got.classes, got.values))
+            yield (r, trunc, size, class_cap, seed), agrees, list(verdicts)
+
+
+def test_random_member_equals_the_full_membership_loop(monkeypatch):
+    # a draw satisfies partition and coherence by construction, so
+    # testing the independence bound alone accepts the same draws
+    mismatches, first, redrawn = [], 0, 0
+    for case, agrees, verdicts in random_member_calls(random_member,
+                                                      monkeypatch):
+        if not agrees:
+            mismatches.append(case)
+        first += verdicts == [True]
+        redrawn += False in verdicts
+    assert mismatches == []
+    assert first and redrawn
+
+
+def test_the_member_loop_catches_a_sampler_that_accepts_every_draw(
+        monkeypatch):
+    mutant = planted(random_member, "if _independence_bound_holds(M):",
+                     "if True:")
+    assert not all(agrees for _, agrees, _ in
+                   random_member_calls(mutant, monkeypatch))
+
+
+@pytest.mark.parametrize("class_cap,universe", [
+    (TRUNC + 1, (0, 1)), (0, (0, 1)), (2, (0, 1, 0))])
+def test_random_member_refuses_draws_that_could_fail_more_than_the_bound(
+        class_cap, universe):
+    # a cap above the truncation lets a class break the partition, a
+    # cap below 1 leaves no class to draw, and a repeated id breaks the
+    # tuple count; each is refused before any draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(PreconditionFailed) as caught:
+        random_member(rng, 1, TRUNC, universe, class_cap)
+    assert caught.value.clause == "random_member"
+    assert rng.getstate() == state

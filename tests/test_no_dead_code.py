@@ -276,7 +276,8 @@ SHARED_METHODS = {
     },
     "canonical_key": {
         "FiniteStructure": "equality and hashing of plain structures, and "
-                           "the order_game digests",
+                           "pinned_digest in the linear-order pin test of "
+                           "tests/test_fraisse.py",
         "K1Structure": "equality and hashing of k1 members, and the k1 "
                        "digests",
     },

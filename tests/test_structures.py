@@ -1,7 +1,6 @@
 """Core structures: closure, embedding enumeration, isomorphism, round-trip."""
 
 import dataclasses
-import inspect
 import itertools
 import json
 import random
@@ -30,6 +29,7 @@ from oracles import (
     embedding_valid_by_apply,
     embeddings_by_permutation,
     identity,
+    planted,
     restrict_by_filter,
 )
 
@@ -224,10 +224,16 @@ DIFFERENTIAL = Vocabulary.make(relations={"Z": 0, "P": 1, "E": 2, "T": 3},
                                functions={"f": 1, "g": 2}, constants=["c"])
 
 
-def random_differential(rng, universe):
+def random_differential(rng, universe, sparse=False):
     """A DIFFERENTIAL structure: each relation holds of each tuple, and
     each function is defined at each argument tuple, with probability
-    0.3; c is interpreted on most nonempty universes."""
+    0.3; c is interpreted on most nonempty universes.  A ``sparse`` one
+    holds only the binary relation E, so that no other symbol turns a
+    map away."""
+    if sparse:
+        return FiniteStructure(DIFFERENTIAL, universe, {"E": {
+            t for t in itertools.product(universe, repeat=2)
+            if rng.random() < 0.3}})
     relations = {name: {t for t in itertools.product(universe, repeat=arity)
                         if rng.random() < 0.3}
                  for name, arity in DIFFERENTIAL.relations}
@@ -265,13 +271,16 @@ def differential_cases(count):
     B or an unrelated random structure; about half the cases pin some
     points of A (to an embedding's images or to random points of B),
     and about half keep only the embeddings touching a random subset of
-    B."""
+    B.  Every fourth case is sparse: both sides hold the binary
+    relation E alone."""
     rng = random.Random(0)
-    for _ in range(count):
-        B = random_differential(rng, rng.sample(range(10), rng.randint(0, 5)))
+    for i in range(count):
+        sparse = i % 4 == 3
+        B = random_differential(
+            rng, rng.sample(range(10), rng.randint(0, 5)), sparse)
         A = relabelled_part(rng, B) if B.size and rng.random() < 0.6 else \
             random_differential(rng, rng.sample(range(20, 30),
-                                                rng.randint(0, 3)))
+                                                rng.randint(0, 3)), sparse)
         fixed = touching = None
         if A.size and rng.random() < 0.5:
             pinned = rng.sample(A.universe, rng.randint(1, A.size))
@@ -381,17 +390,6 @@ def test_pin_edge_cases_equal_the_permutation_oracle():
                         "constant": {False}, "forced": {True, False}}
 
 
-def planted(function, old, new):
-    """A planted fault: ``function`` recompiled in its module's namespace
-    with the one occurrence of ``old`` in its source replaced by ``new``.
-    Fails loudly once the source no longer holds ``old``."""
-    source = inspect.getsource(function)
-    assert source.count(old) == 1, f"stale mutant: {old!r}"
-    namespace = dict(vars(inspect.getmodule(function)))
-    exec(source.replace(old, new), namespace)
-    return namespace[function.__name__]
-
-
 def swapped_lookup(relations, entries, mapping, newly):
     """A planted fault: a feasibility check over every assigned tuple
     that looks up the image of a binary tuple ending at the new point
@@ -420,23 +418,41 @@ def test_the_differential_catches_a_search_that_checks_nothing(monkeypatch):
     assert mismatches
 
 
+BINARY_CHECK = ("if ((newly, x) in tuples) != ((image, y) in b_tuples) or \\\n"
+                "                        x != newly and \\\n"
+                "                        ((x, newly) in tuples) != "
+                "((y, image) in b_tuples):")
+
+
+def binary_half_caught(monkeypatch, kept_half):
+    """Whether the graph cases and the differential cases each catch
+    the binary branch cut down to ``kept_half``."""
+    monkeypatch.setattr(structures, "_consistent_so_far", planted(
+        structures._consistent_so_far, BINARY_CHECK, kept_half))
+    return [bool(search_mismatches(cases)[0])
+            for cases in (graph_cases(40), differential(400))]
+
+
 def test_the_graph_cases_catch_a_binary_check_without_its_back_half(
         monkeypatch):
     """The binary branch checks (newly, x) for every assigned x and
     (x, newly) for every x placed earlier; a branch that drops the
     second half misses the tuples that end at the new point.  The graph
-    cases catch it: in the differential cases the other relations and
-    functions leave no map that only the edges would turn away."""
-    mutant = planted(
-        structures._consistent_so_far,
-        "if ((newly, x) in tuples) != ((image, y) in b_tuples) or \\\n"
-        "                        x != newly and \\\n"
-        "                        ((x, newly) in tuples) != "
-        "((y, image) in b_tuples):",
-        "if ((newly, x) in tuples) != ((image, y) in b_tuples):")
-    monkeypatch.setattr(structures, "_consistent_so_far", mutant)
-    mismatches, _ = search_mismatches(graph_cases(40))
-    assert mismatches
+    cases catch it, and so do the sparse differential cases, where no
+    symbol but the edges turns a map away."""
+    assert binary_half_caught(
+        monkeypatch,
+        "if ((newly, x) in tuples) != ((image, y) in b_tuples):") == \
+        [True, True]
+
+
+def test_the_cases_catch_a_binary_check_without_its_front_half(monkeypatch):
+    """A branch that keeps only the (x, newly) half misses the tuples
+    that start at the new point."""
+    assert binary_half_caught(
+        monkeypatch,
+        "if x != newly and ((x, newly) in tuples) != "
+        "((y, image) in b_tuples):") == [True, True]
 
 
 def test_the_pin_edge_cases_catch_a_search_that_does_not_vet_its_pins():
@@ -505,20 +521,66 @@ def random_mixed(rng, n, density):
                            {"c": rng.choice(universe)})
 
 
-def test_restrict_agrees_with_the_tuple_filter_on_both_sides_of_its_choice():
+def restrict_cases(count):
+    """``count`` (M, keep) cases: a sparse or dense MIXED structure and a
+    random subset holding its constant, listed with repeats."""
     rng = random.Random("restrict")
-    products = set()
-    for _ in range(200):
+    for _ in range(count):
         M = random_mixed(rng, rng.randint(1, 6), rng.choice((0.05, 0.9)))
-        keep = [M.constants["c"]] + rng.sample(M.universe,
-                                               rng.randint(0, M.size))
-        assert M.restrict(keep) == restrict_by_filter(M, keep)
+        yield M, [M.constants["c"]] + rng.sample(M.universe,
+                                                 rng.randint(0, M.size))
+
+
+def restrict_faults(M, keep):
+    """What is wrong with ``M.restrict(keep)``, which skips ``validate``:
+    a result other than the tuple filter's, one that ``validate``
+    refuses, an element set other than its universe's, memos that are
+    not fresh and empty, or no ``ValueError`` once the constant is
+    dropped."""
+    faults = []
+    sub = M.restrict(keep)
+    if sub != restrict_by_filter(M, keep):
+        faults.append("differs from the tuple filter")
+    if sub._elements != frozenset(sub.universe):
+        faults.append("element set is not the universe's")
+    if sub._substructures or sub._signatures or \
+            sub._substructures is M._substructures or \
+            sub._signatures is M._signatures:
+        faults.append("memos are not fresh and empty")
+    try:
+        sub.validate()
+    except ValueError as error:
+        faults.append(f"invalid: {error}")
+    try:
+        M.restrict(set(keep) - {M.constants["c"]})
+        faults.append("a dropped constant does not raise")
+    except ValueError:
+        pass
+    return faults
+
+
+def test_restrict_agrees_with_the_tuple_filter_on_both_sides_of_its_choice():
+    products = set()
+    for M, keep in restrict_cases(200):
+        assert restrict_faults(M, keep) == []
         kept = len(set(keep))
         products |= {kept ** arity < len(M.relations[name])
                      for name, arity in MIXED.relations}
     # sparse relations are filtered, dense ones under small subsets are
     # walked through the kept tuples
     assert products == {True, False}
+
+
+def test_the_restrict_checks_catch_entries_valued_outside_the_subset(
+        monkeypatch):
+    """With no ``validate`` on the result, only these checks stand
+    between a kept entry whose value was dropped and the caller."""
+    mutant = planted(FiniteStructure.restrict,
+                     "if keep.issuperset(args) and v in keep}",
+                     "if keep.issuperset(args)}")
+    monkeypatch.setattr(FiniteStructure, "restrict", mutant)
+    faults = [restrict_faults(M, keep) for M, keep in restrict_cases(200)]
+    assert any(faults)
 
 
 def random_embedding_pairs(rng, count):
