@@ -52,19 +52,25 @@ def refine(universe: int, masks: Iterable[int]) -> list[tuple[int, int]]:
 
     The universe is refined one mask at a time into blocks of bits with
     equal vectors so far, so the cost follows the number of distinct
-    vectors rather than the number of bits.  Every block is nonempty.
+    vectors rather than the number of bits; a mask that cuts the
+    universe nowhere or everywhere splits no block and costs no walk.
+    Every block is nonempty.
     """
     blocks = [(0, universe)] if universe else []
     for i, mask in enumerate(masks):
         bit = 1 << i
-        refined = []
-        for v, block in blocks:
-            inside = block & mask
-            if inside:
-                refined.append((v | bit, inside))
-            if inside != block:
-                refined.append((v, block ^ inside))
-        blocks = refined
+        cut = universe & mask
+        if cut == universe:
+            blocks = [(v | bit, block) for v, block in blocks]
+        elif cut:
+            refined = []
+            for v, block in blocks:
+                inside = block & mask
+                if inside:
+                    refined.append((v | bit, inside))
+                if inside != block:
+                    refined.append((v, block ^ inside))
+            blocks = refined
     return blocks
 
 

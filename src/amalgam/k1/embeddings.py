@@ -30,7 +30,7 @@ from typing import Collection, Optional
 from ..boolalg import refine
 from ..errors import InvalidEmbedding
 from ..search import backtrack
-from .freepart import FreeFn, rename
+from .freepart import rename
 from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
 
@@ -104,59 +104,43 @@ def _generator_lists(A: K1Structure, B: K1Structure,
     return src, tgt
 
 
-def _simple_kind(fn: FreeFn) -> Optional[tuple[str, int]]:
-    """('zero', 0) for the zero function, ('var', g) for a bare positive
-    generator; None for anything richer."""
-    if fn.is_zero:
-        return ("zero", 0)
-    if len(fn.support) == 1 and fn.table == 0b10:
-        return ("var", fn.support[0])
-    return None
+def _shape(values: list[P1Element]) -> Optional[list[int]]:
+    """The free shape of ``values``, one entry per value: -1 for a zero
+    free part, else the index of the first value with the same bare
+    generator; None if some free part is richer than a bare generator."""
+    first: dict[int, int] = {}
+    shape = []
+    for i, x in enumerate(values):
+        fn = x.free
+        if not fn.table:
+            shape.append(-1)
+        elif fn.table == 0b10 and len(fn.support) == 1:
+            shape.append(first.setdefault(fn.support[0], i))
+        else:
+            return None
+    return shape
 
 
 def _match_simple(A: K1Structure, B: K1Structure,
                   src: list[P1Element], tgt: list[P1Element]) -> Optional[bool]:
     """Fast validity for chi-plus-generator shaped values; None if either
-    side is not of that shape."""
-    kinds_src = [_simple_kind(x.free) for x in src]
-    kinds_tgt = [_simple_kind(x.free) for x in tgt]
-    if any(k is None for k in kinds_src) or any(k is None for k in kinds_tgt):
+    side is not of that shape.  The sides need one ``_shape``.  A sign
+    vector is realized in the free factor iff it reads 0 at the zero
+    positions and reads each repeated generator's position as its first,
+    so the sides match iff every vector their atoms realize on one side
+    only is realized there; with no repeats the zero positions decide."""
+    shape, shape_t = _shape(src), _shape(tgt)
+    if shape is None or shape_t is None:
         return None
-    # free shape must agree positionwise, including generator sharing
-    seen_s: dict[int, int] = {}
-    seen_t: dict[int, int] = {}
-    shape_s, shape_t = [], []
-    for (ks, gs), (kt, gt) in zip(kinds_src, kinds_tgt):
-        if ks != kt:
-            return False
-        if ks == "zero":
-            shape_s.append(-1)
-            shape_t.append(-1)
-        else:
-            shape_s.append(seen_s.setdefault(gs, len(seen_s)))
-            shape_t.append(seen_t.setdefault(gt, len(seen_t)))
-    if shape_s != shape_t:
+    if shape != shape_t:
         return False
-    # A sign vector (bit i: under value i) is a realized free vector iff
-    # it reads 0 at the zero values and is constant on each generator's
-    # positions.
-    zero_bits = 0
-    groups: dict[int, int] = {}
-    for i, s in enumerate(shape_s):
-        if s == -1:
-            zero_bits |= 1 << i
-        else:
-            groups[s] = groups.get(s, 0) | 1 << i
-
-    def consistent_with_free(v: int) -> bool:
-        return not v & zero_bits and all(v & g in (0, g)
-                                         for g in groups.values())
-
-    pure_s = {v for v, _ in refine(A.ctx.full_mask, [x.atomic for x in src])
-              if not consistent_with_free(v)}
-    pure_t = {v for v, _ in refine(B.ctx.full_mask, [x.atomic for x in tgt])
-              if not consistent_with_free(v)}
-    return pure_s == pure_t
+    zero_bits = sum(1 << i for i, s in enumerate(shape) if s == -1)
+    repeats = [(i, s) for i, s in enumerate(shape) if s not in (-1, i)]
+    differ = {v for v, _ in refine(A.ctx.full_mask, [x.atomic for x in src])} \
+        ^ {v for v, _ in refine(B.ctx.full_mask, [x.atomic for x in tgt])}
+    return not any(v & zero_bits or any((v >> i ^ v >> s) & 1
+                                        for i, s in repeats)
+                   for v in differ)
 
 
 def _match_general(A: K1Structure, B: K1Structure,
@@ -236,20 +220,23 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
 
 
 def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
-    """Cheap necessary condition: the value-kind sequence of c must match
-    that of d, and values must share generators in the same positions."""
-    seen_s: dict = {}
-    seen_t: dict = {}
+    """Cheap necessary condition: c and d have zero free parts and bare
+    generators, shared alike, at the same indices up to the first index
+    where either side is richer (left to the full check)."""
+    first_s: dict[int, int] = {}
+    first_t: dict[int, int] = {}
     for n in range(A.trunc):
-        xs, xt = A.f[(n, c)], B.f[(n, d)]
-        ks, kt = _simple_kind(xs.free), _simple_kind(xt.free)
-        if ks is None or kt is None:
-            return True  # rich values: leave it to the full check
-        if ks[0] != kt[0]:
-            return False
-        if ks[0] == "var":
-            if seen_s.setdefault(ks[1], n) != seen_t.setdefault(kt[1], n):
+        s, t = A.f[(n, c)].free, B.f[(n, d)].free
+        var_s = s.table == 0b10 and len(s.support) == 1
+        var_t = t.table == 0b10 and len(t.support) == 1
+        if var_s and var_t:
+            if first_s.setdefault(s.support[0], n) != \
+                    first_t.setdefault(t.support[0], n):
                 return False
+        elif s.table and not var_s or t.table and not var_t:
+            return True
+        elif s.table or t.table:
+            return False
     return True
 
 

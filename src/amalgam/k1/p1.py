@@ -18,6 +18,7 @@ every combination of their sign vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..boolalg import FiniteBooleanAlgebra, refine
@@ -55,19 +56,16 @@ BOTTOM = P1Element(0, ZERO)
 @dataclass(frozen=True)
 class P1Context:
     """Designated-atom inventory of one structure; complements are taken
-    relative to it."""
+    relative to it.  ``full_mask`` (b* as a bitmask) is computed once."""
 
     atom_ids: tuple[int, ...]
 
     def __post_init__(self):
         assert self.atom_ids == tuple(sorted(set(self.atom_ids)))
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
-        m = 0
-        for a in self.atom_ids:
-            m |= 1 << a
-        return m
+        return sum(1 << a for a in self.atom_ids)
 
     @property
     def b_star(self) -> P1Element:
@@ -136,44 +134,48 @@ def subalgebra_contains(
 
 
 def spans_generator(
-    ctx: P1Context, span: Sequence[P1Element], g: int
+    ctx: P1Context, span: Sequence[P1Element], gens: Sequence[int]
 ) -> bool:
-    """Does the subalgebra generated by ``span`` contain the bare
-    generator g?
+    """Does the subalgebra generated by ``span`` contain every bare
+    generator of ``gens``?  One sweep: the support-free elements, the
+    atoms they set apart and the span's support components are found
+    once, then each g gets one ``subalgebra_contains`` call, in order,
+    up to the first g not spanned.
 
-    When the support-free span elements set every designated atom apart
-    and some span element e has free support exactly (g,), the answer is
-    read off the one-generator sub-span of e and the support-free
-    elements, with no support-component walk.  That is sound: the
-    support-free elements generate b* (the join of the designated
-    atoms), so e minus b* is g or its complement, and a sub-span
-    generates a subalgebra of the span's.
-
-    Otherwise windows down to the support component of g among the
-    span's free parts, plus the purely atomic span elements.  That is
-    exact when those elements set every designated atom apart from the
-    free points, as the designated atoms themselves do in every span the
-    checkers pass; otherwise another component may set an atom apart
-    (two of its elements can meet in an atomic element), and the whole
-    span is refined.
+    When the support-free elements set every designated atom apart, they
+    generate b*, so a span element e of free support exactly (g,) minus
+    b* is g or its complement: g is read off e and those elements.
+    Otherwise g is not spanned when no free part involves it, and is
+    read off its support component plus the support-free elements.  That
+    is exact when these set every atom apart from the free points, as
+    the designated atoms do in every span the checkers pass; else
+    another component may set an atom apart (two of its elements can
+    meet in an atomic element), and the whole span is refined.
     """
-    target = P1Element(0, var(g))
+    full = ctx.full_mask
     constants = [e for e in span if not e.free.support]
     apart = 0
     for e in constants:
-        apart |= e.atomic if e.free.is_zero else ctx.full_mask & ~e.atomic
-    if apart == ctx.full_mask:
-        for e in span:
-            if e.free.support == (g,):
-                return subalgebra_contains(ctx, [e] + constants, target)
-    component = set(support_components([var(g)] + [e.free for e in span])[0])
-    if len(component) == 1:
-        return False
-    if apart != ctx.full_mask:
-        return subalgebra_contains(ctx, span, target)
-    relevant = [e for i, e in enumerate(span, 1)
-                if i in component or not e.free.support]
-    return subalgebra_contains(ctx, relevant, target)
+        apart |= e.atomic if e.free.is_zero else full & ~e.atomic
+    # the first span element of support (g,) wins
+    alone = {e.free.support[0]: e for e in reversed(span)
+             if len(e.free.support) == 1} if apart == full else {}
+    owner: dict[int, set[int]] = {}
+    for part in map(set, support_components([e.free for e in span])):
+        owner.update(dict.fromkeys(
+            [g for i in part for g in span[i].free.support], part))
+    for g in gens:
+        if g in alone:
+            sub = [alone[g]] + constants
+        elif g not in owner:
+            return False
+        else:
+            sub = span if apart != full else [
+                e for i, e in enumerate(span)
+                if i in owner[g] or not e.free.support]
+        if not subalgebra_contains(ctx, sub, P1Element(0, var(g))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

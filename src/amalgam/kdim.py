@@ -334,13 +334,17 @@ def random_member(rng: random.Random, r: int, trunc: int,
     coherence clauses of ``check_membership`` hold by construction, and
     a draw is a member exactly when the independence bound holds; only
     that is tested.  Outside those conditions ``PreconditionFailed`` is
-    raised before any draw."""
+    raised before any draw, as it is for class cap 1 on r+2 or more
+    points: with no witness values every subset is independent."""
     universe = tuple(universe)
     if not 1 <= class_cap <= trunc:
         raise PreconditionFailed(
             "random_member", f"class cap {class_cap} outside 1..{trunc}")
     if len(set(universe)) != len(universe):
         raise PreconditionFailed("random_member", "repeated id in universe")
+    if class_cap == 1 and len(universe) >= r + 2:
+        raise PreconditionFailed(
+            "random_member", "class cap 1 leaves every subset independent")
     for _ in range(200):
         M = KrStructure(r, trunc, universe)
         for t in M.tuples():

@@ -7,7 +7,9 @@ expansion by evaluating the function at every window point,
 independence by quantifying over all nonzero Boolean polynomials,
 pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
-corpus by comparing every pair of members, embeddings by trying every
+corpus by comparing every pair of members, sign-vector refinement by
+cutting every mask into every block, the value-kind profile of a P2
+column pair by classifying each value on its own, embeddings by trying every
 injection, game positions by trying every injection between the
 generated substructures, the game by playing
 every order of picks in universe order, restriction by
@@ -313,6 +315,62 @@ def bases_through_by_enumeration(
         else:
             if atoms_seen == F.full:
                 yield J
+
+
+# ---------------------------------------------------------------------------
+# Sign-vector refinement, mask by mask
+# ---------------------------------------------------------------------------
+
+
+def refine_by_every_block(universe: int,
+                          masks: Iterable[int]) -> list[tuple[int, int]]:
+    """``boolalg.refine`` with every mask cut into every block, including
+    masks that split no block."""
+    blocks = [(0, universe)] if universe else []
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        refined = []
+        for v, block in blocks:
+            inside = block & mask
+            if inside:
+                refined.append((v | bit, inside))
+            if inside != block:
+                refined.append((v, block ^ inside))
+        blocks = refined
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# Value-kind profile of a P2 column pair
+# ---------------------------------------------------------------------------
+
+
+def _value_kind(fn: FreeFn) -> Optional[tuple[str, int]]:
+    """('zero', 0) for the zero function, ('var', g) for a bare positive
+    generator; None for anything richer."""
+    if fn.is_zero:
+        return ("zero", 0)
+    if len(fn.support) == 1 and fn.table == 0b10:
+        return ("var", fn.support[0])
+    return None
+
+
+def p2_profile_by_kinds(A, B, c: int, d: int) -> bool:
+    """``embeddings._p2_profile_ok`` with each value classified on its
+    own: True at the first rich value, False at the first kind mismatch
+    or sharing mismatch."""
+    seen_s: dict = {}
+    seen_t: dict = {}
+    for n in range(A.trunc):
+        ks, kt = _value_kind(A.f[(n, c)].free), _value_kind(B.f[(n, d)].free)
+        if ks is None or kt is None:
+            return True
+        if ks[0] != kt[0]:
+            return False
+        if ks[0] == "var":
+            if seen_s.setdefault(ks[1], n) != seen_t.setdefault(kt[1], n):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from amalgam.boolalg import (
     pushout_independence,
     quotient,
     rebase_with_element,
+    refine,
 )
 from amalgam.errors import (
     ImproperIdeal,
@@ -31,7 +33,9 @@ from oracles import (
     all_embeddings_between,
     bases_through_by_enumeration,
     independence_by_all_polynomials,
+    planted,
     preimage,
+    refine_by_every_block,
     subalgebra_elements,
     verify_pushout_triple,
 )
@@ -44,6 +48,57 @@ def atoms_to_element(*indices):
     for i in indices:
         e |= 1 << i
     return e
+
+
+# ---------------------------------------------------------------------------
+# sign-vector refinement
+# ---------------------------------------------------------------------------
+
+
+def cut_kind(universe, mask):
+    cut = universe & mask
+    return "miss" if not cut else "cover" if cut == universe else "split"
+
+
+def refine_cases():
+    """Seeded (universe, masks) pairs, each mask missing the universe,
+    covering it or splitting it, a tenth of them on the empty universe."""
+    rng = random.Random(29)
+    cases = [(0, []), (0, [0b101, 0]), (0b1101, [0, 0b1101, 0b1111, 0b100])]
+    for _ in range(400):
+        width = rng.randint(1, 24)
+        universe = rng.getrandbits(width) if rng.random() < 0.9 else 0
+        masks = []
+        for _ in range(rng.randint(0, 8)):
+            noise = rng.getrandbits(width + 2)
+            masks.append(rng.choice((noise & ~universe, noise | universe,
+                                     noise)))
+        cases.append((universe, masks))
+    return cases
+
+
+def test_refine_equals_the_per_block_loop():
+    kinds = Counter()
+    for universe, masks in refine_cases():
+        assert refine(universe, masks) == \
+            refine_by_every_block(universe, masks), (universe, masks)
+        kinds.update(cut_kind(universe, m) for m in masks if universe)
+        kinds["empty universe"] += not universe
+    assert min(kinds[k] for k in ("miss", "cover", "split",
+                                  "empty universe")) > 20, kinds
+
+
+@pytest.mark.parametrize("old,new", [
+    # the bit set on every block of an empty cut
+    ("if cut == universe:", "if cut in (0, universe):"),
+    # a block dropped on a full cut
+    ("for v, block in blocks]", "for v, block in blocks[1:]]"),
+])
+def test_refine_comparison_catches_a_planted_fault(old, new):
+    mutant = planted(refine, old, new)
+    assert any(mutant(universe, masks) !=
+               refine_by_every_block(universe, masks)
+               for universe, masks in refine_cases())
 
 
 # ---------------------------------------------------------------------------

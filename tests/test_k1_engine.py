@@ -22,7 +22,7 @@ from amalgam.k1 import (
     var,
 )
 from amalgam.k1 import engine
-from amalgam.k1.embeddings import _simple_kind
+from amalgam.k1.embeddings import _shape
 from amalgam.k1.engine import (
     build_generic_k1,
     corpus,
@@ -153,7 +153,7 @@ def renamed_member(rng, M):
 def is_rich(M):
     """Some value is not chi-plus-generator shaped, so only the general
     match path can decide a match out of ``M``."""
-    return any(_simple_kind(x.free) is None for x in M.f.values())
+    return _shape(list(M.f.values())) is None
 
 
 def test_rich_isomorphic_pairs_share_a_key():

@@ -33,6 +33,7 @@ from amalgam.k1.freepart import (
     neg,
     rename,
 )
+from amalgam.k1 import p1
 from amalgam.k1.checks import _level_generators
 from amalgam.k1.p1 import (
     independent_from_mod_atomic,
@@ -280,12 +281,42 @@ def test_spans_generator_equals_the_definition():
     outcomes = set()
     for _ in range(600):
         span = random_span(rng, ctx, clusters)
+        wants = {}
         for g in (10, 12, 14):
-            want = subalgebra_contains(ctx, span, P1Element(0, var(g)))
-            assert spans_generator(ctx, span, g) == want, (span, g)
-            outcomes.add((holds_g_with_b_star(ctx, span, g), want))
+            wants[g] = subalgebra_contains(ctx, span, P1Element(0, var(g)))
+            assert spans_generator(ctx, span, [g]) == wants[g], (span, g)
+            outcomes.add((holds_g_with_b_star(ctx, span, g), wants[g]))
+        gens = rng.sample(sorted(wants), rng.randint(0, 3))
+        assert spans_generator(ctx, span, gens) == \
+            all(wants[g] for g in gens), (span, gens)
     # both the one-generator sub-span and the component path were taken
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_spans_generator_stops_at_the_first_generator_not_spanned(
+        monkeypatch):
+    # 10 and 11 are spanned through the one-generator sub-span, 12 is
+    # not (only its meet with 13 is in the span), 13 would be, and no
+    # span element involves 14
+    ctx = P1Context((0,))
+    span = [ctx.atom(0), P1Element(0, var(10)), P1Element(1, var(11)),
+            P1Element(0, conj(var(12), var(13))), P1Element(0, var(13))]
+    asked = []
+    contains = p1.subalgebra_contains
+
+    def recorded(ctx, gens, x):
+        asked.append(x.free.support)
+        return contains(ctx, gens, x)
+
+    monkeypatch.setattr(p1, "subalgebra_contains", recorded)
+    for gens, holds, calls in (
+            ([10, 11, 12, 13], False, [(10,), (11,), (12,)]),
+            ([13, 11, 10], True, [(13,), (11,), (10,)]),
+            ([10, 14, 11], False, [(10,)]),
+            ([], True, [])):
+        asked.clear()
+        assert spans_generator(ctx, span, gens) is holds, gens
+        assert asked == calls, gens
 
 
 def test_spans_generator_sees_an_atom_cut_loose_by_another_component():
@@ -293,10 +324,10 @@ def test_spans_generator_sees_an_atom_cut_loose_by_another_component():
     g, h = var(10), var(11)
     span = [P1Element(1, g), P1Element(1, h), P1Element(1, neg(h))]
     # (1, h) meet (1, not h) is the atom, and (1, g) minus the atom is g
-    assert spans_generator(ctx, span, 10)
-    assert not spans_generator(ctx, span[:2], 10)
+    assert spans_generator(ctx, span, [10])
+    assert not spans_generator(ctx, span[:2], [10])
     # with the designated atom in the span the windowed path answers
-    assert spans_generator(ctx, span[:1] + [ctx.atom(0)], 10)
+    assert spans_generator(ctx, span[:1] + [ctx.atom(0)], [10])
 
 
 def test_point_blocks_partition():
@@ -353,10 +384,11 @@ def test_built_members_pass_checks():
 
 def old_union_sweep(M):
     """k0.union decided by a sweep of its own: every generator spanned by
-    the top level, None when a cap stops the sweep."""
+    the top level, one generator at a time, None when a cap stops the
+    sweep."""
     gens = _level_generators(M, M.trunc)
     try:
-        return all(spans_generator(M.ctx, gens, g) for g in M.gen_ids)
+        return all(spans_generator(M.ctx, gens, [g]) for g in M.gen_ids)
     except CapExceeded:
         return None
 

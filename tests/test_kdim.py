@@ -577,13 +577,33 @@ def test_partition_names_a_missing_tuple_beside_a_stray_one(stray):
     assert "(1, 0)" in partition.detail and str(stray) in partition.detail
 
 
+def refuses_cap_one(sample, rng, r, trunc, size):
+    """Does ``sample`` refuse class cap 1 on ``size`` points before any
+    draw, and does the one structure such a draw builds (every tuple in
+    class 0, no witness values) fail the independence bound?"""
+    state = rng.getstate()
+    try:
+        sample(rng, r, trunc, range(size), 1)
+    except PreconditionFailed as refusal:
+        refused = refusal.clause == "random_member"
+    else:
+        refused = False
+    only = KrStructure(r, trunc, tuple(range(size)))
+    only.classes = dict.fromkeys(only.tuples(), 0)
+    bound = {item.key: item.passed for item in check_membership(only).items}
+    return refused and rng.getstate() == state and \
+        bound["kr0.independence_bound"] is False
+
+
 def random_member_calls(sample, monkeypatch):
     """Each call of ``sample`` over r in {1, 2}, trunc in {4, 6},
     universes of 1 to 4 points, every class cap from 1 to trunc and 50
     seeds, as (case, agrees, verdicts): whether it returns the member of
     ``random_member_by_membership`` (universe, classes and values, or
     None) and leaves the rng in the same state, and the independence
-    bound's verdict on each of its draws."""
+    bound's verdict on each of its draws.  Class cap 1 on r+2 or more
+    points can draw no member, so there ``agrees`` is
+    ``refuses_cap_one`` in place of the oracle's 200 draws."""
     verdicts = []
     bound = kdim._independence_bound_holds
 
@@ -595,6 +615,11 @@ def random_member_calls(sample, monkeypatch):
     for r, trunc, size in itertools.product((1, 2), (4, 6), range(1, 5)):
         for class_cap, seed in itertools.product(range(1, trunc + 1),
                                                  range(50)):
+            if class_cap == 1 and size >= r + 2:
+                agrees = refuses_cap_one(sample, random.Random(seed), r,
+                                         trunc, size)
+                yield (r, trunc, size, class_cap, seed), agrees, []
+                continue
             want_rng, got_rng = random.Random(seed), random.Random(seed)
             want = random_member_by_membership(want_rng, r, trunc,
                                                range(size), class_cap)

@@ -30,14 +30,18 @@ from amalgam.k1 import (
     is_valid_match,
     minimal_model,
 )
+from amalgam.k1 import embeddings
 from amalgam.k1.embeddings import (
     _generator_lists,
     _match_general,
     _match_simple,
+    _p2_profile_ok,
+    _shape,
 )
 from amalgam.k1.engine import build_generic_k1, k1_class
 from amalgam.k1.freepart import (
     ONE,
+    ZERO,
     _expand,
     _reduce,
     conj,
@@ -50,6 +54,7 @@ from amalgam.k1.ops import _principal_points
 from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
 from k1_fixtures import comp, meet
+from oracles import p2_profile_by_kinds, planted
 
 TRUNC = 6
 
@@ -675,3 +680,117 @@ def test_general_path_agrees_with_brute_force_on_rich_values():
         outcomes.add((kind, got))
     assert outcomes == {("renamed", True), ("moved", True), ("moved", False),
                         ("random", True), ("random", False)}
+
+
+# ---------------------------------------------------------------------------
+# The simple path and the P2 profile on values that share generators
+# ---------------------------------------------------------------------------
+
+
+def simple_value(rng, atoms, gens):
+    """A value with a random atomic mask and a zero or bare-generator free
+    part; with few generators, values often share one."""
+    atomic = sum(1 << a for a in atoms if rng.random() < 0.4)
+    return P1Element(atomic, var(rng.choice(gens)) if rng.random() < 0.7
+                     else ZERO)
+
+
+def regrouped(rng, src, atoms, gens):
+    """``src`` with its generators sent through a random map of ``gens``
+    into itself: the sharing pattern changes when the map is not
+    injective on the generators in use."""
+    image = {g: rng.choice(gens) for g in gens}
+    return carrier(atoms, gens), [
+        P1Element(x.atomic, var(image[x.free.support[0]]) if x.free.support
+                  else ZERO) for x in src]
+
+
+def random_simple_values(rng, src, atoms, gens):
+    """Random simple-shaped values on the same inventory: mostly no
+    match."""
+    return carrier(atoms, gens), [simple_value(rng, atoms, gens)
+                                  for _ in src]
+
+
+SIMPLE_TARGETS = {"renamed": renamed, "regrouped": regrouped,
+                  "random": random_simple_values}
+
+
+def simple_path_outcomes():
+    """(target kind, simple path, brute force) on seeded simple-shaped
+    value lists, and how many source lists put a generator on two
+    positions."""
+    rng = random.Random(41)
+    outcomes, sharing = Counter(), 0
+    for _ in range(300):
+        atoms, gens = range(rng.randint(0, 3)), range(10, 13)
+        A = carrier(atoms, gens)
+        src = [simple_value(rng, atoms, gens) for _ in range(rng.randint(1, 6))]
+        kind = rng.choice(sorted(SIMPLE_TARGETS))
+        B, tgt = SIMPLE_TARGETS[kind](rng, src, atoms, gens)
+        sharing += any(s not in (-1, i) for i, s in enumerate(_shape(src)))
+        outcomes[kind, _match_simple(A, B, src, tgt),
+                 oracle_match(A, B, src, tgt)] += 1
+    return outcomes, sharing
+
+
+def test_simple_path_agrees_with_brute_force_on_shared_generators():
+    outcomes, sharing = simple_path_outcomes()
+    assert all(got == want for _, got, want in outcomes), outcomes
+    assert sharing > 100
+    assert {(kind, got) for kind, got, _ in outcomes} == {
+        ("renamed", True), ("regrouped", True), ("regrouped", False),
+        ("random", True), ("random", False)}
+
+
+def test_simple_path_catches_a_shape_without_sharing(monkeypatch):
+    monkeypatch.setattr(embeddings, "_shape", planted(
+        _shape, "shape.append(first.setdefault(fn.support[0], i))",
+        "shape.append(i)"))
+    outcomes, _ = simple_path_outcomes()
+    assert any(got != want for _, got, want in outcomes)
+
+
+def random_column(rng, gens):
+    """Values of one P2 name: zero, bare generators (often shared) and
+    now and then a richer function."""
+    column = []
+    for _ in range(TRUNC):
+        roll = rng.random()
+        free = ZERO if roll < 0.3 else var(rng.choice(gens)) if roll < 0.9 \
+            else conj(var(gens[0]), neg(var(gens[1])))
+        column.append(P1Element(0, free))
+    return column
+
+
+def p2_profile_verdicts(profile_ok, k1_head_chain):
+    """(verdict, per-value verdict) of ``profile_ok`` on every P2 name
+    pair of the task pairs and of the members into the build's tops,
+    then on seeded random columns."""
+    verdicts = Counter()
+    cls = k1_class(TRUNC, 1)
+    pairs = [(A, B) for A, B, _ in cls.task_pairs(3)] + \
+        [(A, top) for top in k1_head_chain for A in cls.members(3)]
+    for A, B in pairs:
+        for c, d in itertools.product(A.p2, B.p2):
+            verdicts[profile_ok(A, B, c, d),
+                     p2_profile_by_kinds(A, B, c, d)] += 1
+    rng = random.Random(43)
+    for _ in range(400):
+        gens = (10, 11, 12)
+        A, B = carrier((), gens), carrier((), gens)
+        for S in (A, B):
+            S.f = {(n, 0): x for n, x in enumerate(random_column(rng, gens))}
+        verdicts[profile_ok(A, B, 0, 0), p2_profile_by_kinds(A, B, 0, 0)] += 1
+    return verdicts
+
+
+def test_p2_profile_equals_per_value_kinds(k1_head_chain):
+    verdicts = p2_profile_verdicts(_p2_profile_ok, k1_head_chain)
+    assert set(verdicts) == {(True, True), (False, False)}
+
+
+def test_p2_profile_catches_a_zero_generator_mismatch(k1_head_chain):
+    mutant = planted(_p2_profile_ok, "elif s.table or t.table:", "elif False:")
+    verdicts = p2_profile_verdicts(mutant, k1_head_chain)
+    assert (True, False) in verdicts
