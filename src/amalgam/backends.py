@@ -161,7 +161,7 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     1. M and N share a vocabulary (no position is valid otherwise), the
        picks have equal lengths and are distinct, every declared constant
        is interpreted on both sides or on neither, and pairs and
-       constants seed one injective map;
+       constants seed one map;
     2. every relation agrees on the matched points, which both generated
        substructures contain, so no closure can repair a disagreement:
        the matched points of M and their partners in N have equal
@@ -169,11 +169,12 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     3. the generated substructures, memoised by
        ``generate_substructure``, have equal sizes and equally many
        function entries, and function images extend the map to all of
-       them;
-    4. the verdict is ``Embedding(sub_m, sub_n, map).is_valid()``, whose
-       relation test compares the memoised signatures of the two
-       substructures, and whose totality, injectivity and image tests
-       read their stored element sets.
+       them, an undefined image refusing the position;
+    4. the one verdict on the extended map is ``Embedding(sub_m, sub_n,
+       map).is_valid()``: its totality, injectivity and function tests
+       catch an unmatched point, two points (a constant and a pick, say)
+       sent to one and a clashing image, and its relation test compares
+       the memoised signatures.
     """
     vocabulary = M.vocabulary
     if vocabulary is not N.vocabulary and vocabulary != N.vocabulary:
@@ -182,14 +183,11 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
     if len(pos_m) != len(pos_n) or len(mapping) != len(pos_m) \
             or len(set(pos_n)) != len(pos_n):
         return False
-    if vocabulary.constants:
-        for name in vocabulary.constants:
-            x, y = M.constants.get(name), N.constants.get(name)
-            if (x is None) != (y is None):
-                return False
-            if x is not None and mapping.setdefault(x, y) != y:
-                return False
-        if len(set(mapping.values())) != len(mapping):
+    for name in vocabulary.constants:
+        x, y = M.constants.get(name), N.constants.get(name)
+        if (x is None) != (y is None):
+            return False
+        if x is not None and mapping.setdefault(x, y) != y:
             return False
     if relation_signature(M, tuple(mapping)) != \
             relation_signature(N, tuple(mapping.values())):
@@ -210,22 +208,13 @@ def structure_position_valid(M, N, pos_m, pos_n) -> bool:
         for name, table in sub_m.functions.items():
             n_table = sub_n.functions[name]
             for args, value in table.items():
-                if all(x in mapping for x in args):
+                if value not in mapping and all(x in mapping for x in args):
                     target = n_table.get(tuple(mapping[x] for x in args))
                     if target is None:
                         return False
-                    if value in mapping:
-                        if mapping[value] != target:
-                            return False
-                    else:
-                        if target in mapping.values():
-                            return False
-                        mapping[value] = target
-                        changed = True
-    if len(mapping) != sub_m.size:
-        return False  # generated points left unmatched
-    e = Embedding(sub_m, sub_n, mapping)
-    return e.is_valid()
+                    mapping[value] = target
+                    changed = True
+    return Embedding(sub_m, sub_n, mapping).is_valid()
 
 
 def separable(cls: AmalgamationClass, A: FiniteStructure, bound: int) -> bool:

@@ -87,11 +87,11 @@ class AmalgamationFailed(AmalgamError):
         super().__init__(message)
 
 
-class WitnessAlignmentFailed(AmalgamError):
+class WitnessAlignmentFailed(AmalgamationFailed):
     """Witness indices of nested structures could not be aligned."""
 
 
-class UltrafilterChoiceFailed(AmalgamError):
+class UltrafilterChoiceFailed(AmalgamationFailed):
     """No atom realizes the trace constraints required for a fresh atom."""
 
 

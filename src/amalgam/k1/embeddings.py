@@ -14,8 +14,9 @@ Two kinds of maps:
   comparing realized sign-pattern sets of the generator lists, with a
   three-way classification (zero / purely atomic / has free content) that
   captures relation preservation and the reflection of the atomic-ideal
-  predicate.  A fast combinatorial path covers the common case where all
-  values are chi-mask-plus-private-generator shaped.  Both paths read the
+  predicate.  A fast combinatorial path covers the common case where each
+  free part is zero or a generator that no other value carries; a list
+  that repeats a generator goes to the general path.  Both paths read the
   realized sign vectors off ``boolalg.refine``: the simple path over the
   designated atoms, the general path over atoms and window points
   through ``p1._signature_blocks``.  Matches are enumerated by the one
@@ -30,7 +31,7 @@ from typing import Collection, Optional
 from ..boolalg import refine
 from ..errors import InvalidEmbedding
 from ..search import backtrack
-from .freepart import rename
+from .freepart import FreeFn, rename
 from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
 
@@ -104,43 +105,40 @@ def _generator_lists(A: K1Structure, B: K1Structure,
     return src, tgt
 
 
-def _shape(values: list[P1Element]) -> Optional[list[int]]:
-    """The free shape of ``values``, one entry per value: -1 for a zero
-    free part, else the index of the first value with the same bare
-    generator; None if some free part is richer than a bare generator."""
-    first: dict[int, int] = {}
-    shape = []
-    for i, x in enumerate(values):
-        fn = x.free
+def _bare(fn: FreeFn) -> bool:
+    """Is ``fn`` a bare positive generator?"""
+    return fn.table == 0b10 and len(fn.support) == 1
+
+
+def _zero_mask(values: list[P1Element]) -> Optional[int]:
+    """The mask of the zero free parts of ``values``; None unless every
+    other free part is a bare generator that no other value carries."""
+    zero, seen = 0, set()
+    for i, fn in enumerate(x.free for x in values):
         if not fn.table:
-            shape.append(-1)
-        elif fn.table == 0b10 and len(fn.support) == 1:
-            shape.append(first.setdefault(fn.support[0], i))
+            zero |= 1 << i
+        elif _bare(fn) and fn.support[0] not in seen:
+            seen.add(fn.support[0])
         else:
             return None
-    return shape
+    return zero
 
 
 def _match_simple(A: K1Structure, B: K1Structure,
                   src: list[P1Element], tgt: list[P1Element]) -> Optional[bool]:
-    """Fast validity for chi-plus-generator shaped values; None if either
-    side is not of that shape.  The sides need one ``_shape``.  A sign
-    vector is realized in the free factor iff it reads 0 at the zero
-    positions and reads each repeated generator's position as its first,
-    so the sides match iff every vector their atoms realize on one side
-    only is realized there; with no repeats the zero positions decide."""
-    shape, shape_t = _shape(src), _shape(tgt)
-    if shape is None or shape_t is None:
+    """Fast validity when every free part is zero or a generator of its
+    own; None if either side has another shape.  A sign vector is then
+    realized in the free factor iff it reads 0 at the zero positions, so
+    the sides match iff their zero masks are equal and every vector their
+    atoms realize on one side only reads 0 there."""
+    zero, zero_t = _zero_mask(src), _zero_mask(tgt)
+    if zero is None or zero_t is None:
         return None
-    if shape != shape_t:
+    if zero != zero_t:
         return False
-    zero_bits = sum(1 << i for i, s in enumerate(shape) if s == -1)
-    repeats = [(i, s) for i, s in enumerate(shape) if s not in (-1, i)]
     differ = {v for v, _ in refine(A.ctx.full_mask, [x.atomic for x in src])} \
         ^ {v for v, _ in refine(B.ctx.full_mask, [x.atomic for x in tgt])}
-    return not any(v & zero_bits or any((v >> i ^ v >> s) & 1
-                                        for i, s in repeats)
-                   for v in differ)
+    return not any(v & zero for v in differ)
 
 
 def _match_general(A: K1Structure, B: K1Structure,
@@ -221,21 +219,13 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
 
 def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
     """Cheap necessary condition: c and d have zero free parts and bare
-    generators, shared alike, at the same indices up to the first index
-    where either side is richer (left to the full check)."""
-    first_s: dict[int, int] = {}
-    first_t: dict[int, int] = {}
+    generators at the same indices, up to the first index where either
+    side is richer (left to the full check)."""
     for n in range(A.trunc):
         s, t = A.f[(n, c)].free, B.f[(n, d)].free
-        var_s = s.table == 0b10 and len(s.support) == 1
-        var_t = t.table == 0b10 and len(t.support) == 1
-        if var_s and var_t:
-            if first_s.setdefault(s.support[0], n) != \
-                    first_t.setdefault(t.support[0], n):
-                return False
-        elif s.table and not var_s or t.table and not var_t:
+        if s.table and not _bare(s) or t.table and not _bare(t):
             return True
-        elif s.table or t.table:
+        if bool(s.table) != bool(t.table):
             return False
     return True
 

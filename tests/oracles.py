@@ -345,31 +345,26 @@ def refine_by_every_block(universe: int,
 # ---------------------------------------------------------------------------
 
 
-def _value_kind(fn: FreeFn) -> Optional[tuple[str, int]]:
-    """('zero', 0) for the zero function, ('var', g) for a bare positive
-    generator; None for anything richer."""
+def _value_kind(fn: FreeFn) -> Optional[str]:
+    """'zero' for the zero function, 'var' for a bare positive generator;
+    None for anything richer."""
     if fn.is_zero:
-        return ("zero", 0)
+        return "zero"
     if len(fn.support) == 1 and fn.table == 0b10:
-        return ("var", fn.support[0])
+        return "var"
     return None
 
 
 def p2_profile_by_kinds(A, B, c: int, d: int) -> bool:
     """``embeddings._p2_profile_ok`` with each value classified on its
-    own: True at the first rich value, False at the first kind mismatch
-    or sharing mismatch."""
-    seen_s: dict = {}
-    seen_t: dict = {}
+    own: True at the first rich value, False at the first kind
+    mismatch."""
     for n in range(A.trunc):
         ks, kt = _value_kind(A.f[(n, c)].free), _value_kind(B.f[(n, d)].free)
         if ks is None or kt is None:
             return True
-        if ks[0] != kt[0]:
+        if ks != kt:
             return False
-        if ks[0] == "var":
-            if seen_s.setdefault(ks[1], n) != seen_t.setdefault(kt[1], n):
-                return False
     return True
 
 

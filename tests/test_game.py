@@ -10,6 +10,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -20,15 +21,16 @@ from amalgam.backends import (
     chain_structure,
     structure_position_valid,
 )
-from amalgam.errors import PreconditionFailed
+from amalgam.errors import InvalidEmbedding, PreconditionFailed
 from amalgam.fraisse import back_and_forth_check
 from amalgam.structures import (
+    Embedding,
     FiniteStructure,
     Vocabulary,
     relation_mismatch,
     relation_signature,
 )
-from oracles import position_valid_by_search, reference_game
+from oracles import planted, position_valid_by_search, reference_game
 
 UNARY_VOCAB = Vocabulary.make(relations={"p": 1}, functions={"f": 1})
 CONSTANT_ORDER_VOCAB = Vocabulary.make(relations={"lt": 2}, constants=("c",))
@@ -257,6 +259,48 @@ def test_position_check_agrees_with_embedding_search():
                         M, N, pos_m, pos_n), (M, N, pos_m, pos_n)
                     outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def unary_disagreements(position_valid):
+    """The positions of the ``random_unary`` cases of ``oracle_cases`` on
+    which ``position_valid`` and the embedding search disagree, and how
+    many positions there were."""
+    disagree, total = [], 0
+    for M, N in oracle_cases():
+        if M.vocabulary != UNARY_VOCAB:
+            continue
+        for k in range(4):
+            for pos_m in itertools.combinations(M.universe, k):
+                for pos_n in itertools.permutations(N.universe, k):
+                    total += 1
+                    if position_valid(M, N, pos_m, pos_n) != \
+                            position_valid_by_search(M, N, pos_m, pos_n):
+                        disagree.append((M, N, pos_m, pos_n))
+    return disagree, total
+
+
+def test_the_embedding_check_decides_clashes_and_collisions(monkeypatch):
+    refusals = Counter()
+
+    class Recording(Embedding):
+        def validate(self):
+            try:
+                super().validate()
+            except InvalidEmbedding as err:
+                refusals[str(err).split(" at ")[0]] += 1
+                raise
+
+    monkeypatch.setattr(backends, "Embedding", Recording)
+    disagree, total = unary_disagreements(structure_position_valid)
+    assert not disagree and total > 200
+    # the extended map's image clashes and collisions reach the one verdict
+    assert refusals["function f not matched"] and \
+        refusals["map not injective"], refusals
+    monkeypatch.undo()
+    mutant = planted(structure_position_valid,
+                     "return Embedding(sub_m, sub_n, mapping).is_valid()",
+                     "return True")
+    assert unary_disagreements(mutant)[0]
 
 
 def test_relation_disagreement_is_refused_before_any_closure(monkeypatch):

@@ -22,7 +22,7 @@ from amalgam.k1 import (
     var,
 )
 from amalgam.k1 import engine
-from amalgam.k1.embeddings import _shape
+from amalgam.k1.embeddings import _bare
 from amalgam.k1.engine import (
     build_generic_k1,
     corpus,
@@ -151,9 +151,10 @@ def renamed_member(rng, M):
 
 
 def is_rich(M):
-    """Some value is not chi-plus-generator shaped, so only the general
-    match path can decide a match out of ``M``."""
-    return _shape(list(M.f.values())) is None
+    """Some value's free part is neither zero nor a bare generator, so
+    only the general match path can decide a match out of ``M``; a
+    generator shared between values is not richness."""
+    return any(x.free.table and not _bare(x.free) for x in M.f.values())
 
 
 def test_rich_isomorphic_pairs_share_a_key():

@@ -1,12 +1,20 @@
 """Free amalgamation, trace adjunction, chains, labeling."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from amalgam.errors import PreconditionFailed
+from amalgam.errors import (
+    AmalgamationFailed,
+    PreconditionFailed,
+    UltrafilterChoiceFailed,
+    WitnessAlignmentFailed,
+)
+from amalgam.fraisse import check_disjoint_ap
 from amalgam.k1 import (
     FreeExtensionWitness,
+    MatchEmbedding,
     build_member,
     check_K1,
     check_Kminus1,
@@ -22,6 +30,8 @@ from amalgam.k1.ops import (
     check_good_sequence,
     label_good_sequence,
 )
+from amalgam.k1 import engine
+from amalgam.k1.freepart import conj, var
 from amalgam.k1.p1 import P1Element
 from k1_fixtures import (
     derive_free_witness,
@@ -248,3 +258,31 @@ def test_self_dependent_b_fails_freeness():
     b = chain[0].f[(0, chain[0].p2[0])]
     report = check_good_sequence(chain, [b])
     assert "good.freeness" in report.failing()
+
+
+def test_a_misaligned_triple_is_an_amalgamation_refusal():
+    # M1 is N1 with one value's bare generator replaced by a meet of two,
+    # so the identity match of N1's name into M1 pairs free supports of
+    # different sizes
+    N1 = member(0, 1, 0)
+    f = dict(N1.f)
+    f[(1, N1.p2[0])] = P1Element(0, conj(var(N1.gen_ids[1]),
+                                         var(N1.gen_ids[2])))
+    M1 = replace(N1, f=f)
+    identity = MatchEmbedding((), ((N1.p2[0], N1.p2[0]),))
+    with pytest.raises(AmalgamationFailed,
+                       match="disagree on free support size") as caught:
+        amalgamate_free(M1, N1, N1, identity, identity)
+    assert isinstance(caught.value, WitnessAlignmentFailed)
+    assert issubclass(UltrafilterChoiceFailed, AmalgamationFailed)
+
+
+def test_disjoint_ap_reads_a_k1_refusal_as_a_failed_triple(monkeypatch):
+    def refuse(*args):
+        raise UltrafilterChoiceFailed("no atomless position")
+
+    monkeypatch.setattr(engine, "amalgamate_free", refuse)
+    cls = engine.k1_class(TRUNC, 0)
+    first = next((A, B, C) for A, B, _ in cls.task_pairs(2)
+                 for C in cls.members(2) if cls.embeddings(A, C))
+    assert check_disjoint_ap(cls, 2) == (False, first)

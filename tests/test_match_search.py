@@ -36,7 +36,7 @@ from amalgam.k1.embeddings import (
     _match_general,
     _match_simple,
     _p2_profile_ok,
-    _shape,
+    _zero_mask,
 )
 from amalgam.k1.engine import build_generic_k1, k1_class
 from amalgam.k1.freepart import (
@@ -683,7 +683,7 @@ def test_general_path_agrees_with_brute_force_on_rich_values():
 
 
 # ---------------------------------------------------------------------------
-# The simple path and the P2 profile on values that share generators
+# Match validity and the P2 profile on values that share generators
 # ---------------------------------------------------------------------------
 
 
@@ -716,39 +716,78 @@ SIMPLE_TARGETS = {"renamed": renamed, "regrouped": regrouped,
                   "random": random_simple_values}
 
 
-def simple_path_outcomes():
-    """(target kind, simple path, brute force) on seeded simple-shaped
-    value lists, and how many source lists put a generator on two
-    positions."""
+def simple_lists():
+    """Seeded (A, B, source values, target values, target kind): lists of
+    zero and bare-generator free parts, often sharing a generator."""
     rng = random.Random(41)
-    outcomes, sharing = Counter(), 0
     for _ in range(300):
         atoms, gens = range(rng.randint(0, 3)), range(10, 13)
         A = carrier(atoms, gens)
         src = [simple_value(rng, atoms, gens) for _ in range(rng.randint(1, 6))]
         kind = rng.choice(sorted(SIMPLE_TARGETS))
         B, tgt = SIMPLE_TARGETS[kind](rng, src, atoms, gens)
-        sharing += any(s not in (-1, i) for i, s in enumerate(_shape(src)))
-        outcomes[kind, _match_simple(A, B, src, tgt),
-                 oracle_match(A, B, src, tgt)] += 1
-    return outcomes, sharing
+        yield A, B, src, tgt, kind
 
 
-def test_simple_path_agrees_with_brute_force_on_shared_generators():
-    outcomes, sharing = simple_path_outcomes()
-    assert all(got == want for _, got, want in outcomes), outcomes
-    assert sharing > 100
-    assert {(kind, got) for kind, got, _ in outcomes} == {
+def repeats_a_generator(values):
+    gens = [x.free.support for x in values if not x.free.is_zero]
+    return len(set(gens)) < len(gens)
+
+
+def valid_as_p0_values(A, B, src, tgt):
+    """``is_valid_match`` with ``src`` and ``tgt`` as the values of the P0
+    ids 0, 1, ... of A and of B, matched positionwise."""
+    A.g1, B.g1 = dict(enumerate(src)), dict(enumerate(tgt))
+    return is_valid_match(A, B, {i: i for i in range(len(src))}, {})
+
+
+def match_outcomes():
+    """(target kind, source repeats a generator, ``is_valid_match``,
+    brute force) on the seeded simple-shaped lists."""
+    return Counter((kind, repeats_a_generator(src),
+                    valid_as_p0_values(A, B, src, tgt),
+                    oracle_match(A, B, src, tgt))
+                   for A, B, src, tgt, kind in simple_lists())
+
+
+def test_zero_mask_refuses_repeats_and_richer_values():
+    rng = random.Random(17)
+    rich = [[rich_value(rng, range(2), range(10, 14))
+             for _ in range(rng.randint(1, 6))] for _ in range(150)]
+    lists = [values for _, _, src, tgt, _ in simple_lists()
+             for values in (src, tgt)] + rich
+    seen = Counter()
+    for values in lists:
+        richer = any(not x.free.is_zero and (
+            x.free.table != 0b10 or len(x.free.support) != 1)
+            for x in values)
+        refused = richer or repeats_a_generator(values)
+        mask = _zero_mask(values)
+        assert (mask is None) == refused, values
+        if not refused:
+            assert mask == sum(1 << i for i, x in enumerate(values)
+                               if x.free.is_zero)
+        seen["richer" if richer else "repeat" if refused else "mask"] += 1
+    assert set(seen) == {"richer", "repeat", "mask"}, seen
+
+
+def test_match_agrees_with_brute_force_on_shared_generators():
+    outcomes = match_outcomes()
+    assert all(got == want for _, _, got, want in outcomes), outcomes
+    assert sum(n for (_, shared, _, _), n in outcomes.items() if shared) > 100
+    assert {got for _, shared, got, _ in outcomes if shared} == {True, False}
+    assert {(kind, got) for kind, _, got, _ in outcomes} == {
         ("renamed", True), ("regrouped", True), ("regrouped", False),
         ("random", True), ("random", False)}
 
 
-def test_simple_path_catches_a_shape_without_sharing(monkeypatch):
-    monkeypatch.setattr(embeddings, "_shape", planted(
-        _shape, "shape.append(first.setdefault(fn.support[0], i))",
-        "shape.append(i)"))
-    outcomes, _ = simple_path_outcomes()
-    assert any(got != want for _, got, want in outcomes)
+def test_a_simple_path_that_accepts_shared_generators_is_caught(
+        monkeypatch):
+    monkeypatch.setattr(embeddings, "_zero_mask", planted(
+        _zero_mask, "elif _bare(fn) and fn.support[0] not in seen:",
+        "elif _bare(fn):"))
+    outcomes = match_outcomes()
+    assert any(got != want for _, _, got, want in outcomes)
 
 
 def random_column(rng, gens):
@@ -791,6 +830,7 @@ def test_p2_profile_equals_per_value_kinds(k1_head_chain):
 
 
 def test_p2_profile_catches_a_zero_generator_mismatch(k1_head_chain):
-    mutant = planted(_p2_profile_ok, "elif s.table or t.table:", "elif False:")
+    mutant = planted(_p2_profile_ok, "if bool(s.table) != bool(t.table):",
+                     "if False:")
     verdicts = p2_profile_verdicts(mutant, k1_head_chain)
     assert (True, False) in verdicts

@@ -9,7 +9,8 @@ points that only tests call today, as ``module.name`` relative to
 name ``src/`` or ``perfbench/`` already uses, fails, so an entry leaves
 the list once the package calls it.  A name counts where the syntax tree
 uses it: a name or attribute read in an expression (a local or attribute
-bound under that name is no use), an imported name, or a string constant
+bound under that name is no use), an imported name (except in a package
+``__init__.py``, whose imports only re-export), or a string constant
 spelling a dotted identifier (``"conj_many"``,
 ``"FiniteStructure.restrict"``: the functions a probe table wraps by
 name).  Prose in comments and docstrings does not count.  No import
@@ -52,6 +53,7 @@ PUBLIC = (
     "fraisse.check_jep",
     "fraisse.check_disjoint_ap",
     "fraisse.richness_defect",
+    "k1.checks.union_of_chain",
     "k1.engine.k1_position_valid",
     "k1.ops.adjoin_trace_element",
     "k1.ops.label_good_sequence",
@@ -93,8 +95,9 @@ def _entry(path: str, name: str) -> str:
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _names_used(tree: ast.AST) -> set[str]:
-    """Identifiers the code of ``tree`` uses, definitions excluded."""
+def _names_used(tree: ast.AST, imports: bool = True) -> set[str]:
+    """Identifiers the code of ``tree`` uses, definitions excluded, and
+    imported names only if ``imports``."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -102,7 +105,7 @@ def _names_used(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                             ast.Load):
             used.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and imports:
             used.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and DOTTED.fullmatch(node.value):
@@ -111,9 +114,12 @@ def _names_used(tree: ast.AST) -> set[str]:
 
 
 def _names_callers_use(trees) -> set[str]:
-    """Identifiers the files of ``trees`` under ``CALLERS`` use."""
-    return set().union(*(_names_used(tree) for path, tree in trees.items()
-                         if path.split("/")[0] in CALLERS))
+    """Identifiers the files of ``trees`` under ``CALLERS`` use.  A
+    package ``__init__.py`` imports to re-export, so its imports name no
+    caller."""
+    return set().union(*(
+        _names_used(tree, imports=not path.endswith("/__init__.py"))
+        for path, tree in trees.items() if path.split("/")[0] in CALLERS))
 
 
 def _unreached(trees, public) -> list[str]:
@@ -161,6 +167,21 @@ def test_a_definition_only_a_test_names_is_caught():
         '    assert orphan() == 1\n')
     assert _unreached(trees, PUBLIC) == ["src/amalgam/planted.py: orphan"]
     assert _unreached(trees, PUBLIC + ("planted.orphan",)) == []
+
+
+def test_a_definition_only_a_reexport_and_a_test_name_is_caught():
+    trees = dict(_trees())
+    trees["src/amalgam/planted/__init__.py"] = ast.parse(
+        'from .core import orphan  # noqa: F401\n')
+    trees["src/amalgam/planted/core.py"] = ast.parse(
+        'def orphan():\n'
+        '    return 1\n')
+    trees["tests/test_planted.py"] = ast.parse(
+        'from amalgam.planted import orphan\n'
+        'def test_orphan():\n'
+        '    assert orphan() == 1\n')
+    assert _unreached(trees, PUBLIC) == ["src/amalgam/planted/core.py: orphan"]
+    assert _unreached(trees, PUBLIC + ("planted.core.orphan",)) == []
 
 
 def test_a_stale_public_entry_is_caught():
