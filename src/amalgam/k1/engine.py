@@ -145,6 +145,15 @@ def build_generic_k1(
     Head-carrying fragments (max_n_star >= 1) pose pair-specific demands
     whose count grows with the approximation, so they converge only in
     the ledger sense, never to an empty defect list at a finite stage.
+
+    Corpus members, the extensions that realize them and the
+    ``amalgamate_free`` amalgams all keep the simple shape: every free
+    part is zero or a bare generator of its own, so ``_match_simple``
+    decides every match of a member into a chain structure and none
+    reaches ``_match_general``.  ``test_engine_builds_keep_the_simple_shape``
+    asserts this on the bound-3 corpus members and on every chain
+    structure of the bound-3 drains at seeds 0-3 and of 60-step head
+    builds (max n* 1) at the same seeds.
     """
     records: list = []
 

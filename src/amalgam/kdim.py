@@ -8,9 +8,15 @@ below the tuple's class; at and above the class the functions return the
 tuple's head, so only the low entries are stored.  Membership demands the
 classes partition the tuples, the value coherence just described, and no
 independent subset of size r+2 under subalgebra closure.  That last clause
-is searched only on universes of at least r+2 elements, and each search
-builds the witness form once (``witness_form``: the stored values alone,
-as partial functions f_m) and takes every closure on it.
+is decided only on universes of at least r+2 elements, and first by
+direct certificates: a stored value f_m(t) = v with v not in t lies in
+the closure of t's points, so every subset containing t's points and v
+is dependent.  The certificates read only stored values, which under
+coherence (guaranteed by every caller of the clause) are exactly the
+values the witness form holds.  Only when some (r+2)-subset contains no
+certificate does the closure search run; it builds the witness form
+once (``witness_form``: the stored values alone, as partial functions
+f_m) and takes every closure on it.
 
 Independence is hereditary: the closure is monotone, so if y lies outside
 cl(Y minus y) it lies outside the closure of every smaller set of the
@@ -127,9 +133,28 @@ def max_independent_size(M: KrStructure, limit: int) -> int:
 
 def _independence_bound_holds(M: KrStructure) -> bool:
     """No independent subset of size r+2; a universe of fewer than r+2
-    elements holds without a search."""
-    return (len(M.universe) < M.r + 2
-            or max_independent_size(M, M.r + 2) <= M.r + 1)
+    elements holds without a search.
+
+    Direct certificates are read first.  A stored value f_m(t) = v with
+    v not in t lies in the closure of t's points, so every subset that
+    contains t's points and v is dependent: v lies in the closure of the
+    others by monotonicity.  If every (r+2)-subset of the universe
+    contains such a certificate the bound holds, and no witness form or
+    closure is built; only when some (r+2)-subset has none does
+    ``max_independent_size`` decide.  The certificates read only stored
+    values, which are exactly the values ``witness_form`` holds when
+    every stored value sits on a classified tuple below its class, the
+    coherence that ``check_membership`` (by its guard), ``random_member``
+    and the ``_completions`` leaves (by construction) guarantee."""
+    size = M.r + 2
+    if len(M.universe) < size:
+        return True
+    certificates = {frozenset(t).union((v,))
+                    for (_, t), v in M.values.items() if v not in t}
+    if all(any(c <= S for c in certificates)
+           for S in map(frozenset, itertools.combinations(M.universe, size))):
+        return True
+    return max_independent_size(M, size) <= M.r + 1
 
 
 def check_membership(M: KrStructure) -> CheckReport:
@@ -227,13 +252,6 @@ def _agreement_ok(config: KConfiguration) -> bool:
     return True
 
 
-def _interior_owner(config: KConfiguration, t: tuple[int, ...]) -> Optional[int]:
-    for i, p in enumerate(config.parts):
-        if set(t) <= set(p.universe):
-            return i
-    return None
-
-
 def _completions(
     config: KConfiguration,
     class_cap: Optional[int] = None,
@@ -259,7 +277,9 @@ def _completions(
             base.classes[t] = n
         for key, v in p.values.items():
             base.values[key] = v
-    cross = [t for t in base.tuples() if _interior_owner(config, t) is None]
+    part_sets = [set(p.universe) for p in config.parts]
+    cross = [t for t in base.tuples()
+             if not any(s.issuperset(t) for s in part_sets)]
 
     def assignments():
         for n in range(class_bound):

@@ -244,7 +244,9 @@ def test_earlier_failure_survives_a_later_overflow():
 
 
 def test_kdim_records_a_capped_independence_clause(monkeypatch):
-    M = kdim.random_member(random.Random(3), 1, 4, range(3))
+    # a member on 4 points whose bound no direct certificate decides, so
+    # the check reaches the closure search
+    M = kdim.random_member(random.Random(3), 1, 4, range(4), class_cap=3)
     assert kdim.check_membership(M).passed
 
     def capped(flat, X):

@@ -22,7 +22,7 @@ from amalgam.k1 import (
     var,
 )
 from amalgam.k1 import engine
-from amalgam.k1.embeddings import _bare
+from amalgam.k1.embeddings import _bare, _zero_mask
 from amalgam.k1.engine import (
     build_generic_k1,
     corpus,
@@ -231,6 +231,26 @@ def test_tail_ledger_drains(bound, seed):
     assert all(t.status != "pending" and t.resolved_at is not None
                for t in tasks)
     assert richness_defect(g.top, k1_class(6, 0), bound) == []
+
+
+def has_simple_shape(M):
+    """Every free part of M is zero or a bare generator that no other
+    value carries, so ``_match_simple`` decides every match out of M."""
+    return _zero_mask(list(M.g1.values()) + list(M.f.values())) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_builds_keep_the_simple_shape(seed):
+    # the bound-3 corpus members the builds enumerate, and every
+    # structure along the bound-3 tail drain of test_tail_ledger_drains
+    # and along a 60-step head build: the seed model, the extensions
+    # that realize members, and free amalgams
+    tail = build_generic_k1(steps=50_000, bound=3, trunc=6, seed=seed)
+    head = build_generic_k1(steps=60, bound=3, trunc=6, seed=seed,
+                            max_n_star=1)
+    chain = tail.approximation.chain + head.approximation.chain
+    assert len(chain) > 2 and all(map(has_simple_shape, chain))
+    assert all(map(has_simple_shape, corpus(3, 6, 0) + corpus(3, 6, 1)))
 
 
 def test_two_defect_free_runs_play_the_game():

@@ -4,6 +4,7 @@ closures with the flat form, and agreement of the independence clause
 with references that flatten on every closure and search on every
 universe."""
 
+import collections
 import itertools
 import random
 
@@ -389,6 +390,75 @@ def test_independence_clause_matches_reference(r):
         assert False not in verdicts[size]
     for size in range(r + 2, r + 4):
         assert {True, False} <= verdicts[size]
+
+
+def sparse_assignment(rng, r, universe, count):
+    """The class-zero structure with ``count`` random tuples raised to
+    class 1, each with one witness value from the universe: few stored
+    values, so some (r+2)-subsets hold no direct certificate."""
+    M = all_class_zero(r, universe)
+    for t in rng.sample(sorted(M.classes), count):
+        M.classes[t] = 1
+        M.values[(0, t)] = rng.choice(M.universe)
+    return M
+
+
+def independence_bound_outcomes(bound, monkeypatch):
+    """(r, size - r, searched, verdict, reference verdict) of ``bound``
+    on coherent structures over r+2 and r+3 points, r in {1, 2}: the
+    class-zero structure, dense random assignments and sparse ones.
+    ``searched`` says whether a witness form was built, which only the
+    closure search does."""
+    built = []
+    form = kdim.witness_form
+
+    def recorded(M):
+        built.append(M)
+        return form(M)
+
+    monkeypatch.setattr(kdim, "witness_form", recorded)
+    for r in (1, 2):
+        rng = random.Random(90 + r)
+        for size in (r + 2, r + 3):
+            universe = range(size)
+            structures = [all_class_zero(r, universe)]
+            for i in range(30):
+                structures += [
+                    random_assignment(rng, r, universe, class_cap=2),
+                    sparse_assignment(rng, r, universe, 1 + i % (size + 2))]
+            for M in structures:
+                built.clear()
+                verdict = bound(M)
+                yield (r, size - r, bool(built), verdict,
+                       reference_max_independent_size(M, r + 2) <= r + 1)
+
+
+def test_independence_certificates_agree_with_the_reference(monkeypatch):
+    outcomes = collections.Counter()
+    for r, extra, searched, verdict, want in independence_bound_outcomes(
+            kdim._independence_bound_holds, monkeypatch):
+        assert verdict == want, (r, extra, searched)
+        outcomes[r, searched, verdict] += 1
+        # on exactly r+2 points a structure with no certificate keeps
+        # every value inside its tuple, so every closure is trivial and
+        # the universe is independent
+        assert not (extra == 2 and searched and verdict)
+    # at each r: certified and holding, searched and holding (through a
+    # dependence that runs via a point outside the subset, so on r+3
+    # points), and searched and failing
+    for r in (1, 2):
+        assert all(outcomes[r, searched, verdict] for searched, verdict in
+                   [(False, True), (True, True), (True, False)]), outcomes
+
+
+@pytest.mark.parametrize("old,new", [
+    ("if v not in t", "if True"),  # a value inside its tuple certifies
+    ("all(any(", "any(any("),  # one certified subset decides the bound
+])
+def test_the_certificate_check_catches_planted_faults(old, new, monkeypatch):
+    mutant = planted(kdim._independence_bound_holds, old, new)
+    assert any(verdict != want for *_, verdict, want in
+               independence_bound_outcomes(mutant, monkeypatch))
 
 
 def random_stored_values(rng, r, universe):
