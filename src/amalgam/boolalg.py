@@ -52,11 +52,15 @@ def refine(universe: int, masks: Iterable[int]) -> list[tuple[int, int]]:
 
     The universe is refined one mask at a time into blocks of bits with
     equal vectors so far, so the cost follows the number of distinct
-    vectors rather than the number of bits; a mask that cuts the
-    universe nowhere or everywhere splits no block and costs no walk.
-    Every block is nonempty.
+    vectors rather than the number of bits.  A mask that cuts the
+    universe nowhere splits no block and costs no walk; one that cuts it
+    everywhere splits none either, and only sets its bit on every block.
+    Every block is nonempty, so an empty universe has no block and the
+    masks are not read.
     """
-    blocks = [(0, universe)] if universe else []
+    if not universe:
+        return []
+    blocks = [(0, universe)]
     for i, mask in enumerate(masks):
         bit = 1 << i
         cut = universe & mask

@@ -12,7 +12,12 @@ from .structure import (  # noqa: F401
     enumerate_members,
     minimal_model,
 )
-from .p1 import P1Context, P1Element, materialize  # noqa: F401
+from .p1 import (  # noqa: F401
+    P1Context,
+    P1Element,
+    bare_generator,
+    materialize,
+)
 from .freepart import FreeFn, ONE, ZERO, var  # noqa: F401
 from .checks import (  # noqa: F401
     check_K1,

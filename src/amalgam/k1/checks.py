@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 from ..boolalg import popcount
 from ..errors import OverlappingH
 from ..report import CheckReport
-from .freepart import var
 from .p1 import (
     P1Element,
+    bare_generator,
     independent_from_mod_atomic,
     point_blocks,
     spans_generator,
@@ -122,7 +122,7 @@ def check_Kminus1(M: K1Structure) -> CheckReport:
 
     def generated() -> bool:
         gens = _level_generators(M, M.trunc) + \
-            [P1Element(0, var(g)) for g in M.named_gens]
+            [bare_generator(g) for g in M.named_gens]
         return spans_generator(M.ctx, gens, M.gen_ids)
 
     r.check("km1.generation", generated,

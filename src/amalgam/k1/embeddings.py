@@ -31,7 +31,7 @@ from typing import Collection, Optional
 from ..boolalg import refine
 from ..errors import InvalidEmbedding
 from ..search import backtrack
-from .freepart import FreeFn, rename
+from .freepart import rename
 from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
 
@@ -75,8 +75,12 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchEmbedding:
+    """The P0 and P2 injections of a match, as sorted (source, image)
+    pairs.  Immutable and slotted; ``p0`` and ``p2`` read one image, and
+    a caller that reads many builds the dict once."""
+
     p0_map: tuple[tuple[int, int], ...]
     p2_map: tuple[tuple[int, int], ...]
 
@@ -105,22 +109,19 @@ def _generator_lists(A: K1Structure, B: K1Structure,
     return src, tgt
 
 
-def _bare(fn: FreeFn) -> bool:
-    """Is ``fn`` a bare positive generator?"""
-    return fn.table == 0b10 and len(fn.support) == 1
-
-
 def _zero_mask(values: list[P1Element]) -> Optional[int]:
     """The mask of the zero free parts of ``values``; None unless every
-    other free part is a bare generator that no other value carries."""
+    other free part is a bare generator (truth table 0b10 on one
+    generator) that no other value carries."""
     zero, seen = 0, set()
-    for i, fn in enumerate(x.free for x in values):
+    for i, x in enumerate(values):
+        fn = x.free
         if not fn.table:
             zero |= 1 << i
-        elif _bare(fn) and fn.support[0] not in seen:
-            seen.add(fn.support[0])
-        else:
+        elif fn.table != 0b10 or len(fn.support) != 1 or fn.support[0] in seen:
             return None
+        else:
+            seen.add(fn.support[0])
     return zero
 
 
@@ -223,7 +224,10 @@ def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
     side is richer (left to the full check)."""
     for n in range(A.trunc):
         s, t = A.f[(n, c)].free, B.f[(n, d)].free
-        if s.table and not _bare(s) or t.table and not _bare(t):
+        # richer than a bare generator: not zero, and not the table 0b10
+        # on one generator
+        if s.table and (s.table != 0b10 or len(s.support) != 1) or \
+                t.table and (t.table != 0b10 or len(t.support) != 1):
             return True
         if bool(s.table) != bool(t.table):
             return False
@@ -254,8 +258,9 @@ def extend_match(B: K1Structure, M: K1Structure,
     """The first embedding g : B -> M with g restricted along
     ``inclusion`` equal to f (the extension problem of richness tasks),
     as a list of at most one."""
-    pinned = {inclusion.p0(a): f.p0(a) for a, _ in inclusion.p0_map}
-    pinned.update((inclusion.p2(c), f.p2(c)) for c, _ in inclusion.p2_map)
+    f_p0, f_p2 = dict(f.p0_map), dict(f.p2_map)
+    pinned = {b: f_p0[a] for a, b in inclusion.p0_map}
+    pinned.update((d, f_p2[c]) for c, d in inclusion.p2_map)
     return enumerate_matches(B, M, pinned, first_only=True)
 
 

@@ -139,9 +139,9 @@ def build_generic_k1(
     The default task fragment is tail-only (threshold 0 members).  Its
     ledger drains, leaving a top with no richness defect: at bound 3
     (trunc 6, seeds 0-3) after 195, 349, 349 and 264 steps, and at
-    bound 4 (trunc 6, seeds 0-3) after 10,143 to 21,798 steps.
-    ``test_tail_ledger_drains`` asserts this for bound 3 at seeds 0-3
-    and for bound 4 at seed 2.
+    bound 4 (trunc 6, seeds 0-3) after 21,798, 13,226, 10,143 and
+    21,798 steps.  ``test_tail_ledger_drains`` asserts this at bounds 3
+    and 4, seeds 0-3.
     Head-carrying fragments (max_n_star >= 1) pose pair-specific demands
     whose count grows with the approximation, so they converge only in
     the ledger sense, never to an empty defect list at a finite stage.

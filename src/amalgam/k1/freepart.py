@@ -18,8 +18,12 @@ from typing import Iterable, Mapping
 from ..errors import WINDOW_CAP, CapExceeded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeFn:
+    """A Boolean function in canonical sparse form: its essential support
+    and its truth table over that support.  Immutable and slotted, so a
+    value costs no instance dict and may be shared (see ``var``)."""
+
     support: tuple[int, ...]
     table: int
 

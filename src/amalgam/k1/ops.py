@@ -33,6 +33,7 @@ from .p1 import (
     P1Context,
     P1Element,
     _signature_blocks,
+    bare_generator,
     independent_from_mod_atomic,
     materialize,
     unmaterialize,
@@ -117,14 +118,14 @@ def amalgamate_free(
     choice avoids the independence witness).  A block without window
     points has no room off the existing atoms, and the choice fails.
     """
-    _, images1 = _generator_lists(N1, M1, dict(into_big.p0_map),
-                                  dict(into_big.p2_map))
-    _, images2 = _generator_lists(N1, N2, dict(into_small.p0_map),
-                                  dict(into_small.p2_map))
+    big_p0, big_p2 = dict(into_big.p0_map), dict(into_big.p2_map)
+    small_p0, small_p2 = dict(into_small.p0_map), dict(into_small.p2_map)
+    _, images1 = _generator_lists(N1, M1, big_p0, big_p2)
+    _, images2 = _generator_lists(N1, N2, small_p0, small_p2)
     gen_rename = _gen_rename(images1, images2)
 
-    old_p0 = {into_small.p0(a) for a in N1.p0}
-    old_p2 = {into_small.p2(c) for c in N1.p2}
+    old_p0 = {small_p0[a] for a in N1.p0}
+    old_p2 = {small_p2[c] for c in N1.p2}
     new_p0 = [a for a in N2.p0 if a not in old_p0]
     # the table's window may pass WINDOW_CAP, so it is built only when a
     # new atom or an atom of M1 off the base image needs a point
@@ -155,8 +156,8 @@ def amalgamate_free(
     small_atom_map = {}
     for a in N1.p0:
         # positions of N1's designated atoms inside each structure
-        small_atom_map[N2.g1[into_small.p0(a)].atomic.bit_length() - 1] = \
-            M1.g1[into_big.p0(a)].atomic.bit_length() - 1
+        small_atom_map[N2.g1[small_p0[a]].atomic.bit_length() - 1] = \
+            M1.g1[big_p0[a]].atomic.bit_length() - 1
     for new_a, atom_id in zip(new_p0, fresh_atoms):
         nu_bit = N2.g1[new_a].atomic
         point = least.get(_trace_vector(images2, nu_bit))
@@ -173,16 +174,16 @@ def amalgamate_free(
 
     small_embedding = TransportMap(
         p0_map=tuple(sorted(
-            [(into_small.p0(a), into_big.p0(a)) for a in N1.p0] +
+            [(small_p0[a], big_p0[a]) for a in N1.p0] +
             list(zip(new_p0, fresh_p0))
         )),
         p2_map=tuple(sorted(
-            [(into_small.p2(c), into_big.p2(c)) for c in N1.p2] +
+            [(small_p2[c], big_p2[c]) for c in N1.p2] +
             list(zip(new_p2, fresh_p2))
         )),
         atom_map=tuple(sorted(small_atom_map.items())),
         gen_map=tuple(sorted(gen_map.items())),
-        splits=_extra_atom_splits(M1, N1, into_big, images1, least, gen_rename),
+        splits=_extra_atom_splits(M1, N1, big_p0, images1, least, gen_rename),
     )
 
     # assemble the amalgam
@@ -219,29 +220,29 @@ def amalgamate_free(
     # consistency of the two routes into the amalgam over the base
     for c in N1.p2:
         for n in range(N1.trunc):
-            via_big = f[(n, into_big.p2(c))]
-            via_small = small_embedding.apply(N2.f[(n, into_small.p2(c))])
+            via_big = f[(n, big_p2[c])]
+            via_small = small_embedding.apply(N2.f[(n, small_p2[c])])
             if via_big != via_small:
                 raise CollapseDetected(
                     f"value ({n}, {c}) disagrees between the two routes"
                 )
     for a in N1.p0:
-        if g1[into_big.p0(a)] != small_embedding.apply(N2.g1[into_small.p0(a)]):
+        if g1[big_p0[a]] != small_embedding.apply(N2.g1[small_p0[a]]):
             raise CollapseDetected(f"atom image of {a} disagrees")
 
     witness = FreeExtensionWitness.make(
-        [P1Element(0, var(g)) for g in fresh_gens],
+        [bare_generator(g) for g in fresh_gens],
         {c: n_star for c in fresh_p2},
     )
     return AmalgamResult(M2, big_transport, small_embedding, witness,
                          tuple(fresh_atoms))
 
 
-def _extra_atom_splits(M1, N1, into_big, images1, least, gen_rename):
+def _extra_atom_splits(M1, N1, big_p0, images1, least, gen_rename):
     """How M1's designated atoms beyond the base sit under transported
     elements of the small side: each such atom follows the principal point
     of its base block, evaluated in the small side's coordinates."""
-    base_atoms = {M1.g1[into_big.p0(a)].atomic for a in N1.p0}
+    base_atoms = {M1.g1[big_p0[a]].atomic for a in N1.p0}
     inverse = {g1: g2 for g2, g1 in gen_rename.items()}
     splits = []
     for atom_id in M1.atom_ids:
@@ -387,7 +388,7 @@ def label_good_sequence(
         labeled.f[(n, c_label)] = b
     pads = []
     for k, g in enumerate(pad_gens):
-        value = P1Element(0, var(g))
+        value = bare_generator(g)
         labeled.f[(len(b_seq) + k, c_label)] = value
         pads.append(value)
     # labeling absorbs adjoined generators into the value table

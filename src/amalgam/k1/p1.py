@@ -13,12 +13,16 @@ by their sign vectors by ``boolalg.refine``.  Generated subalgebras
 refine the whole window; independence checks refine one support
 component at a time, since functions with disjoint supports realize
 every combination of their sign vectors.
+
+Elements are immutable and slotted values.  The bare generators, by far
+the most common elements of class members, are shared through
+``bare_generator`` the way ``freepart.var`` shares their free parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from ..boolalg import FiniteBooleanAlgebra, refine
@@ -39,8 +43,12 @@ from .freepart import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class P1Element:
+    """An element (atomic, free): a bitmask over designated-atom ids and
+    a free part.  Immutable and slotted: equality and hashing read the
+    two fields, and one value may be shared by any number of holders."""
+
     atomic: int
     free: FreeFn
 
@@ -51,6 +59,15 @@ class P1Element:
 
 
 BOTTOM = P1Element(0, ZERO)
+
+
+@lru_cache(maxsize=4096)
+def bare_generator(g: int) -> P1Element:
+    """The element (0, g): the generator ``g`` with no atomic part.
+    Shared like ``freepart.var``: while ``g`` is among the 4,096
+    generators most recently asked for, every call returns the same
+    (frozen) element."""
+    return P1Element(0, var(g))
 
 
 @dataclass(frozen=True)
@@ -125,12 +142,26 @@ def point_blocks(ctx: P1Context, elements: Sequence[P1Element]) -> list[P1Elemen
 def subalgebra_contains(
     ctx: P1Context, gens: Sequence[P1Element], x: P1Element
 ) -> bool:
-    """x lies in <gens> iff x splits no generated block: no sign vector
-    over ``gens`` is realized both inside and outside x, on either
-    coordinate."""
-    _, blocks = _signature_blocks(ctx, list(gens) + [x])
-    inside = 1 << len(gens)
-    return not any((v | inside) in blocks for v in blocks if not v & inside)
+    """x lies in <gens> iff x cuts no generated block: every sign vector
+    over ``gens`` has its points, designated atoms and window points
+    alike, all inside x or all outside it.
+
+    ``gens`` alone is refined, once on the atoms and once on the window
+    points, and each block is tested against x as it comes.  One table
+    ties each vector to one side, since a vector may be realized on both
+    coordinates."""
+    _, tables, points = _window([e.free for e in gens] + [x.free])
+    x_table = tables.pop()
+    side: dict[int, bool] = {}
+    for universe, masks, part in (
+            (ctx.full_mask, [e.atomic for e in gens], x.atomic),
+            (points, tables, x_table)):
+        for v, block in refine(universe, masks):
+            cut = block & part
+            inside = cut == block
+            if cut and not inside or side.setdefault(v, inside) != inside:
+                return False
+    return True
 
 
 def spans_generator(
@@ -173,7 +204,7 @@ def spans_generator(
             sub = span if apart != full else [
                 e for i, e in enumerate(span)
                 if i in owner[g] or not e.free.support]
-        if not subalgebra_contains(ctx, sub, P1Element(0, var(g))):
+        if not subalgebra_contains(ctx, sub, bare_generator(g)):
             return False
     return True
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .freepart import ZERO, var
-from .p1 import BOTTOM, P1Context, P1Element
+from .p1 import BOTTOM, P1Context, P1Element, bare_generator
 
 DEFAULT_TRUNC = 6
 
@@ -83,7 +83,7 @@ class K1Structure:
                 if (n, c) in self.f:
                     out.append(self.f[(n, c)])
         for g in self.named_gens:
-            out.append(P1Element(0, var(g)))
+            out.append(bare_generator(g))
         return out
 
     def all_ids(self) -> set[int]:
@@ -207,7 +207,7 @@ def build_member(
             else:
                 g = take(1)[0]
                 gens.append(g)
-                f[(n, c)] = P1Element(0, var(g))
+                f[(n, c)] = bare_generator(g)
     M = K1Structure(trunc, p0, p2, atoms, tuple(gens), g1, f)
     M.witness = derive_witness(M, n_star)
     return M

@@ -88,6 +88,15 @@ def test_refine_equals_the_per_block_loop():
                                   "empty universe")) > 20, kinds
 
 
+def test_refine_on_an_empty_universe_has_no_block():
+    rng = random.Random(31)
+    cases = [[], [0], [-1], [0b1011, 0, 0b1011]] + [
+        [rng.getrandbits(24) for _ in range(rng.randint(1, 8))]
+        for _ in range(50)]
+    for masks in cases:
+        assert refine(0, masks) == [] == refine_by_every_block(0, masks)
+
+
 @pytest.mark.parametrize("old,new", [
     # the bit set on every block of an empty cut
     ("if cut == universe:", "if cut in (0, universe):"),

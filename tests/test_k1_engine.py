@@ -22,7 +22,7 @@ from amalgam.k1 import (
     var,
 )
 from amalgam.k1 import engine
-from amalgam.k1.embeddings import _bare, _zero_mask
+from amalgam.k1.embeddings import _zero_mask
 from amalgam.k1.engine import (
     build_generic_k1,
     corpus,
@@ -154,7 +154,9 @@ def is_rich(M):
     """Some value's free part is neither zero nor a bare generator, so
     only the general match path can decide a match out of ``M``; a
     generator shared between values is not richness."""
-    return any(x.free.table and not _bare(x.free) for x in M.f.values())
+    return any(x.free.table and (x.free.table != 0b10
+                                 or len(x.free.support) != 1)
+               for x in M.f.values())
 
 
 def test_rich_isomorphic_pairs_share_a_key():
@@ -222,7 +224,8 @@ def test_generic_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("bound, seed",
-                         [(4, 2)] + [(3, seed) for seed in range(4)])
+                         [(4, seed) for seed in range(4)]
+                         + [(3, seed) for seed in range(4)])
 def test_tail_ledger_drains(bound, seed):
     g = build_generic_k1(steps=50_000, bound=bound, trunc=6, seed=seed)
     tasks = g.approximation.tasks

@@ -2,7 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +13,12 @@ from amalgam.boolalg import PrincipalIdeal
 from amalgam.boolalg import is_independent_mod_ideal as ba_independent
 from amalgam.errors import CapExceeded
 from amalgam.k1 import (
+    FreeFn,
     K1Witness,
+    MatchEmbedding,
     P1Context,
     P1Element,
+    bare_generator,
     build_member,
     check_K1,
     check_Kminus1,
@@ -41,7 +47,7 @@ from amalgam.k1.p1 import (
     spans_generator,
     subalgebra_contains,
 )
-from oracles import expand_by_evaluation
+from oracles import expand_by_evaluation, planted
 
 # ---------------------------------------------------------------------------
 # sparse Boolean functions
@@ -244,6 +250,88 @@ def test_subalgebra_contains_matches_flat_blocks():
         B, masks, _ = materialize(ctx, G + [x])
         expected = B.subalgebra_contains(masks[:-1], masks[-1])
         assert subalgebra_contains(ctx, G, x) == expected
+
+
+def subalgebra_cases():
+    """Seeded (ctx, gens, x) triples over three designated atoms: random
+    elements x, and elements made of whole blocks of <gens> on each
+    coordinate, where now and then the atoms and the window points of
+    one sign vector fall on opposite sides of x."""
+    rng = random.Random(526)
+    ctx = P1Context((0, 1, 2))
+    cases = [(ctx, [], P1Element(0, ONE))]
+    for _ in range(300):
+        G = [random_element(rng, ctx, [7, 8, 9])
+             for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            cases.append((ctx, G, random_element(rng, ctx, [7, 8, 9])))
+            continue
+        sigma, blocks = p1._signature_blocks(ctx, G)
+        atomic = table = 0
+        for atoms, points in blocks.values():
+            take = rng.random() < 0.5
+            atomic |= atoms if take else 0
+            table |= points if take != (rng.random() < 0.2) else 0
+        cases.append((ctx, G, P1Element(atomic, _reduce(sigma, table))))
+    return cases
+
+
+def flat_verdict(ctx, G, x):
+    """(x in <G>, some block of <G> has its designated atoms on one side
+    of x and its window points on the other), read off the flat
+    algebra."""
+    B, masks, _ = materialize(ctx, G + [x])
+    atoms = (1 << len(ctx.atom_ids)) - 1
+    x_mask = masks[-1]
+    crossed = False
+    for block in B.subalgebra_blocks(masks[:-1]):
+        parts = [block & atoms, block & ~atoms]
+        if all(parts) and all(x_mask & p in (0, p) for p in parts):
+            crossed |= (x_mask & parts[0] == 0) != (x_mask & parts[1] == 0)
+    return B.subalgebra_contains(masks[:-1], x_mask), crossed
+
+
+def test_subalgebra_contains_ties_the_two_coordinates():
+    kinds = Counter()
+    for ctx, G, x in subalgebra_cases():
+        expected, crossed = flat_verdict(ctx, G, x)
+        assert subalgebra_contains(ctx, G, x) == expected, (G, x)
+        kinds[expected, crossed] += 1
+    assert set(kinds) == {(True, False), (False, False), (False, True)}, \
+        kinds
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_a_containment_test_per_coordinate_is_caught():
+    # each coordinate judged alone: a sign vector realized by atoms
+    # outside x and by window points inside x passes
+    mutant = planted(subalgebra_contains,
+                     " or side.setdefault(v, inside) != inside", "")
+    wrong = {}
+    for ctx, G, x in subalgebra_cases():
+        expected, crossed = flat_verdict(ctx, G, x)
+        if mutant(ctx, G, x) != expected:
+            wrong[repr((G, x))] = crossed
+    assert repr(([], P1Element(0, ONE))) in wrong
+    assert len(wrong) > 20 and all(wrong.values())
+
+
+def test_value_types_are_slotted_immutable_values():
+    x, y = P1Element(5, var(3)), P1Element(5, FreeFn((3,), 0b10))
+    e = MatchEmbedding(((0, 1),), ((2, 3),))
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x.free == y.free and hash(x.free) == hash(y.free)
+    assert e == MatchEmbedding(((0, 1),), ((2, 3),))
+    assert hash(e) == hash(MatchEmbedding(((0, 1),), ((2, 3),)))
+    for value, name in ((x, "atomic"), (x.free, "table"), (e, "p0_map")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    assert repr(x) == "P1Element(atomic=5, free=FreeFn(support=(3,), table=2))"
+    assert repr(e) == "MatchEmbedding(p0_map=((0, 1),), p2_map=((2, 3),))"
+    assert bare_generator(4) is bare_generator(4)
+    assert bare_generator(4) == P1Element(0, var(4))
+    assert hash(bare_generator(4)) == hash(P1Element(0, var(4)))
 
 
 def random_span(rng, ctx, clusters):

@@ -315,8 +315,10 @@ SHARED_METHODS = {
                       "serialize call",
     },
     "p2": {
-        "MatchEmbedding": "the image of a P2 id; embeddings.extend_match and "
-                          "ops.amalgamate_free call it",
+        "MatchEmbedding": "the image of one P2 id, which tests/k1_fixtures.py "
+                          "and tests/test_k1_ops.py read; "
+                          "embeddings.extend_match and ops.amalgamate_free "
+                          "read p2_map through one dict per call instead",
         "TransportMap": "the renaming of a P2 id; checks.check_free_extension "
                         "and checks.compose_free_witnesses call it",
     },
@@ -472,7 +474,9 @@ SHARED_FIELDS = {
     },
     "p0_map": {
         "MatchEmbedding": "MatchEmbedding.p0 and MatchEmbedding.key read "
-                          "self.p0_map",
+                          "self.p0_map; embeddings.extend_match and "
+                          "ops.amalgamate_free read f.p0_map and "
+                          "into_small.p0_map",
         "TransportMap": "the P0 part of AmalgamResult.small_embedding, the "
                         "embedding of N2 that ops.amalgamate_free returns; "
                         "without it that embedding would not say where "
@@ -483,7 +487,9 @@ SHARED_FIELDS = {
     },
     "p2_map": {
         "MatchEmbedding": "MatchEmbedding.p2 and MatchEmbedding.key read "
-                          "self.p2_map",
+                          "self.p2_map; embeddings.extend_match and "
+                          "ops.amalgamate_free read f.p2_map and "
+                          "into_small.p2_map",
         "TransportMap": "TransportMap.p2 reads self.p2_map",
     },
     "passed": {
