@@ -212,7 +212,7 @@ def check_free_extension(
     t = transport or TransportMap()
     r = CheckReport()
 
-    image_gens = [t.apply(x) for x in M1.generator_elements()]
+    image_gens = t.apply(M1.generator_elements())
     image_support = {g for x in image_gens for g in x.free.support}
 
     def witness_domain() -> bool:
@@ -237,7 +237,8 @@ def check_free_extension(
             "I is not independent from the old algebra modulo the "
             "atomic ideal")
 
-    old_p2 = {t.p2(c) for c in M1.p2}
+    p2_map = dict(t.p2_map)
+    old_p2 = {p2_map.get(c, c) for c in M1.p2}
     new_p2 = [c for c in M2.p2 if c not in old_p2]
     h = w.h
     witness_set = set(w.independent)
@@ -267,10 +268,11 @@ def compose_free_witnesses(
     """Union composition: transported I1 with I2, merged H (disjoint domains)."""
     t = transport23 or TransportMap()
     h1, h2 = w12.h, w23.h
-    moved_h1 = {t.p2(c): v for c, v in h1.items()}
+    p2_map = dict(t.p2_map)
+    moved_h1 = {p2_map.get(c, c): v for c, v in h1.items()}
     if set(moved_h1) & set(h2):
         raise OverlappingH(f"shared names {sorted(set(moved_h1) & set(h2))}")
-    independent = [t.apply(x) for x in w12.independent] + list(w23.independent)
+    independent = t.apply(w12.independent) + list(w23.independent)
     merged = dict(moved_h1)
     merged.update(h2)
     return FreeExtensionWitness.make(independent, merged)

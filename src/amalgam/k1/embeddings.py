@@ -6,8 +6,8 @@ Two kinds of maps:
   It renames designated atoms and generators, and records ``splits``: new
   target atoms inserted below the images of source elements, each governed
   by a principal ultrafilter choice on the source algebra, a point of the
-  free factor.  Transports apply to arbitrary elements and certify chain
-  inclusions.
+  free factor.  Transports map a whole list of elements in one pass
+  and certify chain inclusions.
 
 * match embeddings: a pair of injections (P0, P2) between class members
   whose element map is forced on generators.  Validity is decided by
@@ -18,7 +18,8 @@ Two kinds of maps:
   free part is zero or a generator that no other value carries; a list
   that repeats a generator goes to the general path.  Both paths read the
   realized sign vectors off ``boolalg.refine``: the simple path over the
-  designated atoms, the general path over atoms and window points
+  designated atoms under its zero positions (the only atoms that can
+  realize a vector it reads), the general path over atoms and window points
   through ``p1._signature_blocks``.  Matches are enumerated by the one
   injective search behind every embedding enumerator, ``search.backtrack``.
 """
@@ -26,12 +27,12 @@ Two kinds of maps:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Collection, Optional, Sequence
 
 from ..boolalg import refine
 from ..errors import InvalidEmbedding
 from ..search import backtrack
-from .freepart import rename
+from .freepart import rename, var
 from .p1 import P1Element, _signature_blocks
 from .structure import K1Structure
 
@@ -42,7 +43,16 @@ class TransportMap:
     ``splits``: (new_atom, point) pairs, where ``point`` is a tuple of
     (generator, 1) pairs naming a point of the free factor (unlisted
     generators read 0).  The new atom lies under exactly the transported
-    elements whose free part holds at its point."""
+    elements whose free part holds at its point.
+
+    ``apply`` maps a whole list in one pass: it builds the atom and
+    generator maps, the split points and a table from each generator to
+    the split atoms whose point lists it with value 1 once per call.  A
+    zero free part holds at no point and renames to itself, so only its
+    atomic part moves; a bare generator g reads its split atoms off the
+    table and renames to ``var`` of g's image; any other value evaluates
+    every split point and is renamed.  A value that nothing moves is its
+    own image."""
 
     p0_map: tuple[tuple[int, int], ...] = ()
     p2_map: tuple[tuple[int, int], ...] = ()
@@ -50,24 +60,41 @@ class TransportMap:
     gen_map: tuple[tuple[int, int], ...] = ()
     splits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
 
-    def p2(self, c: int) -> int:
-        return dict(self.p2_map).get(c, c)
-
-    def apply(self, x: P1Element) -> P1Element:
+    def apply(self, values: Sequence[P1Element]) -> list[P1Element]:
         atoms = dict(self.atom_map)
-        atomic = 0
-        rest = x.atomic
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            atomic |= 1 << atoms.get(a, a)
-            rest ^= low
-        for new_atom, point in self.splits:
-            if x.free.evaluate(dict(point)):
-                atomic |= 1 << new_atom
         gens = dict(self.gen_map)
-        free = rename(x.free, gens) if gens else x.free
-        return P1Element(atomic, free)
+        splits = [(1 << new_atom, dict(point))
+                  for new_atom, point in self.splits]
+        under_gen: dict[int, int] = {}
+        for bit, point in splits:
+            for g, v in point.items():
+                if v:
+                    under_gen[g] = under_gen.get(g, 0) | bit
+        out = []
+        for x in values:
+            atomic = x.atomic
+            if atoms:
+                atomic, rest = 0, x.atomic
+                while rest:
+                    low = rest & -rest
+                    a = low.bit_length() - 1
+                    atomic |= 1 << atoms.get(a, a)
+                    rest ^= low
+            fn = x.free
+            if fn.table == 0b10 and len(fn.support) == 1:
+                g = fn.support[0]
+                atomic |= under_gen.get(g, 0)
+                if gens:
+                    fn = var(gens.get(g, g))
+            elif fn.table:
+                for bit, point in splits:
+                    if fn.evaluate(point):
+                        atomic |= bit
+                if gens:
+                    fn = rename(fn, gens)
+            out.append(x if atomic == x.atomic and fn is x.free
+                       else P1Element(atomic, fn))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +105,11 @@ class TransportMap:
 @dataclass(frozen=True, slots=True)
 class MatchEmbedding:
     """The P0 and P2 injections of a match, as sorted (source, image)
-    pairs.  Immutable and slotted; ``p0`` and ``p2`` read one image, and
-    a caller that reads many builds the dict once."""
+    pairs.  Immutable and slotted; a caller that reads images builds the
+    dict once."""
 
     p0_map: tuple[tuple[int, int], ...]
     p2_map: tuple[tuple[int, int], ...]
-
-    def p0(self, a: int) -> int:
-        return dict(self.p0_map)[a]
-
-    def p2(self, c: int) -> int:
-        return dict(self.p2_map)[c]
 
     def key(self):
         return (self.p0_map, self.p2_map)
@@ -131,15 +152,30 @@ def _match_simple(A: K1Structure, B: K1Structure,
     own; None if either side has another shape.  A sign vector is then
     realized in the free factor iff it reads 0 at the zero positions, so
     the sides match iff their zero masks are equal and every vector their
-    atoms realize on one side only reads 0 there."""
+    atoms realize on one side only reads 0 there.
+
+    Only the atoms under a zero position can realize a vector that reads
+    1 there: an atom realizes such a vector exactly when it lies in
+    ``under``, the join of the atomic parts at the zero positions.  So the
+    test above is equality of the vector sets that the atoms in ``under``
+    realize on the two sides, and the leaf refines those atoms alone.
+    """
     zero, zero_t = _zero_mask(src), _zero_mask(tgt)
     if zero is None or zero_t is None:
         return None
     if zero != zero_t:
         return False
-    differ = {v for v, _ in refine(A.ctx.full_mask, [x.atomic for x in src])} \
-        ^ {v for v, _ in refine(B.ctx.full_mask, [x.atomic for x in tgt])}
-    return not any(v & zero for v in differ)
+    masks, masks_t = [x.atomic for x in src], [x.atomic for x in tgt]
+    under = under_t = 0
+    rest = zero
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        under |= masks[i]
+        under_t |= masks_t[i]
+        rest ^= low
+    return {v for v, _ in refine(A.ctx.full_mask & under, masks)} == \
+        {v for v, _ in refine(B.ctx.full_mask & under_t, masks_t)}
 
 
 def _match_general(A: K1Structure, B: K1Structure,

@@ -11,7 +11,10 @@ sign vector over the base image to the least window point of its block;
 implicit in the product representation, which keeps designated and free
 coordinates separated by construction, so the quotient's effect reduces
 to the ultrafilter bookkeeping; (4) rebuild the structure: merged value
-tables, extended atom bijection, derived traces.
+tables, extended atom bijection, derived traces.  Values reach the
+amalgam through ``TransportMap.apply``, one call per list: M1's values,
+N2's new names, and each of the two checks that both routes agree over
+the base.
 """
 
 from __future__ import annotations
@@ -117,6 +120,10 @@ def amalgamate_free(
     sign vector (zero on all generators outside the base image, so the
     choice avoids the independence witness).  A block without window
     points has no room off the existing atoms, and the choice fails.
+
+    M1's values move along the big transport in one ``apply`` call, and
+    N2's new names along the small embedding in another; the two route
+    checks over the base map their lists the same way before comparing.
     """
     big_p0, big_p2 = dict(into_big.p0_map), dict(into_big.p2_map)
     small_p0, small_p2 = dict(into_small.p0_map), dict(into_small.p2_map)
@@ -189,17 +196,17 @@ def amalgamate_free(
     # assemble the amalgam
     atom_ids = tuple(sorted(M1.atom_ids + tuple(fresh_atoms)))
     gen_ids = tuple(sorted(M1.gen_ids + tuple(fresh_gens)))
-    g1 = {a: big_transport.apply(M1.g1[a]) for a in M1.p0}
+    old_keys = [(n, c) for c in M1.p2 for n in range(M1.trunc)]
+    moved = big_transport.apply([M1.g1[a] for a in M1.p0] +
+                                [M1.f[k] for k in old_keys])
+    g1 = dict(zip(M1.p0, moved))
+    f = dict(zip(old_keys, moved[len(M1.p0):]))
     ctx2 = P1Context(atom_ids)
     for p0_id, atom_id in zip(fresh_p0, fresh_atoms):
         g1[p0_id] = P1Element(1 << atom_id, ZERO)
-    f: dict[tuple[int, int], P1Element] = {}
-    for c in M1.p2:
-        for n in range(M1.trunc):
-            f[(n, c)] = big_transport.apply(M1.f[(n, c)])
-    for c, c_new in zip(new_p2, fresh_p2):
-        for n in range(N2.trunc):
-            f[(n, c_new)] = small_embedding.apply(N2.f[(n, c)])
+    fresh_keys = [(n, c) for c in fresh_p2 for n in range(N2.trunc)]
+    f.update(zip(fresh_keys, small_embedding.apply(
+        [N2.f[(n, c)] for c in new_p2 for n in range(N2.trunc)])))
 
     n_star = max(
         M1.witness.n_star if M1.witness else 0,
@@ -218,16 +225,17 @@ def amalgamate_free(
     M2.witness = K1Witness(n_star, ctx2.b_star)
 
     # consistency of the two routes into the amalgam over the base
-    for c in N1.p2:
-        for n in range(N1.trunc):
-            via_big = f[(n, big_p2[c])]
-            via_small = small_embedding.apply(N2.f[(n, small_p2[c])])
-            if via_big != via_small:
-                raise CollapseDetected(
-                    f"value ({n}, {c}) disagrees between the two routes"
-                )
-    for a in N1.p0:
-        if g1[big_p0[a]] != small_embedding.apply(N2.g1[small_p0[a]]):
+    base_keys = [(n, c) for c in N1.p2 for n in range(N1.trunc)]
+    via_small = small_embedding.apply([N2.f[(n, small_p2[c])]
+                                       for n, c in base_keys])
+    for (n, c), value in zip(base_keys, via_small):
+        if f[(n, big_p2[c])] != value:
+            raise CollapseDetected(
+                f"value ({n}, {c}) disagrees between the two routes"
+            )
+    via_small = small_embedding.apply([N2.g1[small_p0[a]] for a in N1.p0])
+    for a, value in zip(N1.p0, via_small):
+        if g1[big_p0[a]] != value:
             raise CollapseDetected(f"atom image of {a} disagrees")
 
     witness = FreeExtensionWitness.make(

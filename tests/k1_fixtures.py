@@ -34,16 +34,17 @@ def derive_pair_witness(
 ) -> FreeExtensionWitness:
     """Witness that N2 freely extends the embedded copy of N1: fresh
     generators of N2 are the independent set."""
+    inc_p0, inc_p2 = dict(inclusion.p0_map), dict(inclusion.p2_map)
     used = set()
     for a in N1.p0:
-        used |= set(N2.g1[inclusion.p0(a)].free.support)
+        used |= set(N2.g1[inc_p0[a]].free.support)
     for c in N1.p2:
         for n in range(N1.trunc):
-            used |= set(N2.f[(n, inclusion.p2(c))].free.support)
+            used |= set(N2.f[(n, inc_p2[c])].free.support)
     fresh = [g for g in N2.gen_ids if g not in used]
     independent = [P1Element(0, var(g)) for g in fresh]
     n_star = N2.witness.n_star if N2.witness else 0
-    old_p2 = {inclusion.p2(c) for c in N1.p2}
+    old_p2 = {inc_p2[c] for c in N1.p2}
     h = {c: n_star for c in N2.p2 if c not in old_p2}
     return FreeExtensionWitness.make(independent, h)
 

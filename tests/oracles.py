@@ -9,7 +9,8 @@ pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
 corpus by comparing every pair of members, sign-vector refinement by
 cutting every mask into every block, the value-kind profile of a P2
-column pair by classifying each value on its own, embeddings by trying every
+column pair by classifying each value on its own, a transported value
+by evaluating its free part at every split point, embeddings by trying every
 injection, game positions by trying every injection between the
 generated substructures, the game by playing
 every order of picks in universe order, restriction by
@@ -47,6 +48,8 @@ from amalgam.boolalg import (
     popcount,
 )
 from amalgam.k1 import FreeFn, check_K1, enumerate_members, is_isomorphic_k1
+from amalgam.k1.freepart import rename
+from amalgam.k1.p1 import P1Element
 from amalgam.kdim import DEFAULT_TRUNC, KrStructure, check_membership
 from amalgam.report import CheckReport
 from amalgam.structures import (
@@ -366,6 +369,33 @@ def p2_profile_by_kinds(A, B, c: int, d: int) -> bool:
         if ks != kt:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Transport of one value, split by split
+# ---------------------------------------------------------------------------
+
+
+def transport_by_evaluation(t, x: P1Element) -> P1Element:
+    """The image of x along the transport t, with every map rebuilt for
+    this one value: each designated atom renamed, each split atom added
+    when x's free part holds at the split's point, and the free part
+    renamed.  ``TransportMap.apply`` maps whole lists with tables built
+    once per call and shortcuts by value kind."""
+    atoms = dict(t.atom_map)
+    atomic = 0
+    rest = x.atomic
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        atomic |= 1 << atoms.get(a, a)
+        rest ^= low
+    for new_atom, point in t.splits:
+        if x.free.evaluate(dict(point)):
+            atomic |= 1 << new_atom
+    gens = dict(t.gen_map)
+    free = rename(x.free, gens) if gens else x.free
+    return P1Element(atomic, free)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,15 @@ from amalgam.k1.ops import (
     label_good_sequence,
 )
 from amalgam.k1 import engine
-from amalgam.k1.freepart import conj, var
+from amalgam.k1.embeddings import TransportMap
+from amalgam.k1.freepart import ONE, ZERO, _reduce, conj, neg, var
 from amalgam.k1.p1 import P1Element
 from k1_fixtures import (
     derive_free_witness,
     derive_pair_witness,
     extend_with_names,
 )
+from oracles import planted, transport_by_evaluation
 
 
 TRUNC = 4
@@ -86,12 +88,12 @@ def test_pair_witness_for_member_inclusion():
     inc = inclusion_of(N1, N2)
     w = derive_pair_witness(N1, N2, inc)
     # verify through an explicit transport of N1 into N2
-    from amalgam.k1.embeddings import TransportMap
+    inc_p0 = dict(inc.p0_map)
     t = TransportMap(
         p0_map=inc.p0_map, p2_map=inc.p2_map,
         atom_map=tuple(sorted(
             (N1.g1[a].atomic.bit_length() - 1,
-             N2.g1[inc.p0(a)].atomic.bit_length() - 1)
+             N2.g1[inc_p0[a]].atomic.bit_length() - 1)
             for a in N1.p0
         )),
     )
@@ -154,13 +156,14 @@ def test_amalgamate_with_new_name_and_trace_demand():
     assert rw.passed, rw.failing()
     # f embeds N2: spot-check value transport consistency
     f = result.small_embedding
+    p2 = dict(f.p2_map)
     for c in N2.p2:
         for n in range(TRUNC):
-            assert M2.f[(n, f.p2(c))] == f.apply(N2.f[(n, c)])
+            assert [M2.f[(n, p2[c])]] == f.apply([N2.f[(n, c)]])
     p0 = dict(f.p0_map)
     assert sorted(p0) == sorted(N2.p0)
     for a in N2.p0:
-        assert M2.g1[p0[a]] == f.apply(N2.g1[a])
+        assert [M2.g1[p0[a]]] == f.apply([N2.g1[a]])
 
 
 def test_adjoin_trace_element_all_cases():
@@ -286,3 +289,92 @@ def test_disjoint_ap_reads_a_k1_refusal_as_a_failed_triple(monkeypatch):
     first = next((A, B, C) for A, B, _ in cls.task_pairs(2)
                  for C in cls.members(2) if cls.embeddings(A, C))
     assert check_disjoint_ap(cls, 2) == (False, first)
+
+
+# ---------------------------------------------------------------------------
+# The transport kernel against evaluation split by split
+# ---------------------------------------------------------------------------
+
+
+def head_build_transports(monkeypatch):
+    """(transport, source values) for both transports of every amalgam of
+    the 60-step head builds (max n* 1) at seeds 0-3: the big transport
+    moves the values of M1, the small embedding those of N2."""
+    found = []
+
+    def recording(M1, N1, N2, into_big, into_small):
+        result = amalgamate_free(M1, N1, N2, into_big, into_small)
+        found.append((result.big_transport, M1.generator_elements()))
+        found.append((result.small_embedding, N2.generator_elements()))
+        return result
+
+    monkeypatch.setattr(engine, "amalgamate_free", recording)
+    for seed in range(4):
+        engine.build_generic_k1(60, bound=3, trunc=6, seed=seed, max_n_star=1)
+    return found
+
+
+def synthetic_transports():
+    """Seeded (transport, values): atom maps, generator maps into fresh
+    ids and split points that list several generators, applied to ONE,
+    zero, bare generators, complements and meets, each with an atomic
+    part."""
+    rng = random.Random(47)
+    atoms, gens = range(4), range(10, 14)
+    for _ in range(200):
+        moved = rng.sample(atoms, rng.randint(0, 4))
+        atom_map = dict(zip(moved, rng.sample(range(20, 28), len(moved))))
+        renamed = rng.sample(gens, rng.randint(0, 4))
+        gen_map = dict(zip(renamed, rng.sample(range(30, 38), len(renamed))))
+        splits = tuple((40 + k, tuple((g, 1) for g in sorted(
+                            rng.sample(gens, rng.randint(0, 3)))))
+                       for k in range(rng.randint(0, 3)))
+        t = TransportMap(atom_map=tuple(sorted(atom_map.items())),
+                         gen_map=tuple(sorted(gen_map.items())),
+                         splits=splits)
+        frees = [ONE, ZERO] + [var(g) for g in gens] + \
+            [neg(var(g)) for g in gens] + \
+            [conj(var(g), var(h)) for g, h in zip(gens, gens[1:])] + \
+            [_reduce(tuple(gens), rng.getrandbits(16)) for _ in range(3)]
+        yield t, [P1Element(sum(1 << a for a in atoms if rng.random() < 0.4),
+                            free) for free in frees]
+
+
+def kernel_disagreements(cases):
+    return sum(t.apply(values) != [transport_by_evaluation(t, x)
+                                   for x in values]
+               for t, values in cases)
+
+
+def test_transport_kernel_equals_evaluation_on_head_builds(monkeypatch):
+    cases = head_build_transports(monkeypatch)
+    assert len(cases) > 50
+    assert kernel_disagreements(cases) == 0
+    # the kernel's table and renaming both act on these cases: bare
+    # generators under split atoms, and transports with generator maps
+    split_gens = {g for t, _ in cases for _, point in t.splits
+                  for g, _ in point}
+    assert any(x.free.support[0] in split_gens for _, values in cases
+               for x in values if x.free.table == 0b10)
+    assert any(t.gen_map and t.splits for t, _ in cases)
+
+
+def test_transport_kernel_equals_evaluation_on_synthetic_values():
+    cases = list(synthetic_transports())
+    assert kernel_disagreements(cases) == 0
+    assert sum(bool(t.gen_map and t.splits and t.atom_map)
+               for t, _ in cases) > 50
+    assert any(len(point) > 1 for t, _ in cases for _, point in t.splits)
+
+
+@pytest.mark.parametrize("old, new", [
+    # the split table read by the generator's image instead of itself
+    ("atomic |= under_gen.get(g, 0)",
+     "atomic |= under_gen.get(gens.get(g, g), 0)"),
+    # bare generators get no split atom
+    ("atomic |= under_gen.get(g, 0)", "atomic |= 0"),
+])
+def test_a_transport_kernel_mutant_is_caught(monkeypatch, old, new):
+    monkeypatch.setattr(TransportMap, "apply",
+                        planted(TransportMap.apply, old, new))
+    assert kernel_disagreements(synthetic_transports()) > 0

@@ -151,8 +151,9 @@ def test_pinned_matches_with_fixed_assignments(k1_head_chain):
     top = k1_head_chain[-1]
     for A, B, inc in k1_class(TRUNC, 1).task_pairs(3):
         for f in enumerate_matches(A, top)[:3]:
-            fixed = {inc.p0(a): f.p0(a) for a, _ in inc.p0_map}
-            fixed.update((inc.p2(c), f.p2(c)) for c, _ in inc.p2_map)
+            inc_map = dict(inc.p0_map + inc.p2_map)
+            f_map = dict(f.p0_map + f.p2_map)
+            fixed = {inc_map[x]: f_map[x] for x in inc_map}
             full = enumerate_matches(B, top, fixed)
             for S in (match_images(f), {top.p0[-1]}, {top.p2[-1]}):
                 pinned = enumerate_matches(B, top, fixed, touching=S)
@@ -785,6 +786,43 @@ def test_a_simple_path_that_accepts_shared_generators_is_caught(
         monkeypatch):
     monkeypatch.setattr(embeddings, "_zero_mask", planted(
         _zero_mask, " or fn.support[0] in seen:", ":"))
+    outcomes = match_outcomes()
+    assert any(got != want for _, _, got, want in outcomes)
+
+
+# Position 0 has a zero free part over atom 0, position 1 is the bare
+# generator 10, and the target B has atom 0 alone.  In the first case
+# atom 1 realizes 0b10 outside ``under`` (it lies under no zero
+# position), and the free factor realizes 0b10 on both sides, so the
+# match holds; in the second, atom 1 lies under position 0 and realizes
+# 0b11, which B cannot realize, so the match fails.
+UNDER_CASES = [
+    ("outside under", carrier(range(3), (10,)),
+     [P1Element(0b001, ZERO), P1Element(0b010, var(10))], True),
+    ("inside under", carrier(range(2), (10,)),
+     [P1Element(0b11, ZERO), P1Element(0b10, var(10))], False),
+]
+UNDER_TARGET = (carrier(range(1), (10,)),
+                [P1Element(0b1, ZERO), P1Element(0, var(10))])
+
+
+def test_the_simple_leaf_reads_only_the_atoms_under_zero_positions():
+    B, tgt = UNDER_TARGET
+    for _, A, src, want in UNDER_CASES:
+        assert oracle_match(A, B, src, tgt) == want
+        assert _match_simple(A, B, src, tgt) == want
+        assert _match_simple(B, A, tgt, src) == want
+        assert valid_as_p0_values(A, B, src, tgt) == want
+
+
+def test_a_leaf_that_refines_one_side_over_every_atom_is_caught(
+        monkeypatch):
+    mutant = planted(_match_simple, "refine(A.ctx.full_mask & under, masks)",
+                     "refine(A.ctx.full_mask, masks)")
+    B, tgt = UNDER_TARGET
+    assert [mutant(A, B, src, tgt) for _, A, src, _ in UNDER_CASES] == \
+        [False, False]
+    monkeypatch.setattr(embeddings, "_match_simple", mutant)
     outcomes = match_outcomes()
     assert any(got != want for _, _, got, want in outcomes)
 

@@ -291,9 +291,9 @@ SHARED_METHODS = {
     "apply": {
         "Embedding": "maps a tuple of a plain structure; "
                      "Embedding.validate calls it",
-        "TransportMap": "moves a k1 value along a transport; "
-                        "ops.amalgamate_free and checks.check_free_extension "
-                        "call it",
+        "TransportMap": "moves a list of k1 values along a transport; "
+                        "ops.amalgamate_free, checks.check_free_extension "
+                        "and checks.compose_free_witnesses call it",
     },
     "canonical_key": {
         "FiniteStructure": "equality and hashing of plain structures, and "
@@ -313,14 +313,6 @@ SHARED_METHODS = {
                                 "k1.ops and k1.checks call",
         "Vocabulary": "the sorting constructor that backends, kdim and "
                       "serialize call",
-    },
-    "p2": {
-        "MatchEmbedding": "the image of one P2 id, which tests/k1_fixtures.py "
-                          "and tests/test_k1_ops.py read; "
-                          "embeddings.extend_match and ops.amalgamate_free "
-                          "read p2_map through one dict per call instead",
-        "TransportMap": "the renaming of a P2 id; checks.check_free_extension "
-                        "and checks.compose_free_witnesses call it",
     },
     "size": {
         "FiniteStructure": "the member size of fraisse's class protocol",
@@ -469,12 +461,9 @@ SHARED_FIELDS = {
     "key": {
         "ClauseResult": "CheckReport.failing reads item.key",
     },
-    "p0": {
-        "K1Structure": "K1Structure.size reads self.p0",
-    },
     "p0_map": {
-        "MatchEmbedding": "MatchEmbedding.p0 and MatchEmbedding.key read "
-                          "self.p0_map; embeddings.extend_match and "
+        "MatchEmbedding": "MatchEmbedding.key reads self.p0_map; "
+                          "embeddings.extend_match and "
                           "ops.amalgamate_free read f.p0_map and "
                           "into_small.p0_map",
         "TransportMap": "the P0 part of AmalgamResult.small_embedding, the "
@@ -482,15 +471,13 @@ SHARED_FIELDS = {
                         "without it that embedding would not say where "
                         "N2's P0 ids go (test_k1_ops reads it)",
     },
-    "p2": {
-        "K1Structure": "K1Structure.size reads self.p2",
-    },
     "p2_map": {
-        "MatchEmbedding": "MatchEmbedding.p2 and MatchEmbedding.key read "
-                          "self.p2_map; embeddings.extend_match and "
+        "MatchEmbedding": "MatchEmbedding.key reads self.p2_map; "
+                          "embeddings.extend_match and "
                           "ops.amalgamate_free read f.p2_map and "
                           "into_small.p2_map",
-        "TransportMap": "TransportMap.p2 reads self.p2_map",
+        "TransportMap": "checks.check_free_extension and "
+                        "checks.compose_free_witnesses read t.p2_map",
     },
     "passed": {
         "ClauseResult": "CheckReport.passed and CheckReport.failing read "
