@@ -71,14 +71,13 @@ def _merge_orders(M: FiniteStructure, A: FiniteStructure, B: FiniteStructure,
     return FiniteStructure(ORDER_VOCAB, tuple(rank), {"lt": lt})
 
 
-def _structure_class(name, seed_model, members, amalgamate) -> AmalgamationClass:
+def _structure_class(seed_model, members, amalgamate) -> AmalgamationClass:
     """A class of plain finite structures: embeddings are those of
     ``enumerate_embeddings``, and the tasks are the embeddings between
     members of different sizes.  Members and task pairs are memoised
     per bound."""
     members = functools.cache(members)
     return AmalgamationClass(
-        name=name,
         seed_model=seed_model,
         members=members,
         task_pairs=functools.cache(lambda bound: inclusion_pairs(
@@ -95,7 +94,7 @@ def _structure_class(name, seed_model, members, amalgamate) -> AmalgamationClass
 
 def linear_order_class() -> AmalgamationClass:
     return _structure_class(
-        "linear-orders", lambda: chain_structure(0),
+        lambda: chain_structure(0),
         lambda bound: [chain_structure(n) for n in range(bound + 1)],
         _merge_orders)
 
@@ -136,8 +135,7 @@ def _merge_graphs(M, A, B, f, inc):
 
 def graph_class() -> AmalgamationClass:
     return _structure_class(
-        "graphs", lambda: FiniteStructure(GRAPH_VOCAB, ()), _all_graphs,
-        _merge_graphs)
+        lambda: FiniteStructure(GRAPH_VOCAB, ()), _all_graphs, _merge_graphs)
 
 
 # ---------------------------------------------------------------------------

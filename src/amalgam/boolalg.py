@@ -95,12 +95,6 @@ class FiniteBooleanAlgebra:
     def complement(self, x: int) -> int:
         return ~x & self.full
 
-    def atoms(self) -> list[int]:
-        return [1 << i for i in range(self.atom_count)]
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(1 << self.atom_count))
-
     def is_element(self, x: int) -> bool:
         return 0 <= x <= self.full
 

@@ -65,7 +65,7 @@ class Task:
 
 @dataclass
 class AmalgamationClass:
-    """Hooks defining one amalgamation class.
+    """The seven hooks that define one amalgamation class.
 
     The protocol: members carry their size as ``.size``, and embeddings
     are immutable values with a stable, sortable ``key()``, which keys
@@ -92,7 +92,6 @@ class AmalgamationClass:
     one embedding object may stand for the embedding of several tasks.
     """
 
-    name: str
     seed_model: Callable[[], Any]
     members: Callable[[int], list]
     task_pairs: Callable[[int], list[tuple[Any, Any, Any]]]

@@ -102,7 +102,6 @@ def k1_class(trunc: int = DEFAULT_TRUNC, max_n_star: int = 1) -> AmalgamationCla
         return amalgamate_free(M, A, B, f, inc).amalgam
 
     return AmalgamationClass(
-        name="witnessed-class",
         seed_model=lambda: minimal_model(trunc),
         members=members,
         task_pairs=functools.cache(lambda bound: inclusion_pairs(

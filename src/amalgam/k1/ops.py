@@ -25,6 +25,7 @@ from typing import Sequence
 from ..errors import (
     CollapseDetected,
     HarvestFailed,
+    NoBasisThrough,
     PreconditionFailed,
     UltrafilterChoiceFailed,
     WitnessAlignmentFailed,
@@ -434,7 +435,10 @@ def _rebase_link(
     is generated by J with the old algebra and the atomic ideal, flatten
     the link onto an explicit algebra and rebase there, then pull the new
     set back and bump the tail thresholds of names whose scheduled values
-    were harvested.
+    were harvested.  Independence modulo the atomic ideal factors through
+    support components, so the flat algebra needs only the generators of
+    the lower structure in b's component, and its window stays that of
+    the component however large the lower structure grows.
     """
     members = list(w.independent)
     component = support_components([b.free] + [x.free for x in members])[0]
@@ -442,7 +446,9 @@ def _rebase_link(
     if not J:
         raise HarvestFailed(link, "the element shares no support with the witness")
 
-    low_gens = [g for g in (low.generator_elements())]
+    low_gens = low.generator_elements()
+    near = support_components([x.free for x in [b] + J + low_gens])[0]
+    low_gens = [low_gens[i - 1 - len(J)] for i in near if i > len(J)]
     ctx = high.ctx
     flatten = J + [b] + low_gens
     B2, masks, sigma = materialize(ctx, flatten)
@@ -453,8 +459,8 @@ def _rebase_link(
     ideal = PrincipalIdeal(B2, (1 << k) - 1)
     try:
         new_flat = rebase_with_element(B2, flat_low, ideal, flat_j, flat_b)
-    except PreconditionFailed as err:
-        raise HarvestFailed(link, f"rebase precondition failed: {err}") from err
+    except (PreconditionFailed, NoBasisThrough) as err:
+        raise HarvestFailed(link, f"rebase failed: {err}") from err
     J_star = [unmaterialize(ctx, sigma, m) for m in new_flat]
     kept = [x for x in members if x not in J]
     h = dict(w.h)

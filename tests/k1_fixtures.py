@@ -1,12 +1,18 @@
 """Chain builders for the k1 tests: free-extension witnesses derived
-from a member or an inclusion, a link that adds fresh names, and the
-meet and complement of k1 elements.  The package builds its chains by
-amalgamation (``k1.ops.amalgamate_free``) and needs none of these; they
+from a member or an inclusion, a link that adds fresh names, the meet
+and complement of k1 elements, and the tail-drain chains with the
+witness of each link.  The package builds its chains by amalgamation
+(``k1.ops.amalgamate_free``) and needs none of these; the first five
 came from ``amalgam.k1.ops`` (``derive_free_witness``,
 ``derive_pair_witness``, ``extend_with_names``) and ``amalgam.k1.p1``
 (``meet`` and ``comp``, once ``P1Context.meet`` and ``P1Context.comp``)."""
 
+from dataclasses import replace
+
+from amalgam.fraisse import build_generic
 from amalgam.k1 import FreeExtensionWitness, K1Structure, MatchEmbedding
+from amalgam.k1.engine import k1_class
+from amalgam.k1.ops import amalgamate_free
 from amalgam.k1.freepart import conj, neg, var
 from amalgam.k1.p1 import P1Context, P1Element
 
@@ -70,3 +76,17 @@ def extend_with_names(M: K1Structure,
     witness = FreeExtensionWitness.make(independent, {c: 0 for c in new_names})
     return N, witness
 
+
+def drain_with_link_witnesses(bound: int, seed: int, trunc: int = 6):
+    """The chain of the tail drain ``build_generic_k1(50_000, bound,
+    trunc, seed)`` builds, and the witness that ``amalgamate_free`` gave
+    for each link ``chain[i] -> chain[i + 1]``."""
+    records = []
+
+    def amalgamate(M, A, B, f, inc):
+        records.append(amalgamate_free(M, A, B, f, inc))
+        return records[-1].amalgam
+
+    approx = build_generic(replace(k1_class(trunc, 0), amalgamate=amalgamate),
+                           50_000, bound, seed)
+    return approx.chain, [r.witness for r in records]

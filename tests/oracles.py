@@ -18,9 +18,10 @@ filtering every stored tuple, closure by testing every function entry,
 embedding validity by mapping every tuple, the r-dimensional
 closures on the flat form, which writes out the classes as relations
 and every head entry, and random r-dimensional members by accepting a
-draw on every clause of ``check_membership``.  Slow on purpose and
-capped to desk sizes.  ``planted`` builds the mutants that tests use to
-show a check can fail.
+draw on every clause of ``check_membership``, and the labelling's
+rebase of a chain link by flattening the whole lower structure.  Slow
+on purpose and capped to desk sizes.  ``planted`` builds the mutants
+that tests use to show a check can fail.
 
 Four definitions live here rather than in ``src/amalgam``, since only
 tests use them: ``subalgebra_elements`` (was the method
@@ -46,10 +47,12 @@ from amalgam.boolalg import (
     PushoutResult,
     bits,
     popcount,
+    rebase_with_element,
 )
 from amalgam.k1 import FreeFn, check_K1, enumerate_members, is_isomorphic_k1
-from amalgam.k1.freepart import rename
-from amalgam.k1.p1 import P1Element
+from amalgam.k1.freepart import rename, support_components
+from amalgam.k1.p1 import P1Element, materialize, unmaterialize
+from amalgam.k1.structure import FreeExtensionWitness, K1Structure
 from amalgam.kdim import DEFAULT_TRUNC, KrStructure, check_membership
 from amalgam.report import CheckReport
 from amalgam.structures import (
@@ -188,7 +191,8 @@ def check_pushout_square(po: PushoutResult, eA: BAEmbedding, eB: BAEmbedding) ->
     """iA . eA == iB . eB on all of C."""
     C = eA.source
     return all(
-        po.into_left(eA(x)) == po.into_right(eB(x)) for x in C.elements()
+        po.into_left(eA(x)) == po.into_right(eB(x))
+        for x in range(1 << C.atom_count)
     )
 
 
@@ -196,9 +200,9 @@ def check_pushout_disjoint_ranges(
     po: PushoutResult, eA: BAEmbedding, eB: BAEmbedding
 ) -> bool:
     """range(iA) and range(iB) intersect exactly in the image of C."""
-    left = {po.into_left(x) for x in eA.target.elements()}
-    right = {po.into_right(x) for x in eB.target.elements()}
-    via_c = {po.into_left(eA(x)) for x in eA.source.elements()}
+    left = {po.into_left(x) for x in range(1 << eA.target.atom_count)}
+    right = {po.into_right(x) for x in range(1 << eB.target.atom_count)}
+    via_c = {po.into_left(eA(x)) for x in range(1 << eA.source.atom_count)}
     return left & right == via_c
 
 
@@ -209,9 +213,9 @@ def check_pushout_order(
     a <= b in the pushout iff some element of C sits between them
     (and symmetrically)."""
     A, B, C = eA.target, eB.target, eA.source
-    c_elements = list(C.elements())
-    a_off = [a for a in A.elements() if preimage(eA, a) is None]
-    b_off = [b for b in B.elements() if preimage(eB, b) is None]
+    c_elements = list(range(1 << C.atom_count))
+    a_off = [a for a in range(1 << A.atom_count) if preimage(eA, a) is None]
+    b_off = [b for b in range(1 << B.atom_count) if preimage(eB, b) is None]
     for a in a_off:
         ia = po.into_left(a)
         for b in b_off:
@@ -303,7 +307,8 @@ def bases_through_by_enumeration(
     element order, so a caller can stop at the first."""
     if F.atom_count != 1 << n:
         return
-    nontrivial = [x for x in F.elements() if x not in (0, F.full) and x != b]
+    nontrivial = [x for x in range(1 << F.atom_count)
+                  if x not in (0, F.full) and x != b]
     for rest in itertools.combinations(nontrivial, n - 1):
         J = (b,) + rest
         comps = [F.complement(y) for y in J]
@@ -682,6 +687,36 @@ def random_member_by_membership(rng: random.Random, r: int, trunc: int,
         if check_membership(M).passed:
             return M
     return None
+
+
+# ---------------------------------------------------------------------------
+# The labelling's rebase of one link, over the whole lower structure
+# ---------------------------------------------------------------------------
+
+
+def rebase_by_full_window(low: K1Structure, high: K1Structure,
+                          w: FreeExtensionWitness,
+                          b: P1Element) -> FreeExtensionWitness:
+    """``k1.ops._rebase_link`` with every generator of ``low`` in the flat
+    algebra: ``materialize`` over the harvested J, b and all of them,
+    then ``rebase_with_element`` against all of them."""
+    members = list(w.independent)
+    component = support_components([b.free] + [x.free for x in members])[0]
+    J = [members[i - 1] for i in component[1:]]
+    B2, masks, sigma = materialize(high.ctx,
+                                   J + [b] + low.generator_elements())
+    ideal = PrincipalIdeal(B2, (1 << len(high.ctx.atom_ids)) - 1)
+    flat = rebase_with_element(B2, masks[len(J) + 1:], ideal, masks[:len(J)],
+                               masks[len(J)])
+    h = dict(w.h)
+    for c in h:
+        scheduled = [n for n in range(h[c], high.trunc)
+                     if high.f[(n, c)] in J]
+        if scheduled:
+            h[c] = max(scheduled) + 1
+    return FreeExtensionWitness.make(
+        [x for x in members if x not in J]
+        + [unmaterialize(high.ctx, sigma, m) for m in flat], h)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,6 @@ def test_jep_counterexample_with_incompatible_constants():
         raise AmalgamationFailed("no member satisfies both demands")
 
     cls = AmalgamationClass(
-        name="incompatible-constants",
         seed_model=lambda: M1,
         members=lambda bound: [M1, M2],
         task_pairs=lambda bound: [],
@@ -165,7 +164,6 @@ def truncated_orders():
         return result
 
     return AmalgamationClass(
-        name="orders-truncated",
         seed_model=base.seed_model,
         members=members,
         task_pairs=lambda bound: inclusion_pairs(members(bound),
@@ -341,7 +339,6 @@ def fixed_members(members) -> AmalgamationClass:
     """A class given by its member list alone: separability reads only
     ``members``."""
     return AmalgamationClass(
-        name="fixed-members",
         seed_model=lambda: members[0],
         members=lambda bound: members,
         task_pairs=lambda bound: [],

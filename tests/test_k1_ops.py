@@ -7,6 +7,8 @@ import pytest
 
 from amalgam.errors import (
     AmalgamationFailed,
+    CapExceeded,
+    HarvestFailed,
     PreconditionFailed,
     UltrafilterChoiceFailed,
     WitnessAlignmentFailed,
@@ -25,6 +27,7 @@ from amalgam.k1 import (
     union_of_chain,
 )
 from amalgam.k1.ops import (
+    _rebase_link,
     adjoin_trace_element,
     amalgamate_free,
     check_good_sequence,
@@ -32,14 +35,15 @@ from amalgam.k1.ops import (
 )
 from amalgam.k1 import engine
 from amalgam.k1.embeddings import TransportMap
-from amalgam.k1.freepart import ONE, ZERO, _reduce, conj, neg, var
-from amalgam.k1.p1 import P1Element
+from amalgam.k1.freepart import ONE, ZERO, _reduce, conj, disj, neg, var
+from amalgam.k1.p1 import P1Element, bare_generator
 from k1_fixtures import (
     derive_free_witness,
     derive_pair_witness,
+    drain_with_link_witnesses,
     extend_with_names,
 )
-from oracles import planted, transport_by_evaluation
+from oracles import planted, rebase_by_full_window, transport_by_evaluation
 
 
 TRUNC = 4
@@ -240,6 +244,66 @@ def test_labeling_with_rebase_through_combination():
     for i, w in enumerate(per_tail):
         r = check_free_extension(full_chain[i], labeled, w)
         assert r.passed, (i, r.failing())
+
+
+def xor(x: P1Element, y: P1Element) -> P1Element:
+    return P1Element(0, disj(conj(x.free, neg(y.free)),
+                             conj(neg(x.free), y.free)))
+
+
+def bare_witness_elements(w: FreeExtensionWitness) -> list[P1Element]:
+    return [x for x in w.independent if len(x.free.support) == 1
+            and x == bare_generator(x.free.support[0])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rebase_equals_the_full_window_oracle_on_tail_drains(seed):
+    # every link of the bound-3 drain with two bare-generator witness
+    # elements whose full window fits under WINDOW_CAP, for b the XOR of
+    # two of them
+    chain, witnesses = drain_with_link_witnesses(3, seed)
+    compared = 0
+    for i, w in enumerate(witnesses):
+        bare = bare_witness_elements(w)
+        last = len(bare) - 1
+        for x, y in sorted({(0, 1), (0, last), (last - 1, last)}) \
+                if last >= 1 else ():
+            b = xor(bare[x], bare[y])
+            try:
+                expected = rebase_by_full_window(chain[i], chain[i + 1], w, b)
+            except CapExceeded as err:
+                assert err.cap == "WINDOW_CAP"
+                continue
+            assert _rebase_link(chain[i], chain[i + 1], w, b, i) == expected
+            compared += 1
+    assert compared >= 6
+
+
+def test_rebase_runs_on_the_bound_4_drain():
+    # link 2 of the seed-0 drain has 18 generators below it, so the full
+    # window, with b's two generators, exceeds WINDOW_CAP
+    chain, witnesses = drain_with_link_witnesses(4, 0)
+    low, high, w = chain[2], chain[3], witnesses[2]
+    bare = bare_witness_elements(w)
+    b = xor(bare[0], bare[1])
+    with pytest.raises(CapExceeded, match="WINDOW_CAP"):
+        rebase_by_full_window(low, high, w, b)
+    rebased = _rebase_link(low, high, w, b, 2)
+    assert b in rebased.independent
+    report = check_free_extension(low, high, rebased)
+    assert report.passed, report.failing()
+
+
+def test_a_rebase_through_a_meet_is_a_harvest_failure():
+    # the meet of x and y lies in no basis of the algebra they generate
+    chain = [member(0, 1, 0)]
+    N, w_names = extend_with_names(chain[0], 2)
+    chain.append(N)
+    x, y = w_names.independent[:2]
+    b = P1Element(0, conj(x.free, y.free))
+    assert check_good_sequence(chain, [b]).passed
+    with pytest.raises(HarvestFailed):
+        label_good_sequence(chain, [w_names], [b])
 
 
 def test_bad_sequence_rejected():

@@ -1,36 +1,24 @@
-"""No definition without a caller: every function, class and method
-defined in ``src/amalgam`` (dunders exempt) is named in code somewhere in
-the Python files under ``src/`` or ``perfbench/``, or is an entry point
-listed in ``PUBLIC``.  A use in a test is no caller: what only tests
-reach lives under ``tests/`` (the oracles in ``tests/oracles.py``, the k1
-chain builders in ``tests/k1_fixtures.py``).  ``PUBLIC`` lists the entry
-points that only tests call today, as ``module.name`` relative to
-``amalgam``; an entry that names no definition of its module, or whose
-name ``src/`` or ``perfbench/`` already uses, fails, so an entry leaves
-the list once the package calls it.  A name counts where the syntax tree
-uses it: a name or attribute read in an expression (a local or attribute
-bound under that name is no use), an imported name (except in a package
-``__init__.py``, whose imports only re-export), or a string constant
-spelling a dotted identifier (``"conj_many"``,
-``"FiniteStructure.restrict"``: the functions a probe table wraps by
-name).  Prose in comments and docstrings does not count.  No import
-without a use: every name a module under ``src/amalgam``, ``tests/`` or
-``perfbench/`` imports is read in that module, unless the import line is
-marked ``# noqa: F401`` (a re-export).  No local without a read: every
-name a function of ``src/amalgam`` binds is read somewhere in that
-function (names starting with ``_`` are exempt; tests are not scanned,
-since they unpack on purpose).  No field without a read: every annotated
-class field of ``src/amalgam`` is read as an attribute (``x.field`` in a
-load, not a store) somewhere under ``src/``, ``tests/`` or
-``perfbench/``, and a field whose name other receivers also read (a
-builtin container method such as ``items``, a method name defined in the
-package such as ``key``, or a field name two or more package classes
-declare, such as ``universe``) is listed in ``SHARED_FIELDS`` with the
-readers on its own receivers.  No method name shared without a reason: a
-name counts as used wherever it is read, whatever the receiver, so one
-class's caller hides another class's uncalled method of the same name;
-every method name that two or more classes of ``src/amalgam`` define is
-listed in ``SHARED_METHODS`` with the reason each definition is kept."""
+"""No code without a reader.
+
+No definition without a caller: every function and class of
+``src/amalgam`` but methods (dunders exempt) is named in code under
+``src/`` or ``perfbench/``, or is an entry point listed in ``PUBLIC``,
+which fails on an entry that names no definition or whose name a caller
+uses.  A use in a test is no caller: what only tests reach lives under
+``tests/``.  A name counts where the syntax tree uses it: a name or
+attribute read, an import (except in a package ``__init__.py``, which
+re-exports), or a string constant spelling a dotted identifier (the
+functions a probe table wraps by name); prose does not.
+
+No member without a read: every method (dunders exempt), property and
+annotated field of a class of ``src/amalgam`` is read by a load
+``x.member`` under ``src/`` or ``perfbench/`` (a field also under
+``tests/``) whose receiver ``x`` is of that class or a subclass, or of
+unknown type (``_Scope`` types receivers).
+
+No import without a use (an import line marked ``# noqa: F401``
+re-exports), no local of ``src/amalgam`` without a read (``_`` names
+exempt), and no report clause added as ``True``."""
 
 import ast
 import functools
@@ -42,7 +30,8 @@ PACKAGE = ROOT / "src" / "amalgam"
 CALLERS = ("src", "perfbench")
 SEARCHED = CALLERS + ("tests",)
 LINTED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 # The entry points that only tests call.
 PUBLIC = (
@@ -72,18 +61,19 @@ def _trees() -> dict[str, ast.AST]:
             for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
 
 
-def _package_trees() -> list[ast.AST]:
-    return [tree for path, tree in _trees().items()
-            if path.startswith("src/amalgam/")]
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(trees) -> list[tuple[str, str]]:
-    """(path, name) of every def and class in the package files of
-    ``trees``."""
+    """(path, name) of the package's defs and classes, methods excepted."""
+    methods = {id(item) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, FUNCTIONS)}
     return [(path, node.name) for path, tree in trees.items()
             if path.startswith("src/amalgam/") for node in ast.walk(tree)
-            if isinstance(node, DEFINITIONS) and not (
-                node.name.startswith("__") and node.name.endswith("__"))]
+            if isinstance(node, DEFINITIONS) and id(node) not in methods
+            and not _is_dunder(node.name)]
 
 
 def _entry(path: str, name: str) -> str:
@@ -216,6 +206,277 @@ def test_a_binding_is_not_a_use():
     assert {"M", "size"} <= used
 
 
+# Class members.  A type is a class name, ``("of", T)`` for a container
+# of T, ``("map", T)`` for a mapping to T, ``("tuple", (T1, T2, ...))``
+# for a tuple of fixed length, or None when unknown.
+CONTAINERS = {"list", "tuple", "set", "frozenset", "Sequence", "Iterable",
+              "Iterator", "Collection"}
+SCOPES = FUNCTIONS + (ast.Lambda, ast.ClassDef)
+
+
+def _annotation(node):
+    """The type an annotation names: bare, quoted, ``Optional[C]``,
+    ``C | None`` or a container."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _annotation(ast.parse(node.value, mode="eval").body)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [side for side in (node.left, node.right)
+                 if getattr(side, "value", 0) is not None]
+        return _annotation(sides[0]) if len(sides) == 1 else None
+    if isinstance(node, ast.Subscript):
+        base, args = _annotation(node.value), node.slice
+        args = args.elts if isinstance(args, ast.Tuple) else [args]
+        inner = [_annotation(arg) for arg in args]
+        if base == "Optional":
+            return inner[0]
+        if base in ("dict", "Mapping"):
+            return ("map", inner[-1])
+        if base == "tuple" and getattr(args[-1], "value", 0) is not Ellipsis:
+            return ("tuple", tuple(inner))
+        return ("of", inner[0]) if base in CONTAINERS else None
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return None if name == "Any" else name
+
+
+def _item(t, index=None):
+    """The type of item ``index`` (any if None) of a value of type t."""
+    if isinstance(t, tuple) and t[0] == "tuple":
+        items = t[1] if index is None else t[1][index:][:1]
+        return items[0] if len(set(items)) == 1 else None
+    return t[1] if isinstance(t, tuple) and t[0] == "of" else None
+
+
+def _member_name(item):
+    """The name of a method or an annotated field, else None."""
+    if isinstance(item, FUNCTIONS + (ast.AnnAssign,)):
+        return getattr(item, "name", None) or getattr(item.target, "id", None)
+
+
+def _unpack(target, value, path, typed):
+    """Record each name in ``target`` as (value, its item indices)."""
+    if isinstance(target, ast.Name):
+        typed[id(target)] = (value, path)
+    for i, elt in enumerate(getattr(target, "elts", ())):
+        _unpack(elt, value, path + (i,), typed)
+
+
+class _Scope:
+    """The names a module, class body, function or lambda binds, typed
+    with no flow analysis.  A parameter or annotated name has the type of
+    its annotation, and ``self`` its class.  Another name has the type
+    its bindings agree on: assignments, possibly unpacked, ``for`` and
+    comprehension targets; ``with``, ``+=`` and the like bind no type.
+    A name no scope binds may be a class, or a function, which has the
+    type of its return annotation, like a method; a call has the type
+    of its callee."""
+
+    def __init__(self, node, parent, program):
+        self.node, self.parent, self.program = node, parent, program
+        self.known, self.bindings, typed = {}, {}, {}
+        if isinstance(node, FUNCTIONS + (ast.Lambda,)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            self.known = {x.arg: _annotation(x.annotation) for x in params}
+            self.known.update((x.arg, None) for x in (a.vararg, a.kwarg) if x)
+        if isinstance(getattr(parent, "node", None), ast.ClassDef):
+            self.parent = parent.parent  # methods do not see the class body
+            if isinstance(node, FUNCTIONS) and "staticmethod" not in [
+                    getattr(d, "id", None) for d in node.decorator_list]:
+                self.known[params[0].arg] = parent.node.name
+        nodes, todo = [], list(ast.iter_child_nodes(node))
+        while todo:  # the nodes of this scope, not those of nested scopes
+            nodes.append(todo.pop())
+            if not isinstance(nodes[-1], SCOPES):
+                todo += ast.iter_child_nodes(nodes[-1])
+        for n in nodes:
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+                self.known[n.target.id] = _annotation(n.annotation)
+            elif isinstance(n, (ast.Assign, ast.NamedExpr)):
+                for target in getattr(n, "targets", None) or [n.target]:
+                    _unpack(target, n.value, (), typed)
+            elif isinstance(n, (ast.For, ast.AsyncFor, ast.comprehension)):
+                _unpack(n.target, n.iter, (None,), typed)
+        for n in nodes:
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+                self.bindings.setdefault(n.id, []).append(typed.get(id(n)))
+
+    def lookup(self, name):
+        scope = self
+        while scope and name not in scope.known and name not in scope.bindings:
+            scope = scope.parent
+        if scope is None:
+            return self.program.globals.get(name)
+        if name not in scope.known:
+            scope.known[name] = None  # a binding that reads itself is unknown
+            kinds = {functools.reduce(_item, path, scope.type_of(value))
+                     for value, path in filter(None, scope.bindings[name])}
+            if len(kinds) == 1 and None not in scope.bindings[name]:
+                scope.known[name] = kinds.pop()
+        return scope.known[name]
+
+    def type_of(self, e):
+        """The type of expression ``e``: a name, a tuple, a call, an item
+        of a typed container, a member with an annotation, or a mapping's
+        ``values`` or ``items``."""
+        if isinstance(e, ast.Name):
+            return self.lookup(e.id)
+        if isinstance(e, ast.Tuple):
+            return ("tuple", tuple(map(self.type_of, e.elts)))
+        if isinstance(e, ast.Call):
+            return self.type_of(e.func)
+        if not isinstance(e, (ast.Attribute, ast.Subscript)):
+            return None
+        t = self.type_of(e.value)
+        if isinstance(e, ast.Subscript):
+            if isinstance(t, tuple) and t[0] in ("of", "map"):
+                return t if isinstance(e.slice, ast.Slice) else t[1]
+            index = getattr(e.slice, "value", None)
+            return _item(t, index if isinstance(index, int) else None)
+        if isinstance(t, tuple) and t[0] == "map" and \
+                e.attr in ("values", "items"):
+            return ("of", t[1] if e.attr == "values"
+                    else ("tuple", (None, t[1])))
+        member = self.program.member(t, e.attr)
+        return _annotation(getattr(member, "annotation", None)
+                           or getattr(member, "returns", None))
+
+
+class _Program:
+    """The classes, package members and typed loads of ``trees``."""
+
+    def __init__(self, trees):
+        self.classes = {node.name: node for tree in trees.values()
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef)}
+        methods = {id(item) for node in self.classes.values()
+                   for item in node.body}
+        functions = [node for tree in trees.values()
+                     for node in ast.walk(tree) if isinstance(node, FUNCTIONS)
+                     and id(node) not in methods]
+        names = [f.name for f in functions]
+        self.globals = {f.name: _annotation(f.returns)
+                        for f in functions if names.count(f.name) == 1}
+        self.globals.update((cls, cls) for cls in self.classes)
+        self.package = [(path, node.name, _member_name(item), item)
+                        for path, tree in trees.items()
+                        if path.startswith("src/amalgam/")
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) for item in node.body
+                        if not _is_dunder(_member_name(item) or "__")]
+        self.loads = []  # (top directory, receiver type, attribute)
+        for path, tree in trees.items():
+            todo = [(_Scope(tree, None, self), tree)]
+            while todo:
+                scope, node = todo.pop()
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    self.loads.append((path.split("/")[0],
+                                       scope.type_of(node.value), node.attr))
+                todo += [(_Scope(child, scope, self)
+                          if isinstance(child, SCOPES) else scope, child)
+                         for child in ast.iter_child_nodes(node)]
+
+    def lineage(self, cls) -> list[str]:
+        """``cls`` and its ancestors among the classes."""
+        line = [cls]
+        for known in line:
+            line += [base.id for base in self.classes[known].bases if getattr(
+                base, "id", None) in set(self.classes) - set(line)]
+        return line
+
+    def member(self, t, name):
+        """The method or field ``name`` of a value of type ``t``."""
+        items = [item for cls in (self.lineage(t) if t in self.classes else ())
+                 for item in self.classes[cls].body
+                 if _member_name(item) == name]
+        return items[0] if items else None
+
+    def unread(self) -> list[str]:
+        """The package's members that no load reads."""
+        return [f"{path}: {cls}.{name}" for path, cls, name, item
+                in self.package if not any(
+                    attr == name and top in (
+                        CALLERS if isinstance(item, FUNCTIONS) else SEARCHED)
+                    and (t is None or t in self.classes
+                         and cls in self.lineage(t))
+                    for top, t, attr in self.loads)]
+
+
+def test_every_field_is_read():
+    program = _Program(_trees())
+    unread = program.unread()
+    assert len(program.package) > 100, "the scan found too few members"
+    assert not unread, "a member no code reads:\n" + "\n".join(unread)
+    names = {name for _, _, name, _ in program.package}
+    types = [t for top, t, name in program.loads
+             if top == "src" and name in names]
+    resolved = len(types) - types.count(None)
+    assert len(types) > 500 and resolved >= 0.7 * len(types), \
+        f"only {resolved} of {len(types)} member loads under src/ resolve"
+
+
+def test_an_unread_field_is_caught():
+    trees = {"src/amalgam/box.py": ast.parse(
+        'class Box:\n'
+        '    size: int\n'
+        '    label: str = ""\n'
+        '    def grow(self):\n'
+        '        self.label = "big"\n'
+        '        return self.size + 1\n'
+        'Box().grow()\n')}
+    assert _Program(trees).unread() == ["src/amalgam/box.py: Box.label"]
+
+
+# A planted package module, and a test that calls ``Tag.grow``.
+PLANTED = {"src/amalgam/tags.py": ast.parse(
+    'class Tag:\n'
+    '    label: str\n'
+    '    colour: str\n'
+    '    def grow(self): return self.label\n'
+    'class Box:\n'
+    '    colour: str\n'
+    '    tag: Tag\n'
+    '    tags: list[Tag]\n'
+    '    pair: tuple[int, Tag]\n'
+    '    by_name: dict[str, Tag]\n'
+    '    @property\n'
+    '    def main(self) -> Tag: return self.tag\n'
+    '    @staticmethod\n'
+    '    def of(x) -> "Tag": return x\n'
+    '    def grow(self): return 1\n'
+    '    def atoms(self): return []\n'
+    '    def spin(self): return 0\n'
+    'def make() -> Tag: return Tag()\n'
+    'def use(a: Tag, b: "Tag", c: Optional[Tag], d: Tag | None, box: Box):\n'
+    '    t, u, v, (_, second) = Tag(), Box.of(thing), make(), box.pair\n'
+    '    for w in box.tags: w.label\n'
+    '    atoms = [box.grow(), a.colour, thing.spin(), "atoms", "Box.atoms"]\n'
+    '    return atoms, [a.label, b.label, c.label, d.label, t.label,\n'
+    '            u.label, v.label, second.label, Tag.label, box.tag.label,\n'
+    '            box.main.label, box.tags[0].label, box.tags[1:][0].label,\n'
+    '            box.by_name["x"].label, box.pair[1].label,\n'
+    '            [x.label for x in box.tags],\n'
+    '            [y.label for y in box.by_name.values()],\n'
+    '            [z.label for _, z in box.by_name.items()], thing.label]\n'),
+    "tests/test_tags.py": ast.parse('Tag().grow()\n')}
+
+
+def test_a_member_read_only_on_other_receivers_is_caught():
+    # (a) only a test calls Tag.grow, src calls Box.grow on a Box; (b) src
+    # names Box.atoms only as a local and a string; (c) Box.colour is read
+    # only on a Tag; (d) Box.spin is read on a receiver of unknown type
+    assert _Program(PLANTED).unread() == [
+        "src/amalgam/tags.py: Tag.grow", "src/amalgam/tags.py: Box.colour",
+        "src/amalgam/tags.py: Box.atoms"]
+
+
+def test_every_resolution_rule_types_its_receiver():
+    # (e) each ``.label`` load but the last reads a Tag through one rule
+    types = [t for top, t, name in _Program(PLANTED).loads
+             if top == "src" and name == "label"]
+    assert sorted(types, key=str) == [None] + ["Tag"] * 20
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names bound by an import in ``path`` that no expression reads."""
     source = path.read_text()
@@ -282,327 +543,6 @@ def test_an_unread_local_is_caught():
         '        total = 1\n'
         '    return total\n').body
     assert _unread_locals(function) == ["shared (line 3)"]
-
-
-# Each method name that several classes of ``src/amalgam`` define, with
-# the reason each definition is kept.  Each entry names callers on the
-# class's own receivers, since a read of the name elsewhere proves nothing.
-SHARED_METHODS = {
-    "apply": {
-        "Embedding": "maps a tuple of a plain structure; "
-                     "Embedding.validate calls it",
-        "TransportMap": "moves a list of k1 values along a transport; "
-                        "ops.amalgamate_free, checks.check_free_extension "
-                        "and checks.compose_free_witnesses call it",
-    },
-    "canonical_key": {
-        "FiniteStructure": "equality and hashing of plain structures, and "
-                           "pinned_digest in the linear-order pin test of "
-                           "tests/test_fraisse.py",
-        "K1Structure": "equality and hashing of k1 members, and the k1 "
-                       "digests",
-    },
-    "key": {
-        "Embedding": "the task key of the plain-structure classes in "
-                     "fraisse.build_generic",
-        "MatchEmbedding": "the task key of the witnessed class in "
-                          "fraisse.build_generic",
-    },
-    "make": {
-        "FreeExtensionWitness": "the normalising constructor that "
-                                "k1.ops and k1.checks call",
-        "Vocabulary": "the sorting constructor that backends, kdim and "
-                      "serialize call",
-    },
-    "size": {
-        "FiniteStructure": "the member size of fraisse's class protocol",
-        "K1Structure": "the member size of fraisse's class protocol",
-    },
-    "top": {
-        "GenericApproximation": "the last model of the chain; K1Generic.top "
-                                "and perfbench read it",
-        "K1Generic": "the top of the approximation; perfbench's k1 "
-                     "workloads read it",
-    },
-    "validate": {
-        "Embedding": "Embedding.is_valid calls it",
-        "FiniteStructure": "FiniteStructure.__post_init__ calls it",
-    },
-}
-
-
-def _method_owners(trees) -> dict[str, set[str]]:
-    """Each method name (dunders exempt) that two or more classes in
-    ``trees`` define, with the names of those classes."""
-    owners: dict[str, set[str]] = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)) and not (
-                            item.name.startswith("__")
-                            and item.name.endswith("__")):
-                        owners.setdefault(item.name, set()).add(node.name)
-    return {name: classes for name, classes in owners.items()
-            if len(classes) > 1}
-
-
-def _unexplained_shares(owners, table) -> list[str]:
-    """Names whose defining classes differ from their ``table`` entry: an
-    unlisted shared name, a class without a reason, or a stale entry."""
-    return [f"{name}: defined by {sorted(owners.get(name, ()))}, "
-            f"listed for {sorted(table.get(name, {}))}"
-            for name in sorted(set(owners) | set(table))
-            if owners.get(name, set()) != set(table.get(name, {}))]
-
-
-def test_every_shared_method_name_has_a_reason():
-    owners = _method_owners(_package_trees())
-    assert len(owners) >= 5, "the scan found too few shared names"
-    unexplained = _unexplained_shares(owners, SHARED_METHODS)
-    assert not unexplained, \
-        "method names shared without a reason:\n" + "\n".join(unexplained)
-
-
-def test_a_planted_shared_method_is_caught():
-    planted = ast.parse(
-        'class Box:\n'
-        '    def grow(self):\n'
-        '        return 1\n'
-        '    def __len__(self):\n'
-        '        return 0\n'
-        'class Tree:\n'
-        '    @property\n'
-        '    def grow(self):\n'
-        '        return 2\n'
-        '    def __len__(self):\n'
-        '        return 0\n'
-        '    def shed(self):\n'
-        '        return 3\n')
-    owners = _method_owners(_package_trees() + [planted])
-    assert _unexplained_shares(owners, SHARED_METHODS) == [
-        "grow: defined by ['Box', 'Tree'], listed for []"]
-    stale = dict(SHARED_METHODS, shed={"Tree": "a reason for one class"})
-    assert _unexplained_shares(_method_owners(_package_trees()), stale) == [
-        "shed: defined by [], listed for ['Tree']"]
-
-
-def _attributes_read(tree: ast.AST) -> set[str]:
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-
-
-def _fields(tree: ast.AST):
-    """(class name, field name, line) of every annotated class field in
-    ``tree``."""
-    return [(node.name, item.target.id, item.lineno)
-            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            for item in node.body if isinstance(item, ast.AnnAssign)
-            and isinstance(item.target, ast.Name)]
-
-
-def _unread_fields(tree: ast.AST, read: set[str]) -> list[str]:
-    """Annotated fields of the classes in ``tree`` that no attribute load
-    in ``read`` names."""
-    return [f"{owner}.{name} (line {line})"
-            for owner, name, line in _fields(tree) if name not in read]
-
-
-# Each annotated field of ``src/amalgam`` whose name other receivers also
-# read, with the readers on the class's own receivers, since a read of
-# the name elsewhere proves nothing.
-SHARED_FIELDS = {
-    "algebra": {
-        "PrincipalIdeal": "PrincipalIdeal.__post_init__ and "
-                          "PrincipalIdeal.is_proper read self.algebra",
-        "PushoutResult": "boolalg.pushout_independence reads po.algebra",
-        "Quotient": "boolalg.rebase_with_element reads q.algebra",
-    },
-    "atom_ids": {
-        "K1Structure": "K1Structure.ctx, all_ids and canonical_key read "
-                       "self.atom_ids; checks.check_Kminus1 reads "
-                       "M.atom_ids",
-        "P1Context": "P1Context.__post_init__, full_mask and atom read "
-                     "self.atom_ids; p1.materialize reads ctx.atom_ids",
-    },
-    "atom_map": {
-        "Quotient": "Quotient.project and Quotient.lift read self.atom_map",
-        "TransportMap": "TransportMap.apply reads self.atom_map",
-    },
-    "b_star": {
-        "K1Witness": "checks.check_K1 compares w.b_star with the context's; "
-                     "checks._within_algebra reads M.witness.b_star",
-    },
-    "constants": {
-        "FiniteStructure": "FiniteStructure.validate and "
-                           "structures.generate_substructure read "
-                           "M.constants",
-        "Vocabulary": "FiniteStructure.validate and "
-                      "backends.structure_position_valid read "
-                      "vocabulary.constants",
-    },
-    "extend": {
-        "AmalgamationClass": "fraisse.build_generic and "
-                             "fraisse.richness_defect call cls.extend",
-    },
-    "functions": {
-        "FiniteStructure": "FiniteStructure.restrict and "
-                           "structures.generate_substructure read "
-                           "M.functions",
-        "Vocabulary": "FiniteStructure.__post_init__ reads "
-                      "self.vocabulary.functions",
-    },
-    "items": {
-        "CheckReport": "CheckReport.passed and CheckReport.failing read "
-                       "self.items",
-    },
-    "key": {
-        "ClauseResult": "CheckReport.failing reads item.key",
-    },
-    "p0_map": {
-        "MatchEmbedding": "MatchEmbedding.key reads self.p0_map; "
-                          "embeddings.extend_match and "
-                          "ops.amalgamate_free read f.p0_map and "
-                          "into_small.p0_map",
-        "TransportMap": "the P0 part of AmalgamResult.small_embedding, the "
-                        "embedding of N2 that ops.amalgamate_free returns; "
-                        "without it that embedding would not say where "
-                        "N2's P0 ids go (test_k1_ops reads it)",
-    },
-    "p2_map": {
-        "MatchEmbedding": "MatchEmbedding.key reads self.p2_map; "
-                          "embeddings.extend_match and "
-                          "ops.amalgamate_free read f.p2_map and "
-                          "into_small.p2_map",
-        "TransportMap": "checks.check_free_extension and "
-                        "checks.compose_free_witnesses read t.p2_map",
-    },
-    "passed": {
-        "ClauseResult": "CheckReport.passed and CheckReport.failing read "
-                        "item.passed",
-    },
-    "r": {
-        "KrStructure": "KrStructure.tuples and kdim.witness_form read M.r",
-        "SurveyTable": "SurveyTable.to_csv reads self.r",
-    },
-    "relations": {
-        "FiniteStructure": "FiniteStructure.restrict and "
-                           "structures.relation_signature read M.relations",
-        "Vocabulary": "FiniteStructure.__post_init__ reads "
-                      "self.vocabulary.relations",
-    },
-    "source": {
-        "BAEmbedding": "BAEmbedding.__post_init__ and boolalg.pushout read "
-                       "e.source",
-        "Embedding": "Embedding.validate reads self.source",
-    },
-    "target": {
-        "BAEmbedding": "BAEmbedding.__post_init__ and boolalg._fiber read "
-                       "e.target",
-        "Embedding": "Embedding.validate reads self.target",
-    },
-    "trunc": {
-        "K1Structure": "K1Structure.generator_elements and "
-                       "embeddings.is_valid_match read M.trunc",
-        "KrStructure": "KrStructure.restriction and kdim.witness_form read "
-                       "M.trunc",
-    },
-    "universe": {
-        "FiniteStructure": "FiniteStructure.validate, restrict and size "
-                           "read self.universe",
-        "KrStructure": "KrStructure.tuples and kdim.max_independent_size "
-                       "read M.universe",
-    },
-    "values": {
-        "KrStructure": "kdim.check_membership and kdim.witness_form read "
-                       "M.values",
-    },
-    "witness": {
-        "AmalgamResult": "engine.build_generic_k1 reads r.witness",
-        "K1Structure": "checks.check_K1 and checks._within_algebra read "
-                       "M.witness",
-    },
-}
-
-BUILTIN_ATTRIBUTES = {name for kind in (dict, list, set, frozenset, tuple,
-                                        str, int)
-                      for name in dir(kind) if not name.startswith("__")}
-
-
-def _shadowed_fields(trees) -> dict[str, set[str]]:
-    """Each field name in ``trees`` that two or more classes declare, or
-    that is also a builtin container attribute or the name of a method
-    some class in ``trees`` defines, with the classes that declare it as
-    a field."""
-    methods = {item.name for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) for item in node.body
-               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    owners: dict[str, set[str]] = {}
-    for tree in trees:
-        for owner, name, _ in _fields(tree):
-            owners.setdefault(name, set()).add(owner)
-    return {name: classes for name, classes in owners.items()
-            if len(classes) > 1 or name in BUILTIN_ATTRIBUTES
-            or name in methods}
-
-
-def test_every_field_is_read():
-    read = set().union(*map(_attributes_read, _trees().values()))
-    unread = [f"{path}: {name}" for path, tree in _trees().items()
-              if path.startswith("src/amalgam/")
-              for name in _unread_fields(tree, read)]
-    assert not unread, "a field no code reads:\n" + "\n".join(unread)
-    unexplained = _unexplained_shares(_shadowed_fields(_package_trees()),
-                                      SHARED_FIELDS)
-    assert not unexplained, \
-        "fields other receivers also read, without a reason:\n" + \
-        "\n".join(unexplained)
-
-
-def test_an_unread_field_is_caught():
-    tree = ast.parse(
-        'class Box:\n'
-        '    size: int\n'
-        '    label: str = ""\n'
-        '    def grow(self):\n'
-        '        self.label = "big"\n'
-        '        return self.size + 1\n')
-    assert _unread_fields(tree, _attributes_read(tree)) == ["Box.label (line 3)"]
-
-
-def test_a_planted_shadowed_field_is_caught():
-    planted = ast.parse(
-        'class Box:\n'
-        '    items: list\n'
-        '    key: str\n'
-        '    label: str\n')
-    shadowed = _shadowed_fields(_package_trees() + [planted])
-    assert _unexplained_shares(shadowed, SHARED_FIELDS) == [
-        "items: defined by ['Box', 'CheckReport'], listed for "
-        "['CheckReport']",
-        "key: defined by ['Box', 'ClauseResult'], listed for "
-        "['ClauseResult']"]
-    stale = dict(SHARED_FIELDS, label={"Box": "a reason for a field that "
-                                              "no other receiver reads"})
-    assert _unexplained_shares(_shadowed_fields(_package_trees()), stale) == [
-        "label: defined by [], listed for ['Box']"]
-
-
-def test_a_planted_field_two_classes_declare_is_caught():
-    planted = ast.parse(
-        'class Box:\n'
-        '    universe: tuple\n'
-        '    label: str\n'
-        'class Tag:\n'
-        '    label: str\n'
-        '    colour: str\n')
-    shadowed = _shadowed_fields(_package_trees() + [planted])
-    assert _unexplained_shares(shadowed, SHARED_FIELDS) == [
-        "label: defined by ['Box', 'Tag'], listed for []",
-        "universe: defined by ['Box', 'FiniteStructure', 'KrStructure'], "
-        "listed for ['FiniteStructure', 'KrStructure']"]
 
 
 # No clause that cannot fail: no call in ``src/amalgam`` adds a report
