@@ -12,11 +12,12 @@ Discovery after a growth step asks the ``embeddings`` hook only for the
 embeddings that touch an id the new top added (its ``touching``
 argument), so the search never revisits an embedding into an earlier
 top, and no ledger of seen embeddings is kept.  Many task pairs share
-one base member A, so discovery asks the hook once per distinct base
-and hands the one list to every pair over that base (``_per_base``);
-``richness_defect`` and ``check_disjoint_ap`` enumerate the same way.
-Discovery sorts each base's list once, by ``key()``, fans it out by
-pair, and then shuffles the batch.
+one base member A, so the task pairs are grouped by base once per build
+(``_groups``), and each discovery asks the hook once per distinct base
+and hands the one list to every pair over that base;
+``richness_defect`` and ``check_disjoint_ap`` group and enumerate the
+same way.  Discovery sorts each base's list once, by ``key()``, fans it
+out by pair, and then shuffles the batch.
 
 Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
@@ -45,7 +46,7 @@ from .errors import (AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded,
                      PreconditionFailed)
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     pair_index: int
     f_key: tuple
@@ -113,21 +114,24 @@ class GenericApproximation:
         return self.chain[-1]
 
 
-def _per_base(bases: Iterable[tuple], enumerate_from: Callable[..., Any]):
-    """Yield ``enumerate_from(*base)`` for each tuple in ``bases``, in order,
-    calling it once per distinct tuple of objects.
+def _groups(items: Iterable[tuple]) -> tuple[list[tuple], list[int]]:
+    """The distinct tuples of ``items`` in order of first appearance, and
+    for each item the index of its tuple among them.
 
     Tuples are told apart by the identity of their entries, so no
     structure is hashed or compared: the task pairs hold references to the
-    objects of ``members(bound)``.  A later tuple of the same objects gets
-    the very result the first one got.
+    objects of ``members(bound)``.
     """
-    found: dict[tuple, Any] = {}
-    for base in bases:
-        key = tuple(map(id, base))
-        if key not in found:
-            found[key] = enumerate_from(*base)
-        yield found[key]
+    index: dict[tuple, int] = {}
+    distinct: list[tuple] = []
+    group: list[int] = []
+    for item in items:
+        key = tuple(map(id, item))
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(item)
+        group.append(index[key])
+    return distinct, group
 
 
 def inclusion_pairs(members: Sequence,
@@ -193,10 +197,11 @@ def check_disjoint_ap(cls: AmalgamationClass, bound: int):
     members = cls.members(bound)
     grid = [(A, B, inc, C) for (A, B, inc) in cls.task_pairs(bound)
             for C in members]
+    bases, group = _groups((A, C) for A, _, _, C in grid)
+    found = [cls.embeddings(A, C) for A, C in bases]
     checked = 0
-    for (A, B, inc, C), embeddings in zip(
-            grid, _per_base(((A, C) for A, _, _, C in grid), cls.embeddings)):
-        for f in embeddings:
+    for (A, B, inc, C), g in zip(grid, group):
+        for f in found[g]:
             checked += 1
             if checked > AP_BUDGET:
                 raise CapExceeded("AP_BUDGET", checked)
@@ -212,31 +217,32 @@ def build_generic(cls: AmalgamationClass, steps: int, bound: int,
     """Run the scheduling loop for at most the given number of steps.
 
     The ledger is the queue: step i resolves ``tasks[i]``, and the loop
-    stops early once every task is resolved.  Discovery enumerates the
-    embeddings of each distinct base A into the top once and sorts that
-    list once, by ``key()`` alone, so no two embedding objects are
-    compared.  It fans the sorted list out to every pair over A in pair
-    order, which puts the batch in ``(pair_index, f.key())`` order, and
-    for a nonzero seed shuffles it, so the ledger is the one a per-pair
-    enumeration gives."""
+    stops early once every task is resolved.  The task pairs are grouped
+    by base once per build.  Discovery enumerates the embeddings of each
+    distinct base A into the top once, in order of first appearance, and
+    sorts that list once, by ``key()`` alone, so no two embedding objects
+    are compared.  It fans the sorted list out to every pair over A in
+    pair order, which puts the batch in ``(pair_index, f.key())`` order,
+    and for a nonzero seed shuffles it, so the ledger is the one a
+    per-pair enumeration gives."""
     pairs = cls.task_pairs(bound)
+    bases, group = _groups((A,) for A, _, _ in pairs)
     chain = [cls.seed_model()]
     tasks: list[Task] = []
     embeddings: list = []  # the embedding of each task, in ledger order
     rng = random.Random(seed)
 
     def discover(stage: int, fresh: Optional[set]):
-        def by_key(A, M) -> list[tuple]:
-            found = [(f.key(), f)
-                     for f in cls.embeddings(A, M, touching=fresh)]
-            found.sort(key=itemgetter(0))
-            return found
-
         top = chain[-1]
-        per_pair = _per_base(((A, top) for A, _, _ in pairs), by_key)
+        found = []
+        for (A,) in bases:
+            keyed = [(f.key(), f)
+                     for f in cls.embeddings(A, top, touching=fresh)]
+            keyed.sort(key=itemgetter(0))
+            found.append(keyed)
         batch = [(pair_index, key, f)
-                 for pair_index, found in enumerate(per_pair)
-                 for key, f in found]
+                 for pair_index, g in enumerate(group)
+                 for key, f in found[g]]
         if seed:
             rng.shuffle(batch)
         for pair_index, key, f in batch:
@@ -270,10 +276,11 @@ def richness_defect(M: Any, cls: AmalgamationClass, bound: int) -> list[tuple]:
     """All extension tasks into M lacking an extension; empty means rich
     at this bound."""
     pairs = cls.task_pairs(bound)
+    bases, group = _groups((A,) for A, _, _ in pairs)
+    found = [cls.embeddings(A, M) for (A,) in bases]
     defects = []
-    for pair_index, ((A, B, inc), embeddings) in enumerate(zip(
-            pairs, _per_base(((A, M) for A, _, _ in pairs), cls.embeddings))):
-        for f in embeddings:
+    for pair_index, ((A, B, inc), g) in enumerate(zip(pairs, group)):
+        for f in found[g]:
             if cls.extend(A, B, inc, f, M) is None:
                 defects.append((pair_index, f.key()))
     return defects

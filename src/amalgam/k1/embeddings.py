@@ -22,6 +22,13 @@ Two kinds of maps:
   realize a vector it reads), the general path over atoms and window points
   through ``p1._signature_blocks``.  Matches are enumerated by the one
   injective search behind every embedding enumerator, ``search.backtrack``.
+
+  What depends on one structure alone is read once per structure: each
+  structure keeps a table of column shapes (``_shapes``: every P2
+  column's zero mask and first richer index, and whether the whole
+  structure has the simple shape), from which the search takes its P2
+  candidate pools and, when both structures are simple, the simple
+  path its zero masks.
 """
 
 from __future__ import annotations
@@ -146,13 +153,74 @@ def _zero_mask(values: list[P1Element]) -> Optional[int]:
     return zero
 
 
+def _shapes(S: K1Structure) -> tuple[bool, dict[int, int], dict[int, int]]:
+    """The column shapes of S, built on first use and kept on S (in
+    ``S._shapes``, with the ``f``, ``g1`` and ``p2`` they were read from)
+    until one of those is rebound.
+
+    ``simple`` says whether every free part of S, over all of ``g1`` and
+    ``f``, is zero or a bare generator that no other value carries.
+    ``zeros`` maps each P2 id c to the mask of the indices n with F[n][c]
+    of zero free part, and ``rich`` maps c, when its column has a value
+    richer than a bare generator, to the first such index (so a simple
+    structure's ``rich`` is empty, and its table holds no object per
+    column but small ints).
+    """
+    f, g1, p2, table = S._shapes
+    if f is S.f and g1 is S.g1 and p2 is S.p2:
+        return table
+    zeros: dict[int, int] = {}
+    rich: dict[int, int] = {}
+    for c in S.p2:
+        zero = 0
+        for n in reversed(range(S.trunc)):
+            fn = S.f[(n, c)].free
+            if not fn.table:
+                zero |= 1 << n
+            elif fn.table != 0b10 or len(fn.support) != 1:
+                rich[c] = n
+        zeros[c] = zero
+    simple = _zero_mask([*S.g1.values(), *S.f.values()]) is not None
+    table = (simple, zeros, rich)
+    S._shapes = (S.f, S.g1, S.p2, table)
+    return table
+
+
+def _column_zero_masks(A: K1Structure, B: K1Structure,
+                       p0_map: dict[int, int], p2_map: dict[int, int]
+                       ) -> Optional[tuple[int, int]]:
+    """The zero masks of the two generator lists of a match (in
+    ``_generator_lists`` order), with each P2 column's mask read off the
+    column shapes; None unless both structures are simple, when every
+    sublist of their values has the simple shape too."""
+    simple, zeros, _ = _shapes(A)
+    simple_t, zeros_t, _ = _shapes(B)
+    if not (simple and simple_t):
+        return None
+    zero = zero_t = 0
+    bit = 1
+    for a, b in p0_map.items():
+        if not A.g1[a].free.table:
+            zero |= bit
+        if not B.g1[b].free.table:
+            zero_t |= bit
+        bit <<= 1
+    shift = len(p0_map)
+    for c, d in p2_map.items():
+        zero |= zeros[c] << shift
+        zero_t |= zeros_t[d] << shift
+        shift += A.trunc
+    return zero, zero_t
+
+
 def _match_simple(A: K1Structure, B: K1Structure,
-                  src: list[P1Element], tgt: list[P1Element]) -> Optional[bool]:
-    """Fast validity when every free part is zero or a generator of its
-    own; None if either side has another shape.  A sign vector is then
-    realized in the free factor iff it reads 0 at the zero positions, so
-    the sides match iff their zero masks are equal and every vector their
-    atoms realize on one side only reads 0 there.
+                  src: list[P1Element], tgt: list[P1Element],
+                  zero: int) -> bool:
+    """Validity when every free part is zero or a generator of its own,
+    and both lists read zero free parts at the positions of ``zero``.
+    A sign vector is then realized in the free factor iff it reads 0 at
+    the zero positions, so the sides match iff every vector their atoms
+    realize on one side only reads 0 there.
 
     Only the atoms under a zero position can realize a vector that reads
     1 there: an atom realizes such a vector exactly when it lies in
@@ -160,11 +228,6 @@ def _match_simple(A: K1Structure, B: K1Structure,
     test above is equality of the vector sets that the atoms in ``under``
     realize on the two sides, and the leaf refines those atoms alone.
     """
-    zero, zero_t = _zero_mask(src), _zero_mask(tgt)
-    if zero is None or zero_t is None:
-        return None
-    if zero != zero_t:
-        return False
     masks, masks_t = [x.atomic for x in src], [x.atomic for x in tgt]
     under = under_t = 0
     rest = zero
@@ -197,7 +260,13 @@ def _match_general(A: K1Structure, B: K1Structure,
 def is_valid_match(A: K1Structure, B: K1Structure,
                    p0_map: dict[int, int], p2_map: dict[int, int]) -> bool:
     """Do the injections generate matched subalgebras: the values of the
-    mapped ids of A and their images in B, paired positionwise?"""
+    mapped ids of A and their images in B, paired positionwise?
+
+    The maps may be partial (a game position, through
+    ``engine.k1_position_valid``).  When both structures are simple (see
+    ``_shapes``), the zero masks of the two lists come from the column
+    shapes and ``_match_simple`` decides; otherwise the lists' own zero
+    masks choose between ``_match_simple`` and ``_match_general``."""
     if A.named_gens or B.named_gens:
         raise InvalidEmbedding(
             "match embeddings require fully value-generated structures"
@@ -207,11 +276,14 @@ def is_valid_match(A: K1Structure, B: K1Structure,
         return False
     if A.trunc != B.trunc:
         return False
+    zeros = _column_zero_masks(A, B, p0_map, p2_map)
     src, tgt = _generator_lists(A, B, p0_map, p2_map)
-    fast = _match_simple(A, B, src, tgt)
-    if fast is not None:
-        return fast
-    return _match_general(A, B, src, tgt)
+    if zeros is None:
+        zeros = _zero_mask(src), _zero_mask(tgt)
+        if None in zeros:
+            return _match_general(A, B, src, tgt)
+    zero, zero_t = zeros
+    return zero == zero_t and _match_simple(A, B, src, tgt, zero)
 
 
 def enumerate_matches(A: K1Structure, B: K1Structure,
@@ -223,8 +295,10 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     in target id order, honoring pinned assignments.
 
     One ``search.backtrack`` over one map (P0 and P2 ids share one id
-    space, so ``fixed`` pins both): the free P2 slots first, then the
-    free P0 slots.
+    space, so ``fixed`` pins both): the free P2 slots first, each drawing
+    from ``_p2_pool`` (the ids of B whose column shape agrees, in
+    ``B.p2`` order), then the free P0 slots, checked by
+    ``_p0_profile_ok``.  Every full map goes to ``is_valid_match``.
     ``touching`` keeps only the embeddings with some P0 or P2 image in
     it, by the pin rule of ``backtrack``.  Members of different
     truncations have no embedding, as ``is_valid_match`` decides.
@@ -237,9 +311,7 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     p2_ids = set(A.p2)
 
     def feasible(mapping: dict[int, int], x: int) -> bool:
-        if x in p2_ids:
-            return _p2_profile_ok(A, B, x, mapping[x])
-        return _p0_profile_ok(A, B, x, mapping)
+        return x in p2_ids or _p0_profile_ok(A, B, x, mapping)
 
     def accept(mapping: dict[int, int]) -> Optional[MatchEmbedding]:
         p0_map = {a: mapping[a] for a in A.p0}
@@ -250,24 +322,26 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
                               tuple(sorted(p2_map.items())))
 
     return backtrack(free_p2 + free_p0,
-                     [B.p2] * len(free_p2) + [B.p0] * len(free_p0),
+                     [_p2_pool(A, B, c) for c in free_p2] +
+                     [B.p0] * len(free_p0),
                      fixed, feasible, accept, first_only, touching)
 
 
-def _p2_profile_ok(A: K1Structure, B: K1Structure, c: int, d: int) -> bool:
-    """Cheap necessary condition: c and d have zero free parts and bare
+def _p2_pool(A: K1Structure, B: K1Structure, c: int) -> list[int]:
+    """The P2 ids d of B, in ``B.p2`` order, whose column passes a cheap
+    necessary condition for matching c's: zero free parts and bare
     generators at the same indices, up to the first index where either
-    side is richer (left to the full check)."""
-    for n in range(A.trunc):
-        s, t = A.f[(n, c)].free, B.f[(n, d)].free
-        # richer than a bare generator: not zero, and not the table 0b10
-        # on one generator
-        if s.table and (s.table != 0b10 or len(s.support) != 1) or \
-                t.table and (t.table != 0b10 or len(t.support) != 1):
-            return True
-        if bool(s.table) != bool(t.table):
-            return False
-    return True
+    column is richer (left to the full check)."""
+    _, zeros, rich = _shapes(A)
+    _, zeros_b, rich_b = _shapes(B)
+    zero, first = zeros[c], rich.get(c, A.trunc)
+    pool = []
+    for d in B.p2:
+        differ = zero ^ zeros_b[d]
+        if not differ or not differ & (
+                (1 << min(first, rich_b.get(d, B.trunc))) - 1):
+            pool.append(d)
+    return pool
 
 
 def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int,

@@ -140,7 +140,16 @@ def build_generic_k1(
     (trunc 6, seeds 0-3) after 195, 349, 349 and 264 steps, and at
     bound 4 (trunc 6, seeds 0-3) after 21,798, 13,226, 10,143 and
     21,798 steps.  ``test_tail_ledger_drains`` asserts this at bounds 3
-    and 4, seeds 0-3.
+    and 4, seeds 0-3; at bound 5 (seed 0) the ledger drains after
+    471,890 steps with a chain of 7, which ``tests/drain_bound5.py``
+    asserts in a CI step of its own.
+    Drained tops are equivalent up to their bound in the back-and-forth
+    game with ``k1_position_valid``, as far as measured: at bound 3 every
+    pair of seeds 0-3 holds at depth 3, and at depth 4 all but seeds 1
+    and 3 fail; at bound 4, seeds 0 and 2 hold at depth 4.
+    ``test_drained_bound_3_tops_hold_at_depth_3`` and
+    ``test_drained_bound_4_tops_hold_at_depth_4`` assert these values
+    both ways round.
     Head-carrying fragments (max_n_star >= 1) pose pair-specific demands
     whose count grows with the approximation, so they converge only in
     the ledger sense, never to an empty defect list at a finite stage.
@@ -148,8 +157,9 @@ def build_generic_k1(
     Corpus members, the extensions that realize them and the
     ``amalgamate_free`` amalgams all keep the simple shape: every free
     part is zero or a bare generator of its own, so ``_match_simple``
-    decides every match of a member into a chain structure and none
-    reaches ``_match_general``.  ``test_engine_builds_keep_the_simple_shape``
+    decides every match of a member into a chain structure, with zero
+    masks read off the column shapes, and none reaches
+    ``_match_general``.  ``test_engine_builds_keep_the_simple_shape``
     asserts this on the bound-3 corpus members and on every chain
     structure of the bound-3 drains at seeds 0-3 and of 60-step head
     builds (max n* 1) at the same seeds.

@@ -169,9 +169,10 @@ def spans_generator(
 ) -> bool:
     """Does the subalgebra generated by ``span`` contain every bare
     generator of ``gens``?  One sweep: the support-free elements, the
-    atoms they set apart and the span's support components are found
-    once, then each g gets one ``subalgebra_contains`` call, in order,
-    up to the first g not spanned.
+    atoms they set apart and (unless every g is read off one element, as
+    below) the span's support components are found once, then each g
+    gets one ``subalgebra_contains`` call, in order, up to the first g
+    not spanned.
 
     When the support-free elements set every designated atom apart, they
     generate b*, so a span element e of free support exactly (g,) minus
@@ -192,9 +193,10 @@ def spans_generator(
     alone = {e.free.support[0]: e for e in reversed(span)
              if len(e.free.support) == 1} if apart == full else {}
     owner: dict[int, set[int]] = {}
-    for part in map(set, support_components([e.free for e in span])):
-        owner.update(dict.fromkeys(
-            [g for i in part for g in span[i].free.support], part))
+    if any(g not in alone for g in gens):
+        for part in map(set, support_components([e.free for e in span])):
+            owner.update(dict.fromkeys(
+                [g for i in part for g in span[i].free.support], part))
     for g in gens:
         if g in alone:
             sub = [alone[g]] + constants

@@ -39,9 +39,17 @@ class K1Structure:
     ``ctx``, the ``P1Context`` of the designated-atom inventory, is
     derived from ``atom_ids`` alone and built once: it is kept in
     ``_ctx`` with the ``atom_ids`` tuple it was built from, and rebinding
-    ``atom_ids`` rebuilds it on the next read.  The other fields may be
-    rebound or mutated freely.  ``_ctx`` takes no part in equality,
-    hashing, repr or ``copy``.
+    ``atom_ids`` rebuilds it on the next read.
+
+    The match search keeps a table of column shapes in ``_shapes``
+    (``embeddings._shapes``), with the ``f``, ``g1`` and ``p2`` objects
+    it was built from; rebinding any of the three rebuilds it on the next
+    read.  So an in-place edit of ``f`` or ``g1`` after a match
+    (``is_valid_match``, ``enumerate_matches`` and the routines built on
+    them) must go through ``copy()`` or a rebinding of the edited field;
+    before any match, and for every other field, edits are free.
+    ``_ctx`` and ``_shapes`` take no part in equality, hashing, repr or
+    ``copy``: a copy starts without either.
     """
 
     trunc: int
@@ -55,6 +63,8 @@ class K1Structure:
     named_gens: tuple[int, ...] = ()
     _ctx: tuple = field(default=(None, None), init=False, repr=False,
                         compare=False)
+    _shapes: tuple = field(default=(None, None, None, None), init=False,
+                           repr=False, compare=False)
 
     @property
     def ctx(self) -> P1Context:

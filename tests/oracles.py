@@ -8,8 +8,8 @@ independence by quantifying over all nonzero Boolean polynomials,
 pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
 corpus by comparing every pair of members, sign-vector refinement by
-cutting every mask into every block, the value-kind profile of a P2
-column pair by classifying each value on its own, a transported value
+cutting every mask into every block, the P2 column condition of the
+match search by classifying each value on its own, a transported value
 by evaluating its free part at every split point, embeddings by trying every
 injection, game positions by trying every injection between the
 generated substructures, the game by playing
@@ -349,29 +349,25 @@ def refine_by_every_block(universe: int,
 
 
 # ---------------------------------------------------------------------------
-# Value-kind profile of a P2 column pair
+# The P2 column condition of the match search, value by value
 # ---------------------------------------------------------------------------
 
 
-def _value_kind(fn: FreeFn) -> Optional[str]:
-    """'zero' for the zero function, 'var' for a bare positive generator;
-    None for anything richer."""
-    if fn.is_zero:
-        return "zero"
-    if len(fn.support) == 1 and fn.table == 0b10:
-        return "var"
-    return None
-
-
-def p2_profile_by_kinds(A, B, c: int, d: int) -> bool:
-    """``embeddings._p2_profile_ok`` with each value classified on its
-    own: True at the first rich value, False at the first kind
-    mismatch."""
+def p2_profile_ok(A, B, c: int, d: int) -> bool:
+    """The P2 column condition of the match search, value by value (it
+    was ``embeddings._p2_profile_ok``, called at every P2 assignment):
+    c and d have zero free parts and bare generators at the same indices,
+    up to the first index where either side is richer.  The search now
+    draws each P2 slot from ``embeddings._p2_pool``, read off the column
+    shapes."""
     for n in range(A.trunc):
-        ks, kt = _value_kind(A.f[(n, c)].free), _value_kind(B.f[(n, d)].free)
-        if ks is None or kt is None:
+        s, t = A.f[(n, c)].free, B.f[(n, d)].free
+        # richer than a bare generator: not zero, and not the table 0b10
+        # on one generator
+        if s.table and (s.table != 0b10 or len(s.support) != 1) or \
+                t.table and (t.table != 0b10 or len(t.support) != 1):
             return True
-        if ks != kt:
+        if bool(s.table) != bool(t.table):
             return False
     return True
 

@@ -270,6 +270,38 @@ def test_two_defect_free_runs_play_the_game():
     assert back_and_forth_check(M, N, 3, elements, k1_position_valid)
 
 
+@pytest.fixture(scope="module")
+def drained_tops():
+    """The tops of the drained tail ledgers at bound 3, seeds 0-3, and at
+    bound 4, seeds 0 and 2."""
+    return {(bound, seed): build_generic_k1(steps=50_000, bound=bound,
+                                            trunc=6, seed=seed).top
+            for bound, seed in [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0),
+                                (4, 2)]}
+
+
+def plays(M, N, depth):
+    """The game value at ``depth``, which must not depend on the order of
+    the two structures."""
+    elements = lambda S: list(S.p0) + list(S.p2)
+    held = back_and_forth_check(M, N, depth, elements, k1_position_valid)
+    assert held == back_and_forth_check(N, M, depth, elements,
+                                        k1_position_valid)
+    return held
+
+
+def test_drained_bound_3_tops_hold_at_depth_3(drained_tops):
+    # every pair holds at depth 3; at depth 4 only seeds 1 and 3 do
+    for i, j in itertools.combinations(range(4), 2):
+        M, N = drained_tops[3, i], drained_tops[3, j]
+        assert plays(M, N, 3)
+        assert plays(M, N, 4) == ((i, j) == (1, 3))
+
+
+def test_drained_bound_4_tops_hold_at_depth_4(drained_tops):
+    assert plays(drained_tops[4, 0], drained_tops[4, 2], 4)
+
+
 def test_game_rejects_structures_of_different_shape():
     g = build_generic_k1(steps=60, bound=3, trunc=6, seed=1)
     tiny = minimal_model(6)

@@ -4,8 +4,10 @@ without ``fixed`` assignments, against filtered and brute-force oracles, sign-ve
 per-point partitions and per-value meets, identical builder
 ledgers with and without pinning, grouped discovery and
 ``richness_defect`` against per-pair enumeration (with a hook that
-counts one call per base), and the general match path against the
-simple one and brute force."""
+counts one call per base), the general match path against the
+simple one and brute force, and the column shapes the match search keeps
+per structure: their lifetime, and the P2 pools and the simple leaf read
+off them against the per-value P2 condition and the per-list leaf."""
 
 import itertools
 import random
@@ -32,13 +34,15 @@ from amalgam.k1 import (
 )
 from amalgam.k1 import embeddings
 from amalgam.k1.embeddings import (
+    _column_zero_masks,
     _generator_lists,
     _match_general,
     _match_simple,
-    _p2_profile_ok,
+    _p2_pool,
+    _shapes,
     _zero_mask,
 )
-from amalgam.k1.engine import build_generic_k1, k1_class
+from amalgam.k1.engine import build_generic_k1, k1_class, k1_position_valid
 from amalgam.k1.freepart import (
     ONE,
     ZERO,
@@ -54,7 +58,7 @@ from amalgam.k1.ops import _principal_points
 from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
 from k1_fixtures import comp, meet
-from oracles import p2_profile_by_kinds, planted
+from oracles import p2_profile_ok, planted
 
 TRUNC = 6
 
@@ -569,6 +573,16 @@ def test_grouped_richness_defect_on_the_saturated_top():
 # ---------------------------------------------------------------------------
 
 
+def per_list_leaf(A, B, src, tgt):
+    """The simple leaf on the lists alone, as ``is_valid_match`` runs it
+    when a structure is not simple: ``_match_simple`` on the lists' own
+    zero masks, or None when either list has another shape."""
+    zero, zero_t = _zero_mask(src), _zero_mask(tgt)
+    if zero is None or zero_t is None:
+        return None
+    return zero == zero_t and _match_simple(A, B, src, tgt, zero)
+
+
 def agree_on_all_injections(A, B):
     """Compare the two paths on every P0/P2 injection A -> B whose target
     values have at most TRUNC generators (one name's column; the general
@@ -580,7 +594,7 @@ def agree_on_all_injections(A, B):
                                         dict(zip(A.p2, p2_img)))
             if len({g for x in tgt for g in x.free.support}) > TRUNC:
                 continue
-            simple = _match_simple(A, B, src, tgt)
+            simple = per_list_leaf(A, B, src, tgt)
             assert simple is not None
             assert _match_general(A, B, src, tgt) == simple
             outcomes.append(simple)
@@ -810,8 +824,8 @@ def test_the_simple_leaf_reads_only_the_atoms_under_zero_positions():
     B, tgt = UNDER_TARGET
     for _, A, src, want in UNDER_CASES:
         assert oracle_match(A, B, src, tgt) == want
-        assert _match_simple(A, B, src, tgt) == want
-        assert _match_simple(B, A, tgt, src) == want
+        assert per_list_leaf(A, B, src, tgt) == want
+        assert per_list_leaf(B, A, tgt, src) == want
         assert valid_as_p0_values(A, B, src, tgt) == want
 
 
@@ -820,8 +834,8 @@ def test_a_leaf_that_refines_one_side_over_every_atom_is_caught(
     mutant = planted(_match_simple, "refine(A.ctx.full_mask & under, masks)",
                      "refine(A.ctx.full_mask, masks)")
     B, tgt = UNDER_TARGET
-    assert [mutant(A, B, src, tgt) for _, A, src, _ in UNDER_CASES] == \
-        [False, False]
+    assert [mutant(A, B, src, tgt, _zero_mask(src))
+            for _, A, src, _ in UNDER_CASES] == [False, False]
     monkeypatch.setattr(embeddings, "_match_simple", mutant)
     outcomes = match_outcomes()
     assert any(got != want for _, _, got, want in outcomes)
@@ -839,35 +853,169 @@ def random_column(rng, gens):
     return column
 
 
-def p2_profile_verdicts(profile_ok, k1_head_chain):
-    """(verdict, per-value verdict) of ``profile_ok`` on every P2 name
-    pair of the task pairs and of the members into the build's tops,
-    then on seeded random columns."""
+def column_structure(rng, width):
+    """A fresh structure with ``width`` P2 names, each with a seeded
+    random column over three generators."""
+    gens = (10, 11, 12)
+    return K1Structure(TRUNC, (), tuple(range(width)), (), gens, {}, {
+        (n, c): x for c in range(width)
+        for n, x in enumerate(random_column(rng, gens))})
+
+
+def p2_pool_verdicts(pool_of, k1_head_chain):
+    """(d in ``pool_of(A, B, c)``, ``p2_profile_ok``) over every P2 name
+    pair of the task pairs and of the members into the build's tops, then
+    of seeded random columns; each pool must keep ``B.p2`` order."""
     verdicts = Counter()
     cls = k1_class(TRUNC, 1)
     pairs = [(A, B) for A, B, _ in cls.task_pairs(3)] + \
         [(A, top) for top in k1_head_chain for A in cls.members(3)]
-    for A, B in pairs:
-        for c, d in itertools.product(A.p2, B.p2):
-            verdicts[profile_ok(A, B, c, d),
-                     p2_profile_by_kinds(A, B, c, d)] += 1
     rng = random.Random(43)
-    for _ in range(400):
-        gens = (10, 11, 12)
-        A, B = carrier((), gens), carrier((), gens)
-        for S in (A, B):
-            S.f = {(n, 0): x for n, x in enumerate(random_column(rng, gens))}
-        verdicts[profile_ok(A, B, 0, 0), p2_profile_by_kinds(A, B, 0, 0)] += 1
+    pairs += [(column_structure(rng, 1), column_structure(rng, 4))
+              for _ in range(100)]
+    for A, B in pairs:
+        for c in A.p2:
+            pool = pool_of(A, B, c)
+            assert pool == [d for d in B.p2 if d in pool]
+            for d in B.p2:
+                verdicts[d in pool, p2_profile_ok(A, B, c, d)] += 1
     return verdicts
 
 
 def test_p2_profile_equals_per_value_kinds(k1_head_chain):
-    verdicts = p2_profile_verdicts(_p2_profile_ok, k1_head_chain)
+    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
     assert set(verdicts) == {(True, True), (False, False)}
 
 
 def test_p2_profile_catches_a_zero_generator_mismatch(k1_head_chain):
-    mutant = planted(_p2_profile_ok, "if bool(s.table) != bool(t.table):",
-                     "if False:")
-    verdicts = p2_profile_verdicts(mutant, k1_head_chain)
+    mutant = planted(_p2_pool, "if not differ or not differ & (",
+                     "if True or (")
+    verdicts = p2_pool_verdicts(mutant, k1_head_chain)
     assert (True, False) in verdicts
+
+
+def test_a_shape_table_that_ignores_the_first_rich_index_is_caught(
+        monkeypatch, k1_head_chain):
+    monkeypatch.setattr(embeddings, "_shapes", planted(
+        _shapes, "rich[c] = n", "pass"))
+    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
+    assert (False, True) in verdicts
+
+
+def test_a_shape_table_that_reads_g1_over_p0_only_is_caught(monkeypatch):
+    monkeypatch.setattr(embeddings, "_shapes", planted(
+        _shapes, "*S.g1.values()", "*(S.g1[a] for a in S.p0)"))
+    outcomes = match_outcomes()
+    assert any(got != want for _, _, got, want in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# The column shapes: their lifetime, and the tabled pools and leaf against
+# the per-value condition and the per-list leaf
+# ---------------------------------------------------------------------------
+
+
+def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
+    M = build_member(2, 2, 1, trunc=TRUNC,
+                     head_plan=[[((0,), True)], [((1,), False)]])
+    c, d = M.p2
+    first = _shapes(M)
+    assert _shapes(M) is first
+    assert first == (True, {c: 0, d: 1}, {})
+    # an in-place edit goes unseen until the field is rebound
+    M.f[(0, c)] = P1Element(M.f[(0, c)].atomic, ZERO)
+    assert _shapes(M) is first
+    M.f = dict(M.f)
+    assert _shapes(M) == (True, {c: 1, d: 1}, {})
+    x, y = (M.f[(n, d)].free for n in (1, 2))
+    M.f = {**M.f, (2, d): P1Element(0, conj(x, y)),
+           (4, d): P1Element(0, conj(x, y))}
+    assert _shapes(M) == (False, {c: 1, d: 1}, {d: 2})
+    M.f = {**M.f, (2, d): P1Element(0, y), (4, d): M.f[(4, c)]}
+    assert _shapes(M)[0] is False  # (4, c) and (4, d) share a generator
+    M.f = {**M.f, (4, d): P1Element(0, var(99))}
+    assert _shapes(M) == (True, {c: 1, d: 1}, {})
+    # a G1 value that carries a generator of F is not simple
+    M.g1 = {**M.g1, M.p0[0]: P1Element(M.g1[M.p0[0]].atomic, x)}
+    assert _shapes(M)[0] is False
+    M.p2 = (d,)
+    assert _shapes(M) == (False, {d: 1}, {})
+    copy = M.copy()
+    assert copy._shapes == (None, None, None, None)
+    assert _shapes(copy) == _shapes(M)
+
+
+def list_leaf(A, B, src, tgt):
+    """The leaf on the lists alone: ``per_list_leaf``, else the general
+    path."""
+    fast = per_list_leaf(A, B, src, tgt)
+    return _match_general(A, B, src, tgt) if fast is None else fast
+
+
+def sample_maps(A, M, rng):
+    """The first matches A -> M, then seeded random injections and
+    partial maps of A's ids into M's."""
+    maps = [(dict(e.p0_map), dict(e.p2_map))
+            for e in enumerate_matches(A, M)[:3]]
+    for _ in range(3):
+        p0_map = dict(zip(A.p0, rng.sample(M.p0, len(A.p0))))
+        p2_map = dict(zip(A.p2, rng.sample(M.p2, len(A.p2))))
+        maps.append((p0_map, p2_map))
+        maps.append(({a: b for a, b in p0_map.items() if rng.random() < 0.5},
+                     {c: d for c, d in p2_map.items() if rng.random() < 0.5}))
+    return maps
+
+
+ENGINE_BUILDS = [(3, 50_000, 0), (4, 50_000, 0), (3, 60, 1)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
+    # every chain structure of the bound-3 and bound-4 tail drains and of
+    # the 60-step head build, against each member of the build's class
+    rng = random.Random(seed)
+    seen = Counter()
+    for bound, steps, max_n_star in ENGINE_BUILDS:
+        members = k1_class(TRUNC, max_n_star).members(bound)
+        g = build_generic_k1(steps, bound=bound, trunc=TRUNC, seed=seed,
+                             max_n_star=max_n_star)
+        for M in g.approximation.chain:
+            for A in members:
+                if len(A.p0) > len(M.p0) or len(A.p2) > len(M.p2):
+                    continue
+                for c in A.p2:
+                    pool = _p2_pool(A, M, c)
+                    assert pool == [d for d in M.p2
+                                    if p2_profile_ok(A, M, c, d)]
+                    seen["pool", pool == list(M.p2)] += 1
+                for p0_map, p2_map in sample_maps(A, M, rng):
+                    src, tgt = _generator_lists(A, M, p0_map, p2_map)
+                    assert _column_zero_masks(A, M, p0_map, p2_map) == \
+                        (_zero_mask(src), _zero_mask(tgt))
+                    got = is_valid_match(A, M, p0_map, p2_map)
+                    assert got == per_list_leaf(A, M, src, tgt)
+                    seen["leaf", got] += 1
+    assert set(seen) == {("pool", True), ("pool", False), ("leaf", True),
+                         ("leaf", False)}, seen
+
+
+def test_tabled_leaf_agrees_on_partial_positions_of_synthetic_lists():
+    # the seeded simple-shaped lists as the values of P0 ids, picked in
+    # part through k1_position_valid: structures whose values repeat a
+    # generator take the per-list path, the others the tabled one
+    rng = random.Random(47)
+    seen = Counter()
+    for A, B, src, tgt, _ in simple_lists():
+        ids = tuple(range(len(src)))
+        A.p0, B.p0 = ids, ids
+        A.g1, B.g1 = dict(enumerate(src)), dict(enumerate(tgt))
+        picks = tuple(i for i in ids if rng.random() < 0.7)
+        sub_src, sub_tgt = [src[i] for i in picks], [tgt[i] for i in picks]
+        got = k1_position_valid(A, B, picks, picks)
+        assert got == list_leaf(A, B, sub_src, sub_tgt) == \
+            oracle_match(A, B, sub_src, sub_tgt)
+        zeros = _column_zero_masks(A, B, {i: i for i in picks}, {})
+        if zeros is not None:
+            assert zeros == (_zero_mask(sub_src), _zero_mask(sub_tgt))
+        seen[zeros is not None, len(picks) < len(ids), got] += 1
+    assert set(seen) == set(itertools.product((True, False), repeat=3)), seen
