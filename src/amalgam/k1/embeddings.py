@@ -16,27 +16,26 @@ Two kinds of maps:
   captures relation preservation and the reflection of the atomic-ideal
   predicate.  A fast combinatorial path covers the common case where each
   free part is zero or a generator that no other value carries; a list
-  that repeats a generator goes to the general path.  Both paths read the
-  realized sign vectors off ``boolalg.refine``: the simple path over the
-  designated atoms under its zero positions (the only atoms that can
-  realize a vector it reads), the general path over atoms and window points
-  through ``p1._signature_blocks``.  Matches are enumerated by the one
-  injective search behind every embedding enumerator, ``search.backtrack``.
+  that repeats a generator goes to the general path, which refines atoms
+  and window points through ``p1._signature_blocks``.  Matches are
+  enumerated by the one injective search behind every embedding
+  enumerator, ``search.backtrack``.
 
-  What depends on one structure alone is read once per structure: each
-  structure keeps a table of column shapes (``_shapes``: every P2
-  column's zero mask and first richer index, and whether the whole
-  structure has the simple shape), from which the search takes its P2
-  candidate pools and, when both structures are simple, the simple
-  path its zero masks.
+  What depends on one structure alone is read once per structure, into
+  one table of ints kept on the structure (``_table``; the VF2 idea of
+  reading per-node data once and checking candidates against it): the
+  zero free parts and first richer index of every P2 column, and every
+  atom's membership profile over the columns, packed by column.  The
+  search draws its P2 candidates from it (``_p2_pool``) and checks P0
+  candidates against the profiles (``_feasible``), and the simple path
+  reads its sign vectors off it with no list of values (``_signs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
-from ..boolalg import refine
 from ..errors import InvalidEmbedding
 from ..search import backtrack
 from .freepart import rename, var
@@ -153,92 +152,112 @@ def _zero_mask(values: list[P1Element]) -> Optional[int]:
     return zero
 
 
-def _shapes(S: K1Structure) -> tuple[bool, dict[int, int], dict[int, int]]:
-    """The column shapes of S, built on first use and kept on S (in
-    ``S._shapes``, with the ``f``, ``g1`` and ``p2`` they were read from)
-    until one of those is rebound.
+def _table(S: K1Structure) -> tuple:
+    """The match table of S, built on first use and kept on S (in
+    ``S._table``) until ``f``, ``g1`` or ``p2`` is rebound: the one tuple
+    ``(f, g1, p2, simple, offsets, zeros, rich, rows)``, the first three
+    being the objects it was read from.
 
     ``simple`` says whether every free part of S, over all of ``g1`` and
     ``f``, is zero or a bare generator that no other value carries.
-    ``zeros`` maps each P2 id c to the mask of the indices n with F[n][c]
-    of zero free part, and ``rich`` maps c, when its column has a value
-    richer than a bare generator, to the first such index (so a simple
-    structure's ``rich`` is empty, and its table holds no object per
-    column but small ints).
+    ``offsets`` maps each P2 id c to the bit offset of its column, its
+    index in ``S.p2`` times ``S.trunc``, and the ints ``zeros`` and
+    ``rich`` and each row of ``rows`` are packed at those offsets, bit
+    ``offsets[c] + n`` standing for F[n][c].  That bit is set in
+    ``zeros`` when F[n][c] has a zero free part, and in ``rich`` when n
+    is the first index of c's column with a value richer than a bare
+    generator (so a simple structure's ``rich`` is 0).  ``rows`` maps
+    each atom that an atomic part of S holds (in a member, each
+    designated atom) to its membership profile: the bit of F[n][c] is
+    set when the atomic part of F[n][c] holds the atom.
     """
-    f, g1, p2, table = S._shapes
-    if f is S.f and g1 is S.g1 and p2 is S.p2:
+    table = S._table
+    if table[0] is S.f and table[1] is S.g1 and table[2] is S.p2:
         return table
-    zeros: dict[int, int] = {}
-    rich: dict[int, int] = {}
-    for c in S.p2:
-        zero = 0
-        for n in reversed(range(S.trunc)):
-            fn = S.f[(n, c)].free
+    trunc, f = S.trunc, S.f
+    rows: dict[int, int] = {}
+    for x in S.g1.values():
+        rest = x.atomic
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] = 0
+            rest ^= low
+    offsets: dict[int, int] = {}
+    zeros = rich = 0
+    bit = 1
+    for j, c in enumerate(S.p2):
+        offsets[c] = j * trunc
+        first = 0
+        for n in range(trunc):
+            x = f[(n, c)]
+            fn = x.free
             if not fn.table:
-                zero |= 1 << n
-            elif fn.table != 0b10 or len(fn.support) != 1:
-                rich[c] = n
-        zeros[c] = zero
-    simple = _zero_mask([*S.g1.values(), *S.f.values()]) is not None
-    table = (simple, zeros, rich)
-    S._shapes = (S.f, S.g1, S.p2, table)
+                zeros |= bit
+            elif not first and (fn.table != 0b10 or len(fn.support) != 1):
+                first = bit
+            rest = x.atomic
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                rows[t] = rows.get(t, 0) | bit
+                rest ^= low
+            bit <<= 1
+        rich |= first
+    simple = _zero_mask([*S.g1.values(), *f.values()]) is not None
+    table = (S.f, S.g1, S.p2, simple, offsets, zeros, rich, rows)
+    S._table = table
     return table
 
 
-def _column_zero_masks(A: K1Structure, B: K1Structure,
-                       p0_map: dict[int, int], p2_map: dict[int, int]
-                       ) -> Optional[tuple[int, int]]:
-    """The zero masks of the two generator lists of a match (in
-    ``_generator_lists`` order), with each P2 column's mask read off the
-    column shapes; None unless both structures are simple, when every
-    sublist of their values has the simple shape too."""
-    simple, zeros, _ = _shapes(A)
-    simple_t, zeros_t, _ = _shapes(B)
-    if not (simple and simple_t):
-        return None
-    zero = zero_t = 0
-    bit = 1
-    for a, b in p0_map.items():
-        if not A.g1[a].free.table:
-            zero |= bit
-        if not B.g1[b].free.table:
-            zero_t |= bit
+def _signs(S: K1Structure, table: tuple, p0_ids: Collection[int],
+           p2_ids: Iterable[int]) -> tuple[int, set[int]]:
+    """The zero mask of the generator list of the ids (in
+    ``_generator_lists`` order) of S, read off S's table, and the sign
+    vectors over that list of the atoms of S that lie under a zero
+    position.
+
+    Atom t's vector is its P0 bits (bit i set when the atomic part of
+    the i-th P0 value holds t) followed by its table row cut to the
+    listed columns, in list order."""
+    _, _, _, _, offsets, zeros, _, rows = table
+    trunc, g1 = S.trunc, S.g1
+    col = (1 << trunc) - 1
+    heads: dict[int, int] = {}
+    zero_heads, bit = 0, 1
+    for a in p0_ids:
+        x = g1[a]
+        if not x.free.table:
+            zero_heads |= bit
+        rest = x.atomic
+        while rest:
+            low = rest & -rest
+            t = low.bit_length() - 1
+            heads[t] = heads.get(t, 0) | bit
+            rest ^= low
         bit <<= 1
-    shift = len(p0_map)
-    for c, d in p2_map.items():
-        zero |= zeros[c] << shift
-        zero_t |= zeros_t[d] << shift
-        shift += A.trunc
-    return zero, zero_t
-
-
-def _match_simple(A: K1Structure, B: K1Structure,
-                  src: list[P1Element], tgt: list[P1Element],
-                  zero: int) -> bool:
-    """Validity when every free part is zero or a generator of its own,
-    and both lists read zero free parts at the positions of ``zero``.
-    A sign vector is then realized in the free factor iff it reads 0 at
-    the zero positions, so the sides match iff every vector their atoms
-    realize on one side only reads 0 there.
-
-    Only the atoms under a zero position can realize a vector that reads
-    1 there: an atom realizes such a vector exactly when it lies in
-    ``under``, the join of the atomic parts at the zero positions.  So the
-    test above is equality of the vector sets that the atoms in ``under``
-    realize on the two sides, and the leaf refines those atoms alone.
-    """
-    masks, masks_t = [x.atomic for x in src], [x.atomic for x in tgt]
-    under = under_t = 0
-    rest = zero
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        under |= masks[i]
-        under_t |= masks_t[i]
-        rest ^= low
-    return {v for v, _ in refine(A.ctx.full_mask & under, masks)} == \
-        {v for v, _ in refine(B.ctx.full_mask & under_t, masks_t)}
+    # the zero positions of the listed columns, in list order (``zero``)
+    # and at the columns' own offsets (``own``)
+    width = len(p0_ids)
+    zero, cut, own, shift = zero_heads, [], 0, width
+    for c in p2_ids:
+        off = offsets[c]
+        cut.append(off)
+        column = zeros >> off & col
+        zero |= column << shift
+        own |= column << off
+        shift += trunc
+    # with no zero position in the listed columns, only the atoms of the
+    # P0 values can lie under one
+    vectors = set()
+    for t in rows if own else heads:
+        head, row = heads.get(t, 0), rows.get(t, 0)
+        if head & zero_heads or row & own:
+            v, shift = head, width
+            for off in cut:
+                v |= (row >> off & col) << shift
+                shift += trunc
+            vectors.add(v)
+    return zero, vectors
 
 
 def _match_general(A: K1Structure, B: K1Structure,
@@ -263,10 +282,19 @@ def is_valid_match(A: K1Structure, B: K1Structure,
     mapped ids of A and their images in B, paired positionwise?
 
     The maps may be partial (a game position, through
-    ``engine.k1_position_valid``).  When both structures are simple (see
-    ``_shapes``), the zero masks of the two lists come from the column
-    shapes and ``_match_simple`` decides; otherwise the lists' own zero
-    masks choose between ``_match_simple`` and ``_match_general``."""
+    ``engine.k1_position_valid``).  Lists whose free parts are all zero
+    or bare generators of their own (every list of a simple structure,
+    see ``_table``; otherwise the lists that ``_zero_mask`` accepts) go
+    to the simple leaf, and any other pair of lists to
+    ``_match_general``.
+
+    In the simple leaf a sign vector is realized in the free factor iff
+    it reads 0 at the zero positions, so the sides match iff they have
+    the same zero positions and every vector their atoms realize on one
+    side only reads 0 there.  Only an atom under a zero position realizes
+    a vector that reads 1 there, so the leaf compares the vector sets of
+    those atoms (``_signs``).  Its zero masks come from the tables on
+    either route: the table marks exactly the list's zero free parts."""
     if A.named_gens or B.named_gens:
         raise InvalidEmbedding(
             "match embeddings require fully value-generated structures"
@@ -276,14 +304,14 @@ def is_valid_match(A: K1Structure, B: K1Structure,
         return False
     if A.trunc != B.trunc:
         return False
-    zeros = _column_zero_masks(A, B, p0_map, p2_map)
-    src, tgt = _generator_lists(A, B, p0_map, p2_map)
-    if zeros is None:
-        zeros = _zero_mask(src), _zero_mask(tgt)
-        if None in zeros:
+    table, table_b = _table(A), _table(B)
+    if not (table[3] and table_b[3]):  # not both simple
+        src, tgt = _generator_lists(A, B, p0_map, p2_map)
+        if _zero_mask(src) is None or _zero_mask(tgt) is None:
             return _match_general(A, B, src, tgt)
-    zero, zero_t = zeros
-    return zero == zero_t and _match_simple(A, B, src, tgt, zero)
+    zero, vectors = _signs(A, table, p0_map.keys(), p2_map.keys())
+    zero_t, vectors_t = _signs(B, table_b, p0_map.values(), p2_map.values())
+    return zero == zero_t and vectors == vectors_t
 
 
 def enumerate_matches(A: K1Structure, B: K1Structure,
@@ -297,21 +325,17 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     One ``search.backtrack`` over one map (P0 and P2 ids share one id
     space, so ``fixed`` pins both): the free P2 slots first, each drawing
     from ``_p2_pool`` (the ids of B whose column shape agrees, in
-    ``B.p2`` order), then the free P0 slots, checked by
-    ``_p0_profile_ok``.  Every full map goes to ``is_valid_match``.
-    ``touching`` keeps only the embeddings with some P0 or P2 image in
-    it, by the pin rule of ``backtrack``.  Members of different
-    truncations have no embedding, as ``is_valid_match`` decides.
+    ``B.p2`` order), then the free P0 slots, checked by ``_feasible``.
+    Every full map goes to ``is_valid_match``.  ``touching`` keeps only
+    the embeddings with some P0 or P2 image in it, by the pin rule of
+    ``backtrack``.  Members of different truncations have no embedding,
+    as ``is_valid_match`` decides.
     """
     if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2) or A.trunc != B.trunc:
         return []
     fixed = fixed or {}
     free_p2 = [c for c in A.p2 if c not in fixed]
     free_p0 = [a for a in A.p0 if a not in fixed]
-    p2_ids = set(A.p2)
-
-    def feasible(mapping: dict[int, int], x: int) -> bool:
-        return x in p2_ids or _p0_profile_ok(A, B, x, mapping)
 
     def accept(mapping: dict[int, int]) -> Optional[MatchEmbedding]:
         p0_map = {a: mapping[a] for a in A.p0}
@@ -324,7 +348,52 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
     return backtrack(free_p2 + free_p0,
                      [_p2_pool(A, B, c) for c in free_p2] +
                      [B.p0] * len(free_p0),
-                     fixed, feasible, accept, first_only, touching)
+                     fixed, _feasible(A, B), accept, first_only, touching)
+
+
+def _feasible(A: K1Structure, B: K1Structure):
+    """The feasibility check of the match search from A into B, which
+    reads both tables once: a P2 id always passes, and a P0 id a passes
+    when the membership profile of its G1 atomic part (the OR of its
+    atoms' table rows) equals that of its image's, column by column
+    under the mapping (every P2 id is mapped before any P0 id).  A zero
+    atomic part matches only a zero one.  A's side, each P0 id's atomic
+    part and its profile cut into A's columns, is read once per call."""
+    _, _, _, _, offsets, _, _, rows = _table(A)
+    _, _, _, _, offsets_b, _, _, rows_b = _table(B)
+    col = (1 << A.trunc) - 1
+    cuts = {}
+    for a in A.p0:
+        atom = A.g1[a].atomic
+        row = _profile(rows, atom)
+        cuts[a] = atom, [(c, row >> offsets[c] & col) for c in A.p2]
+    g1_b = B.g1
+
+    def feasible(mapping: dict[int, int], x: int) -> bool:
+        if x not in cuts:
+            return True
+        atom, columns = cuts[x]
+        atom_b = g1_b[mapping[x]].atomic
+        if not (atom and atom_b):
+            return atom == atom_b
+        row_b = _profile(rows_b, atom_b)
+        for c, column in columns:
+            if row_b >> offsets_b[mapping[c]] & col != column:
+                return False
+        return True
+
+    return feasible
+
+
+def _profile(rows: dict[int, int], atomic: int) -> int:
+    """The membership profile of an atomic part: the OR of the table rows
+    of its atoms."""
+    profile = 0
+    while atomic:
+        low = atomic & -atomic
+        profile |= rows.get(low.bit_length() - 1, 0)
+        atomic ^= low
+    return profile
 
 
 def _p2_pool(A: K1Structure, B: K1Structure, c: int) -> list[int]:
@@ -332,34 +401,23 @@ def _p2_pool(A: K1Structure, B: K1Structure, c: int) -> list[int]:
     necessary condition for matching c's: zero free parts and bare
     generators at the same indices, up to the first index where either
     column is richer (left to the full check)."""
-    _, zeros, rich = _shapes(A)
-    _, zeros_b, rich_b = _shapes(B)
-    zero, first = zeros[c], rich.get(c, A.trunc)
+    _, _, _, _, offsets, zeros, rich, _ = _table(A)
+    _, _, _, _, offsets_b, zeros_b, rich_b, _ = _table(B)
+    col = (1 << A.trunc) - 1
+    off = offsets[c]
+    zero, first = zeros >> off & col, rich >> off & col
+    # the indices below c's first rich index
+    below = first - 1 if first else col
     pool = []
     for d in B.p2:
-        differ = zero ^ zeros_b[d]
-        if not differ or not differ & (
-                (1 << min(first, rich_b.get(d, B.trunc))) - 1):
-            pool.append(d)
+        off_b = offsets_b[d]
+        differ = (zero ^ zeros_b >> off_b) & below
+        if differ:
+            first_b = rich_b >> off_b & col
+            if not first_b or differ & (first_b - 1):
+                continue
+        pool.append(d)
     return pool
-
-
-def _p0_profile_ok(A: K1Structure, B: K1Structure, a: int,
-                   mapping: dict[int, int]) -> bool:
-    """The F-membership profile of a's atom must match that of its image's
-    atom over every c of P2 (all mapped before any P0 id)."""
-    atom_a = A.g1[a].atomic
-    atom_b = B.g1[mapping[a]].atomic
-    if atom_a == 0 or atom_b == 0:
-        return atom_a == atom_b
-    for c in A.p2:
-        d = mapping[c]
-        for n in range(A.trunc):
-            in_a = bool(A.f[(n, c)].atomic & atom_a)
-            in_b = bool(B.f[(n, d)].atomic & atom_b)
-            if in_a != in_b:
-                return False
-    return True
 
 
 def extend_match(B: K1Structure, M: K1Structure,

@@ -39,8 +39,10 @@ def invariant_key(M: K1Structure) -> tuple:
     A position's free class (free part zero, one, or other) is the
     one-position projection of the sign-vector classes that
     ``is_valid_match`` compares; an atom's profile over a column (bit n
-    set when the atom of a G1 value lies under F[n][c]) is what
-    ``_p0_profile_ok`` requires of every matched P0 id.  A match maps
+    set when the atom of a G1 value lies under F[n][c]) is what the
+    match search's P0 check (``embeddings._feasible``, reading the
+    profiles off the structure's match table) requires of every matched
+    P0 id.  A match maps
     columns to columns and P0 ids bijectively, so isomorphic members
     share the key.
     """
@@ -156,10 +158,10 @@ def build_generic_k1(
 
     Corpus members, the extensions that realize them and the
     ``amalgamate_free`` amalgams all keep the simple shape: every free
-    part is zero or a bare generator of its own, so ``_match_simple``
-    decides every match of a member into a chain structure, with zero
-    masks read off the column shapes, and none reaches
-    ``_match_general``.  ``test_engine_builds_keep_the_simple_shape``
+    part is zero or a bare generator of its own, so the simple leaf of
+    ``is_valid_match`` decides every match of a member into a chain
+    structure, reading zero masks and sign vectors off the match tables,
+    and none reaches ``_match_general``.  ``test_engine_builds_keep_the_simple_shape``
     asserts this on the bound-3 corpus members and on every chain
     structure of the bound-3 drains at seeds 0-3 and of 60-step head
     builds (max n* 1) at the same seeds.

@@ -41,15 +41,21 @@ class K1Structure:
     ``_ctx`` with the ``atom_ids`` tuple it was built from, and rebinding
     ``atom_ids`` rebuilds it on the next read.
 
-    The match search keeps a table of column shapes in ``_shapes``
-    (``embeddings._shapes``), with the ``f``, ``g1`` and ``p2`` objects
-    it was built from; rebinding any of the three rebuilds it on the next
-    read.  So an in-place edit of ``f`` or ``g1`` after a match
-    (``is_valid_match``, ``enumerate_matches`` and the routines built on
-    them) must go through ``copy()`` or a rebinding of the edited field;
-    before any match, and for every other field, edits are free.
-    ``_ctx`` and ``_shapes`` take no part in equality, hashing, repr or
-    ``copy``: a copy starts without either.
+    The match search keeps one table on each structure it reads, in
+    ``_table`` (``embeddings._table``): one tuple of ints and two dicts
+    of ints, with the ``f``, ``g1`` and ``p2`` objects it was built
+    from.  It holds whether the structure has the simple shape, the bit
+    offset of each P2 column, every column's zero free parts and first
+    richer index packed at those offsets, and each atom's membership
+    profile over every column, packed the same way.  Rebinding ``f``,
+    ``g1`` or ``p2`` rebuilds it on the next read (the table reads no
+    other field).  So an in-place edit of ``f``
+    or ``g1`` after a match (``is_valid_match``, ``enumerate_matches``
+    and the routines built on them) must go through ``copy()`` or a
+    rebinding of the edited field; before any match, and for every
+    other field, edits are free.  ``_ctx`` and ``_table`` take no part
+    in equality, hashing, repr or ``copy``: a copy starts without
+    either.
     """
 
     trunc: int
@@ -63,8 +69,8 @@ class K1Structure:
     named_gens: tuple[int, ...] = ()
     _ctx: tuple = field(default=(None, None), init=False, repr=False,
                         compare=False)
-    _shapes: tuple = field(default=(None, None, None, None), init=False,
-                           repr=False, compare=False)
+    _table: tuple = field(default=(None, None, None), init=False,
+                          repr=False, compare=False)
 
     @property
     def ctx(self) -> P1Context:

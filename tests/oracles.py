@@ -9,7 +9,9 @@ pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
 corpus by comparing every pair of members, sign-vector refinement by
 cutting every mask into every block, the P2 column condition of the
-match search by classifying each value on its own, a transported value
+match search by classifying each value on its own, its P0 condition by
+testing every value's atomic part, its simple leaf by refining the
+atomic masks of the two lists of values, a transported value
 by evaluating its free part at every split point, embeddings by trying every
 injection, game positions by trying every injection between the
 generated substructures, the game by playing
@@ -48,6 +50,7 @@ from amalgam.boolalg import (
     bits,
     popcount,
     rebase_with_element,
+    refine,
 )
 from amalgam.k1 import FreeFn, check_K1, enumerate_members, is_isomorphic_k1
 from amalgam.k1.freepart import rename, support_components
@@ -370,6 +373,49 @@ def p2_profile_ok(A, B, c: int, d: int) -> bool:
         if bool(s.table) != bool(t.table):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The P0 condition and the simple leaf of the match search, on the values
+# ---------------------------------------------------------------------------
+
+
+def p0_profile_ok(A, B, a: int, mapping: dict[int, int]) -> bool:
+    """The P0 condition of the match search, value by value (it was
+    ``embeddings._p0_profile_ok``): the F-membership profile of a's atom
+    must match that of its image's atom over every c of P2, all mapped
+    before any P0 id.  The search now compares packed profiles read off
+    the match tables (``embeddings._feasible``)."""
+    atom_a = A.g1[a].atomic
+    atom_b = B.g1[mapping[a]].atomic
+    if atom_a == 0 or atom_b == 0:
+        return atom_a == atom_b
+    for c in A.p2:
+        d = mapping[c]
+        for n in range(A.trunc):
+            in_a = bool(A.f[(n, c)].atomic & atom_a)
+            in_b = bool(B.f[(n, d)].atomic & atom_b)
+            if in_a != in_b:
+                return False
+    return True
+
+
+def simple_leaf_by_refine(A, B, src: list[P1Element], tgt: list[P1Element],
+                          zero: int) -> bool:
+    """The simple leaf on two lists of values (it was
+    ``embeddings._match_simple``): both lists read zero free parts at the
+    positions of ``zero`` and every other free part is a generator of its
+    own, so the sides match iff the atoms under a zero position realize
+    the same sign vectors, which ``boolalg.refine`` reads off the atomic
+    masks of the lists.  The search now reads the vectors off the match
+    tables (``embeddings._signs``), with no list of values."""
+    masks, masks_t = [x.atomic for x in src], [x.atomic for x in tgt]
+    under = under_t = 0
+    for i in bits(zero):
+        under |= masks[i]
+        under_t |= masks_t[i]
+    return {v for v, _ in refine(A.ctx.full_mask & under, masks)} == \
+        {v for v, _ in refine(B.ctx.full_mask & under_t, masks_t)}
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +766,13 @@ def rebase_by_full_window(low: K1Structure, high: K1Structure,
 # ---------------------------------------------------------------------------
 
 
-def planted(function, old: str, new: str):
+def planted(function, old: str, new: str, **names):
     """A planted fault: ``function`` (a method too) recompiled in its
-    module's namespace with the one occurrence of ``old`` in its source
-    replaced by ``new``.  Fails loudly once the source no longer holds
-    ``old``."""
+    module's namespace, extended by ``names`` (say, another mutant it
+    calls), with the one occurrence of ``old`` in its source replaced by
+    ``new``.  Fails loudly once the source no longer holds ``old``."""
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, f"stale mutant: {old!r}"
-    namespace = dict(vars(inspect.getmodule(function)))
+    namespace = dict(vars(inspect.getmodule(function)), **names)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]

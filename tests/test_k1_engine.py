@@ -238,7 +238,8 @@ def test_tail_ledger_drains(bound, seed):
 
 def has_simple_shape(M):
     """Every free part of M is zero or a bare generator that no other
-    value carries, so ``_match_simple`` decides every match out of M."""
+    value carries, so the simple leaf of ``is_valid_match`` decides every
+    match out of M."""
     return _zero_mask(list(M.g1.values()) + list(M.f.values())) is not None
 
 

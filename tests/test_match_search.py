@@ -5,9 +5,10 @@ per-point partitions and per-value meets, identical builder
 ledgers with and without pinning, grouped discovery and
 ``richness_defect`` against per-pair enumeration (with a hook that
 counts one call per base), the general match path against the
-simple one and brute force, and the column shapes the match search keeps
-per structure: their lifetime, and the P2 pools and the simple leaf read
-off them against the per-value P2 condition and the per-list leaf."""
+simple one and brute force, and the match table the search keeps per
+structure: its lifetime, and the P2 pools, the P0 check and the simple
+leaf read off it against the per-value P2 and P0 conditions, the
+refine-based leaf and brute force."""
 
 import itertools
 import random
@@ -34,12 +35,12 @@ from amalgam.k1 import (
 )
 from amalgam.k1 import embeddings
 from amalgam.k1.embeddings import (
-    _column_zero_masks,
+    _feasible,
     _generator_lists,
     _match_general,
-    _match_simple,
     _p2_pool,
-    _shapes,
+    _signs,
+    _table,
     _zero_mask,
 )
 from amalgam.k1.engine import build_generic_k1, k1_class, k1_position_valid
@@ -58,7 +59,12 @@ from amalgam.k1.ops import _principal_points
 from amalgam.k1.p1 import P1Context, P1Element, _signature_blocks
 from amalgam.structures import Embedding, enumerate_embeddings
 from k1_fixtures import comp, meet
-from oracles import p2_profile_ok, planted
+from oracles import (
+    p0_profile_ok,
+    p2_profile_ok,
+    planted,
+    simple_leaf_by_refine,
+)
 
 TRUNC = 6
 
@@ -574,29 +580,30 @@ def test_grouped_richness_defect_on_the_saturated_top():
 
 
 def per_list_leaf(A, B, src, tgt):
-    """The simple leaf on the lists alone, as ``is_valid_match`` runs it
-    when a structure is not simple: ``_match_simple`` on the lists' own
+    """The refine-based simple leaf on the lists alone, on the lists' own
     zero masks, or None when either list has another shape."""
     zero, zero_t = _zero_mask(src), _zero_mask(tgt)
     if zero is None or zero_t is None:
         return None
-    return zero == zero_t and _match_simple(A, B, src, tgt, zero)
+    return zero == zero_t and simple_leaf_by_refine(A, B, src, tgt, zero)
 
 
 def agree_on_all_injections(A, B):
-    """Compare the two paths on every P0/P2 injection A -> B whose target
+    """Compare the general path, the refine-based simple leaf and
+    ``is_valid_match`` on every P0/P2 injection A -> B whose target
     values have at most TRUNC generators (one name's column; the general
     path expands truth tables over them); returns the outcomes seen."""
     outcomes = []
     for p2_img in itertools.permutations(B.p2, len(A.p2)):
         for p0_img in itertools.permutations(B.p0, len(A.p0)):
-            src, tgt = _generator_lists(A, B, dict(zip(A.p0, p0_img)),
-                                        dict(zip(A.p2, p2_img)))
+            p0_map, p2_map = dict(zip(A.p0, p0_img)), dict(zip(A.p2, p2_img))
+            src, tgt = _generator_lists(A, B, p0_map, p2_map)
             if len({g for x in tgt for g in x.free.support}) > TRUNC:
                 continue
             simple = per_list_leaf(A, B, src, tgt)
             assert simple is not None
             assert _match_general(A, B, src, tgt) == simple
+            assert is_valid_match(A, B, p0_map, p2_map) == simple
             outcomes.append(simple)
     return outcomes
 
@@ -750,10 +757,12 @@ def repeats_a_generator(values):
 
 
 def valid_as_p0_values(A, B, src, tgt):
-    """``is_valid_match`` with ``src`` and ``tgt`` as the values of the P0
-    ids 0, 1, ... of A and of B, matched positionwise."""
+    """``is_valid_match`` (as the module holds it, so that a planted
+    mutant takes its place) with ``src`` and ``tgt`` as the values of the
+    P0 ids 0, 1, ... of A and of B, matched positionwise."""
     A.g1, B.g1 = dict(enumerate(src)), dict(enumerate(tgt))
-    return is_valid_match(A, B, {i: i for i in range(len(src))}, {})
+    return embeddings.is_valid_match(A, B, {i: i for i in range(len(src))},
+                                     {})
 
 
 def match_outcomes():
@@ -831,12 +840,21 @@ def test_the_simple_leaf_reads_only_the_atoms_under_zero_positions():
 
 def test_a_leaf_that_refines_one_side_over_every_atom_is_caught(
         monkeypatch):
-    mutant = planted(_match_simple, "refine(A.ctx.full_mask & under, masks)",
-                     "refine(A.ctx.full_mask, masks)")
+    # side A keeps the vectors of all its atoms, not only of those under
+    # a zero position
+    unfiltered = planted(
+        _signs, "for t in rows if own else heads:\n"
+        "        head, row = heads.get(t, 0), rows.get(t, 0)\n"
+        "        if head & zero_heads or row & own:",
+        "for t in rows:\n"
+        "        head, row = heads.get(t, 0), rows.get(t, 0)\n"
+        "        if True:")
+    mutant = planted(is_valid_match, "_signs(A, table,",
+                     "unfiltered(A, table,", unfiltered=unfiltered)
+    monkeypatch.setattr(embeddings, "is_valid_match", mutant)
     B, tgt = UNDER_TARGET
-    assert [mutant(A, B, src, tgt, _zero_mask(src))
+    assert [valid_as_p0_values(A, B, src, tgt)
             for _, A, src, _ in UNDER_CASES] == [False, False]
-    monkeypatch.setattr(embeddings, "_match_simple", mutant)
     outcomes = match_outcomes()
     assert any(got != want for _, _, got, want in outcomes)
 
@@ -888,61 +906,75 @@ def test_p2_profile_equals_per_value_kinds(k1_head_chain):
 
 
 def test_p2_profile_catches_a_zero_generator_mismatch(k1_head_chain):
-    mutant = planted(_p2_pool, "if not differ or not differ & (",
-                     "if True or (")
+    mutant = planted(_p2_pool, "if differ:", "if False:")
     verdicts = p2_pool_verdicts(mutant, k1_head_chain)
     assert (True, False) in verdicts
 
 
 def test_a_shape_table_that_ignores_the_first_rich_index_is_caught(
         monkeypatch, k1_head_chain):
-    monkeypatch.setattr(embeddings, "_shapes", planted(
-        _shapes, "rich[c] = n", "pass"))
+    monkeypatch.setattr(embeddings, "_table", planted(
+        _table, "rich |= first", "pass"))
     verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
     assert (False, True) in verdicts
 
 
 def test_a_shape_table_that_reads_g1_over_p0_only_is_caught(monkeypatch):
-    monkeypatch.setattr(embeddings, "_shapes", planted(
-        _shapes, "*S.g1.values()", "*(S.g1[a] for a in S.p0)"))
+    monkeypatch.setattr(embeddings, "_table", planted(
+        _table, "*S.g1.values()", "*(S.g1[a] for a in S.p0)"))
     outcomes = match_outcomes()
     assert any(got != want for _, _, got, want in outcomes)
 
 
 # ---------------------------------------------------------------------------
-# The column shapes: their lifetime, and the tabled pools and leaf against
-# the per-value condition and the per-list leaf
+# The match table: its lifetime, and the tabled pools, P0 check and leaf
+# against the per-value conditions, the refine-based leaf and brute force
 # ---------------------------------------------------------------------------
+
+
+def contents(M):
+    """What M's match table holds past the three objects it was read
+    from: (simple, offsets, zeros, rich, rows)."""
+    return _table(M)[3:]
 
 
 def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
     M = build_member(2, 2, 1, trunc=TRUNC,
                      head_plan=[[((0,), True)], [((1,), False)]])
     c, d = M.p2
-    first = _shapes(M)
-    assert _shapes(M) is first
-    assert first == (True, {c: 0, d: 1}, {})
+    s, t = M.atom_ids
+    first = _table(M)
+    assert _table(M) is first
+    # F[0][c] holds atom s with a generator, F[0][d] atom t with none
+    assert contents(M) == (True, {c: 0, d: TRUNC}, 1 << TRUNC, 0,
+                           {s: 1, t: 1 << TRUNC})
     # an in-place edit goes unseen until the field is rebound
     M.f[(0, c)] = P1Element(M.f[(0, c)].atomic, ZERO)
-    assert _shapes(M) is first
+    assert _table(M) is first
     M.f = dict(M.f)
-    assert _shapes(M) == (True, {c: 1, d: 1}, {})
+    zeros = 1 | 1 << TRUNC
+    assert contents(M) == (True, {c: 0, d: TRUNC}, zeros, 0,
+                           {s: 1, t: 1 << TRUNC})
     x, y = (M.f[(n, d)].free for n in (1, 2))
     M.f = {**M.f, (2, d): P1Element(0, conj(x, y)),
-           (4, d): P1Element(0, conj(x, y))}
-    assert _shapes(M) == (False, {c: 1, d: 1}, {d: 2})
+           (4, d): P1Element(1 << s, conj(x, y))}
+    # d's first richer index is 2; the atom s now lies under F[4][d]
+    assert contents(M) == (False, {c: 0, d: TRUNC}, zeros,
+                           1 << TRUNC + 2,
+                           {s: 1 | 1 << TRUNC + 4, t: 1 << TRUNC})
     M.f = {**M.f, (2, d): P1Element(0, y), (4, d): M.f[(4, c)]}
-    assert _shapes(M)[0] is False  # (4, c) and (4, d) share a generator
+    assert contents(M)[0] is False  # (4, c) and (4, d) share a generator
     M.f = {**M.f, (4, d): P1Element(0, var(99))}
-    assert _shapes(M) == (True, {c: 1, d: 1}, {})
+    assert contents(M) == (True, {c: 0, d: TRUNC}, zeros, 0,
+                           {s: 1, t: 1 << TRUNC})
     # a G1 value that carries a generator of F is not simple
     M.g1 = {**M.g1, M.p0[0]: P1Element(M.g1[M.p0[0]].atomic, x)}
-    assert _shapes(M)[0] is False
+    assert contents(M)[0] is False
     M.p2 = (d,)
-    assert _shapes(M) == (False, {d: 1}, {})
+    assert contents(M) == (False, {d: 0}, 1, 0, {s: 0, t: 1})
     copy = M.copy()
-    assert copy._shapes == (None, None, None, None)
-    assert _shapes(copy) == _shapes(M)
+    assert copy._table == (None, None, None)
+    assert contents(copy) == contents(M)
 
 
 def list_leaf(A, B, src, tgt):
@@ -950,6 +982,51 @@ def list_leaf(A, B, src, tgt):
     path."""
     fast = per_list_leaf(A, B, src, tgt)
     return _match_general(A, B, src, tgt) if fast is None else fast
+
+
+def route(A, B, src, tgt):
+    """Which path ``is_valid_match`` takes: the simple leaf with both
+    structures simple ("tabled"), the simple leaf once ``_zero_mask``
+    accepts both lists of a structure that is not simple ("list"), or
+    the general path."""
+    if contents(A)[0] and contents(B)[0]:
+        return "tabled"
+    if _zero_mask(src) is None or _zero_mask(tgt) is None:
+        return "general"
+    return "list"
+
+
+def check_position(A, B, p0_map, p2_map, brute_force_up_to):
+    """Check one (partial) map A -> B against the oracles, and return what
+    was seen: the leaf's verdict by route, and the P0 check's verdicts
+    when every P2 id of A is mapped.
+
+    The table's zero masks must be the lists' own, ``is_valid_match`` must
+    agree with the refine-based leaf (or the general path) and, on lists
+    of at most ``brute_force_up_to`` values, with brute force (which
+    takes time exponential in the length), and the tabled P0 check must
+    agree with ``p0_profile_ok`` at every mapped P0 id."""
+    src, tgt = _generator_lists(A, B, p0_map, p2_map)
+    way = route(A, B, src, tgt)
+    if way != "general":
+        assert _signs(A, _table(A), p0_map.keys(), p2_map.keys())[0] == \
+            _zero_mask(src)
+        assert _signs(B, _table(B), p0_map.values(),
+                      p2_map.values())[0] == _zero_mask(tgt)
+    got = is_valid_match(A, B, p0_map, p2_map)
+    assert got == list_leaf(A, B, src, tgt)
+    seen = Counter({(way, "leaf", got): 1})
+    if len(src) <= brute_force_up_to:
+        assert got == oracle_match(A, B, src, tgt)
+        seen["brute force", got] += 1
+    if set(p2_map) == set(A.p2):
+        feasible = _feasible(A, B)
+        mapping = {**p0_map, **p2_map}
+        for a in p0_map:
+            ok = feasible(mapping, a)
+            assert ok == p0_profile_ok(A, B, a, mapping)
+            seen[way, "p0", ok] += 1
+    return seen
 
 
 def sample_maps(A, M, rng):
@@ -966,20 +1043,42 @@ def sample_maps(A, M, rng):
     return maps
 
 
+def with_a_shared_column(M):
+    """M with one more P2 name whose column repeats the values of M's
+    first column: M's own lists keep their shape, but M is not simple, so
+    a match into it takes the list-mask route.  None when M has no P2
+    name."""
+    if not M.p2:
+        return None
+    N = M.copy()
+    extra = max(N.all_ids()) + 1
+    N.f.update(((n, extra), M.f[(n, M.p2[0])]) for n in range(M.trunc))
+    N.p2 = M.p2 + (extra,)
+    return N
+
+
 ENGINE_BUILDS = [(3, 50_000, 0), (4, 50_000, 0), (3, 60, 1)]
+VERDICTS = {(kind, verdict) for kind in ("leaf", "p0")
+            for verdict in (True, False)}
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
     # every chain structure of the bound-3 and bound-4 tail drains and of
-    # the 60-step head build, against each member of the build's class
+    # the 60-step head build, against each member of the build's class,
+    # and the same structure with a column that shares its generators
     rng = random.Random(seed)
     seen = Counter()
     for bound, steps, max_n_star in ENGINE_BUILDS:
         members = k1_class(TRUNC, max_n_star).members(bound)
         g = build_generic_k1(steps, bound=bound, trunc=TRUNC, seed=seed,
                              max_n_star=max_n_star)
-        for M in g.approximation.chain:
+        for i, M in enumerate(g.approximation.chain):
+            # brute force takes time exponential in the list's length:
+            # lists of up to seven values into the first two structures,
+            # up to three into the others
+            brute = 7 if i < 2 else 3
+            shared = with_a_shared_column(M)
             for A in members:
                 if len(A.p0) > len(M.p0) or len(A.p2) > len(M.p2):
                     continue
@@ -989,20 +1088,23 @@ def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
                                     if p2_profile_ok(A, M, c, d)]
                     seen["pool", pool == list(M.p2)] += 1
                 for p0_map, p2_map in sample_maps(A, M, rng):
-                    src, tgt = _generator_lists(A, M, p0_map, p2_map)
-                    assert _column_zero_masks(A, M, p0_map, p2_map) == \
-                        (_zero_mask(src), _zero_mask(tgt))
-                    got = is_valid_match(A, M, p0_map, p2_map)
-                    assert got == per_list_leaf(A, M, src, tgt)
-                    seen["leaf", got] += 1
-    assert set(seen) == {("pool", True), ("pool", False), ("leaf", True),
-                         ("leaf", False)}, seen
+                    seen += check_position(A, M, p0_map, p2_map, brute)
+                    if shared is not None:
+                        seen += check_position(A, shared, p0_map, p2_map,
+                                               brute)
+    # the lists short enough for brute force are matches but for a few
+    # at some seeds; the synthetic lists below give it both verdicts
+    assert set(seen) - {("brute force", False)} == {
+        ("pool", True), ("pool", False), ("brute force", True)} | {
+        (way, *verdict) for way in ("tabled", "list")
+        for verdict in VERDICTS}, seen
 
 
 def test_tabled_leaf_agrees_on_partial_positions_of_synthetic_lists():
     # the seeded simple-shaped lists as the values of P0 ids, picked in
     # part through k1_position_valid: structures whose values repeat a
-    # generator take the per-list path, the others the tabled one
+    # generator take the list-mask route (or, when the picked lists
+    # repeat one too, the general path), the others the tabled one
     rng = random.Random(47)
     seen = Counter()
     for A, B, src, tgt, _ in simple_lists():
@@ -1010,12 +1112,40 @@ def test_tabled_leaf_agrees_on_partial_positions_of_synthetic_lists():
         A.p0, B.p0 = ids, ids
         A.g1, B.g1 = dict(enumerate(src)), dict(enumerate(tgt))
         picks = tuple(i for i in ids if rng.random() < 0.7)
-        sub_src, sub_tgt = [src[i] for i in picks], [tgt[i] for i in picks]
         got = k1_position_valid(A, B, picks, picks)
-        assert got == list_leaf(A, B, sub_src, sub_tgt) == \
-            oracle_match(A, B, sub_src, sub_tgt)
-        zeros = _column_zero_masks(A, B, {i: i for i in picks}, {})
-        if zeros is not None:
-            assert zeros == (_zero_mask(sub_src), _zero_mask(sub_tgt))
-        seen[zeros is not None, len(picks) < len(ids), got] += 1
-    assert set(seen) == set(itertools.product((True, False), repeat=3)), seen
+        seen += check_position(A, B, {i: i for i in picks}, {}, len(src))
+        seen["partial" if len(picks) < len(ids) else "whole", got] += 1
+    assert set(seen) == {
+        (way, *verdict) for way in ("tabled", "list", "general")
+        for verdict in VERDICTS} | set(itertools.product(
+            ("brute force", "partial", "whole"), (True, False))), seen
+
+
+def test_a_table_with_column_offsets_shifted_by_one_column_is_caught(
+        monkeypatch, k1_head_chain):
+    monkeypatch.setattr(embeddings, "_table", planted(
+        _table, "offsets[c] = j * trunc", "offsets[c] = (j + 1) * trunc"))
+    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
+    assert set(verdicts) - {(True, True), (False, False)}
+
+
+def test_a_p0_check_that_reads_the_image_row_at_c_is_caught(k1_head_chain):
+    # the image's row read at c's own offset, not at that of mapping[c]
+    mutant = planted(_feasible, "row_b >> offsets_b[mapping[c]]",
+                     "row_b >> offsets[c]")
+    rng = random.Random(5)
+    members = k1_class(TRUNC, 1).members(3)
+    verdicts = Counter()
+    for M in k1_head_chain:
+        for A in members:
+            if len(A.p0) > len(M.p0) or len(A.p2) > len(M.p2):
+                continue
+            feasible = mutant(A, M)
+            for p0_map, p2_map in sample_maps(A, M, rng):
+                if set(p2_map) != set(A.p2):
+                    continue
+                mapping = {**p0_map, **p2_map}
+                for a in p0_map:
+                    verdicts[feasible(mapping, a),
+                             p0_profile_ok(A, M, a, mapping)] += 1
+    assert set(verdicts) - {(True, True), (False, False)}, verdicts
