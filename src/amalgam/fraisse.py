@@ -17,7 +17,8 @@ one base member A, so the task pairs are grouped by base once per build
 and hands the one list to every pair over that base;
 ``richness_defect`` and ``check_disjoint_ap`` group and enumerate the
 same way.  Discovery sorts each base's list once, by ``key()``, fans it
-out by pair, and then shuffles the batch.
+out by pair as the batch of tasks, each holding its embedding, and then
+shuffles the batch.
 
 Whether a member's atomic diagram pins down its isomorphism type is a
 question about plain structures, answered by ``backends.separable``.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import methodcaller
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded,
@@ -48,11 +49,19 @@ from .errors import (AP_BUDGET, JEP_BUDGET, AmalgamationFailed, CapExceeded,
 
 @dataclass(slots=True)
 class Task:
+    """One ledger entry: the task pair, the embedding f of its base into
+    the top it was discovered in, and its status.  ``f_key`` is read off
+    f when asked for."""
+
     pair_index: int
-    f_key: tuple
+    f: Any
     discovered_at: int
     status: str = "pending"  # pending | realized | amalgamated
     resolved_at: Optional[int] = None
+
+    @property
+    def f_key(self) -> tuple:
+        return self.f.key()
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +79,9 @@ class AmalgamationClass:
 
     The protocol: members carry their size as ``.size``, and embeddings
     are immutable values with a stable, sortable ``key()``, which keys
-    tasks and richness defects.
+    tasks and richness defects.  The builder's ledger holds every
+    embedding it discovers, one per task (``Task.f``), for as long as
+    the ledger lives.
 
     ``members(bound)`` lists one member per isomorphism type up to the
     bound (the same list on every call is expected, since the engine
@@ -142,8 +153,9 @@ def inclusion_pairs(members: Sequence,
     sizes.  ``embed`` is the plain enumerator, not the class's
     ``embeddings`` hook, so a hook that counts discovery calls does not
     count these."""
-    return [(A, B, inc) for B in members for A in members
-            if A.size < B.size for inc in embed(A, B)]
+    sized = [(M, M.size) for M in members]
+    return [(A, B, inc) for B, b in sized for A, a in sized
+            if a < b for inc in embed(A, B)]
 
 
 def check_jep(cls: AmalgamationClass, bound: int):
@@ -222,37 +234,31 @@ def build_generic(cls: AmalgamationClass, steps: int, bound: int,
     distinct base A into the top once, in order of first appearance, and
     sorts that list once, by ``key()`` alone, so no two embedding objects
     are compared.  It fans the sorted list out to every pair over A in
-    pair order, which puts the batch in ``(pair_index, f.key())`` order,
-    and for a nonzero seed shuffles it, so the ledger is the one a
-    per-pair enumeration gives."""
+    pair order as one new ``Task`` each, which puts the batch in
+    ``(pair_index, f.key())`` order, and for a nonzero seed shuffles it,
+    so the ledger is the one a per-pair enumeration gives.  Each task
+    carries its embedding, and its ``f_key`` is read off it."""
     pairs = cls.task_pairs(bound)
     bases, group = _groups((A,) for A, _, _ in pairs)
     chain = [cls.seed_model()]
     tasks: list[Task] = []
-    embeddings: list = []  # the embedding of each task, in ledger order
     rng = random.Random(seed)
 
     def discover(stage: int, fresh: Optional[set]):
         top = chain[-1]
-        found = []
-        for (A,) in bases:
-            keyed = [(f.key(), f)
-                     for f in cls.embeddings(A, top, touching=fresh)]
-            keyed.sort(key=itemgetter(0))
-            found.append(keyed)
-        batch = [(pair_index, key, f)
-                 for pair_index, g in enumerate(group)
-                 for key, f in found[g]]
+        found = [sorted(cls.embeddings(A, top, touching=fresh),
+                        key=methodcaller("key")) for (A,) in bases]
+        batch = [Task(pair_index, f, stage)
+                 for pair_index, g in enumerate(group) for f in found[g]]
         if seed:
             rng.shuffle(batch)
-        for pair_index, key, f in batch:
-            tasks.append(Task(pair_index, key, stage))
-            embeddings.append(f)
+        tasks.extend(batch)
 
     discover(0, None)
     step = 0
     while step < min(steps, len(tasks)):
-        task, f = tasks[step], embeddings[step]
+        task = tasks[step]
+        f = task.f
         A, B, inc = pairs[task.pair_index]
         top = chain[-1]
         if cls.extend(A, B, inc, f, top) is not None:

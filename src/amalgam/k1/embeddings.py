@@ -26,15 +26,19 @@ Two kinds of maps:
   reading per-node data once and checking candidates against it): the
   zero free parts and first richer index of every P2 column, and every
   atom's membership profile over the columns, packed by column.  The
-  search draws its P2 candidates from it (``_p2_pool``) and checks P0
-  candidates against the profiles (``_feasible``), and the simple path
-  reads its sign vectors off it with no list of values (``_signs``).
+  search draws the pools of its P2 slots from it, both tables read once
+  per call (``_p2_pools``), and checks P0 candidates against the
+  profiles (``_feasible``), and the simple path reads its sign vectors
+  off it with no list of values (``_signs``).  Every leaf of one search
+  lists the source's ids in the same order, the structure's own, so
+  the table also keeps the source side of the leaf for that order, read
+  once per table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from ..errors import InvalidEmbedding
 from ..search import backtrack
@@ -154,9 +158,9 @@ def _zero_mask(values: list[P1Element]) -> Optional[int]:
 
 def _table(S: K1Structure) -> tuple:
     """The match table of S, built on first use and kept on S (in
-    ``S._table``) until ``f``, ``g1`` or ``p2`` is rebound: the one tuple
-    ``(f, g1, p2, simple, offsets, zeros, rich, rows)``, the first three
-    being the objects it was read from.
+    ``S._table``) until ``f``, ``g1``, ``p0`` or ``p2`` is rebound: the
+    one tuple ``(f, g1, p0, p2, simple, offsets, zeros, rich, rows,
+    memo)``, the first four being the objects it was read from.
 
     ``simple`` says whether every free part of S, over all of ``g1`` and
     ``f``, is zero or a bare generator that no other value carries.
@@ -169,10 +173,14 @@ def _table(S: K1Structure) -> tuple:
     generator (so a simple structure's ``rich`` is 0).  ``rows`` maps
     each atom that an atomic part of S holds (in a member, each
     designated atom) to its membership profile: the bit of F[n][c] is
-    set when the atomic part of F[n][c] holds the atom.
+    set when the atomic part of F[n][c] holds the atom.  ``memo`` keeps
+    the result of ``_signs`` on S's own ids, ``S.p0`` then ``S.p2``: a
+    list, empty until that call first fills it, made new with every
+    table (``p0`` keys the table for the memo's sake alone).
     """
     table = S._table
-    if table[0] is S.f and table[1] is S.g1 and table[2] is S.p2:
+    if table[0] is S.f and table[1] is S.g1 and table[2] is S.p0 and \
+            table[3] is S.p2:
         return table
     trunc, f = S.trunc, S.f
     rows: dict[int, int] = {}
@@ -204,13 +212,13 @@ def _table(S: K1Structure) -> tuple:
             bit <<= 1
         rich |= first
     simple = _zero_mask([*S.g1.values(), *f.values()]) is not None
-    table = (S.f, S.g1, S.p2, simple, offsets, zeros, rich, rows)
+    table = (S.f, S.g1, S.p0, S.p2, simple, offsets, zeros, rich, rows, [])
     S._table = table
     return table
 
 
 def _signs(S: K1Structure, table: tuple, p0_ids: Collection[int],
-           p2_ids: Iterable[int]) -> tuple[int, set[int]]:
+           p2_ids: Collection[int]) -> tuple[int, set[int]]:
     """The zero mask of the generator list of the ids (in
     ``_generator_lists`` order) of S, read off S's table, and the sign
     vectors over that list of the atoms of S that lie under a zero
@@ -218,8 +226,19 @@ def _signs(S: K1Structure, table: tuple, p0_ids: Collection[int],
 
     Atom t's vector is its P0 bits (bit i set when the atomic part of
     the i-th P0 value holds t) followed by its table row cut to the
-    listed columns, in list order."""
-    _, _, _, _, offsets, zeros, _, rows = table
+    listed columns, in list order.
+
+    When the ids are exactly S's own in order, ``S.p0`` then ``S.p2``
+    (the source side of every leaf of ``enumerate_matches``), the pair
+    is read from the table's ``memo``, which the first such call fills.
+    Any other list, such as a game position with partial or reordered
+    picks, is computed.  A memoised set is shared by every caller, which
+    only compares it."""
+    _, _, _, _, _, offsets, zeros, _, rows, memo = table
+    whole = len(p0_ids) == len(S.p0) and len(p2_ids) == len(S.p2) and \
+        tuple(p0_ids) == S.p0 and tuple(p2_ids) == S.p2
+    if whole and memo:
+        return memo[0]
     trunc, g1 = S.trunc, S.g1
     col = (1 << trunc) - 1
     heads: dict[int, int] = {}
@@ -257,7 +276,10 @@ def _signs(S: K1Structure, table: tuple, p0_ids: Collection[int],
                 v |= (row >> off & col) << shift
                 shift += trunc
             vectors.add(v)
-    return zero, vectors
+    signs = zero, vectors
+    if whole:
+        memo.append(signs)
+    return signs
 
 
 def _match_general(A: K1Structure, B: K1Structure,
@@ -305,7 +327,7 @@ def is_valid_match(A: K1Structure, B: K1Structure,
     if A.trunc != B.trunc:
         return False
     table, table_b = _table(A), _table(B)
-    if not (table[3] and table_b[3]):  # not both simple
+    if not (table[4] and table_b[4]):  # not both simple
         src, tgt = _generator_lists(A, B, p0_map, p2_map)
         if _zero_mask(src) is None or _zero_mask(tgt) is None:
             return _match_general(A, B, src, tgt)
@@ -324,12 +346,13 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
 
     One ``search.backtrack`` over one map (P0 and P2 ids share one id
     space, so ``fixed`` pins both): the free P2 slots first, each drawing
-    from ``_p2_pool`` (the ids of B whose column shape agrees, in
-    ``B.p2`` order), then the free P0 slots, checked by ``_feasible``.
-    Every full map goes to ``is_valid_match``.  ``touching`` keeps only
-    the embeddings with some P0 or P2 image in it, by the pin rule of
-    ``backtrack``.  Members of different truncations have no embedding,
-    as ``is_valid_match`` decides.
+    from its pool of ``_p2_pools`` (the ids of B whose column shape
+    agrees, in ``B.p2`` order), then the free P0 slots, checked by
+    ``_feasible``.  Every full map goes to ``is_valid_match``, listing
+    A's ids in A's own order.  ``touching`` keeps only the embeddings
+    with some P0 or P2 image in it, by the pin rule of ``backtrack``.
+    Members of different truncations have no embedding, as
+    ``is_valid_match`` decides.
     """
     if len(A.p0) > len(B.p0) or len(A.p2) > len(B.p2) or A.trunc != B.trunc:
         return []
@@ -346,8 +369,7 @@ def enumerate_matches(A: K1Structure, B: K1Structure,
                               tuple(sorted(p2_map.items())))
 
     return backtrack(free_p2 + free_p0,
-                     [_p2_pool(A, B, c) for c in free_p2] +
-                     [B.p0] * len(free_p0),
+                     _p2_pools(A, B, free_p2) + [B.p0] * len(free_p0),
                      fixed, _feasible(A, B), accept, first_only, touching)
 
 
@@ -359,8 +381,8 @@ def _feasible(A: K1Structure, B: K1Structure):
     under the mapping (every P2 id is mapped before any P0 id).  A zero
     atomic part matches only a zero one.  A's side, each P0 id's atomic
     part and its profile cut into A's columns, is read once per call."""
-    _, _, _, _, offsets, _, _, rows = _table(A)
-    _, _, _, _, offsets_b, _, _, rows_b = _table(B)
+    _, _, _, _, _, offsets, _, _, rows, _ = _table(A)
+    _, _, _, _, _, offsets_b, _, _, rows_b, _ = _table(B)
     col = (1 << A.trunc) - 1
     cuts = {}
     for a in A.p0:
@@ -396,28 +418,37 @@ def _profile(rows: dict[int, int], atomic: int) -> int:
     return profile
 
 
-def _p2_pool(A: K1Structure, B: K1Structure, c: int) -> list[int]:
-    """The P2 ids d of B, in ``B.p2`` order, whose column passes a cheap
-    necessary condition for matching c's: zero free parts and bare
-    generators at the same indices, up to the first index where either
-    column is richer (left to the full check)."""
-    _, _, _, _, offsets, zeros, rich, _ = _table(A)
-    _, _, _, _, offsets_b, zeros_b, rich_b, _ = _table(B)
+def _p2_pools(A: K1Structure, B: K1Structure,
+              ids: Sequence[int]) -> list[list[int]]:
+    """For each P2 id c of A in ``ids``, its pool: the P2 ids d of B, in
+    ``B.p2`` order, whose column passes a cheap necessary condition for
+    matching c's, zero free parts and bare generators at the same
+    indices, up to the first index where either column is richer (left
+    to the full check).  Both tables are read once per call."""
+    if not ids:
+        return []
+    _, _, _, _, _, offsets, zeros, rich, _, _ = _table(A)
+    _, _, _, _, _, offsets_b, zeros_b, rich_b, _, _ = _table(B)
     col = (1 << A.trunc) - 1
-    off = offsets[c]
-    zero, first = zeros >> off & col, rich >> off & col
-    # the indices below c's first rich index
-    below = first - 1 if first else col
-    pool = []
+    # each column of B: its zero free parts and first rich index
+    columns = []
     for d in B.p2:
-        off_b = offsets_b[d]
-        differ = (zero ^ zeros_b >> off_b) & below
-        if differ:
-            first_b = rich_b >> off_b & col
-            if not first_b or differ & (first_b - 1):
+        off = offsets_b[d]
+        columns.append((d, zeros_b >> off & col, rich_b >> off & col))
+    pools = []
+    for c in ids:
+        off = offsets[c]
+        zero, first = zeros >> off & col, rich >> off & col
+        # the indices below c's first rich index
+        below = first - 1 if first else col
+        pool = []
+        for d, zero_b, first_b in columns:
+            differ = (zero ^ zero_b) & below
+            if differ and (not first_b or differ & (first_b - 1)):
                 continue
-        pool.append(d)
-    return pool
+            pool.append(d)
+        pools.append(pool)
+    return pools
 
 
 def extend_match(B: K1Structure, M: K1Structure,

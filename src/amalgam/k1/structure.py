@@ -42,20 +42,22 @@ class K1Structure:
     ``atom_ids`` rebuilds it on the next read.
 
     The match search keeps one table on each structure it reads, in
-    ``_table`` (``embeddings._table``): one tuple of ints and two dicts
-    of ints, with the ``f``, ``g1`` and ``p2`` objects it was built
-    from.  It holds whether the structure has the simple shape, the bit
-    offset of each P2 column, every column's zero free parts and first
-    richer index packed at those offsets, and each atom's membership
-    profile over every column, packed the same way.  Rebinding ``f``,
-    ``g1`` or ``p2`` rebuilds it on the next read (the table reads no
-    other field).  So an in-place edit of ``f``
-    or ``g1`` after a match (``is_valid_match``, ``enumerate_matches``
-    and the routines built on them) must go through ``copy()`` or a
-    rebinding of the edited field; before any match, and for every
-    other field, edits are free.  ``_ctx`` and ``_table`` take no part
-    in equality, hashing, repr or ``copy``: a copy starts without
-    either.
+    ``_table`` (``embeddings._table``): one tuple of ints, two dicts of
+    ints and a memo, with the ``f``, ``g1``, ``p0`` and ``p2`` objects
+    it was built from.  It holds whether the structure has the simple
+    shape, the bit offset of each P2 column, every column's zero free
+    parts and first richer index packed at those offsets, and each
+    atom's membership profile over every column, packed the same way;
+    the memo holds, once a match out of the structure has reached a
+    leaf, the zero mask and sign vectors of its own ids in order.
+    Rebinding ``f``, ``g1``, ``p0`` or ``p2`` rebuilds the table, the
+    memo starting empty, on the next read (the table reads no other
+    field).  So an in-place edit of ``f`` or ``g1`` after a match
+    (``is_valid_match``, ``enumerate_matches`` and the routines built on
+    them) must go through ``copy()`` or a rebinding of the edited field;
+    before any match, and for every other field, edits are free.
+    ``_ctx`` and ``_table`` take no part in equality, hashing, repr or
+    ``copy``: a copy starts without either.
     """
 
     trunc: int
@@ -69,7 +71,7 @@ class K1Structure:
     named_gens: tuple[int, ...] = ()
     _ctx: tuple = field(default=(None, None), init=False, repr=False,
                         compare=False)
-    _table: tuple = field(default=(None, None, None), init=False,
+    _table: tuple = field(default=(None, None, None, None), init=False,
                           repr=False, compare=False)
 
     @property

@@ -3,13 +3,14 @@
 Builds ``build_generic_k1`` at bound 5 (trunc 6, tail fragment, seed 0)
 until the ledger drains, then runs ``richness_defect`` on the top, and
 asserts what was measured: 471,890 steps, a chain of 7 structures, no
-pending task and an empty defect list.  It takes about half a minute, so
-it runs as a CI step of its own rather than in Tier-1:
+pending task, an empty defect list, and the digest of the ledger and the
+top recorded for this build.  It takes about half a minute, so it runs
+as a CI step of its own rather than in Tier-1:
 
     PYTHONPATH=src python tests/drain_bound5.py
 
-It prints the timings and a digest of the ledger and the top, so two
-trees can be compared run against run.
+It prints the timings and the digest, so two trees can also be compared
+run against run.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from amalgam.fraisse import richness_defect
 from amalgam.k1.engine import build_generic_k1, k1_class
 
 BOUND, TRUNC, SEED, STEPS = 5, 6, 0, 1_000_000
+DIGEST = "269fff4b9f4247dc"
 
 
 def main():
@@ -42,6 +44,7 @@ def main():
     assert len(approx.chain) == 7
     assert pending == 0
     assert defects == []
+    assert digest == DIGEST
 
 
 if __name__ == "__main__":

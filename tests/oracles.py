@@ -361,7 +361,7 @@ def p2_profile_ok(A, B, c: int, d: int) -> bool:
     was ``embeddings._p2_profile_ok``, called at every P2 assignment):
     c and d have zero free parts and bare generators at the same indices,
     up to the first index where either side is richer.  The search now
-    draws each P2 slot from ``embeddings._p2_pool``, read off the column
+    draws each P2 slot from ``embeddings._p2_pools``, read off the column
     shapes."""
     for n in range(A.trunc):
         s, t = A.f[(n, c)].free, B.f[(n, d)].free

@@ -1,6 +1,7 @@
 """The witnessed-class generic: saturation, determinism, witnesses, games,
 and the corpus's isomorphism buckets."""
 
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -35,6 +36,7 @@ from amalgam.k1.freepart import conj, disj
 from amalgam.k1.structure import enumerate_head_plans
 import oracles
 from oracles import corpus_by_all_pairs
+from test_fraisse import pinned_digest
 from test_match_search import renamed, rich_value
 
 
@@ -223,14 +225,29 @@ def test_generic_deterministic_per_seed():
         [t.to_dict() for t in b.approximation.tasks]
 
 
+DRAIN = 50_000  # the step budget of a tail build that drains
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """``build(steps, bound, seed, max_n_star=0)``: ``build_generic_k1``
+    at trunc 6, each run once per module, so the tests that read one
+    build share it."""
+    @functools.cache
+    def build(steps, bound, seed, max_n_star=0):
+        return build_generic_k1(steps=steps, bound=bound, trunc=6,
+                                seed=seed, max_n_star=max_n_star)
+    return build
+
+
 @pytest.mark.parametrize("bound, seed",
                          [(4, seed) for seed in range(4)]
                          + [(3, seed) for seed in range(4)])
-def test_tail_ledger_drains(bound, seed):
-    g = build_generic_k1(steps=50_000, bound=bound, trunc=6, seed=seed)
+def test_tail_ledger_drains(builds, bound, seed):
+    g = builds(DRAIN, bound, seed)
     tasks = g.approximation.tasks
     # the loop stopped because the ledger drained, not on the step budget
-    assert g.approximation.steps_run == len(tasks) < 50_000
+    assert g.approximation.steps_run == len(tasks) < DRAIN
     assert all(t.status != "pending" and t.resolved_at is not None
                for t in tasks)
     assert richness_defect(g.top, k1_class(6, 0), bound) == []
@@ -244,14 +261,12 @@ def has_simple_shape(M):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_engine_builds_keep_the_simple_shape(seed):
+def test_engine_builds_keep_the_simple_shape(builds, seed):
     # the bound-3 corpus members the builds enumerate, and every
     # structure along the bound-3 tail drain of test_tail_ledger_drains
     # and along a 60-step head build: the seed model, the extensions
     # that realize members, and free amalgams
-    tail = build_generic_k1(steps=50_000, bound=3, trunc=6, seed=seed)
-    head = build_generic_k1(steps=60, bound=3, trunc=6, seed=seed,
-                            max_n_star=1)
+    tail, head = builds(DRAIN, 3, seed), builds(60, 3, seed, 1)
     chain = tail.approximation.chain + head.approximation.chain
     assert len(chain) > 2 and all(map(has_simple_shape, chain))
     assert all(map(has_simple_shape, corpus(3, 6, 0) + corpus(3, 6, 1)))
@@ -271,12 +286,32 @@ def test_two_defect_free_runs_play_the_game():
     assert back_and_forth_check(M, N, 3, elements, k1_position_valid)
 
 
+# ``pinned_digest`` of the drained tail builds at bounds 3 and 4 and of
+# the 60-step head builds (bound 3, max n* 1), keyed by (steps, bound,
+# max n*, seed): any change to a ledger or a top shows here
+K1_PINS = {
+    (DRAIN, 3, 0, 0): "aeb9c1e118bdcf13", (DRAIN, 3, 0, 1): "3319de1389fb0a02",
+    (DRAIN, 3, 0, 2): "d6dbdfa17b60649e", (DRAIN, 3, 0, 3): "26573ece617aed77",
+    (DRAIN, 4, 0, 0): "3452b54df0d6dbb7", (DRAIN, 4, 0, 1): "25b4f505d3f943d1",
+    (DRAIN, 4, 0, 2): "9bae2c30f0ed7f0b", (DRAIN, 4, 0, 3): "90cb299448b7c5ad",
+    (60, 3, 1, 0): "6941fe8885bf5e52", (60, 3, 1, 1): "77fcd4cee4d970ce",
+    (60, 3, 1, 2): "c3c8ec4564048f86", (60, 3, 1, 3): "bdd4992629eb8b8a",
+}
+
+
+@pytest.mark.parametrize("steps, bound, max_n_star, seed", sorted(K1_PINS))
+def test_k1_builds_equal_their_pinned_digests(builds, steps, bound,
+                                               max_n_star, seed):
+    g = builds(steps, bound, seed, max_n_star)
+    assert pinned_digest(g.approximation) == \
+        K1_PINS[steps, bound, max_n_star, seed]
+
+
 @pytest.fixture(scope="module")
-def drained_tops():
+def drained_tops(builds):
     """The tops of the drained tail ledgers at bound 3, seeds 0-3, and at
     bound 4, seeds 0 and 2."""
-    return {(bound, seed): build_generic_k1(steps=50_000, bound=bound,
-                                            trunc=6, seed=seed).top
+    return {(bound, seed): builds(DRAIN, bound, seed).top
             for bound, seed in [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0),
                                 (4, 2)]}
 

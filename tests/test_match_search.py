@@ -6,8 +6,9 @@ ledgers with and without pinning, grouped discovery and
 ``richness_defect`` against per-pair enumeration (with a hook that
 counts one call per base), the general match path against the
 simple one and brute force, and the match table the search keeps per
-structure: its lifetime, and the P2 pools, the P0 check and the simple
-leaf read off it against the per-value P2 and P0 conditions, the
+structure: its lifetime and that of the memo of each structure's own
+side of the leaf, and the P2 pools, the P0 check and the simple leaf
+read off it against the per-value P2 and P0 conditions, the
 refine-based leaf and brute force."""
 
 import itertools
@@ -38,7 +39,7 @@ from amalgam.k1.embeddings import (
     _feasible,
     _generator_lists,
     _match_general,
-    _p2_pool,
+    _p2_pools,
     _signs,
     _table,
     _zero_mask,
@@ -439,7 +440,7 @@ def per_pair_build_generic(cls, steps, bound, seed):
     builder."""
     pairs = cls.task_pairs(bound)
     chain = [cls.seed_model()]
-    tasks, queue, task_objects = [], [], {}
+    tasks, queue = [], []
     rng = random.Random(seed)
 
     def discover(stage, fresh):
@@ -451,9 +452,8 @@ def per_pair_build_generic(cls, steps, bound, seed):
         if seed:
             rng.shuffle(batch)
         for key, f in batch:
-            task_objects[len(tasks)] = (key[0], f)
             queue.append(len(tasks))
-            tasks.append(Task(key[0], key[1], stage))
+            tasks.append(Task(key[0], f, stage))
 
     discover(0, None)
     steps_run = 0
@@ -462,8 +462,8 @@ def per_pair_build_generic(cls, steps, bound, seed):
             break
         index = queue.pop(0)
         task = tasks[index]
-        pair_index, f = task_objects[index]
-        A, B, inc = pairs[pair_index]
+        A, B, inc = pairs[task.pair_index]
+        f = task.f
         top = chain[-1]
         if cls.extend(A, B, inc, f, top) is not None:
             task.status = "realized"
@@ -880,10 +880,11 @@ def column_structure(rng, width):
         for n, x in enumerate(random_column(rng, gens))})
 
 
-def p2_pool_verdicts(pool_of, k1_head_chain):
-    """(d in ``pool_of(A, B, c)``, ``p2_profile_ok``) over every P2 name
-    pair of the task pairs and of the members into the build's tops, then
-    of seeded random columns; each pool must keep ``B.p2`` order."""
+def p2_pool_verdicts(pools_of, k1_head_chain):
+    """(d in c's pool of ``pools_of(A, B, A.p2)``, ``p2_profile_ok``) over
+    every P2 name pair of the task pairs and of the members into the
+    build's tops, then of seeded random columns; each pool must keep
+    ``B.p2`` order, and equal the pool of c asked for alone."""
     verdicts = Counter()
     cls = k1_class(TRUNC, 1)
     pairs = [(A, B) for A, B, _ in cls.task_pairs(3)] + \
@@ -892,21 +893,21 @@ def p2_pool_verdicts(pool_of, k1_head_chain):
     pairs += [(column_structure(rng, 1), column_structure(rng, 4))
               for _ in range(100)]
     for A, B in pairs:
-        for c in A.p2:
-            pool = pool_of(A, B, c)
+        for c, pool in zip(A.p2, pools_of(A, B, A.p2), strict=True):
             assert pool == [d for d in B.p2 if d in pool]
+            assert pools_of(A, B, [c]) == [pool]
             for d in B.p2:
                 verdicts[d in pool, p2_profile_ok(A, B, c, d)] += 1
     return verdicts
 
 
 def test_p2_profile_equals_per_value_kinds(k1_head_chain):
-    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
+    verdicts = p2_pool_verdicts(_p2_pools, k1_head_chain)
     assert set(verdicts) == {(True, True), (False, False)}
 
 
 def test_p2_profile_catches_a_zero_generator_mismatch(k1_head_chain):
-    mutant = planted(_p2_pool, "if differ:", "if False:")
+    mutant = planted(_p2_pools, "if differ and", "if False and")
     verdicts = p2_pool_verdicts(mutant, k1_head_chain)
     assert (True, False) in verdicts
 
@@ -915,7 +916,7 @@ def test_a_shape_table_that_ignores_the_first_rich_index_is_caught(
         monkeypatch, k1_head_chain):
     monkeypatch.setattr(embeddings, "_table", planted(
         _table, "rich |= first", "pass"))
-    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
+    verdicts = p2_pool_verdicts(_p2_pools, k1_head_chain)
     assert (False, True) in verdicts
 
 
@@ -933,9 +934,14 @@ def test_a_shape_table_that_reads_g1_over_p0_only_is_caught(monkeypatch):
 
 
 def contents(M):
-    """What M's match table holds past the three objects it was read
-    from: (simple, offsets, zeros, rich, rows)."""
-    return _table(M)[3:]
+    """What M's match table holds past the four objects it was read
+    from and its memo: (simple, offsets, zeros, rich, rows)."""
+    return _table(M)[4:9]
+
+
+def own_signs(M):
+    """``_signs`` on M's own ids in order, which M's memo keeps."""
+    return _signs(M, _table(M), M.p0, M.p2)
 
 
 def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
@@ -944,7 +950,10 @@ def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
     c, d = M.p2
     s, t = M.atom_ids
     first = _table(M)
-    assert _table(M) is first
+    assert _table(M) is first and first[-1] == []
+    # the memo is filled by the first call on M's own ids, then read
+    own = own_signs(M)
+    assert first[-1] == [own] and own_signs(M) is own
     # F[0][c] holds atom s with a generator, F[0][d] atom t with none
     assert contents(M) == (True, {c: 0, d: TRUNC}, 1 << TRUNC, 0,
                            {s: 1, t: 1 << TRUNC})
@@ -952,9 +961,23 @@ def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
     M.f[(0, c)] = P1Element(M.f[(0, c)].atomic, ZERO)
     assert _table(M) is first
     M.f = dict(M.f)
+    assert _table(M)[-1] == []
     zeros = 1 | 1 << TRUNC
     assert contents(M) == (True, {c: 0, d: TRUNC}, zeros, 0,
                            {s: 1, t: 1 << TRUNC})
+    # the zero free part is new, so the memo filled again differs
+    assert own_signs(M) != own and _table(M)[-1] == [own_signs(M)]
+    # a rebinding of p0, here to its reverse, rebuilds the table and so
+    # the memo; a partial list, or one out of order, is never memoised
+    table, own = _table(M), own_signs(M)
+    assert _signs(M, table, list(M.p0), list(M.p2)) is own
+    M.p0 = M.p0[::-1]
+    assert _table(M) is not table and _table(M)[-1] == []
+    assert _signs(M, _table(M), M.p0[::-1], M.p2) == own
+    assert _signs(M, _table(M), M.p0[:1], M.p2) != own
+    assert _table(M)[-1] == []
+    assert own_signs(M) != own and _table(M)[-1] == [own_signs(M)]
+    M.p0 = M.p0[::-1]
     x, y = (M.f[(n, d)].free for n in (1, 2))
     M.f = {**M.f, (2, d): P1Element(0, conj(x, y)),
            (4, d): P1Element(1 << s, conj(x, y))}
@@ -973,7 +996,7 @@ def test_rebinding_f_g1_or_p2_rebuilds_the_shape_table():
     M.p2 = (d,)
     assert contents(M) == (False, {d: 0}, 1, 0, {s: 0, t: 1})
     copy = M.copy()
-    assert copy._table == (None, None, None)
+    assert copy._table == (None, None, None, None)
     assert contents(copy) == contents(M)
 
 
@@ -996,26 +1019,39 @@ def route(A, B, src, tgt):
     return "list"
 
 
+def fresh_signs(S, ids_p0, ids_p2):
+    """``_signs`` computed, on a copy of S's table with an empty memo."""
+    return _signs(S, _table(S)[:-1] + ([],), ids_p0, ids_p2)
+
+
 def check_position(A, B, p0_map, p2_map, brute_force_up_to):
     """Check one (partial) map A -> B against the oracles, and return what
-    was seen: the leaf's verdict by route, and the P0 check's verdicts
-    when every P2 id of A is mapped.
+    was seen: the leaf's verdict by route and, for a map of all of A's
+    ids, by whether they are listed in A's own order (so that the leaf
+    reads A's side from its memo); and the P0 check's verdicts when
+    every P2 id of A is mapped.
 
-    The table's zero masks must be the lists' own, ``is_valid_match`` must
-    agree with the refine-based leaf (or the general path) and, on lists
-    of at most ``brute_force_up_to`` values, with brute force (which
-    takes time exponential in the length), and the tabled P0 check must
-    agree with ``p0_profile_ok`` at every mapped P0 id."""
+    The table's zero masks must be the lists' own, ``_signs`` (from the
+    memo or not) must equal a computation on an empty memo,
+    ``is_valid_match`` must agree with the refine-based leaf (or the
+    general path) and, on lists of at most ``brute_force_up_to`` values,
+    with brute force (which takes time exponential in the length), and
+    the tabled P0 check must agree with ``p0_profile_ok`` at every
+    mapped P0 id."""
     src, tgt = _generator_lists(A, B, p0_map, p2_map)
     way = route(A, B, src, tgt)
     if way != "general":
-        assert _signs(A, _table(A), p0_map.keys(), p2_map.keys())[0] == \
-            _zero_mask(src)
+        signs = _signs(A, _table(A), p0_map.keys(), p2_map.keys())
+        assert signs == fresh_signs(A, p0_map.keys(), p2_map.keys())
+        assert signs[0] == _zero_mask(src)
         assert _signs(B, _table(B), p0_map.values(),
                       p2_map.values())[0] == _zero_mask(tgt)
     got = is_valid_match(A, B, p0_map, p2_map)
     assert got == list_leaf(A, B, src, tgt)
     seen = Counter({(way, "leaf", got): 1})
+    if len(p0_map) == len(A.p0) and len(p2_map) == len(A.p2):
+        own = list(p0_map) == list(A.p0) and list(p2_map) == list(A.p2)
+        seen["own order" if own else "reordered", got] += 1
     if len(src) <= brute_force_up_to:
         assert got == oracle_match(A, B, src, tgt)
         seen["brute force", got] += 1
@@ -1029,11 +1065,54 @@ def check_position(A, B, p0_map, p2_map, brute_force_up_to):
     return seen
 
 
+def moved(images, x, y):
+    """``images`` with x sent to y, and whatever was sent to y sent to
+    x's old image."""
+    return {z: y if z == x else images[x] if w == y else w
+            for z, w in images.items()}
+
+
+def refused_maps(A, M, rng):
+    """Maps made from the first match A -> M, if any, that the leaf
+    refuses: one P0 image moved to (or swapped with) a P0 id of M whose
+    atom has another profile over the image columns, and one P2 image
+    moved onto a column of M with another zero mask, which the P2 pools
+    would not offer."""
+    first = enumerate_matches(A, M, first_only=True)
+    if not first:
+        return []
+    p0_map, p2_map = dict(first[0].p0_map), dict(first[0].p2_map)
+
+    def profile(b):
+        return [M.f[(n, d)].atomic & M.g1[b].atomic != 0
+                for d in p2_map.values() for n in range(M.trunc)]
+
+    def zero_mask(d):
+        return [M.f[(n, d)].free.is_zero for n in range(M.trunc)]
+
+    out = []
+    for a, b in p0_map.items():
+        others = [y for y in M.p0 if profile(y) != profile(b)]
+        if others:
+            out.append((moved(p0_map, a, rng.choice(others)), p2_map))
+            break
+    for c, d in p2_map.items():
+        others = [e for e in M.p2 if zero_mask(e) != zero_mask(d)]
+        if others:
+            out.append((p0_map, moved(p2_map, c, rng.choice(others))))
+            break
+    return out
+
+
 def sample_maps(A, M, rng):
-    """The first matches A -> M, then seeded random injections and
-    partial maps of A's ids into M's."""
+    """The first matches A -> M, again with A's ids listed in reverse
+    order, then seeded random injections and partial maps of A's ids
+    into M's."""
     maps = [(dict(e.p0_map), dict(e.p2_map))
             for e in enumerate_matches(A, M)[:3]]
+    if len(A.p0) > 1 or len(A.p2) > 1:
+        maps += [(dict(reversed(p0_map.items())),
+                  dict(reversed(p2_map.items()))) for p0_map, p2_map in maps]
     for _ in range(3):
         p0_map = dict(zip(A.p0, rng.sample(M.p0, len(A.p0))))
         p2_map = dict(zip(A.p2, rng.sample(M.p2, len(A.p2))))
@@ -1075,15 +1154,15 @@ def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
                              max_n_star=max_n_star)
         for i, M in enumerate(g.approximation.chain):
             # brute force takes time exponential in the list's length:
-            # lists of up to seven values into the first two structures,
-            # up to three into the others
+            # lists of up to seven values into the first two structures
+            # and the refused maps into every structure, up to three
+            # otherwise
             brute = 7 if i < 2 else 3
             shared = with_a_shared_column(M)
             for A in members:
                 if len(A.p0) > len(M.p0) or len(A.p2) > len(M.p2):
                     continue
-                for c in A.p2:
-                    pool = _p2_pool(A, M, c)
+                for c, pool in zip(A.p2, _p2_pools(A, M, A.p2)):
                     assert pool == [d for d in M.p2
                                     if p2_profile_ok(A, M, c, d)]
                     seen["pool", pool == list(M.p2)] += 1
@@ -1092,18 +1171,23 @@ def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
                     if shared is not None:
                         seen += check_position(A, shared, p0_map, p2_map,
                                                brute)
-    # the lists short enough for brute force are matches but for a few
-    # at some seeds; the synthetic lists below give it both verdicts
-    assert set(seen) - {("brute force", False)} == {
-        ("pool", True), ("pool", False), ("brute force", True)} | {
+                for p0_map, p2_map in refused_maps(A, M, rng):
+                    seen += check_position(A, M, p0_map, p2_map, 7)
+    # brute force gets refused maps at every seed from refused_maps, and
+    # the leaf reads A's side from its memo (own order) and not
+    assert set(seen) == {
+        ("pool", True), ("pool", False), ("brute force", True),
+        ("brute force", False), ("own order", True), ("own order", False),
+        ("reordered", True)} | {
         (way, *verdict) for way in ("tabled", "list")
         for verdict in VERDICTS}, seen
 
 
 def test_tabled_leaf_agrees_on_partial_positions_of_synthetic_lists():
-    # the seeded simple-shaped lists as the values of P0 ids, picked in
-    # part through k1_position_valid: structures whose values repeat a
-    # generator take the list-mask route (or, when the picked lists
+    # the seeded simple-shaped lists as the values of P0 ids, picked
+    # through k1_position_valid whole in id order (which fills the memo),
+    # whole in reverse order and in part: structures whose values repeat
+    # a generator take the list-mask route (or, when the picked lists
     # repeat one too, the general path), the others the tabled one
     rng = random.Random(47)
     seen = Counter()
@@ -1112,20 +1196,84 @@ def test_tabled_leaf_agrees_on_partial_positions_of_synthetic_lists():
         A.p0, B.p0 = ids, ids
         A.g1, B.g1 = dict(enumerate(src)), dict(enumerate(tgt))
         picks = tuple(i for i in ids if rng.random() < 0.7)
-        got = k1_position_valid(A, B, picks, picks)
-        seen += check_position(A, B, {i: i for i in picks}, {}, len(src))
-        seen["partial" if len(picks) < len(ids) else "whole", got] += 1
+        for pick in (ids, ids[::-1], picks):
+            got = k1_position_valid(A, B, pick, pick)
+            seen += check_position(A, B, {i: i for i in pick}, {}, len(src))
+            seen["partial" if len(pick) < len(ids) else "whole", got] += 1
     assert set(seen) == {
         (way, *verdict) for way in ("tabled", "list", "general")
         for verdict in VERDICTS} | set(itertools.product(
-            ("brute force", "partial", "whole"), (True, False))), seen
+            ("brute force", "partial", "whole", "own order", "reordered"),
+            (True, False))), seen
+
+
+def reordered_verdicts(k1_head_chain):
+    """(``is_valid_match``, the refine-based leaf) on the first match of
+    each bound-3 member with two P0 or two P2 ids into each top of the
+    head build, with A's ids listed in A's order and in reverse order."""
+    verdicts = Counter()
+    for M in k1_head_chain:
+        for A in k1_class(TRUNC, 1).members(3):
+            if len(A.p0) < 2 and len(A.p2) < 2:
+                continue
+            for e in enumerate_matches(A, M)[:1]:
+                p0_map, p2_map = dict(e.p0_map), dict(e.p2_map)
+                for p0, p2 in ((p0_map, p2_map),
+                               (dict(reversed(p0_map.items())),
+                                dict(reversed(p2_map.items())))):
+                    src, tgt = _generator_lists(A, M, p0, p2)
+                    verdicts[embeddings.is_valid_match(A, M, p0, p2),
+                             list_leaf(A, M, src, tgt)] += 1
+    return verdicts
+
+
+def test_a_memo_read_for_ids_out_of_order_is_caught(monkeypatch,
+                                                    k1_head_chain):
+    assert set(reordered_verdicts(k1_head_chain)) == {(True, True)}
+    # the memo read whenever the id counts match, ignoring their order
+    monkeypatch.setattr(embeddings, "_signs", planted(
+        _signs, "tuple(p0_ids) == S.p0 and tuple(p2_ids) == S.p2", "True"))
+    assert (False, True) in reordered_verdicts(k1_head_chain)
+
+
+def swapped_g1_verdicts():
+    """(``is_valid_match``, the refine-based leaf) on the identity map
+    from a copy of each bound-3 member with two P0 ids into another
+    copy, once before (which fills the first copy's memo) and once after
+    the first copy's first two G1 values are swapped by a rebinding of
+    ``g1``."""
+    verdicts = Counter()
+    for member in k1_class(TRUNC, 1).members(3):
+        if len(member.p0) < 2:
+            continue
+        A, B = member.copy(), member.copy()
+        p0_map, p2_map = {a: a for a in A.p0}, {c: c for c in A.p2}
+
+        def verdict():
+            src, tgt = _generator_lists(A, B, p0_map, p2_map)
+            return (embeddings.is_valid_match(A, B, p0_map, p2_map),
+                    list_leaf(A, B, src, tgt))
+
+        verdicts[verdict()] += 1
+        a, b = A.p0[:2]
+        A.g1 = {**A.g1, a: A.g1[b], b: A.g1[a]}
+        verdicts[verdict()] += 1
+    return verdicts
+
+
+def test_a_memo_kept_across_a_rebinding_of_g1_is_caught(monkeypatch):
+    assert set(swapped_g1_verdicts()) == {(True, True), (False, False)}
+    # the new table keeps the old memo while f is the same object
+    monkeypatch.setattr(embeddings, "_table", planted(
+        _table, "rows, [])", "rows, table[-1] if table[0] is S.f else [])"))
+    assert (True, False) in swapped_g1_verdicts()
 
 
 def test_a_table_with_column_offsets_shifted_by_one_column_is_caught(
         monkeypatch, k1_head_chain):
     monkeypatch.setattr(embeddings, "_table", planted(
         _table, "offsets[c] = j * trunc", "offsets[c] = (j + 1) * trunc"))
-    verdicts = p2_pool_verdicts(_p2_pool, k1_head_chain)
+    verdicts = p2_pool_verdicts(_p2_pools, k1_head_chain)
     assert set(verdicts) - {(True, True), (False, False)}
 
 
