@@ -77,6 +77,17 @@ def corpus(
     and treats every other candidate alike.  The candidates come from
     ``build_member``, which names no generator, so ``is_isomorphic_k1``
     never raises on one that would fail the check.
+
+    ``enumerate_members`` builds one candidate per multiset of column
+    plans, so no candidate is a column permutation of another, and the
+    members are those, in order, of the stream of every column order:
+    there the first candidate of each isomorphism type has sorted columns,
+    since its sorted permutation is isomorphic and comes no later, and
+    ``check_K1`` gives isomorphic candidates one verdict.  The isomorphs
+    left are not column permutations, and only the comparison drops
+    them.  At max n* 1 they are the threshold twins: a candidate at n* 1
+    whose every head is a bare fresh generator matches its n* 0 twin,
+    because a match ignores the witness.
     """
     members = []
     buckets: dict[tuple, list[K1Structure]] = {}

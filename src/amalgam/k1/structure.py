@@ -232,9 +232,21 @@ def build_member(
 
 
 def enumerate_head_plans(p0_count: int, p2_count: int, n_star: int):
-    """Deterministic palette of head plans: the atomic part of a head value
-    is empty, the first designated atom, or all of them; the free part is a
-    private generator or absent (but never both absent)."""
+    """Deterministic palette of head plans, one per multiset of column
+    plans: the atomic part of a head value is empty, the first designated
+    atom, or all of them; the free part is a private generator or absent
+    (but never both absent).  A column plan lists the heads of one P2
+    element, and the columns of a yielded plan are in non-decreasing
+    palette order.
+
+    No isomorphism type is lost.  ``build_member`` treats every column
+    alike, so permuting a plan's columns gives an isomorphic candidate
+    (only the P2 ids, and the generator ids drawn per column, are
+    relabelled).  Among the column permutations of a plan, the sorted one
+    comes first in the lexicographic order of
+    ``itertools.product(per_c, repeat=p2_count)``, and
+    ``combinations_with_replacement`` yields exactly the sorted tuples of
+    that stream, in the same relative order."""
     atomic_options: list[tuple[int, ...]] = [()]
     if p0_count >= 1:
         atomic_options.append((0,))
@@ -243,7 +255,7 @@ def enumerate_head_plans(p0_count: int, p2_count: int, n_star: int):
     head_options = [(mask, True) for mask in atomic_options]
     head_options += [(mask, False) for mask in atomic_options if mask]
     per_c = list(itertools.product(head_options, repeat=n_star))
-    for combo in itertools.product(per_c, repeat=p2_count):
+    for combo in itertools.combinations_with_replacement(per_c, p2_count):
         yield [list(heads) for heads in combo]
 
 
@@ -254,7 +266,8 @@ def enumerate_members(
     trunc: int = DEFAULT_TRUNC,
     max_size: Optional[int] = None,
 ) -> list[K1Structure]:
-    """Every ``build_member`` candidate within the given bounds, in a fixed
+    """The ``build_member`` candidates within the given bounds, one per
+    multiset of column plans (see ``enumerate_head_plans``), in a fixed
     order.  Candidates with repeated head values fail ``check_K1``.
     ``engine.corpus`` keeps one member per isomorphism type: it drops a
     candidate isomorphic to a kept member before any check, and checks

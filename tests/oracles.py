@@ -7,8 +7,9 @@ expansion by evaluating the function at every window point,
 independence by quantifying over all nonzero Boolean polynomials,
 pushout laws by projecting atoms through the raw embedding images and
 enumerating homomorphism pairs, bases by trying every subset, the
-corpus by comparing every pair of members, sign-vector refinement by
-cutting every mask into every block, the P2 column condition of the
+corpus by comparing every pair of members over every column order of
+the head plans, sign-vector refinement by cutting every mask into
+every block, the P2 column condition of the
 match search by classifying each value on its own, its P0 condition by
 testing every value's atomic part, its simple leaf by refining the
 atomic masks of the two lists of values, a transported value
@@ -52,7 +53,7 @@ from amalgam.boolalg import (
     rebase_with_element,
     refine,
 )
-from amalgam.k1 import FreeFn, check_K1, enumerate_members, is_isomorphic_k1
+from amalgam.k1 import FreeFn, build_member, check_K1, is_isomorphic_k1
 from amalgam.k1.freepart import rename, support_components
 from amalgam.k1.p1 import P1Element, materialize, unmaterialize
 from amalgam.k1.structure import FreeExtensionWitness, K1Structure
@@ -450,12 +451,51 @@ def transport_by_evaluation(t, x: P1Element) -> P1Element:
 # ---------------------------------------------------------------------------
 
 
+def head_plans_in_every_column_order(p0_count: int, p2_count: int,
+                                     n_star: int):
+    """``enumerate_head_plans`` with every order of the column plans: the
+    same palette, and ``itertools.product`` over the columns, in its
+    lexicographic order."""
+    atomic_options: list[tuple[int, ...]] = [()]
+    if p0_count >= 1:
+        atomic_options.append((0,))
+    if p0_count >= 2:
+        atomic_options.append(tuple(range(p0_count)))
+    head_options = [(mask, True) for mask in atomic_options]
+    head_options += [(mask, False) for mask in atomic_options if mask]
+    per_c = list(itertools.product(head_options, repeat=n_star))
+    for combo in itertools.product(per_c, repeat=p2_count):
+        yield [list(heads) for heads in combo]
+
+
+def members_in_every_column_order(max_p0: int, max_p2: int, max_n_star: int,
+                                  trunc: int,
+                                  max_size: Optional[int] = None):
+    """``enumerate_members`` over ``head_plans_in_every_column_order``:
+    every ``build_member`` candidate within the bounds, column
+    permutations included, in the same order of the counts."""
+    out = []
+    for p0_count in range(max_p0 + 1):
+        for p2_count in range(max_p2 + 1):
+            if max_size is not None and p0_count + p2_count > max_size:
+                continue
+            n_star_range = range(max_n_star + 1) if p2_count else (0,)
+            for n_star in n_star_range:
+                for plan in head_plans_in_every_column_order(
+                        p0_count, p2_count, n_star):
+                    out.append(build_member(p0_count, p2_count, n_star,
+                                            trunc, plan))
+    return out
+
+
 def corpus_by_all_pairs(size_bound: int, trunc: int, max_n_star: int):
-    """The witnessed-class corpus with each passing candidate compared
-    against every member kept so far, with no invariant buckets."""
+    """The witnessed-class corpus over every column order of the head
+    plans, with each passing candidate compared against every member kept
+    so far, with no invariant buckets."""
     members = []
-    for M in enumerate_members(size_bound, size_bound, max_n_star, trunc,
-                               max_size=size_bound):
+    for M in members_in_every_column_order(size_bound, size_bound,
+                                           max_n_star, trunc,
+                                           max_size=size_bound):
         if not check_K1(M).passed:
             continue
         if any(is_isomorphic_k1(M, other) for other in members):

@@ -1,9 +1,9 @@
 """The witnessed-class generic: saturation, determinism, witnesses, games,
 and the corpus's isomorphism buckets."""
 
-import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,7 +22,7 @@ from amalgam.k1 import (
     minimal_model,
     var,
 )
-from amalgam.k1 import engine
+from amalgam.k1 import engine, structure
 from amalgam.k1.embeddings import _zero_mask
 from amalgam.k1.engine import (
     build_generic_k1,
@@ -35,7 +35,12 @@ from amalgam.k1.engine import (
 from amalgam.k1.freepart import conj, disj
 from amalgam.k1.structure import enumerate_head_plans
 import oracles
-from oracles import corpus_by_all_pairs
+from oracles import (
+    corpus_by_all_pairs,
+    head_plans_in_every_column_order,
+    members_in_every_column_order,
+    planted,
+)
 from test_fraisse import pinned_digest
 from test_match_search import renamed, rich_value
 
@@ -47,7 +52,9 @@ def test_corpus_members_all_pass_checks():
 
 def test_bucketed_corpus_equals_the_all_pairs_scan():
     # every candidate passes at max_n_star <= 1; the last three cases
-    # have failing ones (20 of 148, 8 of 51 and 574 of 1,032)
+    # have failing ones, in the stream of every column order (20 of 148,
+    # 8 of 51 and 574 of 1,032) and in ``enumerate_members`` (12 of 109,
+    # 8 of 51 and 335 of 642)
     failing = [(3, 6, 2), (2, 6, 3), (3, 3, 3)]
     for args in [(bound, 6, max_n_star) for bound in (3, 4, 5)
                  for max_n_star in (0, 1)] + failing:
@@ -58,6 +65,54 @@ def test_bucketed_corpus_equals_the_all_pairs_scan():
     for bound, trunc, max_n_star in failing:
         assert not all(check_K1(M).passed for M in enumerate_members(
             bound, bound, max_n_star, trunc, max_size=bound))
+
+
+def test_head_plans_are_the_sorted_column_orders():
+    # each plan read as the palette indices of its columns
+    for p0_count, p2_count, n_star in itertools.product(range(4), range(4),
+                                                        range(3)):
+        palette = [plan[0] for plan in
+                   head_plans_in_every_column_order(p0_count, 1, n_star)]
+        indices = lambda plan: tuple(map(palette.index, plan))
+        every = [indices(plan) for plan in head_plans_in_every_column_order(
+            p0_count, p2_count, n_star)]
+        got = [indices(plan) for plan in enumerate_head_plans(
+            p0_count, p2_count, n_star)]
+        assert got == [i for i in every if list(i) == sorted(i)]
+        # every plan is a column permutation of exactly one yielded plan
+        assert Counter(got) == Counter(set(tuple(sorted(i)) for i in every))
+
+
+# the settings at which ``invariant_key`` was checked against
+# ``is_isomorphic_k1`` (ROADMAP item 12): (size bound, trunc, max n*)
+KEY_SETTINGS = [(5, 6, 1), (3, 6, 0), (4, 6, 2), (3, 6, 3), (6, 6, 1),
+                (4, 4, 1)]
+
+
+def test_corpus_equals_its_dedupe_over_every_column_order(monkeypatch):
+    def keys(members):
+        return [M.canonical_key() for M in members]
+
+    want = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "enumerate_members",
+                      members_in_every_column_order)
+        for args in KEY_SETTINGS:
+            want[args] = keys(corpus(*args))
+
+    def agrees():
+        return all(keys(corpus(*args)) == want[args]
+                   for args in KEY_SETTINGS)
+
+    assert agrees()
+    # losing the plans with two equal columns, and yielding each sorted
+    # plan reversed (isomorphic candidates on other ids), both show
+    for old, new in [("combinations_with_replacement(", "combinations("),
+                     ("for heads in combo]", "for heads in combo[::-1]]")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, "enumerate_head_plans",
+                          planted(enumerate_head_plans, old, new))
+            assert not agrees(), new
 
 
 def record_calls(monkeypatch, name):
@@ -82,7 +137,8 @@ def test_isomorphs_are_rejected_before_the_membership_check(monkeypatch):
     assert not any(check_K1(M).passed for M in unwitnessed)
     stream = [M for pair in zip(candidates, unwitnessed) for M in pair]
     monkeypatch.setattr(engine, "enumerate_members", lambda *a, **k: stream)
-    monkeypatch.setattr(oracles, "enumerate_members", lambda *a, **k: stream)
+    monkeypatch.setattr(oracles, "members_in_every_column_order",
+                        lambda *a, **k: stream)
     checked = record_calls(monkeypatch, "check_K1")
     compared = record_calls(monkeypatch, "is_isomorphic_k1")
     members = corpus(3, 6, 1)
@@ -99,14 +155,26 @@ def test_corpus_checks_only_the_members_it_keeps(monkeypatch):
     members = corpus(5, 6, 1)
     assert len(members) == len(checked) == 125
     assert [id(M) for M in checked] == [id(M) for M in members]
-    assert len(compared) == 211
+    # the only isomorphs left are the threshold twins: n* = 1 with every
+    # head a bare fresh generator, which matches its kept n* = 0 twin
+    twins = [build_member(p0_count, p2_count, 1, 6,
+                          [[((), True)]] * p2_count)
+             for p0_count in range(6) for p2_count in range(1, 6 - p0_count)]
+    assert len(compared) == len(twins) == 15
+    assert [(M.canonical_key(), M.witness) for M in compared] == \
+        [(T.canonical_key(), T.witness) for T in twins]
+    kept = {M.canonical_key(): M for M in members}
+    for T in twins:
+        twin = kept[build_member(len(T.p0), len(T.p2), 0, 6).canonical_key()]
+        assert twin.witness.n_star == 0 and is_isomorphic_k1(T, twin)
 
 
 def test_invariant_key_ignores_ids_and_orders():
     rng = random.Random(41)
     compared = 0
     for p0_count, p2_count, n_star in itertools.product((0, 1, 2), (1, 2), (0, 1)):
-        for plan in enumerate_head_plans(p0_count, p2_count, n_star):
+        for plan in head_plans_in_every_column_order(p0_count, p2_count,
+                                                     n_star):
             M = build_member(p0_count, p2_count, n_star, 6, plan)
             N = build_member(p0_count, p2_count, n_star, 6, plan, start_id=50)
             p0, p2 = list(M.p0), list(M.p2)
@@ -119,7 +187,7 @@ def test_invariant_key_ignores_ids_and_orders():
 
 
 def test_isomorphic_candidates_share_a_key():
-    candidates = enumerate_members(4, 4, 1, 6, max_size=4)
+    candidates = members_in_every_column_order(4, 4, 1, 6, max_size=4)
     accepted = 0
     for A, B in itertools.combinations(candidates, 2):
         if is_isomorphic_k1(A, B):
@@ -198,7 +266,7 @@ def test_corpus_compares_fewer_pairs_than_it_has_candidates(monkeypatch):
     members = corpus(4, 6, 1)
     passing = sum(check_K1(M).passed
                   for M in enumerate_members(4, 4, 1, 6, max_size=4))
-    assert len(members) < passing == 93
+    assert len(members) < passing == 63
     assert len(calls) < passing
 
 
@@ -226,18 +294,6 @@ def test_generic_deterministic_per_seed():
 
 
 DRAIN = 50_000  # the step budget of a tail build that drains
-
-
-@pytest.fixture(scope="module")
-def builds():
-    """``build(steps, bound, seed, max_n_star=0)``: ``build_generic_k1``
-    at trunc 6, each run once per module, so the tests that read one
-    build share it."""
-    @functools.cache
-    def build(steps, bound, seed, max_n_star=0):
-        return build_generic_k1(steps=steps, bound=bound, trunc=6,
-                                seed=seed, max_n_star=max_n_star)
-    return build
 
 
 @pytest.mark.parametrize("bound, seed",

@@ -1136,13 +1136,16 @@ def with_a_shared_column(M):
     return N
 
 
+# (bound, steps, max n*): the drained tails at bounds 3 and 4 and the
+# 60-step head build, the builds of the ``builds`` fixture
 ENGINE_BUILDS = [(3, 50_000, 0), (4, 50_000, 0), (3, 60, 1)]
 VERDICTS = {(kind, verdict) for kind in ("leaf", "p0")
             for verdict in (True, False)}
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
+def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(builds,
+                                                                    seed):
     # every chain structure of the bound-3 and bound-4 tail drains and of
     # the 60-step head build, against each member of the build's class,
     # and the same structure with a column that shares its generators
@@ -1150,8 +1153,7 @@ def test_tabled_pools_and_leaf_agree_with_the_oracle_on_engine_chains(seed):
     seen = Counter()
     for bound, steps, max_n_star in ENGINE_BUILDS:
         members = k1_class(TRUNC, max_n_star).members(bound)
-        g = build_generic_k1(steps, bound=bound, trunc=TRUNC, seed=seed,
-                             max_n_star=max_n_star)
+        g = builds(steps, bound, seed, max_n_star)
         for i, M in enumerate(g.approximation.chain):
             # brute force takes time exponential in the list's length:
             # lists of up to seven values into the first two structures
